@@ -46,7 +46,7 @@
 
 namespace octo::app {
 
-struct ledger;  // simulation.hpp
+struct ledger;  // step_core.hpp
 
 /// A detector tripped: the state failed a physics invariant or a CRC seal.
 /// Derives from octo::error so `dist::run_with_checkpoints` escalates it to

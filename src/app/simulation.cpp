@@ -2,767 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
+#include <utility>
+#include <vector>
 
-#include "amt/future.hpp"
-#include "apex/apex.hpp"
-#include "apex/critical_path.hpp"
-#include "apex/dag.hpp"
-#include "apex/race_audit.hpp"
-#include "apex/trace.hpp"
-#include "common/config.hpp"
 #include "common/error.hpp"
-#include "common/fault.hpp"
-#include "common/log.hpp"
-#include "common/stopwatch.hpp"
 
 namespace octo::app {
 
-using grid::subgrid;
-
-step_mode default_step_mode() {
-  static const step_mode mode = [] {
-    const auto v = config::env("OCTO_STEP_MODE");
-    return (v && *v == "dataflow") ? step_mode::dataflow : step_mode::barrier;
-  }();
-  return mode;
-}
-
-bool default_audit_races() {
-  static const bool on = [] {
-    const auto v = config::env("OCTO_RACE_AUDIT");
-    return v && *v != "0";
-  }();
-  return on;
-}
-
 simulation::simulation(const scen::scenario& sc, sim_options opt,
                        exec::amt_space space)
-    : scenario_(sc), opt_(opt), space_(space) {}
-
-void simulation::initialize() {
-  topo_ = std::make_unique<tree::topology>(scenario_.domain_half,
-                                           opt_.max_level, scenario_.refine);
-  grav_ = std::make_unique<gravity::fmm_solver>(*topo_, opt_.gravity);
-  opt_.hydro.omega = scenario_.omega;
-
-  grids_.clear();
-  grids_.reserve(static_cast<std::size_t>(topo_->num_nodes()));
-  for (index_t n = 0; n < topo_->num_nodes(); ++n)
-    grids_.emplace_back(topo_->center(n), topo_->cell_width(n));
-
-  leaf_slot_.assign(static_cast<std::size_t>(topo_->num_nodes()), -1);
-  stage0_.clear();
-  const auto& leaves = topo_->leaves();
-  stage0_.reserve(leaves.size());
-  for (std::size_t s = 0; s < leaves.size(); ++s) {
-    leaf_slot_[static_cast<std::size_t>(leaves[s])] =
-        static_cast<index_t>(s);
-    stage0_.emplace_back(topo_->center(leaves[s]),
-                         topo_->cell_width(leaves[s]));
-  }
-
-  leaves_by_level_.assign(static_cast<std::size_t>(topo_->max_depth()) + 1,
-                          {});
-  for (const index_t l : leaves)
-    leaves_by_level_[static_cast<std::size_t>(topo_->node(l).level)]
-        .push_back(l);
-
-  cost_model_.reset(opt_.measure_leaf_costs ? leaves.size() : 0);
-
-  // One-time scenario preparation (e.g. the SCF solve) runs on this
-  // thread, outside the task pool (see scenario::prepare).
-  if (scenario_.prepare) scenario_.prepare();
-
-  // Initial data (parallel over leaves; the scenario init may be costly).
-  {
-    std::vector<amt::future<void>> futs;
-    for (const index_t l : leaves)
-      futs.push_back(amt::async([this, l] { scenario_.init(grids_[l]); },
-                                space_.runtime()));
-    amt::wait_all(futs, space_.runtime());
-  }
-
-  exchange_ghosts();
-  if (opt_.self_gravity) solve_gravity();
-  dt_ = opt_.fixed_dt > 0 ? opt_.fixed_dt : compute_dt();
-  initialized_ = true;
-
-  // Arm the SDC auditor: seal the initial state so the very first step can
-  // already verify it was read back uncorrupted.
-  auditor_ = invariant_auditor(opt_.audit);
-  if (auditor_.enabled()) {
-    auditor_.resize(topo_->num_nodes());
-    sdc_seal_all();
-  }
-}
-
-grid::subgrid& simulation::leaf(index_t node) {
-  OCTO_ASSERT(topo_->node(node).leaf);
-  return grids_[node];
-}
-
-const grid::subgrid& simulation::leaf(index_t node) const {
-  OCTO_ASSERT(topo_->node(node).leaf);
-  return grids_[node];
-}
-
-namespace {
-/// APEX phase timers for the step loop (registered once; see apex/apex.hpp).
-struct phase_timers {
-  apex::metric_id exchange = apex::registry::instance().timer("app.exchange_ghosts");
-  apex::metric_id gravity = apex::registry::instance().timer("app.solve_gravity");
-  apex::metric_id hydro = apex::registry::instance().timer("app.hydro_stage");
-  apex::metric_id step = apex::registry::instance().timer("app.step");
-  apex::metric_id steps_counter = apex::registry::instance().counter("app.steps");
-};
-phase_timers& timers() {
-  static phase_timers t;
-  return t;
-}
-}  // namespace
-
-void simulation::exchange_ghosts() {
-  const apex::scoped_timer apex_t(timers().exchange);
-  const apex::scoped_trace_span trace_span("app.exchange_ghosts");
-  const stopwatch phase_watch;
-  auto& rt = space_.runtime();
-
-  // Phase 1: restrict into interior sub-grids, deepest level first.
-  for (int lvl = topo_->max_depth() - 1; lvl >= 0; --lvl) {
-    std::vector<amt::future<void>> futs;
-    for (const index_t n : topo_->nodes_at_level(lvl)) {
-      const auto& nd = topo_->node(n);
-      if (nd.leaf) continue;
-      futs.push_back(amt::async(
-          [this, n] {
-            const apex::scoped_trace_span span("app.exchange.restrict");
-            const auto& nd2 = topo_->node(n);
-            for (int oct = 0; oct < NCHILD; ++oct)
-              grid::restrict_to_coarse(grids_[nd2.children[oct]], oct,
-                                       grids_[n]);
-          },
-          rt));
-    }
-    amt::wait_all(futs, rt);
-  }
-
-  // Phase 2: same-level direct copies and physical boundaries, for every
-  // node.  Interior sub-grids are filled too: their owned cells (from the
-  // phase-1 restriction) serve as same-level ghost sources for leaves
-  // adjacent to refined regions.
-  {
-    std::vector<amt::future<void>> futs;
-    for (index_t n = 0; n < topo_->num_nodes(); ++n) {
-      futs.push_back(amt::async(
-          [this, n] {
-            const apex::scoped_trace_span span("app.exchange.copy");
-            for (int d = 0; d < NNEIGHBOR; ++d) {
-              const index_t nb = topo_->neighbor(n, d);
-              if (nb != tree::invalid_node) {
-                grids_[n].copy_ghost_direct(d, grids_[nb]);
-              } else {
-                const auto ncode = tree::code_neighbor(
-                    topo_->node(n).code, tree::directions()[d]);
-                if (!ncode) grids_[n].fill_ghost_outflow(d);
-                // else: coarser neighbor, handled in phase 3 (leaves).
-              }
-            }
-          },
-          rt));
-    }
-    amt::wait_all(futs, rt);
-  }
-
-  // Phase 3: coarse-to-fine prolongation, coarsest target level first.
-  for (std::size_t lvl = 0; lvl < leaves_by_level_.size(); ++lvl) {
-    std::vector<amt::future<void>> futs;
-    for (const index_t n : leaves_by_level_[lvl]) {
-      futs.push_back(amt::async(
-          [this, n] {
-            const apex::scoped_trace_span span("app.exchange.prolong");
-            const auto& nd = topo_->node(n);
-            for (int d = 0; d < NNEIGHBOR; ++d) {
-              if (nd.neighbors[d] != tree::invalid_node) continue;
-              const index_t host = topo_->neighbor_or_coarser(n, d);
-              if (host == tree::invalid_node) continue;  // domain boundary
-              grid::fill_ghost_from_coarse(
-                  grids_[n], tree::code_coords(nd.code), d, grids_[host],
-                  tree::code_coords(topo_->node(host).code));
-            }
-          },
-          rt));
-    }
-    amt::wait_all(futs, rt);
-  }
-  phase_exchange_s_ += phase_watch.seconds();
-}
-
-void simulation::solve_gravity() {
-  const apex::scoped_timer apex_t(timers().gravity);
-  const apex::scoped_trace_span trace_span("app.solve_gravity");
-  const stopwatch phase_watch;
-  for (const index_t l : topo_->leaves())
-    grav_->set_leaf_from_subgrid(l, grids_[l]);
-  grav_->solve(space_);
-  phase_gravity_s_ += phase_watch.seconds();
-}
-
-real simulation::compute_dt() {
-  real vmax = 0;
-  for (const index_t l : topo_->leaves()) {
-    const real v = hydro::max_signal_speed(grids_[l], opt_.hydro);
-    const real dx = topo_->cell_width(l);
-    vmax = std::max(vmax, v / dx);
-  }
-  OCTO_CHECK_MSG(vmax > 0, "zero signal speed — uninitialized state?");
-  return opt_.cfl / vmax;
-}
-
-void simulation::hydro_stage(real dt, real ca, real cb) {
-  const apex::scoped_timer apex_t(timers().hydro);
-  const apex::scoped_trace_span trace_span("app.hydro_stage");
-  const stopwatch phase_watch;
-  auto& rt = space_.runtime();
-  std::vector<amt::future<void>> futs;
-  for (const index_t l : topo_->leaves()) {
-    futs.push_back(amt::async(
-        [this, l, dt, ca, cb] {
-          const apex::scoped_trace_span span("app.hydro.leaf");
-          const apex::cost_scope cost(
-              cost_model_ptr(), static_cast<std::size_t>(leaf_slot_[l]));
-#if OCTO_EOS_GUARDS
-          hydro::eos_guard().leaf = static_cast<long>(l);
-#endif
-          static thread_local hydro::workspace ws;
-          static thread_local std::vector<real> dudt;
-          dudt.assign(static_cast<std::size_t>(hydro::dudt_size), 0);
-          subgrid& u = grids_[l];
-          hydro::flux_divergence(u, opt_.hydro, ws, dudt);
-          if (opt_.self_gravity) {
-            hydro::add_sources(u, opt_.hydro, grav_->gx(l).data(),
-                               grav_->gy(l).data(), grav_->gz(l).data(),
-                               dudt);
-          } else {
-            hydro::add_sources(u, opt_.hydro, nullptr, nullptr, nullptr,
-                               dudt);
-          }
-          hydro::apply_dudt(u, dudt, dt);
-          if (cb != 1) {
-            const subgrid& u0 = stage0_[leaf_slot_[l]];
-            hydro::stage_blend(u, u0, ca, cb);
-          }
-          hydro::apply_floors_and_sync_tau(u, opt_.hydro.gas);
-        },
-        rt));
-  }
-  amt::wait_all(futs, rt);
-  phase_hydro_s_ += phase_watch.seconds();
-}
-
-void simulation::step_barrier(real dt) {
-  // Save u0 for the RK combination.
-  {
-    std::vector<amt::future<void>> futs;
-    for (const index_t l : topo_->leaves()) {
-      futs.push_back(amt::async(
-          [this, l] { stage0_[leaf_slot_[l]] = grids_[l]; },
-          space_.runtime()));
-    }
-    amt::wait_all(futs, space_.runtime());
-  }
-
-  // SSP-RK3 (Shu-Osher): u1 = u0 + dt L(u0)
-  //                      u2 = 3/4 u0 + 1/4 (u1 + dt L(u1))
-  //                      u  = 1/3 u0 + 2/3 (u2 + dt L(u2))
-  hydro_stage(dt, 0, 1);
-  exchange_ghosts();
-  if (opt_.self_gravity) solve_gravity();
-
-  hydro_stage(dt, real(0.75), real(0.25));
-  exchange_ghosts();
-  if (opt_.self_gravity) solve_gravity();
-
-  hydro_stage(dt, real(1) / 3, real(2) / 3);
-  exchange_ghosts();
-  if (opt_.self_gravity) solve_gravity();
-}
-
-void simulation::step_graph(real dt) {
-  using sf = amt::shared_future<void>;
-  auto& rt = space_.runtime();
-  const auto nn = static_cast<std::size_t>(topo_->num_nodes());
-  const auto& leaves = topo_->leaves();
-
-  // Prolongation relations: fine leaf -> distinct coarser leaf hosts, and
-  // the reverse (host -> fine clients).  Fixed per topology.
-  std::vector<std::vector<index_t>> phosts(nn), pclients(nn);
-  for (const index_t l : leaves) {
-    const auto& nd = topo_->node(l);
-    for (int d = 0; d < NNEIGHBOR; ++d) {
-      if (nd.neighbors[d] != tree::invalid_node) continue;
-      const index_t host = topo_->neighbor_or_coarser(l, d);
-      if (host == tree::invalid_node) continue;  // domain boundary
-      auto& hs = phosts[static_cast<std::size_t>(l)];
-      if (std::find(hs.begin(), hs.end(), host) == hs.end()) {
-        hs.push_back(host);
-        pclients[static_cast<std::size_t>(host)].push_back(l);
-      }
-    }
-  }
-
-  std::vector<sf> all;  // every task in build order: the step's one join
-  all.reserve(nn * 16);
-  const auto track = [&all](sf f) {
-    all.push_back(f);
-    return f;
-  };
-
-  const real CA[3] = {0, real(0.75), real(1) / 3};
-  const real CB[3] = {1, real(0.25), real(2) / 3};
-
-  // u0 snapshot: per-leaf tasks (step entry is a resolved point, no deps).
-  std::vector<sf> snap(nn);
-  for (const index_t l : leaves)
-    snap[static_cast<std::size_t>(l)] = track(amt::dataflow(
-        "snapshot",
-        apex::access_set{}.r(apex::rgn::field, l).w(apex::rgn::stage0, l),
-        [this, l] { stage0_[leaf_slot_[l]] = grids_[l]; },
-        std::vector<sf>{}, rt));
-
-  // Per-stage edges of the previous RK stage (WAR/WAW hazards).
-  std::vector<sf> prevH(nn), prevR(nn), prevC(nn), prevP(nn), prevD(nn);
-  gravity::fmm_solver::solve_graph gprev;
-  bool have_gprev = false;
-
-  for (int s = 0; s < 3; ++s) {
-    const real ca = CA[s], cb = CB[s];
-    std::vector<sf> H(nn), R(nn), C(nn), P(nn), D(nn);
-    // content(n): the task that produced node n's owned cells this stage.
-    const auto content = [&](index_t n) {
-      return topo_->node(n).leaf ? H[static_cast<std::size_t>(n)]
-                                 : R[static_cast<std::size_t>(n)];
-    };
-
-    // Hydro: each leaf fires on its *own* ghost-ready and gravity edges —
-    // interior leaves run while boundary work elsewhere is still in flight.
-    for (const index_t l : leaves) {
-      const auto li = static_cast<std::size_t>(l);
-      std::vector<sf> deps;
-      if (s == 0) {
-        deps.push_back(snap[li]);
-      } else {
-        deps.push_back(prevC[li]);  // own same-level ghosts filled
-        if (prevP[li].valid()) deps.push_back(prevP[li]);  // coarse faces
-        if (opt_.self_gravity) deps.push_back(gprev.leaf_out[li]);
-        // WAR: last stage's readers of this leaf's owned cells.
-        for (int d = 0; d < NNEIGHBOR; ++d) {
-          const index_t nb = topo_->neighbor(l, d);
-          if (nb != tree::invalid_node)
-            deps.push_back(prevC[static_cast<std::size_t>(nb)]);
-        }
-        const index_t par = topo_->node(l).parent;
-        if (par != tree::invalid_node)
-          deps.push_back(prevR[static_cast<std::size_t>(par)]);
-        for (const index_t f : pclients[li])
-          deps.push_back(prevP[static_cast<std::size_t>(f)]);
-        if (prevD[li].valid()) deps.push_back(prevD[li]);
-      }
-      apex::access_set hfp;
-      hfp.w(apex::rgn::field, l)
-          .r(apex::rgn::ghost, l)
-          .r(apex::rgn::stage0, l);
-      if (opt_.self_gravity) hfp.r(apex::rgn::gout, l);
-      H[li] = track(amt::dataflow(
-          "hydro-RK", std::move(hfp), [this, l, dt, ca, cb] {
-            const apex::scoped_trace_span span("app.hydro.leaf");
-            const apex::cost_scope cost(
-                cost_model_ptr(), static_cast<std::size_t>(leaf_slot_[l]));
-#if OCTO_EOS_GUARDS
-            hydro::eos_guard().leaf = static_cast<long>(l);
-#endif
-            static thread_local hydro::workspace ws;
-            static thread_local std::vector<real> dudt;
-            dudt.assign(static_cast<std::size_t>(hydro::dudt_size), 0);
-            subgrid& u = grids_[l];
-            hydro::flux_divergence(u, opt_.hydro, ws, dudt);
-            if (opt_.self_gravity) {
-              hydro::add_sources(u, opt_.hydro, grav_->gx(l).data(),
-                                 grav_->gy(l).data(), grav_->gz(l).data(),
-                                 dudt);
-            } else {
-              hydro::add_sources(u, opt_.hydro, nullptr, nullptr, nullptr,
-                                 dudt);
-            }
-            hydro::apply_dudt(u, dudt, dt);
-            if (cb != 1) {
-              const subgrid& u0 = stage0_[leaf_slot_[l]];
-              hydro::stage_blend(u, u0, ca, cb);
-            }
-            hydro::apply_floors_and_sync_tau(u, opt_.hydro.gas);
-          },
-          std::move(deps), rt));
-    }
-
-    // Restriction: parent-on-children dependencies replace the per-level
-    // barrier of exchange_ghosts() phase 1.
-    for (int lvl = topo_->max_depth() - 1; lvl >= 0; --lvl) {
-      for (const index_t n : topo_->nodes_at_level(lvl)) {
-        if (topo_->node(n).leaf) continue;
-        const auto ni = static_cast<std::size_t>(n);
-        std::vector<sf> deps;
-        for (int oct = 0; oct < NCHILD; ++oct)
-          deps.push_back(content(topo_->node(n).children[oct]));
-        if (s > 0) {
-          // WAR: last stage's readers of this node's owned restriction.
-          deps.push_back(prevC[ni]);  // own outflow fill read the interior
-          for (int d = 0; d < NNEIGHBOR; ++d) {
-            const index_t nb = topo_->neighbor(n, d);
-            if (nb != tree::invalid_node)
-              deps.push_back(prevC[static_cast<std::size_t>(nb)]);
-          }
-          const index_t par = topo_->node(n).parent;
-          if (par != tree::invalid_node)
-            deps.push_back(prevR[static_cast<std::size_t>(par)]);
-          for (const index_t f : pclients[ni])
-            deps.push_back(prevP[static_cast<std::size_t>(f)]);
-        }
-        apex::access_set rfp;
-        rfp.w(apex::rgn::field, n);
-        for (int oct = 0; oct < NCHILD; ++oct)
-          rfp.r(apex::rgn::field, topo_->node(n).children[oct]);
-        R[ni] = track(amt::dataflow(
-            "restrict", std::move(rfp), [this, n] {
-              const apex::scoped_trace_span span("app.exchange.restrict");
-              const auto& nd2 = topo_->node(n);
-              for (int oct = 0; oct < NCHILD; ++oct)
-                grid::restrict_to_coarse(grids_[nd2.children[oct]], oct,
-                                         grids_[n]);
-            },
-            std::move(deps), rt));
-      }
-    }
-
-    // Same-level ghost copies + outflow fills: fire per node when the
-    // sources (neighbors' owned cells) are produced and this node's ghosts
-    // are no longer being read.
-    for (index_t n = 0; n < topo_->num_nodes(); ++n) {
-      const auto ni = static_cast<std::size_t>(n);
-      std::vector<sf> deps;
-      for (int d = 0; d < NNEIGHBOR; ++d) {
-        const index_t nb = topo_->neighbor(n, d);
-        if (nb != tree::invalid_node) deps.push_back(content(nb));
-      }
-      if (topo_->node(n).leaf)
-        deps.push_back(H[ni]);  // WAR: hydro read these ghosts
-      else
-        deps.push_back(R[ni]);  // RAW: outflow reads the restricted interior
-      if (s > 0) {
-        if (prevC[ni].valid()) deps.push_back(prevC[ni]);  // WAW
-        for (const index_t f : pclients[ni])
-          deps.push_back(prevP[static_cast<std::size_t>(f)]);  // WAR
-      }
-      apex::access_set cfp;
-      for (int d = 0; d < NNEIGHBOR; ++d) {
-        const index_t nb = topo_->neighbor(n, d);
-        if (nb != tree::invalid_node) {
-          cfp.r(apex::rgn::field, nb).w(apex::rgn::ghost, n, d);
-        } else {
-          const auto ncode = tree::code_neighbor(topo_->node(n).code,
-                                                 tree::directions()[d]);
-          if (!ncode)  // outflow fill reads the node's own interior
-            cfp.r(apex::rgn::field, n).w(apex::rgn::ghost, n, d);
-        }
-      }
-      C[ni] = track(amt::dataflow(
-          "copy", std::move(cfp), [this, n] {
-            const apex::scoped_trace_span span("app.exchange.copy");
-            for (int d = 0; d < NNEIGHBOR; ++d) {
-              const index_t nb = topo_->neighbor(n, d);
-              if (nb != tree::invalid_node) {
-                grids_[n].copy_ghost_direct(d, grids_[nb]);
-              } else {
-                const auto ncode = tree::code_neighbor(
-                    topo_->node(n).code, tree::directions()[d]);
-                if (!ncode) grids_[n].fill_ghost_outflow(d);
-              }
-            }
-          },
-          std::move(deps), rt));
-    }
-
-    // Coarse-to-fine prolongation: per fine leaf, gated on its hosts'
-    // owned + ghost state (ascending level order makes host P edges exist).
-    for (std::size_t lvl = 0; lvl < leaves_by_level_.size(); ++lvl) {
-      for (const index_t l : leaves_by_level_[lvl]) {
-        const auto li = static_cast<std::size_t>(l);
-        if (phosts[li].empty()) continue;
-        std::vector<sf> deps;
-        deps.push_back(H[li]);  // WAR: hydro read these ghost faces
-        for (const index_t h : phosts[li]) {
-          const auto hi = static_cast<std::size_t>(h);
-          deps.push_back(content(h));
-          deps.push_back(C[hi]);
-          if (P[hi].valid()) deps.push_back(P[hi]);
-        }
-        if (s > 0)
-          for (const index_t f : pclients[li])
-            deps.push_back(prevP[static_cast<std::size_t>(f)]);  // WAR
-        apex::access_set pfp;
-        for (const index_t h : phosts[li])
-          pfp.r(apex::rgn::field, h).r(apex::rgn::ghost, h);
-        for (int d = 0; d < NNEIGHBOR; ++d) {
-          if (topo_->node(l).neighbors[d] != tree::invalid_node) continue;
-          if (topo_->neighbor_or_coarser(l, d) != tree::invalid_node)
-            pfp.w(apex::rgn::ghost, l, d);
-        }
-        P[li] = track(amt::dataflow(
-            "prolong", std::move(pfp), [this, l] {
-              const apex::scoped_trace_span span("app.exchange.prolong");
-              const auto& nd = topo_->node(l);
-              for (int d = 0; d < NNEIGHBOR; ++d) {
-                if (nd.neighbors[d] != tree::invalid_node) continue;
-                const index_t host = topo_->neighbor_or_coarser(l, d);
-                if (host == tree::invalid_node) continue;
-                grid::fill_ghost_from_coarse(
-                    grids_[l], tree::code_coords(nd.code), d, grids_[host],
-                    tree::code_coords(topo_->node(host).code));
-              }
-            },
-            std::move(deps), rt));
-      }
-    }
-
-    // Gravity: per-leaf density refresh feeding the solver's task graph.
-    if (opt_.self_gravity) {
-      std::vector<sf> mom_ready(nn);
-      for (const index_t l : leaves) {
-        const auto li = static_cast<std::size_t>(l);
-        std::vector<sf> deps;
-        deps.push_back(H[li]);
-        if (have_gprev) deps.push_back(gprev.mom_free[li]);
-        D[li] = track(amt::dataflow(
-            "set-density",
-            apex::access_set{}.r(apex::rgn::field, l).w(apex::rgn::moment, l),
-            [this, l] { grav_->set_leaf_from_subgrid(l, grids_[l]); },
-            std::move(deps), rt));
-        mom_ready[li] = D[li];
-      }
-      gravity::fmm_solver::solve_graph g = grav_->solve_dataflow(
-          space_, mom_ready, have_gprev ? &gprev : nullptr);
-      for (const auto& t : g.tasks) all.push_back(t);
-      gprev = std::move(g);
-      have_gprev = true;
-    }
-
-    prevH = std::move(H);
-    prevR = std::move(R);
-    prevC = std::move(C);
-    prevP = std::move(P);
-    prevD = std::move(D);
-  }
-
-  // dt reduction: per-leaf signal speeds fire as each leaf's final state
-  // settles; the serial max-reduce below the join matches compute_dt().
-  std::vector<real> vmax_slots(leaves.size(), 0);
-  if (opt_.fixed_dt <= 0) {
-    for (std::size_t i = 0; i < leaves.size(); ++i) {
-      const index_t l = leaves[i];
-      const auto li = static_cast<std::size_t>(l);
-      std::vector<sf> deps;
-      deps.push_back(prevH[li]);
-      deps.push_back(prevC[li]);
-      if (prevP[li].valid()) deps.push_back(prevP[li]);
-      all.push_back(sf(amt::dataflow(
-          "dt-reduce",
-          apex::access_set{}
-              .r(apex::rgn::field, l)
-              .r(apex::rgn::ghost, l)
-              .w(apex::rgn::dtred, static_cast<index_t>(i)),
-          [this, l, i, &vmax_slots] {
-            vmax_slots[i] =
-                hydro::max_signal_speed(grids_[l], opt_.hydro) /
-                topo_->cell_width(l);
-          },
-          std::move(deps), rt)));
-    }
-  }
-
-  // The step's only global join: drain the graph, surfacing the first
-  // task error in deterministic build order.
-  amt::get_all(all, rt);
-
-  if (opt_.fixed_dt <= 0) {
-    real vmax = 0;
-    for (const real v : vmax_slots) vmax = std::max(vmax, v);
-    OCTO_CHECK_MSG(vmax > 0, "zero signal speed — uninitialized state?");
-    dt_ = opt_.cfl / vmax;
-  }
-}
-
-void simulation::step_attempt(real dt) {
-  // Injection + pre-read verification: any at-rest flip since the last
-  // step's seals — injected or real — trips here, before the state is read.
-  sdc_apply_bitflips(steps_ + 1);
-  if (auditor_.enabled()) {
-    const apex::scoped_timer audit_t(sdc_metrics().audit_timer);
-    sdc_verify_all();
-  }
-
-  // Record the step's task graph only when someone is observing (a trace
-  // sink, a metrics sink, or the race auditor): dataflow's hot path stays
-  // one relaxed load otherwise.
-  const bool audit_dag =
-      opt_.mode == step_mode::dataflow && opt_.audit_races;
-  const bool record_dag =
-      opt_.mode == step_mode::dataflow &&
-      (apex::trace::enabled() || metrics_ != nullptr || audit_dag);
-  if (opt_.mode == step_mode::dataflow) {
-    if (record_dag) apex::dag_recorder::instance().begin_step();
-    try {
-      step_graph(dt);
-    } catch (...) {
-      // step_graph drained the graph before rethrowing; the partial
-      // recording is worthless — discard it and re-arm nothing.
-      if (record_dag) (void)apex::dag_recorder::instance().end_step();
-      throw;
-    }
-    if (record_dag) {
-      const apex::graph_profile graph =
-          apex::dag_recorder::instance().end_step();
-      if (audit_dag) apex::audit_step_or_throw(graph);
-      last_crit_ = apex::analyze_critical_path(graph);
-      apex::export_critical_path_counters(last_crit_);
-      have_crit_ = true;
-    }
-  } else {
-    step_barrier(dt);
-    // Re-evaluate the CFL condition on the evolved state so the next
-    // step's dt tracks the current signal speeds.
-    if (opt_.fixed_dt <= 0) dt_ = compute_dt();
-  }
-
-  // Post-step audit (invariants at cadence) and fresh seals over the
-  // evolved state — the seals must be retaken last, after every detector
-  // has passed, so a failed attempt leaves the pre-step seals intact.
-  if (auditor_.enabled()) {
-    const apex::scoped_timer audit_t(sdc_metrics().audit_timer);
-    sdc_audit_and_seal(dt_, steps_ + 1);
-    ++sdc_audits_;
-    apex::registry::instance().add(sdc_metrics().audits);
-  }
-}
-
-void simulation::sdc_retry(const sdc_snapshot& snap, real dt) {
-  ++sdc_retries_;
-  apex::registry::instance().add(sdc_metrics().retries);
-  try {
-    // Transient-error path: restore the in-memory pre-step snapshot and
-    // re-execute.  A deterministic second execution must agree bitwise
-    // (dual-execution compare-vote) before the retry is trusted.
-    sdc_restore(snap);
-    step_attempt(dt);
-    const std::uint64_t ballot_a = sdc_state_signature();
-    sdc_restore(snap);
-    step_attempt(dt);
-    if (sdc_state_signature() != ballot_a)
-      throw sdc_detected(
-          "dual-execution compare-vote mismatch on retry — the two "
-          "re-executions disagree, escalating to checkpoint rollback");
-  } catch (const sdc_detected&) {
-    // The audit tripped again (or the vote failed): escalate to the
-    // checkpoint-rollback driver.
-    ++sdc_rollbacks_;
-    apex::registry::instance().add(sdc_metrics().rollbacks);
-    throw;
-  }
-}
-
-real simulation::step() {
-  OCTO_CHECK_MSG(initialized_, "call initialize() first");
-  const apex::scoped_timer apex_t(timers().step);
-  const apex::scoped_trace_span trace_span(opt_.mode == step_mode::dataflow
-                                               ? "app.step.dataflow"
-                                               : "app.step");
-  apex::registry::instance().add(timers().steps_counter);
-  if (cost_model_.active()) cost_model_.begin_step();
-  const real dt = dt_;
-  const stopwatch step_watch;
-  phase_exchange_s_ = phase_gravity_s_ = phase_hydro_s_ = 0;
-  const amt::runtime_stats stats0 = space_.runtime().stats();
-  have_crit_ = false;
-
-  if (auditor_.enabled()) {
-    const sdc_snapshot snap = sdc_take_snapshot();
-    try {
-      step_attempt(dt);
-    } catch (const sdc_detected&) {
-      ++sdc_detected_;
-      sdc_retry(snap, dt);
-    }
-  } else {
-    step_attempt(dt);
-  }
-
-  time_ += dt;
-  ++steps_;
-  if (cost_model_.active()) cost_model_.end_step();
-
-  // Structured per-step observability record (the paper's headline
-  // "processed sub-grid cells per second" plus the per-phase breakdown;
-  // in dataflow mode phases overlap, so the per-phase columns stay 0 and
-  // idle_fraction carries the scheduler-utilization comparison instead).
-  const amt::runtime_stats stats1 = space_.runtime().stats();
-  last_metrics_ = apex::step_record{};
-  last_metrics_.step = steps_;
-  last_metrics_.time = static_cast<double>(time_);
-  last_metrics_.dt = static_cast<double>(dt);
-  last_metrics_.step_seconds = step_watch.seconds();
-  last_metrics_.exchange_seconds = phase_exchange_s_;
-  last_metrics_.gravity_seconds = phase_gravity_s_;
-  last_metrics_.hydro_seconds = phase_hydro_s_;
-  last_metrics_.subgrids = static_cast<std::uint64_t>(num_leaves());
-  last_metrics_.cells = static_cast<std::uint64_t>(num_cells());
-  const double busy_ns = last_metrics_.step_seconds * 1e9 *
-                         space_.runtime().concurrency();
-  if (busy_ns > 0) {
-    last_metrics_.idle_fraction =
-        static_cast<double>(stats1.idle_ns - stats0.idle_ns) / busy_ns;
-  }
-  if (have_crit_) {
-    last_metrics_.crit_path_us =
-        static_cast<double>(last_crit_.length_ns) / 1e3;
-    last_metrics_.crit_path_frac = last_crit_.crit_path_frac();
-    last_metrics_.imbalance = last_crit_.imbalance;
-  }
-  last_metrics_.sdc_audits = sdc_audits_;
-  last_metrics_.sdc_detected = sdc_detected_;
-  last_metrics_.sdc_retries = sdc_retries_;
-  last_metrics_.sdc_rollbacks = sdc_rollbacks_;
-  last_metrics_.finalize();
-  if (metrics_ != nullptr) metrics_->emit(last_metrics_);
-  return dt;
-}
-
-void simulation::restore_state(real time, std::int64_t step) {
-  OCTO_CHECK_MSG(initialized_, "call initialize() first");
-  time_ = time;
-  steps_ = static_cast<int>(step);
-  // Derived state is not checkpointed: rebuild ghosts and gravity from the
-  // restored fields, then recompute dt — bitwise identical to what the
-  // uninterrupted run carried at this point.
-  exchange_ghosts();
-  if (opt_.self_gravity) solve_gravity();
-  dt_ = opt_.fixed_dt > 0 ? opt_.fixed_dt : compute_dt();
-  // The restored fields are the trusted state now: retake the seals (the
-  // old ones described the pre-rollback state) and restart the drift
-  // history's warmup.  The containment retry re-restores its own history
-  // on top of this.
-  if (auditor_.enabled()) {
-    auditor_.reset_history();
-    sdc_seal_all();
-  }
-}
+    : step_core(sc, opt, space, /*leaf_links=*/false,
+                opt.measure_leaf_costs) {}
 
 bool simulation::regrid() {
   OCTO_CHECK_MSG(initialized_, "call initialize() first");
@@ -857,30 +107,8 @@ bool simulation::regrid() {
   // Swap in the new tree and rebuild the derived structures.
   topo_ = std::move(new_topo);
   grids_ = std::move(new_grids);
-  grav_ = std::make_unique<gravity::fmm_solver>(*topo_, opt_.gravity);
-
-  leaf_slot_.assign(static_cast<std::size_t>(topo_->num_nodes()), -1);
-  stage0_.clear();
-  const auto& leaves = topo_->leaves();
-  stage0_.reserve(leaves.size());
-  for (std::size_t s = 0; s < leaves.size(); ++s) {
-    leaf_slot_[static_cast<std::size_t>(leaves[s])] =
-        static_cast<index_t>(s);
-    stage0_.emplace_back(topo_->center(leaves[s]),
-                         topo_->cell_width(leaves[s]));
-  }
-  leaves_by_level_.assign(static_cast<std::size_t>(topo_->max_depth()) + 1,
-                          {});
-  for (const index_t l : leaves)
-    leaves_by_level_[static_cast<std::size_t>(topo_->node(l).level)]
-        .push_back(l);
-
-  // Leaf slots changed identity: measured history no longer lines up.
-  cost_model_.reset(opt_.measure_leaf_costs ? leaves.size() : 0);
-
-  exchange_ghosts();
-  if (opt_.self_gravity) solve_gravity();
-  if (opt_.fixed_dt <= 0) dt_ = compute_dt();
+  build_layout();
+  rederive_state();
   // Node identities changed: rebuild the seal store over the new topology
   // (the conservative transfer is the trusted state now).
   if (auditor_.enabled()) {
@@ -888,126 +116,6 @@ bool simulation::regrid() {
     sdc_seal_all();
   }
   return true;
-}
-
-ledger simulation::measure() const {
-  ledger lg;
-  for (const index_t l : topo_->leaves()) {
-    const auto t = hydro::measure(grids_[l]);
-    lg.mass += t.mass;
-    lg.momentum += t.momentum;
-    lg.ang_momentum += t.ang_momentum;
-    lg.gas_energy += t.energy;
-  }
-  if (opt_.self_gravity) lg.pot_energy = grav_->potential_energy();
-  return lg;
-}
-
-// ---------------------------------------------------------------------------
-// SDC containment (see app/invariants.hpp for the detection model)
-// ---------------------------------------------------------------------------
-
-void simulation::sdc_seal_all() {
-  auto& rt = space_.runtime();
-  std::vector<amt::future<void>> futs;
-  for (const index_t l : topo_->leaves())
-    futs.push_back(
-        amt::async([this, l] { auditor_.seal_leaf(l, grids_[l]); }, rt));
-  amt::wait_all(futs, rt);
-  if (opt_.self_gravity) auditor_.seal_moments(grav_->moments_crc());
-}
-
-void simulation::sdc_verify_all() {
-  auto& rt = space_.runtime();
-  std::vector<amt::future<void>> futs;
-  for (const index_t l : topo_->leaves())
-    futs.push_back(
-        amt::async([this, l] { auditor_.verify_leaf(l, grids_[l]); }, rt));
-  // get_all, not wait_all: a seal mismatch must surface as sdc_detected.
-  amt::get_all(futs, rt);
-  if (opt_.self_gravity && auditor_.moments_sealed())
-    auditor_.verify_moments(grav_->moments_crc());
-}
-
-void simulation::sdc_apply_bitflips(std::int64_t step) {
-  auto& inj = fault::injector::instance();
-  if (!inj.armed()) return;
-  fault::bitflip_plan plan;
-  const auto& leaves = topo_->leaves();
-  if (inj.state_bitflip_hook(static_cast<std::uint64_t>(step), &plan)) {
-    // Single-locality driver: every loc value targets this process.
-    const index_t l =
-        leaves[static_cast<std::size_t>(plan.leaf % leaves.size())];
-    apply_state_bitflip(grids_[l], plan.field, plan.cell, plan.bit);
-    OCTO_LOG_WARN("fault: injected state bitflip at step "
-                  << step << " leaf " << l << " field "
-                  << plan.field % static_cast<std::uint64_t>(grid::NFIELD)
-                  << " bit " << plan.bit % 64);
-  }
-  if (inj.moment_bitflip_hook(static_cast<std::uint64_t>(step), &plan) &&
-      opt_.self_gravity) {
-    const index_t l =
-        leaves[static_cast<std::size_t>(plan.leaf % leaves.size())];
-    grav_->apply_moment_bitflip(l, plan.field, plan.cell, plan.bit);
-    OCTO_LOG_WARN("fault: injected moment bitflip at step " << step
-                                                            << " node " << l);
-  }
-}
-
-sdc_snapshot simulation::sdc_take_snapshot() const {
-  sdc_snapshot snap;
-  const auto& leaves = topo_->leaves();
-  snap.nodes.assign(leaves.begin(), leaves.end());
-  snap.data.reserve(leaves.size());
-  for (const index_t l : leaves) snap.data.push_back(grids_[l].raw());
-  snap.time = time_;
-  snap.dt = dt_;
-  snap.steps = steps_;
-  snap.history = auditor_.save_history();
-  return snap;
-}
-
-void simulation::sdc_restore(const sdc_snapshot& snap) {
-  for (std::size_t i = 0; i < snap.nodes.size(); ++i)
-    grids_[snap.nodes[i]].raw() = snap.data[i];
-  // restore_state re-exchanges ghosts, re-solves gravity and recomputes dt
-  // from the restored fields — bitwise identical to the pre-attempt state,
-  // so the clean re-execution matches the original seals exactly.
-  restore_state(snap.time, snap.steps);
-  dt_ = snap.dt;
-  auditor_.restore_history(snap.history);
-}
-
-std::uint64_t simulation::sdc_state_signature() const {
-  // FNV-style fold over the per-leaf seals in leaf order, plus the moment
-  // seal and the next dt — the dual-execution vote's ballot.
-  std::uint64_t sig = 1469598103934665603ull;
-  const auto fold = [&sig](std::uint64_t v) {
-    sig = (sig ^ v) * 1099511628211ull;
-  };
-  for (const index_t l : topo_->leaves()) fold(auditor_.seal_of(l));
-  if (auditor_.moments_sealed()) fold(auditor_.moment_seal());
-  std::uint64_t dt_bits = 0;
-  static_assert(sizeof(real) == sizeof(dt_bits), "real must be 64-bit");
-  std::memcpy(&dt_bits, &dt_, sizeof(dt_bits));
-  fold(dt_bits);
-  return sig;
-}
-
-void simulation::sdc_audit_and_seal(real dt_next, std::int64_t step) {
-  // NaN/Inf + positivity scans and the conservation/CFL audit run at
-  // cadence; the seals are retaken every step (a stale seal cannot verify
-  // legitimately evolved state).
-  if (auditor_.invariants_due(step)) {
-    auto& rt = space_.runtime();
-    std::vector<amt::future<void>> futs;
-    for (const index_t l : topo_->leaves())
-      futs.push_back(
-          amt::async([this, l] { auditor_.audit_leaf(l, grids_[l]); }, rt));
-    amt::get_all(futs, rt);
-    auditor_.audit_step(measure(), dt_next, step);
-  }
-  sdc_seal_all();
 }
 
 }  // namespace octo::app

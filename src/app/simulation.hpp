@@ -1,103 +1,18 @@
 #pragma once
 /// \file simulation.hpp
-/// The mini-Octo-Tiger driver: AMR octree + hydrodynamics + FMM gravity,
-/// stepped with SSP-RK3 in the rotating frame, parallelized on the AMT
-/// runtime with one task per sub-grid kernel (the paper's default launch
-/// configuration).
-///
-/// Like Octo-Tiger, *every* node carries a sub-grid: leaves hold the evolved
-/// state, interior nodes hold the conservative restriction of their
-/// children (used as same-level ghost sources across refinement
-/// boundaries).  Ghost exchange runs in three phases per RK stage:
-///   1. restrict children into interior sub-grids (bottom-up),
-///   2. same-level direct copies + physical-boundary outflow fills,
-///   3. coarse-to-fine prolongation into leaves whose neighbor is coarser
-///      (ascending level order so prolongation sources are complete).
+/// The mini-Octo-Tiger driver on one locality: the step core
+/// (app/step_core.hpp) plus density-driven regridding.
 
-#include <memory>
-#include <vector>
+#include <cstdint>
 
-#include "apex/cost_model.hpp"
-#include "apex/critical_path.hpp"
-#include "apex/metrics.hpp"
-#include "app/invariants.hpp"
-#include "common/types.hpp"
-#include "exec/execution_space.hpp"
-#include "gravity/solver.hpp"
-#include "grid/subgrid.hpp"
-#include "hydro/kernel.hpp"
-#include "scenarios/scenarios.hpp"
-#include "tree/topology.hpp"
+#include "app/step_core.hpp"
 
 namespace octo::app {
 
-/// How a step executes its phases (the Fig. 9 ablation, kept as an A/B
-/// toggle): `barrier` fan-out/joins every phase; `dataflow` builds one
-/// per-leaf dependency graph whose only global join is the end-of-substep
-/// dt reduction.  Both produce bitwise-identical state.
-enum class step_mode { barrier, dataflow };
-
-/// Default mode from the environment: OCTO_STEP_MODE=barrier|dataflow
-/// (unset or unrecognized -> barrier).
-step_mode default_step_mode();
-
-/// Default for sim_options::audit_races: OCTO_RACE_AUDIT=1 (anything but
-/// "0" enables when set).
-bool default_audit_races();
-
-struct sim_options {
-  int max_level = 2;
-  real cfl = real(0.4);
-  bool self_gravity = true;
-  hydro::hydro_options hydro{};
-  gravity::gravity_options gravity{};
-  /// Fixed time step; 0 = derive from the CFL condition, re-evaluated
-  /// after every step (and after regrid/restore) so dt tracks the evolving
-  /// signal speeds instead of staying frozen at its initialize() value.
-  real fixed_dt = 0;
-  /// Density threshold for dynamic regridding ("AMR is based on the
-  /// density field", §IV-C): regrid() refines every region whose density
-  /// exceeds this value, up to max_level.
-  real rho_refine = real(1e-3);
-  /// Step execution mode (see step_mode; default honors OCTO_STEP_MODE).
-  step_mode mode = default_step_mode();
-  /// Dataflow-mode race auditing (see apex/race_audit.hpp): record each
-  /// step's task graph + declared footprints and verify every conflicting
-  /// pair is happens-before ordered, throwing on the first unordered
-  /// conflict.  No effect in barrier mode.  Default honors OCTO_RACE_AUDIT.
-  bool audit_races = default_audit_races();
-  /// Measure per-leaf hydro wall time into a leaf_cost_model (EWMA across
-  /// steps) — the single-locality view of the cost signal dist::cluster's
-  /// dynamic rebalancing partitions on.  Off: the per-task overhead is one
-  /// null-pointer branch.
-  bool measure_leaf_costs = false;
-  /// Silent-data-corruption auditing (CRC32 leaf/moment seals every step,
-  /// physics invariants at `audit.every` cadence) with automatic
-  /// contain-and-retry; see app/invariants.hpp.  Defaults honor OCTO_AUDIT
-  /// and OCTO_AUDIT_EVERY.
-  audit_options audit{};
-};
-
-/// Global conserved quantities, including gravitational energy.
-struct ledger {
-  real mass = 0;
-  rvec3 momentum{0, 0, 0};
-  rvec3 ang_momentum{0, 0, 0};
-  real gas_energy = 0;   ///< kinetic + internal
-  real pot_energy = 0;   ///< 1/2 sum rho phi
-  real total_energy() const { return gas_energy + pot_energy; }
-};
-
-class simulation {
+class simulation : public step_core {
  public:
   simulation(const scen::scenario& sc, sim_options opt,
              exec::amt_space space = exec::amt_space{});
-
-  /// Build the tree, fill initial data, prime ghosts and gravity.
-  void initialize();
-
-  /// Advance one SSP-RK3 step; returns the dt used.
-  real step();
 
   /// Rebuild the AMR tree from the *current* density field (refine where
   /// rho > options().rho_refine, up to max_level; 2:1 balance is restored
@@ -110,119 +25,15 @@ class simulation {
   /// clock (leaf fields must already hold the checkpointed state), then
   /// rebuild the derived state exactly as an uninterrupted run would carry
   /// it — re-exchange ghosts, re-solve gravity, recompute the CFL dt.
-  void restore_state(real time, std::int64_t step);
+  using step_core::restore_state;
 
-  int steps_taken() const { return steps_; }
-  real time() const { return time_; }
-  real dt() const { return dt_; }
-
-  const exec::amt_space& space() const { return space_; }
-
-  const tree::topology& topo() const { return *topo_; }
   index_t num_leaves() const { return topo_->num_leaves(); }
   index_t num_cells() const { return topo_->num_cells(); }
-
-  /// Evolved sub-grid of a leaf node (by topology node index).
-  grid::subgrid& leaf(index_t node);
-  const grid::subgrid& leaf(index_t node) const;
 
   /// Gravitational acceleration/potential of the last solve.
   const gravity::fmm_solver& gravity() const { return *grav_; }
 
-  ledger measure() const;
-
   const sim_options& options() const { return opt_; }
-
-  /// Attach a metrics sink: every step() then emits one structured record
-  /// (per-phase wall times, processed sub-grid cells/second).  The sink
-  /// must outlive the simulation; pass nullptr to detach.
-  void set_metrics_sink(apex::metrics_sink* sink) { metrics_ = sink; }
-
-  /// Observability record of the most recent step() (valid once
-  /// steps_taken() > 0), whether or not a sink is attached.
-  const apex::step_record& last_step_metrics() const { return last_metrics_; }
-
-  /// Per-leaf measured-cost EWMA (active when options().measure_leaf_costs;
-  /// slots follow topo().leaves() order and reset on regrid()).
-  const apex::leaf_cost_model& cost_model() const { return cost_model_; }
-
-  /// The SDC auditor guarding this simulation (seals + invariants; see
-  /// app/invariants.hpp).  Inactive when options().audit.enabled is false.
-  const invariant_auditor& auditor() const { return auditor_; }
-
-  /// Cumulative SDC counters (mirrored into the metrics columns).
-  std::uint64_t sdc_audits() const { return sdc_audits_; }
-  std::uint64_t sdc_detections() const { return sdc_detected_; }
-  std::uint64_t sdc_retries() const { return sdc_retries_; }
-  std::uint64_t sdc_rollbacks() const { return sdc_rollbacks_; }
-
- private:
-  apex::leaf_cost_model* cost_model_ptr() {
-    return cost_model_.active() ? &cost_model_ : nullptr;
-  }
-  void exchange_ghosts();
-  void solve_gravity();
-  void hydro_stage(real dt, real ca, real cb);
-  real compute_dt();
-  /// The three RK stages as barriered phase launches (classic mode).
-  void step_barrier(real dt);
-  /// The three RK stages as one per-leaf dependency graph: hydro chained on
-  /// each leaf's own ghost/gravity edges, gravity via solve_dataflow, one
-  /// get_all join at the end followed by the dt reduction.
-  void step_graph(real dt);
-
-  // --- SDC containment (see app/invariants.hpp) --------------------------
-  /// One execution attempt of the step: apply any armed bitflip, verify
-  /// the seals, run the physics, audit the result, retake the seals.
-  /// Throws sdc_detected on a tripped detector.
-  void step_attempt(real dt);
-  /// Retry a tripped step from \p snap with a dual-execution compare-vote;
-  /// rethrows sdc_detected (the checkpoint-rollback escalation) when the
-  /// retry trips again or the two executions disagree.
-  void sdc_retry(const sdc_snapshot& snap, real dt);
-  sdc_snapshot sdc_take_snapshot() const;
-  void sdc_restore(const sdc_snapshot& snap);
-  void sdc_apply_bitflips(std::int64_t step);
-  void sdc_verify_all();
-  void sdc_audit_and_seal(real dt_next, std::int64_t step);
-  void sdc_seal_all();
-  /// Order-independent digest of the evolved state (leaf seals + dt), the
-  /// dual-execution vote's ballot.
-  std::uint64_t sdc_state_signature() const;
-
-  scen::scenario scenario_;
-  sim_options opt_;
-  exec::amt_space space_;
-
-  std::unique_ptr<tree::topology> topo_;
-  std::unique_ptr<gravity::fmm_solver> grav_;
-  std::vector<grid::subgrid> grids_;       ///< one per node (all nodes)
-  std::vector<grid::subgrid> stage0_;      ///< RK3 u0 copies (leaves only)
-  std::vector<index_t> leaf_slot_;         ///< node -> stage0 slot
-  std::vector<std::vector<index_t>> leaves_by_level_;
-
-  real time_ = 0;
-  real dt_ = 0;
-  int steps_ = 0;
-  bool initialized_ = false;
-
-  apex::metrics_sink* metrics_ = nullptr;
-  apex::step_record last_metrics_{};
-  /// Critical-path analysis of the most recent step_attempt's dataflow DAG
-  /// (member state so a retried attempt reports its own recording).
-  apex::critical_path_result last_crit_{};
-  bool have_crit_ = false;
-  apex::leaf_cost_model cost_model_;
-  invariant_auditor auditor_;
-  std::uint64_t sdc_audits_ = 0;
-  std::uint64_t sdc_detected_ = 0;
-  std::uint64_t sdc_retries_ = 0;
-  std::uint64_t sdc_rollbacks_ = 0;
-  /// Wall seconds per phase, accumulated across the current step's RK
-  /// stages and zeroed at step() entry.
-  double phase_exchange_s_ = 0;
-  double phase_gravity_s_ = 0;
-  double phase_hydro_s_ = 0;
 };
 
 }  // namespace octo::app

@@ -43,10 +43,7 @@
 #include <vector>
 
 #include "amt/channel.hpp"
-#include "apex/cost_model.hpp"
-#include "apex/critical_path.hpp"
-#include "apex/metrics.hpp"
-#include "app/simulation.hpp"
+#include "app/step_core.hpp"
 #include "dist/recovery.hpp"
 #include "dist/trace_merge.hpp"
 #include "dist/transport.hpp"
@@ -102,15 +99,15 @@ struct exchange_stats {
   }
 };
 
-class cluster {
+/// The step core (app/step_core.hpp) on `num_localities` localities: the
+/// core owns the mesh state and the one step graph; the cluster adds what
+/// one locality lacks through the core's hooks.
+class cluster : public app::step_core {
  public:
   cluster(const scen::scenario& sc, dist_options opt,
           exec::amt_space space = exec::amt_space{});
   /// Writes the distributed trace bundle (see set_trace_dir) when armed.
-  ~cluster();
-
-  void initialize();
-  real step();
+  ~cluster() override;
 
   /// Narrow restore hook for checkpointing (dist/checkpoint.hpp): the leaf
   /// fields must already hold the checkpointed state; this overwrites the
@@ -150,22 +147,13 @@ class cluster {
   /// estimate (tree::static_leaf_costs) before that.
   std::vector<real> current_leaf_costs() const;
 
-  const apex::leaf_cost_model& cost_model() const { return cost_model_; }
-
-  const tree::topology& topo() const { return *topo_; }
   const tree::partition_result& partition() const { return part_; }
   const exchange_stats& stats() const { return stats_; }
   transport_stats transport_statistics() const;
-  const exec::amt_space& space() const { return space_; }
   bool locality_alive(int loc) const {
     return locality_alive_[static_cast<std::size_t>(loc)] != 0;
   }
   int live_localities() const;
-
-  /// Per-step observability (mirrors app::simulation): one step_record per
-  /// step() with transport/recovery counters next to cells/second.
-  void set_metrics_sink(apex::metrics_sink* sink) { metrics_ = sink; }
-  const apex::step_record& last_step_metrics() const { return last_metrics_; }
 
   /// Arm distributed tracing into \p dir: span recording plus per-locality
   /// message-flow stamps on deliberately skewed locality clocks
@@ -174,8 +162,9 @@ class cluster {
   /// locality, the clock-aligned trace.merged.json, cluster_report.txt —
   /// is written by write_trace_bundle(), or automatically at destruction.
   /// Also armed from the environment: OCTO_TRACE naming an existing
-  /// *directory* selects this mode (OCTO_TRACE_SKEW_US overrides the
-  /// per-locality skew, default 2000 us).
+  /// *directory* selects this mode (OCTO_TRACE_SKEW_US, a non-negative
+  /// integer, overrides the per-locality skew, default 2000 us; any other
+  /// value throws octo::error naming it).
   void set_trace_dir(const std::string& dir,
                      std::int64_t skew_ns_per_locality = 2'000'000);
 
@@ -188,23 +177,6 @@ class cluster {
   /// the configured skews, transport statistics.
   void write_cluster_report(std::ostream& os) const;
 
-  grid::subgrid& leaf(index_t node);
-  const grid::subgrid& leaf(index_t node) const;
-  app::ledger measure() const;
-  real time() const { return time_; }
-  real dt() const { return dt_; }
-  int steps_taken() const { return steps_; }
-
-  /// The SDC auditor guarding this cluster (seals + physics invariants;
-  /// see app/invariants.hpp).  Inactive when options().sim.audit.enabled
-  /// is false.
-  const app::invariant_auditor& auditor() const { return auditor_; }
-  /// Cumulative SDC counters (mirrored into the metrics columns).
-  std::uint64_t sdc_audits() const { return sdc_audits_; }
-  std::uint64_t sdc_detections() const { return sdc_detected_; }
-  std::uint64_t sdc_retries() const { return sdc_retries_; }
-  std::uint64_t sdc_rollbacks() const { return sdc_rollbacks_; }
-
  private:
   /// One message through a boundary channel.
   struct boundary_msg {
@@ -212,66 +184,54 @@ class cluster {
     const grid::subgrid* src = nullptr;
     std::vector<std::uint8_t> bytes;  ///< serialized slab otherwise
   };
+  /// Slab counts of one exchange, added lock-free by the send tasks.
+  struct xfer_counts;
+  /// One dataflow step's link state: its slab counts and the failure latch
+  /// that closes the step's channels when any task fails.
+  struct link_step;
 
-  void exchange_ghosts();
-  void solve_gravity();
-  void hydro_stage(real dt, real ca, real cb);
-  real compute_dt();
-  /// The three RK stages as barriered phase launches (classic mode).
-  void step_barrier(real dt, double& exchange_s, double& gravity_s,
-                    double& hydro_s);
-  /// The three RK stages as one dependency graph: per-leaf hydro chained on
-  /// its own ghost edges, channel arrivals resolving unpack tasks without a
-  /// barrier, gravity via solve_dataflow; one deterministic drain at the
-  /// end.  On any task failure every channel is closed (so pending arrivals
-  /// resolve), the graph drained, channels rebuilt, and the first error in
-  /// build order rethrown.
-  void step_graph(real dt);
-  int owner(index_t node) const { return part_.owner(node); }
+  // --- step-core hooks ---------------------------------------------------
+  void on_layout() override;
+  void on_initialized() override;
+  /// Armed node-death trigger, then the heartbeat round: fires any armed
+  /// locality kill, scrubs the victim's leaves, and throws
+  /// locality_failure for every locality silent past the deadline.
+  void before_step() override;
+  void after_sdc_retry() override;
+  /// Rebalance check every lb.every steps, else refresh the replicas.
+  void after_step() override;
+  void finish_step_record(apex::step_record& rec) override;
+  void save_step_entry() override { entry_stats_ = stats_; }
+  void restore_step_entry() override { stats_ = entry_stats_; }
+  int num_localities() const override { return dopt_.num_localities; }
+  int leaf_owner(index_t leaf) const override { return part_.owner(leaf); }
+  void exchange_leaf_faces() override;
+  void open_links() override;
+  void close_links(bool ok) override;
+  void watch_task(const sf& f) override;
+  void add_link_tasks(step_graph_state& g) override;
+  bool link_reads_source(index_t l, index_t nb) const override {
+    return part_.owner(l) == part_.owner(nb) && dopt_.local_optimization;
+  }
 
-  // --- SDC containment (mirrors app::simulation; see app/invariants.hpp) --
-  /// Pre-step snapshot for the containment retry: leaf state + clock +
-  /// drift history, plus the exchange statistics a restore must roll back.
-  struct cluster_snapshot {
-    app::sdc_snapshot sim;
-    exchange_stats stats;
-  };
-  /// One execution attempt of the step: apply any armed bitflip, verify
-  /// the seals, run the physics, audit the result, retake the seals.
-  /// Throws sdc_detected on a tripped detector.
-  void step_attempt(real dt, double& exchange_s, double& gravity_s,
-                    double& hydro_s);
-  /// Retry a tripped step from \p snap with a dual-execution compare-vote;
-  /// rethrows sdc_detected (checkpoint-rollback escalation) when the retry
-  /// trips again or the two executions disagree.
-  void sdc_retry(const cluster_snapshot& snap, real dt, double& exchange_s,
-                 double& gravity_s, double& hydro_s);
-  cluster_snapshot sdc_take_snapshot() const;
-  void sdc_restore(const cluster_snapshot& snap);
-  void sdc_apply_bitflips(std::int64_t step);
-  void sdc_verify_all();
-  void sdc_audit_and_seal(real dt_next, std::int64_t step);
-  void sdc_seal_all();
-  std::uint64_t sdc_state_signature() const;
+  /// Send every leaf-to-leaf face of leaf \p l: a pointer token to a
+  /// same-locality neighbor (with local_optimization), else a sealed,
+  /// serialized slab through the transport.
+  void send_faces(index_t l, xfer_counts& counts);
+  /// Write \p msg into leaf \p l's ghost face \p d.
+  void unpack_face(index_t l, int d, boundary_msg msg);
+  /// Fold one exchange's slab counts into stats_ and the apex counters.
+  void add_counts(const xfer_counts& counts);
 
   /// Fresh boundary channels and a fresh transport epoch; old channels are
   /// closed first so stragglers (pending receives, delayed in-flight
   /// frames) fail or drop instead of corrupting the next exchange.
   void rebuild_channels();
-  /// Heartbeat round at the top of step(): fires any armed locality kill,
-  /// scrubs the victim's leaves, and throws locality_failure for every
-  /// locality silent past the deadline.
-  void detect_locality_failures();
   /// Refresh the buddy replicas (leaf state copied to the next surviving
   /// locality along the SFC) after a completed step.
   void update_replicas();
   /// Next surviving locality after \p loc on the locality ring.
   int buddy_of(int loc) const;
-  /// Cost-model handle for cost_scope call sites: null (one branch, no
-  /// clock read) unless lb measurement is on.
-  apex::leaf_cost_model* cost_model_ptr() {
-    return cost_model_.active() ? &cost_model_ : nullptr;
-  }
   /// Transport link carrying leaf slot \p s's migration payload (the range
   /// past the nleaves x 26 boundary links).
   int migration_link(index_t slot) const {
@@ -279,23 +239,15 @@ class cluster {
            static_cast<int>(slot);
   }
 
-  scen::scenario scenario_;
-  dist_options opt_;
-  exec::amt_space space_;
-
-  std::unique_ptr<tree::topology> topo_;
+  dist_options dopt_;
   tree::partition_result part_;
-  std::unique_ptr<gravity::fmm_solver> grav_;
-  std::vector<grid::subgrid> grids_;
-  std::vector<grid::subgrid> stage0_;
-  std::vector<index_t> leaf_slot_;
-  std::vector<std::vector<index_t>> leaves_by_level_;
 
   /// channels_[leaf_slot * 26 + dir]: inbound slab from direction dir.
   /// shared_ptr so a delayed transport frame delivering after a rebuild
   /// lands in the old, closed channel (dropped) instead of freed memory.
   std::vector<std::shared_ptr<amt::channel<boundary_msg>>> channels_;
   std::unique_ptr<transport> transport_;
+  std::shared_ptr<link_step> link_step_;
 
   /// Liveness and recovery state.
   std::vector<char> locality_alive_;
@@ -310,23 +262,8 @@ class cluster {
   transport_stats last_transport_stats_{};
 
   /// Dynamic load rebalancing state (dist/rebalance.cpp).
-  apex::leaf_cost_model cost_model_;
   std::uint64_t rebalance_count_ = 0;
   std::uint64_t rebalances_skipped_ = 0;
-
-  apex::metrics_sink* metrics_ = nullptr;
-  apex::step_record last_metrics_{};
-
-  /// Silent-data-corruption defense (app/invariants.hpp).
-  app::invariant_auditor auditor_;
-  std::uint64_t sdc_audits_ = 0;
-  std::uint64_t sdc_detected_ = 0;
-  std::uint64_t sdc_retries_ = 0;
-  std::uint64_t sdc_rollbacks_ = 0;
-  /// Critical-path analysis of the most recent step_attempt's dataflow DAG
-  /// (member state so a retried attempt reports its own recording).
-  apex::critical_path_result last_crit_{};
-  bool have_crit_ = false;
 
   /// Distributed-trace state (set_trace_dir): output directory, configured
   /// per-locality skew, the live offset estimator (refined every step from
@@ -337,10 +274,8 @@ class cluster {
   std::size_t flows_consumed_ = 0;
 
   exchange_stats stats_;
-  real time_ = 0;
-  real dt_ = 0;
-  int steps_ = 0;
-  bool initialized_ = false;
+  /// stats_ at the SDC snapshot: a retried step counts its slabs once.
+  exchange_stats entry_stats_;
 };
 
 }  // namespace octo::dist

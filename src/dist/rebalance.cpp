@@ -75,18 +75,18 @@ bool cluster::maybe_rebalance() {
   // Candidate: a fresh cost-balanced SFC split over the live localities
   // (partition_shrink when some have died, so survivor ids are preserved).
   std::vector<int> dead_all;
-  for (int l = 0; l < opt_.num_localities; ++l)
+  for (int l = 0; l < dopt_.num_localities; ++l)
     if (!locality_alive_[static_cast<std::size_t>(l)]) dead_all.push_back(l);
   tree::partition_result cand =
       dead_all.empty()
-          ? tree::partition_sfc(*topo_, opt_.num_localities, cost)
+          ? tree::partition_sfc(*topo_, dopt_.num_localities, cost)
           : tree::partition_shrink(*topo_, part_, dead_all, cost);
 
   // Hysteresis: migrating churns caches, channels and replicas, so apply
   // only when the measured imbalance beats the projection by min_gain.
   const real cur = tree::cost_max_over_mean(*topo_, part_, cost);
   const real proj = tree::cost_max_over_mean(*topo_, cand, cost);
-  if (!(proj > 0) || cur < proj * static_cast<real>(opt_.lb.min_gain)) {
+  if (!(proj > 0) || cur < proj * static_cast<real>(dopt_.lb.min_gain)) {
     apex::registry::instance().add(counters().skipped);
     ++rebalances_skipped_;
     return false;
@@ -147,9 +147,7 @@ bool cluster::maybe_rebalance() {
   // keeps the run bitwise identical to one that never rebalanced.
   monitor_.suspend_next_window();
   rebuild_channels();
-  exchange_ghosts();
-  if (opt_.sim.self_gravity) solve_gravity();
-  dt_ = opt_.sim.fixed_dt > 0 ? opt_.sim.fixed_dt : compute_dt();
+  rederive_state();
   update_replicas();
 
   ++rebalance_count_;

@@ -145,16 +145,16 @@ void cluster::recover_locality_failure(const std::vector<int>& dead,
 
   // 1. Mark the victims dead everywhere liveness is tracked.
   for (const int d : dead) {
-    OCTO_CHECK_MSG(d >= 0 && d < opt_.num_localities,
+    OCTO_CHECK_MSG(d >= 0 && d < dopt_.num_localities,
                    "recover_locality_failure: locality " << d
                                                          << " out of range");
     locality_alive_[static_cast<std::size_t>(d)] = 0;
     monitor_.mark_dead(d);
   }
   std::vector<int> dead_all;  // cumulative across successive failures
-  for (int l = 0; l < opt_.num_localities; ++l)
+  for (int l = 0; l < dopt_.num_localities; ++l)
     if (!locality_alive_[static_cast<std::size_t>(l)]) dead_all.push_back(l);
-  OCTO_CHECK_MSG(static_cast<int>(dead_all.size()) < opt_.num_localities,
+  OCTO_CHECK_MSG(static_cast<int>(dead_all.size()) < dopt_.num_localities,
                  "recover_locality_failure: no surviving localities");
 
   // 2. Snapshot the lost leaves under the *old* partition, then shrink the
@@ -181,7 +181,7 @@ void cluster::recover_locality_failure(const std::vector<int>& dead,
   // uninterrupted one bitwise.  Fallback: roll the WHOLE cluster back to
   // the newest valid checkpoint (mixing an old-step leaf into a
   // current-step cluster would corrupt the physics).
-  bool replicas_ok = opt_.buddy_replication && !replicas_.empty();
+  bool replicas_ok = dopt_.buddy_replication && !replicas_.empty();
   if (replicas_ok) {
     for (const index_t l : lost) {
       const int holder =
@@ -201,9 +201,7 @@ void cluster::recover_locality_failure(const std::vector<int>& dead,
           [this, l] { grids_[l] = replicas_[leaf_slot_[l]]; }, rt));
     amt::wait_all(futs, rt);
     // Derived state over the shrunk partition: ghosts, gravity, dt.
-    exchange_ghosts();
-    if (opt_.sim.self_gravity) solve_gravity();
-    dt_ = opt_.sim.fixed_dt > 0 ? opt_.sim.fixed_dt : compute_dt();
+    rederive_state();
     OCTO_LOG_INFO("recovery: restored " << lost.size()
                                         << " leaves from buddy replicas; "
                                         << live_localities()

@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <filesystem>
+#include <optional>
+#include <string>
 
 #include "app/simulation.hpp"
+#include "common/config.hpp"
+#include "common/fault.hpp"
 #include "dist/cluster.hpp"
 #include "dist/serialize.hpp"
 
@@ -160,6 +166,79 @@ TEST_F(ClusterEnv, MassConservedAcrossLocalities) {
   cl.step();
   const auto l1 = cl.measure();
   EXPECT_LT(std::abs(l1.mass - l0.mass) / l0.mass, 1e-13);
+}
+
+/// Re-initialize() restarts the cluster from scratch: the clock, the step
+/// count and the SDC counters start over, and the next step matches a
+/// fresh cluster.
+TEST_F(ClusterEnv, ReinitializeResetsClockStepsAndSdcCounters) {
+  auto sc = scen::rotating_star();
+  dist_options o;
+  o.num_localities = 2;
+  o.sim = base_opts();
+  o.sim.max_level = 1;
+  o.sim.audit.enabled = true;
+  fault::bitflip_spec flip;
+  flip.step = 2;
+  fault::injector::instance().reset();
+  fault::injector::instance().arm_state_bitflip(flip);
+
+  cluster cl(sc, o);
+  cl.initialize();
+  cl.step();
+  cl.step();
+  fault::injector::instance().reset();
+  ASSERT_EQ(cl.sdc_detections(), 1u);
+  ASSERT_EQ(cl.sdc_retries(), 1u);
+  ASSERT_GT(cl.time(), 0);
+
+  cl.initialize();
+  EXPECT_EQ(cl.time(), 0);
+  EXPECT_EQ(cl.steps_taken(), 0);
+  EXPECT_EQ(cl.sdc_audits(), 0u);
+  EXPECT_EQ(cl.sdc_detections(), 0u);
+  EXPECT_EQ(cl.sdc_retries(), 0u);
+  EXPECT_EQ(cl.sdc_rollbacks(), 0u);
+
+  cluster fresh(sc, o);
+  fresh.initialize();
+  EXPECT_EQ(cl.step(), fresh.step());
+  EXPECT_EQ(cl.time(), fresh.time());
+  EXPECT_EQ(cl.last_step_metrics().step, 1);
+}
+
+/// OCTO_TRACE_SKEW_US must be a non-negative integer: a negative or
+/// malformed value fails loudly, naming the variable and the value,
+/// instead of being dropped or half-parsed.
+TEST(TraceSkewEnv, MalformedValueThrowsNamingIt) {
+  const std::optional<std::string> saved_trace = config::env("OCTO_TRACE");
+  const std::optional<std::string> saved_skew =
+      config::env("OCTO_TRACE_SKEW_US");
+  const std::string dir = testing::TempDir() + "/octo_skew_env";
+  std::filesystem::create_directories(dir);
+  ::setenv("OCTO_TRACE", dir.c_str(), 1);
+  const auto sc = scen::rotating_star();
+  for (const char* bad : {"-5", "12us", "abc", "1.5"}) {
+    ::setenv("OCTO_TRACE_SKEW_US", bad, 1);
+    try {
+      cluster cl(sc, dist_options{});
+      ADD_FAILURE() << "OCTO_TRACE_SKEW_US=" << bad << " was accepted";
+    } catch (const error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("OCTO_TRACE_SKEW_US"), std::string::npos) << what;
+      EXPECT_NE(what.find(bad), std::string::npos) << what;
+    }
+  }
+  const auto restore = [](const char* name,
+                          const std::optional<std::string>& v) {
+    if (v)
+      ::setenv(name, v->c_str(), 1);
+    else
+      ::unsetenv(name);
+  };
+  restore("OCTO_TRACE", saved_trace);
+  restore("OCTO_TRACE_SKEW_US", saved_skew);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

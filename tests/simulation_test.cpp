@@ -2,10 +2,15 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <optional>
+#include <string>
 
 #include "app/checkpoint.hpp"
 #include "app/simulation.hpp"
+#include "common/config.hpp"
+#include "common/fault.hpp"
 
 namespace octo::app {
 namespace {
@@ -250,6 +255,66 @@ TEST_F(SimEnv, CheckpointRejectsGarbage) {
   }
   EXPECT_THROW(read_checkpoint(path), error);
   std::remove(path.c_str());
+}
+
+/// Re-initialize() is a from-scratch restart: the clock, the step count and
+/// the SDC counters start over, and the next step matches a fresh run.
+TEST_F(SimEnv, ReinitializeResetsClockStepsAndSdcCounters) {
+  const auto sc = uniform_box_scenario();
+  sim_options opt;
+  opt.max_level = 1;
+  opt.self_gravity = false;
+  opt.audit.enabled = true;
+  fault::bitflip_spec flip;
+  flip.step = 2;
+  fault::injector::instance().reset();
+  fault::injector::instance().arm_state_bitflip(flip);
+
+  simulation sim(sc, opt);
+  sim.initialize();
+  sim.step();
+  sim.step();
+  fault::injector::instance().reset();
+  ASSERT_EQ(sim.sdc_detections(), 1u);
+  ASSERT_EQ(sim.sdc_retries(), 1u);
+  ASSERT_GT(sim.time(), 0);
+
+  sim.initialize();
+  EXPECT_EQ(sim.time(), 0);
+  EXPECT_EQ(sim.steps_taken(), 0);
+  EXPECT_EQ(sim.sdc_audits(), 0u);
+  EXPECT_EQ(sim.sdc_detections(), 0u);
+  EXPECT_EQ(sim.sdc_retries(), 0u);
+  EXPECT_EQ(sim.sdc_rollbacks(), 0u);
+
+  simulation fresh(sc, opt);
+  fresh.initialize();
+  EXPECT_EQ(sim.step(), fresh.step());
+  EXPECT_EQ(sim.time(), fresh.time());
+  EXPECT_EQ(sim.last_step_metrics().step, 1);
+}
+
+/// A malformed OCTO_STEP_MODE fails loudly, naming the variable and the
+/// value, instead of silently selecting barrier mode.
+TEST(StepModeEnv, UnknownValueThrowsNamingIt) {
+  const std::optional<std::string> saved = config::env("OCTO_STEP_MODE");
+  ::setenv("OCTO_STEP_MODE", "dataflw", 1);
+  try {
+    (void)default_step_mode();
+    ADD_FAILURE() << "OCTO_STEP_MODE=dataflw was accepted";
+  } catch (const error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("OCTO_STEP_MODE"), std::string::npos) << what;
+    EXPECT_NE(what.find("dataflw"), std::string::npos) << what;
+  }
+  ::setenv("OCTO_STEP_MODE", "dataflow", 1);
+  EXPECT_EQ(default_step_mode(), step_mode::dataflow);
+  ::setenv("OCTO_STEP_MODE", "barrier", 1);
+  EXPECT_EQ(default_step_mode(), step_mode::barrier);
+  if (saved)
+    ::setenv("OCTO_STEP_MODE", saved->c_str(), 1);
+  else
+    ::unsetenv("OCTO_STEP_MODE");
 }
 
 }  // namespace
