@@ -3,8 +3,6 @@
 /// The mini-Octo-Tiger driver on one locality: the step core
 /// (app/step_core.hpp) plus density-driven regridding.
 
-#include <cstdint>
-
 #include "app/step_core.hpp"
 
 namespace octo::app {

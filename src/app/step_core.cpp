@@ -4,11 +4,11 @@
 #include <cmath>
 #include <cstring>
 
+#include "amt/channel.hpp"
 #include "apex/apex.hpp"
 #include "apex/dag.hpp"
 #include "apex/race_audit.hpp"
 #include "apex/trace.hpp"
-#include "amt/channel.hpp"
 #include "common/config.hpp"
 #include "common/error.hpp"
 #include "common/fault.hpp"

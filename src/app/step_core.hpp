@@ -74,10 +74,10 @@ struct sim_options {
   /// pair is happens-before ordered, throwing on the first unordered
   /// conflict.  No effect in barrier mode.  Default honors OCTO_RACE_AUDIT.
   bool audit_races = default_audit_races();
-  /// Measure per-leaf hydro wall time into a leaf_cost_model (EWMA across
-  /// steps) — the single-locality view of the cost signal dist::cluster's
-  /// dynamic rebalancing partitions on.  Off: the per-task overhead is one
-  /// null-pointer branch.
+  /// Measure per-leaf task wall time (hydro, density refresh) into a
+  /// leaf_cost_model (EWMA across steps) — the single-locality view of the
+  /// cost signal dist::cluster's dynamic rebalancing partitions on.  Off:
+  /// the per-task overhead is one null-pointer branch.
   bool measure_leaf_costs = false;
   /// Silent-data-corruption auditing (CRC32 leaf/moment seals every step,
   /// physics invariants at `audit.every` cadence) with automatic
@@ -218,16 +218,9 @@ class step_core {
   void build_layout();
   /// Ghosts, gravity and dt from the current leaf fields.
   void rederive_state();
-  void exchange_ghosts();
-  void solve_gravity();
-  real compute_dt();
   void sdc_seal_all();
   apex::leaf_cost_model* cost_model_ptr() {
     return cost_model_.active() ? &cost_model_ : nullptr;
-  }
-  /// True when the face between nodes \p n and \p nb is a leaf-face link.
-  bool linked(index_t n, index_t nb) const {
-    return leaf_links_ && topo_->node(n).leaf && topo_->node(nb).leaf;
   }
   std::size_t link_of(index_t leaf, int dir) const {
     return static_cast<std::size_t>(leaf_slot_[leaf] * NNEIGHBOR + dir);
@@ -253,6 +246,11 @@ class step_core {
   invariant_auditor auditor_;
 
  private:
+  /// True when the face between nodes \p n and \p nb is a leaf-face link.
+  bool linked(index_t n, index_t nb) const {
+    return leaf_links_ && topo_->node(n).leaf && topo_->node(nb).leaf;
+  }
+
   // --- per-node kernel tasks (the only copies) ---------------------------
   void hydro_leaf(index_t l, real dt, real ca, real cb);
   void restrict_node(index_t n);
@@ -262,6 +260,9 @@ class step_core {
   /// Max signal speed over cell width: leaf l's CFL bound.
   real signal_speed(index_t l) const;
 
+  void exchange_ghosts();
+  void solve_gravity();
+  real compute_dt();
   void hydro_stage(real dt, real ca, real cb);
   /// The three RK stages as barriered phase launches (classic mode).
   void step_barrier(real dt);

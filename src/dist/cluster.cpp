@@ -20,8 +20,6 @@
 
 namespace octo::dist {
 
-using grid::subgrid;
-
 cluster::cluster(const scen::scenario& sc, dist_options opt,
                  exec::amt_space space)
     : step_core(sc, opt.sim, space, /*leaf_links=*/true, opt.lb.measuring(),
