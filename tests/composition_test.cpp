@@ -10,7 +10,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <memory>
 #include <sstream>
 #include <string>
 
