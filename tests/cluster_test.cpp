@@ -6,6 +6,9 @@
 #include <optional>
 #include <string>
 
+#include <unistd.h>
+
+#include "apex/trace.hpp"
 #include "app/simulation.hpp"
 #include "common/config.hpp"
 #include "common/fault.hpp"
@@ -214,8 +217,14 @@ TEST(TraceSkewEnv, MalformedValueThrowsNamingIt) {
   const std::optional<std::string> saved_trace = config::env("OCTO_TRACE");
   const std::optional<std::string> saved_skew =
       config::env("OCTO_TRACE_SKEW_US");
-  const std::string dir = testing::TempDir() + "/octo_skew_env";
+  // Per-process directory: the whole-binary dataflow rerun may run this
+  // case concurrently with the per-test process.
+  const std::string dir =
+      testing::TempDir() + "/octo_skew_env_" + std::to_string(::getpid());
   std::filesystem::create_directories(dir);
+  // Build the trace singleton first: created while OCTO_TRACE names the
+  // directory, it would adopt it as its output file and write it at exit.
+  (void)apex::trace::instance();
   ::setenv("OCTO_TRACE", dir.c_str(), 1);
   const auto sc = scen::rotating_star();
   for (const char* bad : {"-5", "12us", "abc", "1.5"}) {
