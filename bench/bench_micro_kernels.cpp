@@ -50,12 +50,21 @@ void hydro_flux_kernel(benchmark::State& state) {
 }
 
 void gravity_solve(benchmark::State& state) {
-  // full FMM on an 8-leaf tree; per-sub-grid cost = time / 9 nodes
+  // Full FMM; per-sub-grid cost = time / nodes.  Arg "tree": 0 = the root
+  // plus 8 leaves; 1 = uniform level 2, every leaf on the monopole-source
+  // M2L and the root split into row tasks; 2 = AMR (level 2 where x < 0),
+  // whose unrefined leaves border refined nodes and keep the general leaf
+  // M2L.
   const bool simd = state.range(0) != 0;
+  const auto shape = state.range(1);
   amt::runtime rt(2);
   amt::scoped_global_runtime guard(rt);
-  tree::topology topo(1.0, 1,
-                      [](int lvl, const rvec3&, real) { return lvl < 1; });
+  const auto refine = [shape](int lvl, const rvec3& c, real) {
+    if (shape == 0) return lvl < 1;
+    if (shape == 1) return lvl < 2;
+    return lvl < 1 || (lvl < 2 && c.x < 0);
+  };
+  tree::topology topo(1.0, shape == 0 ? 1 : 2, refine);
   gravity::gravity_options opt;
   opt.use_simd = simd;
   gravity::fmm_solver fmm(topo, opt);
@@ -106,7 +115,9 @@ void amr_restrict_prolong(benchmark::State& state) {
 }  // namespace
 
 BENCHMARK(hydro_flux_kernel)->Arg(0)->Arg(1)->ArgName("simd");
-BENCHMARK(gravity_solve)->Arg(0)->Arg(1)->ArgName("simd")
+BENCHMARK(gravity_solve)
+    ->ArgsProduct({{0, 1}, {0, 1, 2}})
+    ->ArgNames({"simd", "tree"})
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(signal_speed);
 BENCHMARK(boundary_pack);

@@ -7,6 +7,19 @@
 /// multiple HPX tasks in Fig. 9) and the *Monopole/P2P kernel* (near-field
 /// direct sums on leaves).  Both are templated on the SIMD pack and
 /// vectorize over the contiguous k index of the sub-grid.
+///
+/// The Multipole kernel has three cases, chosen per target node from the
+/// topology alone:
+///   - *full* (`m2l_pack<P, true>`): interior targets keep L0..L3 for the
+///     L2L shift to their children;
+///   - *leaf target* (`m2l_pack<P, false>`): leaf targets keep L0/L1 only,
+///     but some source cell in the halo carries a quadrupole/octupole — a
+///     same-level neighbor is refined;
+///   - *monopole source* (`m2l_mono_pack`): a leaf target whose existing
+///     same-level neighbors are all leaves (missing neighbors are zero-mass
+///     halo fill), so every source has q = o = 0 and only m, the centre of
+///     mass, D0 and D1 are needed.  It is bitwise identical to the leaf
+///     target case on such sources.
 
 #include "common/types.hpp"
 #include "gravity/multipole.hpp"
@@ -43,35 +56,41 @@ struct pack_derivs {
   P d3[NSYM3];
 };
 
-template <typename P>
+/// Fill \p d up to order \p Order: 1 gives D0/D1 only (the monopole-source
+/// case), 3 the full set.  D0/D1 come from the same expressions either way,
+/// so their bits do not depend on Order.
+template <int Order = 3, typename P>
 inline void compute_derivs(P rx, P ry, P rz, real G, pack_derivs<P>& d) {
+  static_assert(Order == 1 || Order == 3);
   const P r[3] = {rx, ry, rz};
   const P r2 = rx * rx + ry * ry + rz * rz;
   const P rinv = P(1) / sqrt(r2);
   const P rinv2 = rinv * rinv;
   const P rinv3 = rinv * rinv2;
-  const P rinv5 = rinv3 * rinv2;
-  const P rinv7 = rinv5 * rinv2;
   d.d0 = P(-G) * rinv;
   const P c1 = P(G) * rinv3;
   for (int a = 0; a < 3; ++a) d.d1[a] = c1 * r[a];
-  const P c2 = P(-3 * G) * rinv5;
-  for (int a = 0; a < 3; ++a)
-    for (int b = a; b < 3; ++b) {
-      P v = c2 * r[a] * r[b];
-      if (a == b) v += c1;
-      d.d2[sym2_idx(a, b)] = v;
+  if constexpr (Order == 3) {
+    const P rinv5 = rinv3 * rinv2;
+    const P rinv7 = rinv5 * rinv2;
+    const P c2 = P(-3 * G) * rinv5;
+    for (int a = 0; a < 3; ++a)
+      for (int b = a; b < 3; ++b) {
+        P v = c2 * r[a] * r[b];
+        if (a == b) v += c1;
+        d.d2[sym2_idx(a, b)] = v;
+      }
+    const P c3 = P(15 * G) * rinv7;
+    for (int s = 0; s < NSYM3; ++s) {
+      const int a = sym3_abc[s][0], b = sym3_abc[s][1], c = sym3_abc[s][2];
+      P v = c3 * r[a] * r[b] * r[c];
+      P corr(0);
+      if (a == b) corr += r[c];
+      if (a == c) corr += r[b];
+      if (b == c) corr += r[a];
+      v += c2 * corr;
+      d.d3[s] = v;
     }
-  const P c3 = P(15 * G) * rinv7;
-  for (int s = 0; s < NSYM3; ++s) {
-    const int a = sym3_abc[s][0], b = sym3_abc[s][1], c = sym3_abc[s][2];
-    P v = c3 * r[a] * r[b] * r[c];
-    P corr(0);
-    if (a == b) corr += r[c];
-    if (a == c) corr += r[b];
-    if (b == c) corr += r[a];
-    v += c2 * corr;
-    d.d3[s] = v;
   }
 }
 
@@ -96,8 +115,7 @@ struct pack_multipole {
 
 /// Accumulate M2L into the target accumulator.  When \p Full is false the
 /// target keeps only L0/L1 (leaf cells are monopoles: their L2/L3 would
-/// multiply vanishing internal moments — Octo-Tiger's cheaper "monopole"
-/// variant of the interaction kernel).
+/// multiply vanishing internal moments).
 template <typename P, bool Full>
 inline void m2l_pack(const pack_multipole<P>& src, const pack_derivs<P>& d,
                      pack_expansion<P>& acc) {
@@ -127,6 +145,18 @@ inline void m2l_pack(const pack_multipole<P>& src, const pack_derivs<P>& d,
     for (int s = 0; s < NSYM3; ++s)
       acc.l3[s] = fma(src.m, d.d3[s], acc.l3[s]);
   }
+}
+
+/// `m2l_pack<P, false>` for a source with q = o = 0; needs only D0/D1
+/// (compute_derivs<1>).  The explicit `+ 0` stands in for the vanishing
+/// quadrupole term there: it keeps `m * D` out of the accumulator add under
+/// -ffp-contract=fast, so both kernels round every contribution the same
+/// way.
+template <typename P>
+inline void m2l_mono_pack(P m, const pack_derivs<P>& d,
+                          pack_expansion<P>& acc) {
+  acc.l0 += fma(m, d.d0, P(0));
+  for (int i = 0; i < 3; ++i) acc.l1[i] += fma(m, d.d1[i], P(0));
 }
 
 /// Monopole-monopole near-field contribution (exact): only D0/D1 needed.

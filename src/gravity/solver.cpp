@@ -164,6 +164,24 @@ fmm_solver::fmm_solver(const tree::topology& topo, gravity_options opt)
     for (const index_t h : fc_[static_cast<std::size_t>(l)].hosts)
       fc_[static_cast<std::size_t>(h)].clients.push_back(l);
   for (auto& fc : fc_) std::sort(fc.clients.begin(), fc.clients.end());
+
+  // Multipole-kernel case (kernels.hpp, fixed per topology): a leaf whose
+  // existing same-level neighbors are all leaves sees only monopole sources;
+  // missing neighbors leave zero-mass halo fill, also a monopole.
+  m2l_case_.resize(static_cast<std::size_t>(topo.num_nodes()));
+  for (index_t n = 0; n < topo.num_nodes(); ++n) {
+    auto& mc = m2l_case_[static_cast<std::size_t>(n)];
+    if (!topo.node(n).leaf) {
+      mc = m2l_case::full;
+      continue;
+    }
+    mc = m2l_case::mono;
+    for (int d = 0; d < NNEIGHBOR; ++d) {
+      const index_t nb = topo.neighbor(n, d);
+      if (nb != tree::invalid_node && !topo.node(nb).leaf)
+        mc = m2l_case::leaf;
+    }
+  }
 }
 
 void fmm_solver::set_leaf_density(index_t node, std::span<const real> rho) {
@@ -321,12 +339,12 @@ void fmm_solver::build_halo(index_t node, std::vector<real>& halo,
 // M2L: the Multipole kernel
 // ---------------------------------------------------------------------------
 
-template <typename P>
+template <typename P, fmm_solver::m2l_case Case>
 void fmm_solver::m2l_impl(index_t node, const std::vector<real>& halo,
-                          const std::vector<real>& /*nearmask*/,
                           int row_begin, int row_end) {
+  constexpr bool full = Case == m2l_case::full;
+  constexpr bool mono = Case == m2l_case::mono;
   auto& nd = nodes_[node];
-  const bool full = !topo_.node(node).leaf;
   const auto& st = stencil();
   const int W = P::size();
   const real G = opt_.G;
@@ -361,26 +379,31 @@ void fmm_solver::m2l_impl(index_t node, const std::vector<real>& halo,
         src.cx.copy_from(halo.data() + mc_cx * HP + h);
         src.cy.copy_from(halo.data() + mc_cy * HP + h);
         src.cz.copy_from(halo.data() + mc_cz * HP + h);
-        for (int q = 0; q < NSYM2; ++q)
-          src.q[q].copy_from(halo.data() + (mc_q + q) * HP + h);
-        for (int o = 0; o < NSYM3; ++o)
-          src.o[o].copy_from(halo.data() + (mc_o + o) * HP + h);
+        if constexpr (!mono) {
+          for (int q = 0; q < NSYM2; ++q)
+            src.q[q].copy_from(halo.data() + (mc_q + q) * HP + h);
+          for (int o = 0; o < NSYM3; ++o)
+            src.o[o].copy_from(halo.data() + (mc_o + o) * HP + h);
+        }
 
         if (ok == 3 || ok == -3) {
           // Valid only for even (+3) or odd (-3) target parity lanes:
           // zero the source moments on the other lanes.
           const P mask = (ok == 3) ? even_mask : odd_mask;
           src.m *= mask;
-          for (int q = 0; q < NSYM2; ++q) src.q[q] *= mask;
-          for (int o = 0; o < NSYM3; ++o) src.o[o] *= mask;
+          if constexpr (!mono) {
+            for (int q = 0; q < NSYM2; ++q) src.q[q] *= mask;
+            for (int o = 0; o < NSYM3; ++o) src.o[o] *= mask;
+          }
         }
 
         pack_derivs<P> d;
-        compute_derivs(tx - src.cx, ty - src.cy, tz - src.cz, G, d);
-        if (full) {
-          m2l_pack<P, true>(src, d, acc);
+        compute_derivs<mono ? 1 : 3>(tx - src.cx, ty - src.cy, tz - src.cz, G,
+                                     d);
+        if constexpr (mono) {
+          m2l_mono_pack(src.m, d, acc);
         } else {
-          m2l_pack<P, false>(src, d, acc);
+          m2l_pack<P, full>(src, d, acc);
         }
       }
 
@@ -393,7 +416,7 @@ void fmm_solver::m2l_impl(index_t node, const std::vector<real>& halo,
       };
       add(ec_l0, acc.l0);
       for (int a = 0; a < 3; ++a) add(ec_l1 + a, acc.l1[a]);
-      if (full) {
+      if constexpr (full) {
         for (int s = 0; s < NSYM2; ++s) add(ec_l2 + s, acc.l2[s]);
         for (int s = 0; s < NSYM3; ++s) add(ec_l3 + s, acc.l3[s]);
       }
@@ -444,23 +467,39 @@ void fmm_solver::p2p_impl(index_t node, const std::vector<real>& halo,
 }
 
 void fmm_solver::compute_m2l(index_t node, int chunk, int nchunks) {
-  if (node == topo_.root()) {
-    if (chunk == 0) compute_m2l_root();
-    return;
-  }
-  auto& scratch = tls_scratch();
-  build_halo(node, scratch.halo, scratch.nearmask);
   const int rows = N * N;
   const int rb = rows * chunk / nchunks;
   const int re = rows * (chunk + 1) / nchunks;
-  if (opt_.use_simd) {
-    m2l_impl<vector_pack>(node, scratch.halo, scratch.nearmask, rb, re);
+  const bool leaf = topo_.node(node).leaf;
+  auto& scratch = tls_scratch();
+  // The root's all-pairs M2L reads its moments directly; its halo only
+  // feeds the P2P of a root that is itself a leaf.
+  if (node != topo_.root() || leaf)
+    build_halo(node, scratch.halo, scratch.nearmask);
+  const auto launch = [&](auto pack) {
+    using P = decltype(pack);
+    switch (m2l_case_[static_cast<std::size_t>(node)]) {
+      case m2l_case::full:
+        m2l_impl<P, m2l_case::full>(node, scratch.halo, rb, re);
+        break;
+      case m2l_case::leaf:
+        m2l_impl<P, m2l_case::leaf>(node, scratch.halo, rb, re);
+        break;
+      case m2l_case::mono:
+        m2l_impl<P, m2l_case::mono>(node, scratch.halo, rb, re);
+        break;
+    }
+  };
+  if (node == topo_.root()) {
+    compute_m2l_root(rb, re);
+  } else if (opt_.use_simd) {
+    launch(vector_pack{});
   } else {
-    m2l_impl<scalar_pack>(node, scratch.halo, scratch.nearmask, rb, re);
+    launch(scalar_pack{});
   }
   // Near field on leaves, over the same (disjoint) row range so chunked
   // launches never race on the expansion arrays.
-  if (topo_.node(node).leaf) {
+  if (leaf) {
     if (opt_.use_simd) {
       p2p_impl<vector_pack>(node, scratch.halo, scratch.nearmask, rb, re);
     } else {
@@ -472,57 +511,48 @@ void fmm_solver::compute_m2l(index_t node, int chunk, int nchunks) {
 /// The root has no parent to inherit far-field interactions from, so its
 /// cell pairs interact over the full [-7,7] offset range (Chebyshev >= 2;
 /// nearer pairs are either deferred to children or, when the root is a
-/// leaf, handled by its own P2P pass).
-void fmm_solver::compute_m2l_root() {
+/// leaf, handled by its own P2P pass).  Rows [row_begin, row_end) of
+/// targets only: row tasks write disjoint cells.
+void fmm_solver::compute_m2l_root(int row_begin, int row_end) {
   const index_t node = topo_.root();
   auto& nd = nodes_[node];
   const bool full = !topo_.node(node).leaf;
   const real G = opt_.G;
 
-  for (int ti = 0; ti < N; ++ti)
-    for (int tj = 0; tj < N; ++tj)
-      for (int tk = 0; tk < N; ++tk) {
-        const index_t t = cell_index(ti, tj, tk);
-        const rvec3 xt{nd.mom[mc_cx * CP + t], nd.mom[mc_cy * CP + t],
-                       nd.mom[mc_cz * CP + t]};
-        expansion acc;
-        for (int si = 0; si < N; ++si)
-          for (int sj = 0; sj < N; ++sj)
-            for (int sk = 0; sk < N; ++sk) {
-              const int cheb = std::max(
-                  {std::abs(si - ti), std::abs(sj - tj), std::abs(sk - tk)});
-              if (cheb < 2) continue;
-              const index_t s = cell_index(si, sj, sk);
-              multipole src;
-              src.m = nd.mom[mc_m * CP + s];
-              src.com = rvec3{nd.mom[mc_cx * CP + s],
-                              nd.mom[mc_cy * CP + s],
-                              nd.mom[mc_cz * CP + s]};
-              for (int q = 0; q < NSYM2; ++q)
-                src.q[q] = nd.mom[(mc_q + q) * CP + s];
-              for (int o = 0; o < NSYM3; ++o)
-                src.o[o] = nd.mom[(mc_o + o) * CP + s];
-              const deriv_tensors d = derivatives(xt - src.com, G);
-              m2l_accumulate(src, d, acc);
-            }
-        nd.exp[ec_l0 * CP + t] += acc.l0;
-        for (int a = 0; a < 3; ++a)
-          nd.exp[(ec_l1 + a) * CP + t] += acc.l1[a];
-        if (full) {
-          for (int s2 = 0; s2 < NSYM2; ++s2)
-            nd.exp[(ec_l2 + s2) * CP + t] += acc.l2[s2];
-          for (int s3 = 0; s3 < NSYM3; ++s3)
-            nd.exp[(ec_l3 + s3) * CP + t] += acc.l3[s3];
-        }
+  for (int row = row_begin; row < row_end; ++row) {
+    const int ti = row / N;
+    const int tj = row % N;
+    for (int tk = 0; tk < N; ++tk) {
+      const index_t t = cell_index(ti, tj, tk);
+      const rvec3 xt{nd.mom[mc_cx * CP + t], nd.mom[mc_cy * CP + t],
+                     nd.mom[mc_cz * CP + t]};
+      expansion acc;
+      for (int si = 0; si < N; ++si)
+        for (int sj = 0; sj < N; ++sj)
+          for (int sk = 0; sk < N; ++sk) {
+            const int cheb = std::max(
+                {std::abs(si - ti), std::abs(sj - tj), std::abs(sk - tk)});
+            if (cheb < 2) continue;
+            const index_t s = cell_index(si, sj, sk);
+            multipole src;
+            src.m = nd.mom[mc_m * CP + s];
+            src.com = rvec3{nd.mom[mc_cx * CP + s], nd.mom[mc_cy * CP + s],
+                            nd.mom[mc_cz * CP + s]};
+            for (int q = 0; q < NSYM2; ++q)
+              src.q[q] = nd.mom[(mc_q + q) * CP + s];
+            for (int o = 0; o < NSYM3; ++o)
+              src.o[o] = nd.mom[(mc_o + o) * CP + s];
+            const deriv_tensors d = derivatives(xt - src.com, G);
+            m2l_accumulate(src, d, acc);
+          }
+      nd.exp[ec_l0 * CP + t] += acc.l0;
+      for (int a = 0; a < 3; ++a) nd.exp[(ec_l1 + a) * CP + t] += acc.l1[a];
+      if (full) {
+        for (int s2 = 0; s2 < NSYM2; ++s2)
+          nd.exp[(ec_l2 + s2) * CP + t] += acc.l2[s2];
+        for (int s3 = 0; s3 < NSYM3; ++s3)
+          nd.exp[(ec_l3 + s3) * CP + t] += acc.l3[s3];
       }
-
-  if (topo_.node(node).leaf) {
-    auto& scratch = tls_scratch();
-    build_halo(node, scratch.halo, scratch.nearmask);
-    if (opt_.use_simd) {
-      p2p_impl<vector_pack>(node, scratch.halo, scratch.nearmask, 0, N * N);
-    } else {
-      p2p_impl<scalar_pack>(node, scratch.halo, scratch.nearmask, 0, N * N);
     }
   }
 }
@@ -697,7 +727,6 @@ void fmm_solver::evaluate_leaf(index_t node) {
 
 void fmm_solver::solve(const exec::amt_space& space) {
   auto& rt = space.runtime();
-  const int nchunks = std::max(opt_.m2l_chunks, 1);
 
   // Zero expansions from any previous solve.
   exec::parallel_for(space, exec::range_policy(topo_.num_nodes()),
@@ -723,17 +752,18 @@ void fmm_solver::solve(const exec::amt_space& space) {
   }
 
   // Phase 2: same-level interactions (Multipole kernel + leaf near field).
-  // One launch per (node, chunk); with nchunks == 1 the P2P runs fused.
+  // One launch per (node, chunk), the leaf P2P fused over the same rows.
   {
     std::vector<amt::future<void>> futs;
     for (index_t n = 0; n < topo_.num_nodes(); ++n) {
-      for (int c = 0; c < nchunks; ++c) {
+      const int nc = m2l_tasks(n);
+      for (int c = 0; c < nc; ++c) {
         futs.push_back(amt::async(
-            [this, n, c, nchunks] {
+            [this, n, c, nc] {
               // The Multipole-kernel launch of §VII-C — with m2l_chunks > 1
               // one launch shows up as several shorter spans (Fig. 9).
               const apex::scoped_trace_span span("gravity.m2l");
-              compute_m2l(n, c, nchunks);
+              compute_m2l(n, c, nc);
             },
             rt));
       }
@@ -806,7 +836,6 @@ fmm_solver::solve_graph fmm_solver::solve_dataflow(
     const std::vector<amt::shared_future<void>>& mom_ready,
     const solve_graph* prev) {
   auto& rt = space.runtime();
-  const int nchunks = std::max(opt_.m2l_chunks, 1);
   const auto nn = static_cast<std::size_t>(topo_.num_nodes());
   OCTO_CHECK(mom_ready.size() == nn);
   OCTO_CHECK(prev == nullptr ||
@@ -817,7 +846,7 @@ fmm_solver::solve_graph fmm_solver::solve_dataflow(
   g.mom_free.resize(nn);
   g.exp_free.resize(nn);
   g.leaf_out.resize(nn);
-  g.tasks.reserve(nn * static_cast<std::size_t>(nchunks + 4));
+  g.tasks.reserve(nn * static_cast<std::size_t>(m2l_tasks(topo_.root()) + 4));
   const auto track = [&g](sf f) {
     g.tasks.push_back(f);
     return f;
@@ -869,11 +898,12 @@ fmm_solver::solve_graph fmm_solver::solve_dataflow(
 
   // M2L per (node, chunk), leaf P2P fused over the same disjoint rows —
   // ready once the node is zeroed and the node's + same-level neighbors'
-  // moments are set.  The root collapses to one task (compute_m2l_root).
+  // moments are set.  The root's all-pairs kernel (compute_m2l_root) is
+  // split into at least N row tasks so it does not serialize the solve.
   std::vector<std::vector<sf>> m2l(nn);
   for (index_t n = 0; n < topo_.num_nodes(); ++n) {
     const auto ni = static_cast<std::size_t>(n);
-    const int nc = (n == topo_.root()) ? 1 : nchunks;
+    const int nc = m2l_tasks(n);
     std::vector<sf> deps;
     deps.push_back(zero[ni]);
     deps.push_back(mom_set[ni]);

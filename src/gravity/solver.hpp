@@ -18,6 +18,7 @@
 /// once, and the pairwise evaluation conserves linear momentum to machine
 /// precision.
 
+#include <algorithm>
 #include <memory>
 #include <span>
 #include <vector>
@@ -36,7 +37,8 @@ struct gravity_options {
   real G = units::G_code;
   /// Select the vector-ABI kernels (paper's SVE toggle, Fig. 7).
   bool use_simd = true;
-  /// Tasks per Multipole-kernel launch (paper's Fig. 9: 1 vs 16).
+  /// Tasks per Multipole-kernel launch (paper's Fig. 9: 1 vs 16).  The
+  /// root's all-pairs launch always gets at least N row tasks.
   int m2l_chunks = 1;
 };
 
@@ -80,10 +82,12 @@ class fmm_solver {
   /// split expressed as per-node dependencies instead of chunked barriers):
   /// zero -> M2M (parent on children) -> M2L per (node, chunk) -> mutual
   /// fine-coarse pair tasks + deterministic per-node applies -> L2L
-  /// (child on parent) -> leaf evaluation.  \p mom_ready[n] gates reading
-  /// leaf n's moments (the caller's set_leaf_from_subgrid task); \p prev
-  /// carries the previous solve's read/write edges for WAR/WAW hazards
-  /// across RK stages (nullptr when the step entry was a global join).
+  /// (child on parent) -> leaf evaluation.  The root's M2L is split into
+  /// max(m2l_chunks, N) row tasks writing disjoint expansion rows.
+  /// \p mom_ready[n] gates reading leaf n's moments (the caller's
+  /// set_leaf_from_subgrid task); \p prev carries the previous solve's
+  /// read/write edges for WAR/WAW hazards across RK stages (nullptr when
+  /// the step entry was a global join).
   /// Bitwise-identical to solve(): every cell's accumulation order is
   /// zero -> M2L(+P2P) -> fine-coarse apply -> L2L in both modes.
   solve_graph solve_dataflow(
@@ -158,9 +162,19 @@ class fmm_solver {
     std::vector<std::vector<real>> host_acc;  ///< 4 x C3 per host, by hosts[]
   };
 
+  /// Multipole-kernel case of a non-root node (kernels.hpp header).
+  enum class m2l_case { full, leaf, mono };
+
+  /// M2L tasks per solve for \p node: m2l_chunks, but at least N row tasks
+  /// for the root, whose scalar all-pairs kernel is the longest launch.
+  int m2l_tasks(index_t node) const {
+    const int nc = std::max(opt_.m2l_chunks, 1);
+    return node == topo_.root() ? std::max(nc, N) : nc;
+  }
+
   void compute_m2m(index_t node);
   void compute_m2l(index_t node, int chunk, int nchunks);
-  void compute_m2l_root();
+  void compute_m2l_root(int row_begin, int row_end);
   void compute_fine_coarse_pairs(index_t node);
   void apply_fine_coarse(index_t node);
   void compute_l2l(index_t node);
@@ -170,9 +184,8 @@ class fmm_solver {
     return !fc.hosts.empty() || !fc.clients.empty();
   }
 
-  template <typename P>
-  void m2l_impl(index_t node, const std::vector<real>& halo,
-                const std::vector<real>& nearmask, int row_begin,
+  template <typename P, m2l_case Case>
+  void m2l_impl(index_t node, const std::vector<real>& halo, int row_begin,
                 int row_end);
   template <typename P>
   void p2p_impl(index_t node, const std::vector<real>& halo,
@@ -186,6 +199,7 @@ class fmm_solver {
   gravity_options opt_;
   std::vector<node_data> nodes_;
   std::vector<fc_data> fc_;                   ///< per node
+  std::vector<m2l_case> m2l_case_;            ///< per node
   std::vector<std::vector<index_t>> levels_;  ///< node indices per level
 };
 

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
+#include <utility>
 
 #include "common/random.hpp"
 #include "gravity/solver.hpp"
@@ -260,6 +263,121 @@ TEST_P(ChunkInvariance, ChunkCountDoesNotChangeResult) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Chunks, ChunkInvariance, testing::Values(2, 4, 16));
+
+/// Runs m2l_chunks in {1, 2, 16} on \p topo and requires phi and g to be
+/// bitwise identical: chunks and the root's row tasks only partition
+/// target rows, never a cell's accumulation order.
+void expect_chunk_counts_bitwise(const tree::topology& topo) {
+  std::vector<std::unique_ptr<fmm_solver>> runs;
+  for (const int chunks : {1, 2, 16}) {
+    gravity_options opt;
+    opt.m2l_chunks = chunks;
+    auto& fmm = *runs.emplace_back(std::make_unique<fmm_solver>(topo, opt));
+    for (const index_t leaf : topo.leaves())
+      fmm.set_leaf_density(leaf, blob_density(topo, leaf, 11));
+    fmm.solve();
+  }
+  using output = std::span<const real> (fmm_solver::*)(index_t) const;
+  const std::pair<const char*, output> outputs[] = {{"phi", &fmm_solver::phi},
+                                                    {"gx", &fmm_solver::gx},
+                                                    {"gy", &fmm_solver::gy},
+                                                    {"gz", &fmm_solver::gz}};
+  const auto& ref = *runs.front();
+  for (std::size_t r = 1; r < runs.size(); ++r)
+    for (const index_t leaf : topo.leaves())
+      for (const auto& [name, out] : outputs) {
+        const auto a = (ref.*out)(leaf), b = ((*runs[r]).*out)(leaf);
+        EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size_bytes()), 0)
+            << name << ", leaf " << leaf << ", run " << r;
+      }
+}
+
+class ChunkCountBitwise : public testing::Test {
+ protected:
+  amt::runtime rt{3};
+  amt::scoped_global_runtime guard{rt};
+};
+
+TEST_F(ChunkCountBitwise, UniformTreeMonopoleLeavesAndSplitRoot) {
+  // Every leaf's same-level neighbors are leaves: all leaves take the
+  // monopole-source kernel, and the interior root is split into row tasks.
+  tree::topology topo(1.0, 2, uniform_to(2));
+  expect_chunk_counts_bitwise(topo);
+}
+
+TEST_F(ChunkCountBitwise, AmrTreeKeepsGeneralLeafKernel) {
+  // The unrefined x > 0 leaves border refined same-level nodes and keep the
+  // general leaf-target kernel; the refined x < 0 leaves are monopole-only.
+  const auto refine = [](int lvl, const rvec3& c, real) {
+    return lvl < 1 || (lvl < 2 && c.x < 0);
+  };
+  tree::topology topo(1.0, 2, refine);
+  expect_chunk_counts_bitwise(topo);
+}
+
+/// The monopole-source kernel against the general leaf-target kernel with
+/// q = o = 0, over a run of offsets accumulated into one pack accumulator:
+/// the L0/L1 bits must match exactly.
+template <typename P>
+void expect_mono_matches_general(std::uint64_t seed) {
+  constexpr int W = P::size();
+  const real G = gravity_options{}.G;
+  xoshiro256 rng(seed);
+  const auto random_pack = [&](real lo, real hi) {
+    P p;
+    for (int l = 0; l < W; ++l) p.set(l, rng.uniform(lo, hi));
+    return p;
+  };
+  P even_mask, odd_mask;
+  for (int l = 0; l < W; ++l) {
+    even_mask.set(l, (l & 1) == 0 ? real(1) : real(0));
+    odd_mask.set(l, (l & 1) == 0 ? real(0) : real(1));
+  }
+  const P tx = random_pack(-1, 1), ty = random_pack(-1, 1),
+          tz = random_pack(-1, 1);
+  pack_expansion<P> general, mono;
+  for (int s = 0; s < 96; ++s) {
+    pack_multipole<P> src;
+    src.m = random_pack(0, 2);
+    if (s % 5 == 0) src.m.set(s % W, 0);  // empty cells
+    src.cx = random_pack(2, 4);
+    src.cy = random_pack(-4, -2);
+    src.cz = random_pack(-3, 3);
+    if (s == 95) {  // halo fill of a missing neighbor
+      src.m = P(0);
+      src.cx = src.cy = src.cz = P(real(1e30));
+    }
+    for (auto& q : src.q) q = P(0);
+    for (auto& o : src.o) o = P(0);
+    if (s % 3 == 1) src.m *= even_mask;  // +3 offsets
+    if (s % 3 == 2) src.m *= odd_mask;   // -3 offsets
+    pack_derivs<P> d, d01;
+    compute_derivs(tx - src.cx, ty - src.cy, tz - src.cz, G, d);
+    compute_derivs<1>(tx - src.cx, ty - src.cy, tz - src.cz, G, d01);
+    m2l_pack<P, false>(src, d, general);
+    m2l_mono_pack(src.m, d01, mono);
+  }
+  const auto lanes = [](const P& p) {
+    std::vector<real> v(W);
+    p.copy_to(v.data());
+    return v;
+  };
+  const auto same_bits = [&](const P& a, const P& b) {
+    const auto va = lanes(a), vb = lanes(b);
+    return std::memcmp(va.data(), vb.data(), W * sizeof(real)) == 0;
+  };
+  EXPECT_TRUE(same_bits(general.l0, mono.l0)) << "L0, width " << W;
+  for (int i = 0; i < 3; ++i)
+    EXPECT_TRUE(same_bits(general.l1[i], mono.l1[i]))
+        << "L1[" << i << "], width " << W;
+}
+
+TEST_F(GravityEnv, MonopoleSourceKernelMatchesGeneralBitwise) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    expect_mono_matches_general<simd<real, simd_abi::scalar>>(seed);
+    expect_mono_matches_general<simd<real, simd_abi::native<real>>>(seed);
+  }
+}
 
 TEST_F(GravityEnv, UniformSphereInteriorField) {
   // g(r) = -4/3 pi G rho r inside a uniform sphere.
