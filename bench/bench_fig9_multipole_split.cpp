@@ -121,10 +121,11 @@ void dataflow_mode() {
   for (const auto& r : dataflow) idle_d += r.idle_fraction;
   bench::check(idle_d < idle_b,
                "reloaded idle_fraction series agrees: dataflow idles less");
-  for (const auto& r : dataflow)
-    bench::check(r.crit_path_us > 0 &&
-                     r.crit_path_us <= r.step_seconds * 1e6,
-                 "recorded critical path is positive and <= step wall time");
+  for (const auto* series : {&barrier, &dataflow})
+    for (const auto& r : *series)
+      bench::check(r.crit_path_us > 0 &&
+                       r.crit_path_us <= r.step_seconds * 1e6,
+                   "recorded critical path is positive and <= step wall time");
   const auto regs = apex::baseline_diff(barrier, dataflow, 1e4);
   apex::print_baseline_diff(std::cout, regs, 1e4);
   bench::check(regs.empty(),

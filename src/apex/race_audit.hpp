@@ -1,12 +1,13 @@
 #pragma once
 /// \file race_audit.hpp
-/// Happens-before audit of one recorded dataflow step graph.
+/// Happens-before audit of one recorded step graph (either step mode: a
+/// barrier step is ordered by its recorded phase joins).
 ///
-/// The dataflow step mode (app/simulation.cpp, dist/cluster.cpp,
+/// The dataflow step mode (app/step_core.cpp, dist/cluster.cpp,
 /// gravity/solver.cpp) replaced phase barriers with hand-wired per-leaf
 /// dependency edges, and its correctness rests entirely on those WAR/WAW
 /// edges being complete — the exact bug class that had to be patched by
-/// hand in `fmm_solver::solve_dataflow` (the `solve_graph{mom_free,
+/// hand in `fmm_solver::build_solve` (the `solve_graph{mom_free,
 /// exp_free, leaf_out}` free-edges).  Nothing in the runtime *proves* the
 /// wiring: a missing edge produces a data race that only TSan-under-load
 /// might catch, and only if the schedule happens to interleave badly.

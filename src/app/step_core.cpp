@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstring>
 
-#include "amt/channel.hpp"
 #include "apex/apex.hpp"
 #include "apex/dag.hpp"
 #include "apex/race_audit.hpp"
@@ -28,11 +27,11 @@ step_mode default_step_mode() {
 }
 
 bool default_audit_races() {
-  static const bool on = [] {
-    const auto v = config::env("OCTO_RACE_AUDIT");
-    return v && *v != "0";
-  }();
-  return on;
+  const auto v = config::env("OCTO_RACE_AUDIT");
+  if (!v || *v == "0") return false;
+  if (*v == "1") return true;
+  throw error("OCTO_RACE_AUDIT='" + *v +
+              "' is not a switch (expected 0 or 1)");
 }
 
 step_core::step_core(const scen::scenario& sc, sim_options opt,
@@ -109,9 +108,7 @@ void step_core::build_layout() {
 }
 
 void step_core::rederive_state() {
-  exchange_ghosts();
-  if (opt_.self_gravity) solve_gravity();
-  dt_ = opt_.fixed_dt > 0 ? opt_.fixed_dt : compute_dt();
+  step_graph(step_mode::barrier, 0, /*advance=*/false);
 }
 
 grid::subgrid& step_core::leaf(index_t node) {
@@ -213,120 +210,19 @@ real step_core::signal_speed(index_t l) const {
 }
 
 // ---------------------------------------------------------------------------
-// Barrier mode
+// The step graph (both modes)
 // ---------------------------------------------------------------------------
 
-void step_core::exchange_ghosts() {
-  const apex::scoped_timer apex_t(timers().exchange);
-  const apex::scoped_trace_span trace_span("app.exchange_ghosts");
-  const stopwatch phase_watch;
-  auto& rt = space_.runtime();
-
-  // Phase 1: restrict into interior sub-grids, deepest level first.
-  for (int lvl = topo_->max_depth() - 1; lvl >= 0; --lvl) {
-    std::vector<amt::future<void>> futs;
-    for (const index_t n : topo_->nodes_at_level(lvl))
-      if (!topo_->node(n).leaf)
-        futs.push_back(amt::async([this, n] { restrict_node(n); }, rt));
-    amt::wait_all(futs, rt);
-  }
-
-  // Phase 2: same-level direct copies and physical boundaries, for every
-  // node.  Interior sub-grids are filled too: their owned cells (from the
-  // phase-1 restriction) serve as same-level ghost sources for leaves
-  // adjacent to refined regions.
-  {
-    std::vector<amt::future<void>> futs;
-    for (index_t n = 0; n < topo_->num_nodes(); ++n)
-      futs.push_back(amt::async([this, n] { copy_faces(n); }, rt));
-    amt::wait_all(futs, rt);
-  }
-  if (leaf_links_) exchange_leaf_faces();
-
-  // Phase 3: coarse-to-fine prolongation, coarsest target level first.
-  for (const auto& level : leaves_by_level_) {
-    std::vector<amt::future<void>> futs;
-    for (const index_t n : level)
-      futs.push_back(amt::async([this, n] { prolong_leaf(n); }, rt));
-    amt::wait_all(futs, rt);
-  }
-  phase_exchange_s_ += phase_watch.seconds();
-}
-
-void step_core::solve_gravity() {
-  const apex::scoped_timer apex_t(timers().gravity);
-  const apex::scoped_trace_span trace_span("app.solve_gravity");
-  const stopwatch phase_watch;
-  for (const index_t l : topo_->leaves()) set_density(l);
-  grav_->solve(space_);
-  phase_gravity_s_ += phase_watch.seconds();
-}
-
-real step_core::compute_dt() {
-  real vmax = 0;
-  for (const index_t l : topo_->leaves()) vmax = std::max(vmax, signal_speed(l));
-  OCTO_CHECK_MSG(vmax > 0, "zero signal speed — uninitialized state?");
-  return opt_.cfl / vmax;
-}
-
-void step_core::hydro_stage(real dt, real ca, real cb) {
-  const apex::scoped_timer apex_t(timers().hydro);
-  const apex::scoped_trace_span trace_span("app.hydro_stage");
-  const stopwatch phase_watch;
-  auto& rt = space_.runtime();
-  std::vector<amt::future<void>> futs;
-  for (const index_t l : topo_->leaves())
-    futs.push_back(amt::async(
-        [this, l, dt, ca, cb] { hydro_leaf(l, dt, ca, cb); }, rt));
-  amt::wait_all(futs, rt);
-  phase_hydro_s_ += phase_watch.seconds();
-}
-
-void step_core::step_barrier(real dt) {
-  // Save u0 for the RK combination.
-  {
-    std::vector<amt::future<void>> futs;
-    for (const index_t l : topo_->leaves())
-      futs.push_back(amt::async(
-          [this, l] { stage0_[leaf_slot_[l]] = grids_[l]; },
-          space_.runtime()));
-    amt::wait_all(futs, space_.runtime());
-  }
-
-  // SSP-RK3 (Shu-Osher): u1 = u0 + dt L(u0)
-  //                      u2 = 3/4 u0 + 1/4 (u1 + dt L(u1))
-  //                      u  = 1/3 u0 + 2/3 (u2 + dt L(u2))
-  hydro_stage(dt, 0, 1);
-  exchange_ghosts();
-  if (opt_.self_gravity) solve_gravity();
-
-  hydro_stage(dt, real(0.75), real(0.25));
-  exchange_ghosts();
-  if (opt_.self_gravity) solve_gravity();
-
-  hydro_stage(dt, real(1) / 3, real(2) / 3);
-  exchange_ghosts();
-  if (opt_.self_gravity) solve_gravity();
-}
-
-// ---------------------------------------------------------------------------
-// Dataflow mode
-// ---------------------------------------------------------------------------
-
-step_core::sf step_core::track(step_graph_state& g, sf f) {
-  watch_task(f);
-  g.all.push_back(f);
-  return f;
-}
-
-void step_core::step_graph(real dt) {
-  auto& rt = space_.runtime();
+void step_core::step_graph(step_mode mode, real dt, bool advance) {
+  const bool barrier = mode == step_mode::barrier;
   const auto nn = static_cast<std::size_t>(topo_->num_nodes());
   const auto& leaves = topo_->leaves();
   const std::size_t nlinks = leaf_links_ ? leaves.size() * NNEIGHBOR : 0;
   if (leaf_links_) open_links();
 
-  step_graph_state g;
+  step_graph_state g(space_.runtime(), barrier);
+  amt::task_graph& tg = g.graph;
+  if (leaf_links_) tg.on_task([this](const sf& f) { watch_task(f); });
   // Prolongation relations: fine leaf -> distinct coarser leaf hosts, and
   // the reverse (host -> fine clients).  Fixed per topology.
   g.phosts.resize(nn);
@@ -344,20 +240,39 @@ void step_core::step_graph(real dt) {
       }
     }
   }
-  g.all.reserve(nn * 16);
 
+  // SSP-RK3 (Shu-Osher): u1 = u0 + dt L(u0)
+  //                      u2 = 3/4 u0 + 1/4 (u1 + dt L(u1))
+  //                      u  = 1/3 u0 + 2/3 (u2 + dt L(u2))
   const real CA[3] = {0, real(0.75), real(1) / 3};
   const real CB[3] = {1, real(0.25), real(2) / 3};
+  // A graph that does not advance (rederive_state) has one hydro-less
+  // stage: ghosts, gravity and dt from the current leaf fields.
+  const std::vector<index_t> no_leaves;
+  const auto& hydro_leaves = advance ? leaves : no_leaves;
 
   // u0 snapshot: per-leaf tasks (step entry is a resolved point, no deps).
   std::vector<sf> snap(nn);
-  for (const index_t l : leaves)
-    snap[static_cast<std::size_t>(l)] = track(
-        g, amt::dataflow(
-               "snapshot",
-               apex::access_set{}.r(apex::rgn::field, l).w(apex::rgn::stage0, l),
-               [this, l] { stage0_[leaf_slot_[l]] = grids_[l]; },
-               std::vector<sf>{}, rt));
+  if (advance) {
+    for (const index_t l : leaves)
+      snap[static_cast<std::size_t>(l)] = tg.add(
+          "snapshot",
+          apex::access_set{}.r(apex::rgn::field, l).w(apex::rgn::stage0, l),
+          [this, l] { stage0_[leaf_slot_[l]] = grids_[l]; }, tg.edges());
+    tg.join();
+  }
+
+  // Barrier mode: a phase's wall time runs from the join that opened it to
+  // the join that closed it (dataflow phases overlap: the columns stay 0).
+  std::uint64_t mark = tg.last_join_ns();
+  const auto close_phase = [&](apex::metric_id timer, double& seconds) {
+    if (!barrier) return;
+    const std::uint64_t now = tg.last_join_ns();
+    const double s = static_cast<double>(now - mark) * 1e-9;
+    seconds += s;
+    apex::registry::instance().sample(timer, s);
+    mark = now;
+  };
 
   // Per-stage edges of the previous RK stage (WAR/WAW hazards).
   for (auto* v : {&g.prevH, &g.prevR, &g.prevC, &g.prevP, &g.prevD,
@@ -367,22 +282,22 @@ void step_core::step_graph(real dt) {
   gravity::fmm_solver::solve_graph gprev;
   bool have_gprev = false;
 
-  for (int s = 0; s < 3; ++s) {
+  for (int s = 0; s < (advance ? 3 : 1); ++s) {
     const real ca = CA[s], cb = CB[s];
     g.stage = s;
     for (auto* v : {&g.H, &g.R, &g.C, &g.P, &g.D, &g.SEND}) v->assign(nn, sf{});
     g.UNP.assign(nlinks, sf{});
     // content(n): the task that produced node n's owned cells this stage.
-    const auto content = [&](index_t n) {
+    const auto content = [&](index_t n) -> const sf& {
       return topo_->node(n).leaf ? g.H[static_cast<std::size_t>(n)]
                                  : g.R[static_cast<std::size_t>(n)];
     };
 
     // Hydro: each leaf fires on its *own* ghost-ready and gravity edges —
     // interior leaves run while boundary work elsewhere is still in flight.
-    for (const index_t l : leaves) {
+    for (const index_t l : hydro_leaves) {
       const auto li = static_cast<std::size_t>(l);
-      std::vector<sf> deps;
+      auto deps = tg.edges();
       if (s == 0) {
         deps.push_back(snap[li]);
       } else {
@@ -416,20 +331,22 @@ void step_core::step_graph(real dt) {
           .r(apex::rgn::ghost, l)
           .r(apex::rgn::stage0, l);
       if (opt_.self_gravity) hfp.r(apex::rgn::gout, l);
-      g.H[li] = track(
-          g, amt::dataflow(
-                 "hydro-RK", std::move(hfp),
-                 [this, l, dt, ca, cb] { hydro_leaf(l, dt, ca, cb); },
-                 std::move(deps), rt));
+      g.H[li] = tg.add("hydro-RK", std::move(hfp),
+                       [this, l, dt, ca, cb] { hydro_leaf(l, dt, ca, cb); },
+                       std::move(deps));
+    }
+    if (advance) {
+      tg.join();
+      close_phase(timers().hydro, phase_hydro_s_);
     }
 
-    // Restriction: parent-on-children dependencies replace the per-level
-    // barrier of exchange_ghosts() phase 1.
+    // Ghost exchange, phase 1 — restriction: parent-on-children
+    // dependencies, or one join per level, deepest first.
     for (int lvl = topo_->max_depth() - 1; lvl >= 0; --lvl) {
       for (const index_t n : topo_->nodes_at_level(lvl)) {
         if (topo_->node(n).leaf) continue;
         const auto ni = static_cast<std::size_t>(n);
-        std::vector<sf> deps;
+        auto deps = tg.edges();
         for (int oct = 0; oct < NCHILD; ++oct)
           deps.push_back(content(topo_->node(n).children[oct]));
         if (s > 0) {
@@ -450,19 +367,20 @@ void step_core::step_graph(real dt) {
         rfp.w(apex::rgn::field, n);
         for (int oct = 0; oct < NCHILD; ++oct)
           rfp.r(apex::rgn::field, topo_->node(n).children[oct]);
-        g.R[ni] = track(g, amt::dataflow(
-                               "restrict", std::move(rfp),
-                               [this, n] { restrict_node(n); },
-                               std::move(deps), rt));
+        g.R[ni] = tg.add("restrict", std::move(rfp),
+                         [this, n] { restrict_node(n); }, std::move(deps));
       }
+      tg.join();
     }
 
-    // Same-level ghost copies + outflow fills: fire per node when the
-    // sources (neighbors' owned cells) are produced and this node's ghosts
-    // are no longer being read.  Linked leaf faces are the link tasks' job.
+    // Phase 2 — same-level ghost copies + outflow fills for every node
+    // (interior sub-grids too: their restricted cells are same-level ghost
+    // sources next to refined regions), each firing when its sources are
+    // produced and its ghosts are no longer being read.  Linked leaf faces
+    // are the link tasks' job, a phase of their own.
     for (index_t n = 0; n < topo_->num_nodes(); ++n) {
       const auto ni = static_cast<std::size_t>(n);
-      std::vector<sf> deps;
+      auto deps = tg.edges();
       for (int d = 0; d < NNEIGHBOR; ++d) {
         const index_t nb = topo_->neighbor(n, d);
         if (nb != tree::invalid_node && !linked(n, nb))
@@ -490,23 +408,24 @@ void step_core::step_graph(real dt) {
             cfp.r(apex::rgn::field, n).w(apex::rgn::ghost, n, d);
         }
       }
-      g.C[ni] = track(g, amt::dataflow(
-                             "copy", std::move(cfp),
-                             [this, n] { copy_faces(n); }, std::move(deps),
-                             rt));
+      g.C[ni] = tg.add("copy", std::move(cfp), [this, n] { copy_faces(n); },
+                       std::move(deps));
+    }
+    tg.join();
+    if (leaf_links_) {
+      add_link_tasks(g);
+      tg.join();
     }
 
-    if (leaf_links_) add_link_tasks(g);
-
-    // Coarse-to-fine prolongation: per fine leaf, gated on its hosts'
-    // complete state — owned cells, copied ghosts, linked faces and the
-    // host's own coarse faces (ascending level order makes host P edges
-    // exist).
+    // Phase 3 — coarse-to-fine prolongation: per fine leaf, gated on its
+    // hosts' complete state — owned cells, copied ghosts, linked faces and
+    // the host's own coarse faces (ascending level order makes host P
+    // edges exist; barriered, one join per level, coarsest first).
     for (const auto& level : leaves_by_level_) {
       for (const index_t l : level) {
         const auto li = static_cast<std::size_t>(l);
         if (g.phosts[li].empty()) continue;
-        std::vector<sf> deps;
+        auto deps = tg.edges();
         deps.push_back(g.H[li]);  // WAR: hydro read these ghost faces
         for (const index_t h : g.phosts[li]) {
           const auto hi = static_cast<std::size_t>(h);
@@ -530,35 +449,32 @@ void step_core::step_graph(real dt) {
           if (topo_->neighbor_or_coarser(l, d) != tree::invalid_node)
             pfp.w(apex::rgn::ghost, l, d);
         }
-        g.P[li] = track(g, amt::dataflow(
-                               "prolong", std::move(pfp),
-                               [this, l] { prolong_leaf(l); },
-                               std::move(deps), rt));
+        g.P[li] = tg.add("prolong", std::move(pfp),
+                         [this, l] { prolong_leaf(l); }, std::move(deps));
       }
+      tg.join();
     }
+    close_phase(timers().exchange, phase_exchange_s_);
 
     // Gravity: per-leaf density refresh feeding the solver's task graph.
     if (opt_.self_gravity) {
       std::vector<sf> mom_ready(nn);
       for (const index_t l : leaves) {
         const auto li = static_cast<std::size_t>(l);
-        std::vector<sf> deps;
+        auto deps = tg.edges();
         deps.push_back(g.H[li]);
         if (have_gprev) deps.push_back(gprev.mom_free[li]);
-        g.D[li] = track(
-            g, amt::dataflow("set-density",
-                             apex::access_set{}
-                                 .r(apex::rgn::field, l)
-                                 .w(apex::rgn::moment, l),
-                             [this, l] { set_density(l); }, std::move(deps),
-                             rt));
+        g.D[li] = tg.add("set-density",
+                         apex::access_set{}
+                             .r(apex::rgn::field, l)
+                             .w(apex::rgn::moment, l),
+                         [this, l] { set_density(l); }, std::move(deps));
         mom_ready[li] = g.D[li];
       }
-      gravity::fmm_solver::solve_graph sg = grav_->solve_dataflow(
-          space_, mom_ready, have_gprev ? &gprev : nullptr);
-      for (const auto& t : sg.tasks) track(g, t);
-      gprev = std::move(sg);
+      tg.join();
+      gprev = grav_->build_solve(tg, mom_ready, have_gprev ? &gprev : nullptr);
       have_gprev = true;
+      close_phase(timers().gravity, phase_gravity_s_);
     }
 
     g.prevH = std::move(g.H);
@@ -571,13 +487,13 @@ void step_core::step_graph(real dt) {
   }
 
   // dt reduction: per-leaf signal speeds fire as each leaf's final state
-  // settles; the serial max-reduce below the drain matches compute_dt().
+  // settles; the serial max-reduce below the drain is deterministic.
   std::vector<real> vmax_slots(leaves.size(), 0);
   if (opt_.fixed_dt <= 0) {
     for (std::size_t i = 0; i < leaves.size(); ++i) {
       const index_t l = leaves[i];
       const auto li = static_cast<std::size_t>(l);
-      std::vector<sf> deps;
+      auto deps = tg.edges();
       deps.push_back(g.prevH[li]);
       deps.push_back(g.prevC[li]);
       if (g.prevP[li].valid()) deps.push_back(g.prevP[li]);
@@ -586,43 +502,26 @@ void step_core::step_graph(real dt) {
         if (nb != tree::invalid_node && linked(l, nb))
           deps.push_back(g.prevUnp[link_of(l, d)]);
       }
-      track(g, amt::dataflow(
-                   "dt-reduce",
-                   apex::access_set{}
-                       .r(apex::rgn::field, l)
-                       .r(apex::rgn::ghost, l)
-                       .w(apex::rgn::dtred, static_cast<index_t>(i)),
-                   [this, l, i, &vmax_slots] {
-                     vmax_slots[i] = signal_speed(l);
-                   },
-                   std::move(deps), rt));
+      tg.add("dt-reduce",
+             apex::access_set{}
+                 .r(apex::rgn::field, l)
+                 .r(apex::rgn::ghost, l)
+                 .w(apex::rgn::dtred, static_cast<index_t>(i)),
+             [this, l, i, &vmax_slots] { vmax_slots[i] = signal_speed(l); },
+             std::move(deps));
     }
+    tg.join();
   }
 
-  // The step's only global join: drain every task, then surface the first
-  // error in build order — preferring a real failure (checksum, transport)
-  // over the broken_channel cascade a failed link step produces.
-  for (const auto& f : g.all)
-    if (f.valid()) f.wait(rt);
-  std::exception_ptr first, first_nonchannel;
-  for (const auto& f : g.all) {
-    if (!f.valid()) continue;
-    if (auto e = amt::detail::stored_exception(f.state())) {
-      if (!first) first = e;
-      if (!first_nonchannel) {
-        try {
-          std::rethrow_exception(e);
-        } catch (const amt::broken_channel&) {
-        } catch (...) {
-          first_nonchannel = e;
-        }
-      }
-    }
-  }
-  if (leaf_links_) close_links(!first);
-  if (first) std::rethrow_exception(first_nonchannel ? first_nonchannel : first);
+  // The graph's final join: drain every task, then surface the first error
+  // in build order (amt::task_graph::drain).
+  const std::exception_ptr err = tg.drain();
+  if (leaf_links_) close_links(!err);
+  if (err) std::rethrow_exception(err);
 
-  if (opt_.fixed_dt <= 0) {
+  if (opt_.fixed_dt > 0) {
+    dt_ = opt_.fixed_dt;
+  } else {
     real vmax = 0;
     for (const real v : vmax_slots) vmax = std::max(vmax, v);
     OCTO_CHECK_MSG(vmax > 0, "zero signal speed — uninitialized state?");
@@ -645,35 +544,26 @@ void step_core::step_attempt(real dt) {
   }
 
   // Record the step's task graph only when someone is observing (a trace
-  // sink, a metrics sink, or the race auditor): dataflow's hot path stays
-  // one relaxed load otherwise.
-  const bool dataflow = opt_.mode == step_mode::dataflow;
-  const bool audit_dag = dataflow && opt_.audit_races;
+  // sink, a metrics sink, or the race auditor): the hot path stays one
+  // relaxed load otherwise.  A barrier step records its joins as "join"
+  // nodes, so the audit and the critical path cover both modes.
   const bool record_dag =
-      dataflow && (apex::trace::enabled() || metrics_ != nullptr || audit_dag);
-  if (dataflow) {
-    if (record_dag) apex::dag_recorder::instance().begin_step();
-    try {
-      step_graph(dt);
-    } catch (...) {
-      // step_graph drained the graph before rethrowing; the partial
-      // recording is worthless — discard it.
-      if (record_dag) (void)apex::dag_recorder::instance().end_step();
-      throw;
-    }
-    if (record_dag) {
-      const apex::graph_profile graph =
-          apex::dag_recorder::instance().end_step();
-      if (audit_dag) apex::audit_step_or_throw(graph);
-      last_crit_ = apex::analyze_critical_path(graph);
-      apex::export_critical_path_counters(last_crit_);
-      have_crit_ = true;
-    }
-  } else {
-    step_barrier(dt);
-    // Re-evaluate the CFL condition on the evolved state so the next
-    // step's dt tracks the current signal speeds.
-    if (opt_.fixed_dt <= 0) dt_ = compute_dt();
+      apex::trace::enabled() || metrics_ != nullptr || opt_.audit_races;
+  if (record_dag) apex::dag_recorder::instance().begin_step();
+  try {
+    step_graph(opt_.mode, dt, /*advance=*/true);
+  } catch (...) {
+    // step_graph drained the graph before rethrowing; the partial
+    // recording is worthless — discard it.
+    if (record_dag) (void)apex::dag_recorder::instance().end_step();
+    throw;
+  }
+  if (record_dag) {
+    const apex::graph_profile graph = apex::dag_recorder::instance().end_step();
+    if (opt_.audit_races) apex::audit_step_or_throw(graph);
+    last_crit_ = apex::analyze_critical_path(graph);
+    apex::export_critical_path_counters(last_crit_);
+    have_crit_ = true;
   }
 
   // Post-step audit (invariants at cadence) and fresh seals over the
@@ -745,9 +635,10 @@ real step_core::step() {
   after_step();
 
   // Structured per-step observability record (the paper's headline
-  // "processed sub-grid cells per second" plus the per-phase breakdown;
-  // in dataflow mode phases overlap, so the per-phase columns stay 0 and
-  // idle_fraction carries the scheduler-utilization comparison instead).
+  // "processed sub-grid cells per second" plus the per-phase breakdown
+  // from the barrier joins; in dataflow mode phases overlap, so the
+  // per-phase columns stay 0 and idle_fraction carries the
+  // scheduler-utilization comparison instead).
   const amt::runtime_stats stats1 = space_.runtime().stats();
   apex::step_record rec;
   rec.step = steps_;

@@ -19,12 +19,17 @@
 /// A driver with leaf-face links delivers the leaf-to-leaf faces of phase 2
 /// through its own send/unpack tasks instead of the copy task; that is the
 /// only place the two drivers' step graphs differ.
+///
+/// One builder, step_graph(), emits every step in both step modes (see
+/// step_mode); initialize, restore, regrid, rebalance and recovery re-derive
+/// ghosts, gravity and dt with a hydro-less barrier graph of the same
+/// builder.
 
 #include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "amt/future.hpp"
+#include "amt/task_graph.hpp"
 #include "apex/cost_model.hpp"
 #include "apex/critical_path.hpp"
 #include "apex/metrics.hpp"
@@ -40,17 +45,20 @@
 namespace octo::app {
 
 /// How a step executes its phases (the Fig. 9 ablation, kept as an A/B
-/// toggle): `barrier` fan-out/joins every phase; `dataflow` builds one
-/// per-leaf dependency graph whose only global join is the end-of-substep
-/// dt reduction.  Both produce bitwise-identical state.
+/// toggle).  Both build the same task graph (amt/task_graph.hpp):
+/// `dataflow` wires each task to the per-node edges it needs, so the only
+/// global join is the end-of-step drain; `barrier` gives every task the
+/// previous phase join as its only edge (an unpack also keeps its channel
+/// arrival) and the driving thread waits on each join before it builds
+/// the next phase.  Both produce bitwise-identical state.
 enum class step_mode { barrier, dataflow };
 
 /// Default mode from the environment: OCTO_STEP_MODE=barrier|dataflow
 /// (unset -> barrier; any other value throws octo::error naming it).
 step_mode default_step_mode();
 
-/// Default for sim_options::audit_races: OCTO_RACE_AUDIT=1 (anything but
-/// "0" enables when set).
+/// Default for sim_options::audit_races: OCTO_RACE_AUDIT=0|1 (unset -> 0;
+/// any other value throws octo::error naming it).
 bool default_audit_races();
 
 struct sim_options {
@@ -69,10 +77,11 @@ struct sim_options {
   real rho_refine = real(1e-3);
   /// Step execution mode (see step_mode; default honors OCTO_STEP_MODE).
   step_mode mode = default_step_mode();
-  /// Dataflow-mode race auditing (see apex/race_audit.hpp): record each
-  /// step's task graph + declared footprints and verify every conflicting
-  /// pair is happens-before ordered, throwing on the first unordered
-  /// conflict.  No effect in barrier mode.  Default honors OCTO_RACE_AUDIT.
+  /// Race auditing (see apex/race_audit.hpp): record each step's task
+  /// graph + declared footprints and verify every conflicting pair is
+  /// happens-before ordered, throwing on the first unordered conflict.
+  /// Either step mode (a barrier step is ordered by its recorded joins).
+  /// Default honors OCTO_RACE_AUDIT.
   bool audit_races = default_audit_races();
   /// Measure per-leaf task wall time (hydro, density refresh) into a
   /// leaf_cost_model (EWMA across steps) — the single-locality view of the
@@ -154,21 +163,19 @@ class step_core {
   step_core(const scen::scenario& sc, sim_options opt, exec::amt_space space,
             bool leaf_links, bool measure_costs, double cost_alpha = 0.3);
 
-  /// The dataflow step graph while step_graph() builds it: the per-node
-  /// task edges of the current and previous RK stage, read and extended by
-  /// add_link_tasks().  Vectors are indexed by node, links by
-  /// leaf slot x NNEIGHBOR + direction.
+  /// The step graph while step_graph() builds it: the task graph itself
+  /// and the per-node task edges of the current and previous RK stage,
+  /// read and extended by add_link_tasks().  Vectors are indexed by node,
+  /// links by leaf slot x NNEIGHBOR + direction.
   struct step_graph_state {
+    step_graph_state(amt::runtime& rt, bool barrier) : graph(rt, barrier) {}
+    amt::task_graph graph;
     int stage = 0;
-    std::vector<sf> all;  ///< every task in build order: the step's drain
     std::vector<std::vector<index_t>> phosts;    ///< fine leaf -> hosts
     std::vector<std::vector<index_t>> pclients;  ///< host -> fine leaves
     std::vector<sf> H, R, C, P, D, SEND, UNP;
     std::vector<sf> prevH, prevR, prevC, prevP, prevD, prevSend, prevUnp;
   };
-  /// Add \p f to the graph's drain (and hand it to watch_task()).
-  sf track(step_graph_state& g, sf f);
-
   // --- driver hooks (no-ops on one locality) -----------------------------
   /// initialize(): the topology and leaf slots exist, no state yet.
   virtual void on_layout() {}
@@ -190,19 +197,15 @@ class step_core {
   virtual int leaf_owner(index_t /*leaf*/) const { return 0; }
 
   // --- leaf-face link hooks (called only when leaf_links) -----------------
-  /// Barrier mode: deliver every leaf-to-leaf face (between copy and
-  /// prolong).
-  virtual void exchange_leaf_faces() {}
-  /// Dataflow mode: before the graph is built / once it drained (\p ok:
-  /// no task failed).
+  /// Before a graph is built / once it drained (\p ok: no task failed).
   virtual void open_links() {}
   virtual void close_links(bool /*ok*/) {}
-  /// Dataflow mode: every task of the graph, as it is tracked.
+  /// Every task of the graph, as it is added.
   virtual void watch_task(const sf& /*f*/) {}
-  /// Dataflow mode: add this stage's send (g.SEND) and unpack (g.UNP)
-  /// tasks.
+  /// Add this stage's send (g.SEND) and unpack (g.UNP) tasks, between the
+  /// copy and the prolongation phases (barriered: a phase of their own).
   virtual void add_link_tasks(step_graph_state& /*g*/) {}
-  /// Dataflow mode: does the unpack of \p nb's face from leaf \p l read
+  /// Dataflow edges: does the unpack of \p nb's face from leaf \p l read
   /// l's owned cells directly (so l's next hydro must wait for it)?
   virtual bool link_reads_source(index_t /*l*/, index_t /*nb*/) const {
     return false;
@@ -260,16 +263,13 @@ class step_core {
   /// Max signal speed over cell width: leaf l's CFL bound.
   real signal_speed(index_t l) const;
 
-  void exchange_ghosts();
-  void solve_gravity();
-  real compute_dt();
-  void hydro_stage(real dt, real ca, real cb);
-  /// The three RK stages as barriered phase launches (classic mode).
-  void step_barrier(real dt);
-  /// The three RK stages as one per-leaf dependency graph: hydro chained on
-  /// each leaf's own ghost/gravity edges, gravity via solve_dataflow, one
-  /// deterministic drain at the end followed by the dt reduction.
-  void step_graph(real dt);
+  /// Build and run one step graph in \p mode: the u0 snapshot and the
+  /// three RK stages with step \p dt when \p advance, else one hydro-less
+  /// stage; each stage is hydro -> restrict -> copy -> links -> prolong ->
+  /// set-density + FMM (build_solve), then the dt reduction and one
+  /// deterministic drain.  Sets dt_; barrier mode also adds the phase wall
+  /// times.
+  void step_graph(step_mode mode, real dt, bool advance);
 
   // --- SDC containment (see app/invariants.hpp) --------------------------
   /// One execution attempt of the step: apply any armed bitflip, verify
@@ -295,7 +295,7 @@ class step_core {
 
   apex::metrics_sink* metrics_ = nullptr;
   apex::step_record last_metrics_{};
-  /// Critical-path analysis of the most recent step_attempt's dataflow DAG
+  /// Critical-path analysis of the most recent step_attempt's recorded DAG
   /// (member state so a retried attempt reports its own recording).
   apex::critical_path_result last_crit_{};
   bool have_crit_ = false;
@@ -303,9 +303,9 @@ class step_core {
   std::uint64_t sdc_detected_ = 0;
   std::uint64_t sdc_retries_ = 0;
   std::uint64_t sdc_rollbacks_ = 0;
-  /// Barrier-mode wall seconds per phase of the current step attempt
-  /// (zeroed when an attempt starts, so a retried step reports the attempt
-  /// whose state it kept).
+  /// Barrier-mode wall seconds per phase of the current step attempt, from
+  /// consecutive join stamps (zeroed when an attempt starts, so a retried
+  /// step reports the attempt whose state it kept).
   double phase_exchange_s_ = 0;
   double phase_gravity_s_ = 0;
   double phase_hydro_s_ = 0;

@@ -55,7 +55,7 @@ config config::from_file(const std::string& path) {
 const std::vector<env_var_info>& config::env_registry() {
   static const std::vector<env_var_info> table = {
       {"OCTO_STEP_MODE", "step execution mode: barrier (default) or dataflow"},
-      {"OCTO_RACE_AUDIT", "1 = audit each recorded dataflow step for unordered conflicting task footprints (apex/race_audit.hpp)"},
+      {"OCTO_RACE_AUDIT", "1 = audit each recorded step for unordered conflicting task footprints (apex/race_audit.hpp)"},
       {"OCTO_RACE_AUDIT_DUMP", "path: dump each audited step's task graph + footprints as JSON for octo_analyze --race-audit"},
       {"OCTO_TRACE", "trace sink: file path, or existing directory for the per-locality distributed bundle"},
       {"OCTO_TRACE_BUFFER", "per-thread trace ring capacity in events"},

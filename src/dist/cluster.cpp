@@ -352,57 +352,6 @@ void cluster::add_counts(const xfer_counts& counts) {
   reg.add(counters().bytes, counts.by.load());
 }
 
-void cluster::exchange_leaf_faces() {
-  auto& rt = space_.runtime();
-  xfer_counts counts;
-  // Senders: one task per leaf.
-  std::vector<amt::future<void>> send_futs;
-  for (const index_t l : topo_->leaves())
-    send_futs.push_back(
-        amt::async([this, l, &counts] { send_faces(l, counts); }, rt));
-
-  // Receivers: unpack continuations chained on the channel futures.
-  std::vector<amt::future<void>> recv_futs;
-  for (const index_t l : topo_->leaves()) {
-    for (int d = 0; d < NNEIGHBOR; ++d) {
-      const index_t nb = topo_->neighbor(l, d);
-      if (nb == tree::invalid_node || !topo_->node(nb).leaf) continue;
-      recv_futs.push_back(channels_[link_of(l, d)]->receive().then(
-          [this, l, d](boundary_msg msg) { unpack_face(l, d, std::move(msg)); },
-          rt));
-    }
-  }
-  // get_all (not wait_all): an unseal() checksum failure in any unpack
-  // continuation must surface here, not vanish into a dropped future.
-  try {
-    amt::get_all(send_futs, rt);
-  } catch (...) {
-    // A reliable send gave up (retries exhausted / peer dead): slabs that
-    // will never arrive would leave unpack continuations pending forever —
-    // the seed's lost-message deadlock.  Break every channel so the
-    // pending receives fail fast, then *drain with get_all semantics*: an
-    // unseal() checksum failure that already happened in an unpack
-    // continuation surfaces instead of being swallowed by a bare wait;
-    // only the broken_channel noise from the close above is filtered out.
-    // Hand the next attempt fresh channels, then rethrow.
-    for (auto& ch : channels_) ch->close();
-    std::exception_ptr unpack_err;
-    for (auto& f : recv_futs) {
-      try {
-        f.get(rt);
-      } catch (const amt::broken_channel&) {
-      } catch (...) {
-        if (!unpack_err) unpack_err = std::current_exception();
-      }
-    }
-    rebuild_channels();
-    if (unpack_err) std::rethrow_exception(unpack_err);
-    throw;
-  }
-  amt::get_all(recv_futs, rt);
-  add_counts(counts);
-}
-
 void cluster::open_links() {
   link_step_ = std::make_shared<link_step>();
   link_step_->channels = channels_;
@@ -439,20 +388,20 @@ void cluster::add_link_tasks(step_graph_state& g) {
   for (const index_t l : leaves) {
     const auto li = static_cast<std::size_t>(l);
     if (!has_leaf_links(*topo_, l)) continue;
-    std::vector<sf> deps;
+    auto deps = g.graph.edges();
     deps.push_back(g.H[li]);
     if (g.prevSend[li].valid()) deps.push_back(g.prevSend[li]);
-    g.SEND[li] = track(
-        g, amt::dataflow(
-               "send", apex::access_set{}.r(apex::rgn::field, l),
-               [this, l, ls = link_step_] { send_faces(l, ls->counts); },
-               std::move(deps), rt));
+    g.SEND[li] = g.graph.add(
+        "send", apex::access_set{}.r(apex::rgn::field, l),
+        [this, l, ls = link_step_] { send_faces(l, ls->counts); },
+        std::move(deps));
   }
 
   // Receivers: the channel arrival resolves a per-link future (stash via
-  // inline continuation), and the unpack task fires on {arrival, WAR
-  // edges} — transport acks and unpacks flow with no exchange barrier.
-  // Receives are issued in stage order here, matching the per-link FIFO.
+  // inline continuation), and the unpack task fires on the arrival plus
+  // its WAR edges (barriered: plus the copy join) — transport acks and
+  // unpacks flow with no exchange barrier.  Receives are issued in stage
+  // order here, matching the per-link FIFO.
   auto slots = std::make_shared<std::vector<boundary_msg>>(g.UNP.size());
   for (const index_t l : leaves) {
     const auto li = static_cast<std::size_t>(l);
@@ -463,8 +412,7 @@ void cluster::add_link_tasks(step_graph_state& g) {
       sf arrival = channels_[link]->receive().then_inline(
           [slots, link](boundary_msg msg) { (*slots)[link] = std::move(msg); },
           rt);
-      std::vector<sf> deps;
-      deps.push_back(arrival);
+      auto deps = g.graph.edges();
       deps.push_back(g.H[li]);  // WAR: hydro read this ghost face
       if (g.stage > 0) {
         if (g.prevUnp[link].valid()) deps.push_back(g.prevUnp[link]);
@@ -476,13 +424,12 @@ void cluster::add_link_tasks(step_graph_state& g) {
       // channel send/receive — a happens-before edge the recorded graph
       // cannot see (the arrival resolves outside any dataflow node) — so
       // declaring it would be a guaranteed false positive.
-      g.UNP[link] = track(
-          g, amt::dataflow(
-                 "unpack", apex::access_set{}.w(apex::rgn::ghost, l, d),
-                 [this, l, d, slots, link] {
-                   unpack_face(l, d, std::move((*slots)[link]));
-                 },
-                 std::move(deps), rt));
+      g.UNP[link] = g.graph.add(
+          "unpack", apex::access_set{}.w(apex::rgn::ghost, l, d),
+          [this, l, d, slots, link] {
+            unpack_face(l, d, std::move((*slots)[link]));
+          },
+          std::move(deps), std::move(arrival));
     }
   }
 }

@@ -186,7 +186,7 @@ class cluster : public app::step_core {
   };
   /// Slab counts of one exchange, added lock-free by the send tasks.
   struct xfer_counts;
-  /// One dataflow step's link state: its slab counts and the failure latch
+  /// One step graph's link state: its slab counts and the failure latch
   /// that closes the step's channels when any task fails.
   struct link_step;
 
@@ -205,7 +205,6 @@ class cluster : public app::step_core {
   void restore_step_entry() override { stats_ = entry_stats_; }
   int num_localities() const override { return dopt_.num_localities; }
   int leaf_owner(index_t leaf) const override { return part_.owner(leaf); }
-  void exchange_leaf_faces() override;
   void open_links() override;
   void close_links(bool ok) override;
   void watch_task(const sf& f) override;

@@ -4,12 +4,11 @@
 #include <cmath>
 #include <cstring>
 
-#include "amt/future.hpp"
+#include "amt/task_graph.hpp"
 #include "apex/race_audit.hpp"
 #include "apex/trace.hpp"
 #include "common/crc32.hpp"
 #include "common/error.hpp"
-#include "exec/parallel.hpp"
 
 namespace octo::gravity {
 
@@ -722,154 +721,49 @@ void fmm_solver::evaluate_leaf(index_t node) {
 }
 
 // ---------------------------------------------------------------------------
-// solve
+// solve: one task graph, barriered or dependency-driven
 // ---------------------------------------------------------------------------
 
 void fmm_solver::solve(const exec::amt_space& space) {
-  auto& rt = space.runtime();
-
-  // Zero expansions from any previous solve.
-  exec::parallel_for(space, exec::range_policy(topo_.num_nodes()),
-                     [&](index_t n) {
-                       std::fill(nodes_[n].exp.begin(), nodes_[n].exp.end(),
-                                 real(0));
-                     });
-
-  // Phase 1: M2M bottom-up, level by level.
-  for (int lvl = static_cast<int>(levels_.size()) - 2; lvl >= 0; --lvl) {
-    const auto& lv = levels_[static_cast<std::size_t>(lvl)];
-    std::vector<amt::future<void>> futs;
-    for (const index_t n : lv) {
-      if (topo_.node(n).leaf) continue;
-      futs.push_back(amt::async(
-          [this, n] {
-            const apex::scoped_trace_span span("gravity.m2m");
-            compute_m2m(n);
-          },
-          rt));
-    }
-    amt::wait_all(futs, rt);
-  }
-
-  // Phase 2: same-level interactions (Multipole kernel + leaf near field).
-  // One launch per (node, chunk), the leaf P2P fused over the same rows.
-  {
-    std::vector<amt::future<void>> futs;
-    for (index_t n = 0; n < topo_.num_nodes(); ++n) {
-      const int nc = m2l_tasks(n);
-      for (int c = 0; c < nc; ++c) {
-        futs.push_back(amt::async(
-            [this, n, c, nc] {
-              // The Multipole-kernel launch of §VII-C — with m2l_chunks > 1
-              // one launch shows up as several shorter spans (Fig. 9).
-              const apex::scoped_trace_span span("gravity.m2l");
-              compute_m2l(n, c, nc);
-            },
-            rt));
-      }
-    }
-    amt::wait_all(futs, rt);
-  }
-
-  // Phase 3: mutual fine-coarse boundary pairs — private pair buffers
-  // first, then one deterministic apply task per involved node.
-  {
-    std::vector<amt::future<void>> futs;
-    for (const index_t n : topo_.leaves()) {
-      if (fc_[static_cast<std::size_t>(n)].hosts.empty()) continue;
-      futs.push_back(amt::async(
-          [this, n] {
-            const apex::scoped_trace_span span("gravity.fine_coarse");
-            compute_fine_coarse_pairs(n);
-          },
-          rt));
-    }
-    amt::wait_all(futs, rt);
-  }
-  {
-    std::vector<amt::future<void>> futs;
-    for (index_t n = 0; n < topo_.num_nodes(); ++n) {
-      if (!has_fc_work(n)) continue;
-      futs.push_back(amt::async(
-          [this, n] {
-            const apex::scoped_trace_span span("gravity.fine_coarse_apply");
-            apply_fine_coarse(n);
-          },
-          rt));
-    }
-    amt::wait_all(futs, rt);
-  }
-
-  // Phase 4: L2L top-down.
-  for (std::size_t lvl = 1; lvl < levels_.size(); ++lvl) {
-    std::vector<amt::future<void>> futs;
-    for (const index_t n : levels_[lvl])
-      futs.push_back(amt::async(
-          [this, n] {
-            const apex::scoped_trace_span span("gravity.l2l");
-            compute_l2l(n);
-          },
-          rt));
-    amt::wait_all(futs, rt);
-  }
-
-  // Phase 5: evaluate at leaves.
-  {
-    std::vector<amt::future<void>> futs;
-    for (const index_t n : topo_.leaves())
-      futs.push_back(amt::async(
-          [this, n] {
-            const apex::scoped_trace_span span("gravity.evaluate_leaf");
-            evaluate_leaf(n);
-          },
-          rt));
-    amt::wait_all(futs, rt);
-  }
+  amt::task_graph g(space.runtime(), /*barrier=*/true);
+  build_solve(g, std::vector<amt::shared_future<void>>(
+                     static_cast<std::size_t>(topo_.num_nodes())));
+  if (auto e = g.drain()) std::rethrow_exception(e);
 }
 
-// ---------------------------------------------------------------------------
-// solve as a dependency-driven task graph
-// ---------------------------------------------------------------------------
-
-fmm_solver::solve_graph fmm_solver::solve_dataflow(
-    const exec::amt_space& space,
-    const std::vector<amt::shared_future<void>>& mom_ready,
+fmm_solver::solve_graph fmm_solver::build_solve(
+    amt::task_graph& g, const std::vector<amt::shared_future<void>>& mom_ready,
     const solve_graph* prev) {
-  auto& rt = space.runtime();
   const auto nn = static_cast<std::size_t>(topo_.num_nodes());
   OCTO_CHECK(mom_ready.size() == nn);
   OCTO_CHECK(prev == nullptr ||
              (prev->mom_free.size() == nn && prev->exp_free.size() == nn));
 
   using sf = amt::shared_future<void>;
-  solve_graph g;
-  g.mom_free.resize(nn);
-  g.exp_free.resize(nn);
-  g.leaf_out.resize(nn);
-  g.tasks.reserve(nn * static_cast<std::size_t>(m2l_tasks(topo_.root()) + 4));
-  const auto track = [&g](sf f) {
-    g.tasks.push_back(f);
-    return f;
-  };
+  solve_graph out;
+  out.mom_free.resize(nn);
+  out.exp_free.resize(nn);
+  out.leaf_out.resize(nn);
 
   // Zero pass: one task per node, gated on the previous solve being done
   // with that node's expansions (WAW across RK stages).
   std::vector<sf> zero(nn);
   for (index_t n = 0; n < topo_.num_nodes(); ++n) {
-    std::vector<sf> deps;
+    auto deps = g.edges();
     if (prev != nullptr)
       deps.push_back(prev->exp_free[static_cast<std::size_t>(n)]);
-    zero[static_cast<std::size_t>(n)] = track(amt::dataflow(
+    zero[static_cast<std::size_t>(n)] = g.add(
         "zero", apex::access_set{}.w(apex::rgn::expansion, n),
         [this, n] {
           std::fill(nodes_[n].exp.begin(), nodes_[n].exp.end(), real(0));
         },
-        std::move(deps), rt));
+        std::move(deps));
   }
+  g.join();
 
   // mom_set[n]: leaf -> the caller's set-density edge; interior -> an M2M
   // task chained on the children's mom_set (the bottom-up traversal as
-  // parent-on-child dependencies instead of per-level barriers).
+  // parent-on-child dependencies, or one join per level when barriered).
   std::vector<sf> mom_set(nn);
   for (int lvl = static_cast<int>(levels_.size()) - 1; lvl >= 0; --lvl) {
     for (const index_t n : levels_[static_cast<std::size_t>(lvl)]) {
@@ -878,7 +772,7 @@ fmm_solver::solve_graph fmm_solver::solve_dataflow(
         mom_set[ni] = mom_ready[ni];
         continue;
       }
-      std::vector<sf> deps;
+      auto deps = g.edges();
       apex::access_set fp;
       fp.w(apex::rgn::moment, n);
       for (const index_t ch : topo_.node(n).children) {
@@ -886,14 +780,15 @@ fmm_solver::solve_graph fmm_solver::solve_dataflow(
         fp.r(apex::rgn::moment, ch);
       }
       if (prev != nullptr) deps.push_back(prev->mom_free[ni]);
-      mom_set[ni] = track(amt::dataflow(
+      mom_set[ni] = g.add(
           "M2M", std::move(fp),
           [this, n] {
             const apex::scoped_trace_span span("gravity.m2m");
             compute_m2m(n);
           },
-          std::move(deps), rt));
+          std::move(deps));
     }
+    g.join();
   }
 
   // M2L per (node, chunk), leaf P2P fused over the same disjoint rows —
@@ -904,7 +799,7 @@ fmm_solver::solve_graph fmm_solver::solve_dataflow(
   for (index_t n = 0; n < topo_.num_nodes(); ++n) {
     const auto ni = static_cast<std::size_t>(n);
     const int nc = m2l_tasks(n);
-    std::vector<sf> deps;
+    auto deps = g.edges();
     deps.push_back(zero[ni]);
     deps.push_back(mom_set[ni]);
     apex::access_set fp_moms;
@@ -923,15 +818,16 @@ fmm_solver::solve_graph fmm_solver::solve_dataflow(
       // Chunked launches write disjoint expansion rows of n: part = chunk.
       apex::access_set fp = fp_moms;
       fp.w(apex::rgn::expansion, n, nc == 1 ? apex::any_part : c);
-      m2l[ni].push_back(track(amt::dataflow(
+      m2l[ni].push_back(g.add(
           "M2L", std::move(fp),
           [this, n, c, nc] {
             const apex::scoped_trace_span span("gravity.m2l");
             compute_m2l(n, c, nc);
           },
-          deps, rt)));
+          deps));
     }
   }
+  g.join();
 
   // Fine-coarse pair tasks write private buffers; the buffers are re-read
   // by the *previous* solve's applies, so re-filling waits for those too.
@@ -940,7 +836,7 @@ fmm_solver::solve_graph fmm_solver::solve_dataflow(
     const auto li = static_cast<std::size_t>(l);
     const auto& fcd = fc_[li];
     if (fcd.hosts.empty()) continue;
-    std::vector<sf> deps;
+    auto deps = g.edges();
     apex::access_set fp;
     fp.r(apex::rgn::moment, l).w(apex::rgn::fcbuf, l);
     deps.push_back(mom_set[li]);
@@ -953,22 +849,24 @@ fmm_solver::solve_graph fmm_solver::solve_dataflow(
       for (const index_t h : fcd.hosts)
         deps.push_back(prev->exp_free[static_cast<std::size_t>(h)]);
     }
-    fcpair[li] = track(amt::dataflow(
+    fcpair[li] = g.add(
         "fc-pair", std::move(fp),
         [this, l] {
           const apex::scoped_trace_span span("gravity.fine_coarse");
           compute_fine_coarse_pairs(l);
         },
-        std::move(deps), rt));
+        std::move(deps));
   }
+  g.join();
 
   // Apply tasks fold the pair buffers into the expansions after every M2L
-  // chunk of the node (same per-cell accumulation order as solve()).
+  // chunk of the node (the same per-cell accumulation order either way).
   std::vector<sf> fcapply(nn);
   for (index_t n = 0; n < topo_.num_nodes(); ++n) {
     const auto ni = static_cast<std::size_t>(n);
     if (!has_fc_work(n)) continue;
-    std::vector<sf> deps(m2l[ni].begin(), m2l[ni].end());
+    auto deps = g.edges();
+    for (const auto& t : m2l[ni]) deps.push_back(t);
     apex::access_set fp;
     fp.w(apex::rgn::expansion, n);
     if (fcpair[ni].valid()) {
@@ -979,35 +877,38 @@ fmm_solver::solve_graph fmm_solver::solve_dataflow(
       deps.push_back(fcpair[static_cast<std::size_t>(f)]);
       fp.r(apex::rgn::fcbuf, f);
     }
-    fcapply[ni] = track(amt::dataflow(
+    fcapply[ni] = g.add(
         "fc-apply", std::move(fp),
         [this, n] {
           const apex::scoped_trace_span span("gravity.fine_coarse_apply");
           apply_fine_coarse(n);
         },
-        std::move(deps), rt));
+        std::move(deps));
   }
+  g.join();
 
   // L2L child-on-parent: a node's expansions are complete (exp_done) once
   // its M2L chunks, fine-coarse apply and own L2L shift have run; each
-  // child's L2L waits on the parent's exp_done, not on the whole level.
+  // child's L2L waits on the parent's exp_done (barriered: on the level
+  // join).
   std::vector<sf> exp_done(nn);
   std::vector<sf> l2l(nn);
   for (std::size_t lvl = 0; lvl < levels_.size(); ++lvl) {
     for (const index_t n : levels_[lvl]) {
       const auto ni = static_cast<std::size_t>(n);
       if (n == topo_.root()) {
-        std::vector<sf> deps(m2l[ni].begin(), m2l[ni].end());
+        auto deps = g.edges();
+        for (const auto& t : m2l[ni]) deps.push_back(t);
         if (fcapply[ni].valid()) deps.push_back(fcapply[ni]);
-        exp_done[ni] = amt::when_all(std::move(deps), rt);
+        exp_done[ni] = g.when_all(std::move(deps));
         continue;
       }
       const index_t par = topo_.node(n).parent;
-      std::vector<sf> deps;
+      auto deps = g.edges();
       deps.push_back(exp_done[static_cast<std::size_t>(par)]);
       for (const auto& t : m2l[ni]) deps.push_back(t);
       if (fcapply[ni].valid()) deps.push_back(fcapply[ni]);
-      l2l[ni] = track(amt::dataflow(
+      l2l[ni] = g.add(
           "L2L",
           apex::access_set{}
               .r(apex::rgn::expansion, par)
@@ -1018,23 +919,27 @@ fmm_solver::solve_graph fmm_solver::solve_dataflow(
             const apex::scoped_trace_span span("gravity.l2l");
             compute_l2l(n);
           },
-          std::move(deps), rt));
+          std::move(deps));
       exp_done[ni] = l2l[ni];
     }
+    g.join();
   }
 
   // Leaf evaluation: phi/g out the moment the leaf's expansions settle.
   for (const index_t l : topo_.leaves()) {
     const auto li = static_cast<std::size_t>(l);
-    g.leaf_out[li] = track(amt::dataflow(
+    auto deps = g.edges();
+    deps.push_back(exp_done[li]);
+    out.leaf_out[li] = g.add(
         "evaluate",
         apex::access_set{}.r(apex::rgn::expansion, l).w(apex::rgn::gout, l),
         [this, l] {
           const apex::scoped_trace_span span("gravity.evaluate_leaf");
           evaluate_leaf(l);
         },
-        {exp_done[li]}, rt));
+        std::move(deps));
   }
+  g.join();
 
   // mom_free[n]: every reader of n's moments — the parent's M2M, the M2L
   // launches of n and its neighbors (halo), the fine-coarse pair tasks on
@@ -1043,7 +948,7 @@ fmm_solver::solve_graph fmm_solver::solve_dataflow(
   for (index_t n = 0; n < topo_.num_nodes(); ++n) {
     const auto ni = static_cast<std::size_t>(n);
     const tree::tnode& tn = topo_.node(n);
-    std::vector<sf> readers;
+    auto readers = g.edges();
     if (tn.parent != tree::invalid_node)
       readers.push_back(mom_set[static_cast<std::size_t>(tn.parent)]);
     for (const auto& t : m2l[ni]) readers.push_back(t);
@@ -1060,7 +965,7 @@ fmm_solver::solve_graph fmm_solver::solve_dataflow(
     if (!tn.leaf)
       for (const index_t ch : tn.children)
         readers.push_back(l2l[static_cast<std::size_t>(ch)]);
-    g.mom_free[ni] = amt::when_all(std::move(readers), rt);
+    out.mom_free[ni] = g.when_all(std::move(readers));
   }
 
   // exp_free[n]: leaves are done once evaluated; interior expansions are
@@ -1069,17 +974,16 @@ fmm_solver::solve_graph fmm_solver::solve_dataflow(
     const auto ni = static_cast<std::size_t>(n);
     const tree::tnode& tn = topo_.node(n);
     if (tn.leaf) {
-      g.exp_free[ni] = g.leaf_out[ni];
+      out.exp_free[ni] = out.leaf_out[ni];
     } else {
-      std::vector<sf> readers;
+      auto readers = g.edges();
       for (const index_t ch : tn.children)
         readers.push_back(l2l[static_cast<std::size_t>(ch)]);
-      g.exp_free[ni] = amt::when_all(std::move(readers), rt);
+      out.exp_free[ni] = g.when_all(std::move(readers));
     }
   }
 
-  (void)space;
-  return g;
+  return out;
 }
 
 // ---------------------------------------------------------------------------

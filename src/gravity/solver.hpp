@@ -23,7 +23,7 @@
 #include <span>
 #include <vector>
 
-#include "amt/future.hpp"
+#include "amt/task_graph.hpp"
 #include "common/types.hpp"
 #include "common/vec3.hpp"
 #include "exec/execution_space.hpp"
@@ -56,15 +56,17 @@ class fmm_solver {
   /// Convenience: densities from a hydro sub-grid's owned cells.
   void set_leaf_from_subgrid(index_t node, const grid::subgrid& u);
 
-  /// Run the full FMM.  The execution space supplies the runtime; the
-  /// option's m2l_chunks controls kernel splitting.
+  /// Run the full FMM: the barrier form of build_solve() (one join per
+  /// phase, the Fig. 9 starvation baseline), drained; rethrows the first
+  /// task error.  The execution space supplies the runtime; the option's
+  /// m2l_chunks controls kernel splitting.
   void solve(const exec::amt_space& space = exec::amt_space{});
 
-  /// Handles into one dataflow FMM solve: per-node completion edges that a
-  /// graph-building step pipeline wires into the next stage's tasks.  All
-  /// vectors are node-indexed; entries that do not apply (e.g. leaf_out of
-  /// an interior node) are invalid shared_futures, which `amt::dataflow`
-  /// ignores.
+  /// Per-node edges out of one build_solve() that a graph-building step
+  /// pipeline wires into the next stage's tasks.  All vectors are
+  /// node-indexed; entries that do not apply (e.g. leaf_out of an interior
+  /// node, or the pure joins of a barrier graph) are invalid
+  /// shared_futures, which `amt::dataflow` ignores.
   struct solve_graph {
     /// Every task of this solve that *reads* node n's moments is done —
     /// the WAR gate before the next stage's set_leaf_density / M2M.
@@ -74,24 +76,23 @@ class fmm_solver {
     std::vector<amt::shared_future<void>> exp_free;
     /// Leaf n's outputs (phi/g) are ready — feeds the next hydro stage.
     std::vector<amt::shared_future<void>> leaf_out;
-    /// Every task in build order (deterministic); the step's final join.
-    std::vector<amt::shared_future<void>> tasks;
   };
 
-  /// Build the full FMM as a dependency-driven task graph (the Fig. 9
-  /// split expressed as per-node dependencies instead of chunked barriers):
-  /// zero -> M2M (parent on children) -> M2L per (node, chunk) -> mutual
-  /// fine-coarse pair tasks + deterministic per-node applies -> L2L
-  /// (child on parent) -> leaf evaluation.  The root's M2L is split into
-  /// max(m2l_chunks, N) row tasks writing disjoint expansion rows.
-  /// \p mom_ready[n] gates reading leaf n's moments (the caller's
-  /// set_leaf_from_subgrid task); \p prev carries the previous solve's
-  /// read/write edges for WAR/WAW hazards across RK stages (nullptr when
-  /// the step entry was a global join).
-  /// Bitwise-identical to solve(): every cell's accumulation order is
-  /// zero -> M2L(+P2P) -> fine-coarse apply -> L2L in both modes.
-  solve_graph solve_dataflow(
-      const exec::amt_space& space,
+  /// Add the full FMM to \p g, phase by phase: zero -> M2M (parent on
+  /// children) -> M2L per (node, chunk) -> mutual fine-coarse pair tasks +
+  /// deterministic per-node applies -> L2L (child on parent) -> leaf
+  /// evaluation.  The root's M2L is split into max(m2l_chunks, N) row tasks
+  /// writing disjoint expansion rows.  In a dataflow graph the phases are
+  /// per-node dependencies (the Fig. 9 split); in a barrier graph each
+  /// phase, and each M2M / L2L level, ends in a join.  \p mom_ready[n]
+  /// gates reading leaf n's moments (the caller's set_leaf_from_subgrid
+  /// task); \p prev carries the previous solve's read/write edges for
+  /// WAR/WAW hazards across RK stages (nullptr when the step entry was a
+  /// global join).  Every cell's accumulation order is zero -> M2L(+P2P)
+  /// -> fine-coarse apply -> L2L in both shapes, so both are bitwise
+  /// identical.
+  solve_graph build_solve(
+      amt::task_graph& g,
       const std::vector<amt::shared_future<void>>& mom_ready,
       const solve_graph* prev = nullptr);
 
@@ -154,7 +155,7 @@ class fmm_solver {
   /// private accumulation buffers and an *apply* phase that folds them into
   /// the expansions in deterministic order (own fine-side contribution
   /// first, then clients ascending by node index) — no locks, and bitwise
-  /// identical between the barriered and dataflow solves.
+  /// identical between the barrier and dataflow graphs.
   struct fc_data {
     std::vector<index_t> hosts;    ///< coarser leaf neighbors (fine leaves)
     std::vector<index_t> clients;  ///< finer leaf neighbors, ascending

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "app/simulation.hpp"
 #include "common/fault.hpp"
 #include "dist/cluster.hpp"
@@ -103,6 +105,52 @@ TEST_P(DataflowClusterEquivalence, TenStepsBitwise) {
 
 INSTANTIATE_TEST_SUITE_P(Localities, DataflowClusterEquivalence,
                          testing::Values(1, 4));
+
+/// The rotating star at max_level 3 is an AMR tree: its refinement
+/// boundaries add prolongation tasks whose coarse hosts receive faces
+/// through the cluster's link tasks.  Barrier and dataflow runs must agree
+/// bitwise there too, on one process and on a 4-locality cluster.
+TEST_F(DataflowEquivalence, AmrTreeBarrierVsDataflowBitwise) {
+  constexpr int kAmrSteps = 3;
+  auto sc = scen::rotating_star();
+  app::sim_options bo = sim_opts(app::step_mode::barrier);
+  bo.max_level = 3;
+  app::sim_options go = bo;
+  go.mode = app::step_mode::dataflow;
+
+  app::simulation ref(sc, bo);
+  app::simulation df(sc, go);
+  ref.initialize();
+  df.initialize();
+  std::set<int> leaf_levels;
+  for (const index_t l : ref.topo().leaves())
+    leaf_levels.insert(ref.topo().node(l).level);
+  ASSERT_GT(leaf_levels.size(), 1u) << "tree has no refinement boundary";
+  for (int s = 0; s < kAmrSteps; ++s) {
+    ref.step();
+    df.step();
+    ASSERT_EQ(df.dt(), ref.dt()) << "step " << s;
+  }
+  expect_bitwise_equal(ref, df);
+
+  dist::dist_options cbo;
+  cbo.num_localities = 4;
+  cbo.sim = bo;
+  dist::cluster cref(sc, cbo);
+  dist::dist_options cgo = cbo;
+  cgo.sim = go;
+  dist::cluster cdf(sc, cgo);
+  cref.initialize();
+  cdf.initialize();
+  for (int s = 0; s < kAmrSteps; ++s) {
+    cref.step();
+    cdf.step();
+    ASSERT_EQ(cdf.dt(), cref.dt()) << "step " << s;
+  }
+  expect_bitwise_equal(cref, cdf);
+  expect_bitwise_equal(ref, cdf);
+  EXPECT_EQ(cdf.stats().total_slabs(), cref.stats().total_slabs());
+}
 
 /// The graph's arrival edges ride the reliable transport: with every slab
 /// serialized and the network dropping frames, the dataflow run must still

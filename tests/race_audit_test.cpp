@@ -180,7 +180,7 @@ TEST_F(RaceAuditSim, RealStepGraphAuditsCleanAndDumps) {
 }
 
 TEST_F(RaceAuditSim, DroppedSolverFreeEdgeRegressionIsCaught) {
-  // The PR-4 bug class: fmm_solver::solve_dataflow threads mom_free /
+  // The historical bug class: fmm_solver::build_solve threads mom_free /
   // exp_free edges between RK substeps so substep s+1's moment/expansion
   // writers wait for substep s's readers.  Re-audit a real recorded step
   // with those edges removed from the audited view (the schedule itself is
@@ -222,13 +222,14 @@ TEST_F(RaceAuditSim, DroppedSolverFreeEdgeRegressionIsCaught) {
 
 TEST_F(RaceAuditSim, StepModeOptionThrowsOnBrokenGraphViaSimOptions) {
   // sim_options::audit_races wiring: a clean tree must not throw (already
-  // covered above) and the option must be off for barrier mode.
+  // covered above), and a barrier step is audited too — its phase joins
+  // must order every conflicting pair.
   app::sim_options opt = dataflow_options();
   opt.mode = app::step_mode::barrier;
   auto sc = scen::rotating_star();
   app::simulation sim(sc, opt);
   sim.initialize();
-  EXPECT_NO_THROW(sim.step());  // auditing is a dataflow-mode concept
+  EXPECT_NO_THROW(sim.step());  // the barrier graph audits clean
 }
 
 }  // namespace

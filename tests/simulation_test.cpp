@@ -317,5 +317,28 @@ TEST(StepModeEnv, UnknownValueThrowsNamingIt) {
     ::unsetenv("OCTO_STEP_MODE");
 }
 
+TEST(RaceAuditEnv, OnlyZeroOrOneAccepted) {
+  const std::optional<std::string> saved = config::env("OCTO_RACE_AUDIT");
+  for (const char* bad : {"false", "true", "2"}) {
+    ::setenv("OCTO_RACE_AUDIT", bad, 1);
+    try {
+      (void)default_audit_races();
+      ADD_FAILURE() << "OCTO_RACE_AUDIT='" << bad << "' was accepted";
+    } catch (const error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("OCTO_RACE_AUDIT"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string("'") + bad + "'"), std::string::npos)
+          << what;
+    }
+  }
+  ::setenv("OCTO_RACE_AUDIT", "0", 1);
+  EXPECT_FALSE(default_audit_races());
+  ::setenv("OCTO_RACE_AUDIT", "1", 1);
+  EXPECT_TRUE(default_audit_races());
+  ::unsetenv("OCTO_RACE_AUDIT");
+  EXPECT_FALSE(default_audit_races());
+  if (saved) ::setenv("OCTO_RACE_AUDIT", saved->c_str(), 1);
+}
+
 }  // namespace
 }  // namespace octo::app
