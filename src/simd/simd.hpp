@@ -23,6 +23,10 @@
 #include <cstdint>
 #include <type_traits>
 
+#if defined(__SSE2__)
+#include <immintrin.h>
+#endif
+
 namespace octo {
 
 namespace simd_abi {
@@ -276,11 +280,6 @@ class simd<T, simd_abi::fixed<N>> {
   void copy_to(T* dst) const {
     for (int i = 0; i < N; ++i) dst[i] = v_[i];
   }
-  /// Gather with stride (used by the FMM kernels on SoA moment arrays).
-  void gather(const T* base, int stride) {
-    for (int i = 0; i < N; ++i) v_[i] = base[i * stride];
-  }
-
   simd& operator+=(simd o) { v_ += o.v_; return *this; }
   simd& operator-=(simd o) { v_ -= o.v_; return *this; }
   simd& operator*=(simd o) { v_ *= o.v_; return *this; }
@@ -324,9 +323,28 @@ class simd<T, simd_abi::fixed<N>> {
     return s;
   }
 
-  // Lanewise math.  The fixed-trip-count loops unroll and vectorize under
-  // -O2; arithmetic above maps directly to vector instructions.
+  // Lanewise math.  At -O2 -march=native -mno-avx512f, abs (vandpd),
+  // min/max (vminpd/vmaxpd) and fma (vfmadd) already compile to single
+  // vector instructions, and copysign to three vector bit operations.
+  // A std::sqrt lane loop does not: with math-errno on, GCC emits one scalar
+  // vsqrtsd per lane plus a libm call for the errno path.  sqrt therefore
+  // uses the packed intrinsic for the native 16- and 32-byte widths; the
+  // lane loop is the fallback for other widths (fixed<8> of double under
+  // AVX2) and non-x86 targets.  IEEE sqrt is correctly rounded, so both
+  // forms give bitwise identical results.
   friend simd sqrt(simd a) {
+#if defined(__AVX__)
+    if constexpr (sizeof(vec_t) == 32 && std::is_same_v<T, double>)
+      return simd(_mm256_sqrt_pd(a.v_));
+    if constexpr (sizeof(vec_t) == 32 && std::is_same_v<T, float>)
+      return simd(_mm256_sqrt_ps(a.v_));
+#endif
+#if defined(__SSE2__)
+    if constexpr (sizeof(vec_t) == 16 && std::is_same_v<T, double>)
+      return simd(_mm_sqrt_pd(a.v_));
+    if constexpr (sizeof(vec_t) == 16 && std::is_same_v<T, float>)
+      return simd(_mm_sqrt_ps(a.v_));
+#endif
     simd r;
     for (int i = 0; i < N; ++i) r.v_[i] = std::sqrt(a.v_[i]);
     return r;
