@@ -24,7 +24,8 @@
 /// A tripped detector throws `sdc_detected` (an `octo::error`, so the
 /// checkpoint-rollback driver's escalation path applies unchanged).  The
 /// step drivers (`app::simulation::step`, `dist::cluster::step`) contain
-/// the fault first: they retry the step from an in-memory pre-step snapshot
+/// the fault first: they retry the step from the RK u0 copies (taken at step
+/// entry, before any injected flip; re-verified against the pre-step seals)
 /// and confirm the retry with a dual-execution compare-vote; only a second
 /// trip escalates to checkpoint rollback.  Either way the completed run is
 /// bitwise identical to an uninterrupted one — the auditor only ever reads
@@ -37,6 +38,7 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "apex/apex.hpp"
@@ -89,12 +91,10 @@ struct sdc_metric_ids {
 };
 const sdc_metric_ids& sdc_metrics();
 
-/// In-memory pre-step snapshot the containment retry restores from: deep
-/// copies of every owned leaf's raw block plus the integration clock and
-/// the auditor's drift history.
+/// The scalar half of the pre-step state the containment retry restores:
+/// the integration clock and the auditor's drift history.  The leaf state
+/// half is the step driver's RK u0 copies, so no leaf is copied twice.
 struct sdc_snapshot {
-  std::vector<index_t> nodes;
-  std::vector<std::vector<real>> data;  ///< raw() copy per node
   real time = 0;
   real dt = 0;
   std::int64_t steps = 0;
@@ -106,6 +106,8 @@ struct sdc_snapshot {
     int audited = 0;
   } history;
 };
+// A per-leaf copy here would duplicate the u0 copies the retry restores from.
+static_assert(std::is_trivially_copyable_v<sdc_snapshot>);
 
 class invariant_auditor {
  public:

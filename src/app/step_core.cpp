@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <optional>
 
 #include "apex/apex.hpp"
 #include "apex/dag.hpp"
@@ -17,6 +18,19 @@
 namespace octo::app {
 
 using grid::subgrid;
+
+namespace {
+/// Run \p fn(l) as one task per leaf and wait for all of them; the first
+/// failure is rethrown (get_all), so a seal mismatch surfaces as
+/// sdc_detected.
+template <typename F>
+void each_leaf(amt::runtime& rt, const std::vector<index_t>& leaves, F&& fn) {
+  std::vector<amt::future<void>> futs;
+  for (const index_t l : leaves)
+    futs.push_back(amt::async([&fn, l] { fn(l); }, rt));
+  amt::get_all(futs, rt);
+}
+}  // namespace
 
 step_mode default_step_mode() {
   const auto v = config::env("OCTO_STEP_MODE");
@@ -60,13 +74,8 @@ void step_core::initialize() {
   if (scenario_.prepare) scenario_.prepare();
 
   // Initial data (parallel over leaves; the scenario init may be costly).
-  {
-    std::vector<amt::future<void>> futs;
-    for (const index_t l : topo_->leaves())
-      futs.push_back(amt::async([this, l] { scenario_.init(grids_[l]); },
-                                space_.runtime()));
-    amt::wait_all(futs, space_.runtime());
-  }
+  each_leaf(space_.runtime(), topo_->leaves(),
+            [this](index_t l) { scenario_.init(grids_[l]); });
 
   // Reset the integration clock: re-initialize() is the from-scratch
   // restart path (run_with_checkpoints when no valid checkpoint exists).
@@ -251,17 +260,6 @@ void step_core::step_graph(step_mode mode, real dt, bool advance) {
   const std::vector<index_t> no_leaves;
   const auto& hydro_leaves = advance ? leaves : no_leaves;
 
-  // u0 snapshot: per-leaf tasks (step entry is a resolved point, no deps).
-  std::vector<sf> snap(nn);
-  if (advance) {
-    for (const index_t l : leaves)
-      snap[static_cast<std::size_t>(l)] = tg.add(
-          "snapshot",
-          apex::access_set{}.r(apex::rgn::field, l).w(apex::rgn::stage0, l),
-          [this, l] { stage0_[leaf_slot_[l]] = grids_[l]; }, tg.edges());
-    tg.join();
-  }
-
   // Barrier mode: a phase's wall time runs from the join that opened it to
   // the join that closed it (dataflow phases overlap: the columns stay 0).
   std::uint64_t mark = tg.last_join_ns();
@@ -298,9 +296,7 @@ void step_core::step_graph(step_mode mode, real dt, bool advance) {
     for (const index_t l : hydro_leaves) {
       const auto li = static_cast<std::size_t>(l);
       auto deps = tg.edges();
-      if (s == 0) {
-        deps.push_back(snap[li]);
-      } else {
+      if (s > 0) {  // stage 0 reads the u0 the entry pass copied: no edge
         deps.push_back(g.prevC[li]);  // own same-level ghosts filled
         if (g.prevP[li].valid()) deps.push_back(g.prevP[li]);  // coarse faces
         if (opt_.self_gravity) deps.push_back(gprev.leaf_out[li]);
@@ -535,12 +531,57 @@ void step_core::step_graph(step_mode mode, real dt, bool advance) {
 
 void step_core::step_attempt(real dt) {
   phase_exchange_s_ = phase_gravity_s_ = phase_hydro_s_ = 0;
-  // Injection + pre-read verification: any at-rest flip since the last
-  // step's seals — injected or real — trips here, before the state is read.
-  sdc_apply_bitflips(steps_ + 1);
-  if (auditor_.enabled()) {
-    const apex::scoped_timer audit_t(sdc_metrics().audit_timer);
-    sdc_verify_all();
+  const auto step = static_cast<std::uint64_t>(steps_ + 1);
+  const auto& leaves = topo_->leaves();
+
+  // Armed compute faults.  A plan's (loc, leaf) maps to a concrete node:
+  // leaf index modulo the target locality's owned-leaf count, so the spec
+  // stays valid across partition changes (rebalance / shrink-on-failure).
+  // On one locality the pool is every leaf.
+  auto& inj = fault::injector::instance();
+  const auto pick_leaf = [&](const fault::bitflip_plan& p) {
+    const int loc = static_cast<int>(
+        p.loc % static_cast<std::uint64_t>(num_localities()));
+    std::vector<index_t> owned;
+    for (const index_t l : leaves)
+      if (leaf_owner(l) == loc) owned.push_back(l);
+    const auto& pool = owned.empty() ? leaves : owned;
+    return pool[static_cast<std::size_t>(p.leaf % pool.size())];
+  };
+  fault::bitflip_plan flip, mflip;
+  index_t flip_leaf = tree::invalid_node;
+  if (inj.armed() && inj.state_bitflip_hook(step, &flip)) {
+    flip_leaf = pick_leaf(flip);
+    OCTO_LOG_WARN("fault: injected state bitflip at step "
+                  << step << " locality " << leaf_owner(flip_leaf) << " leaf "
+                  << flip_leaf << " field "
+                  << flip.field % static_cast<std::uint64_t>(grid::NFIELD)
+                  << " bit " << flip.bit % 64);
+  }
+  if (inj.armed() && inj.moment_bitflip_hook(step, &mflip) &&
+      opt_.self_gravity) {
+    const index_t l = pick_leaf(mflip);
+    grav_->apply_moment_bitflip(l, mflip.field, mflip.cell, mflip.bit);
+    OCTO_LOG_WARN("fault: injected moment bitflip at step " << step
+                                                            << " node " << l);
+  }
+
+  // Entry pass, one task per leaf: the RK u0 copy (also the state the
+  // containment retry restores from), then the armed state flip, then the
+  // seal verify.  The copy precedes the flip, so u0 stays clean; any
+  // at-rest flip since the last step's seals — injected or real — trips
+  // the verify before the state is read.
+  {
+    std::optional<apex::scoped_timer> audit_t;
+    if (auditor_.enabled()) audit_t.emplace(sdc_metrics().audit_timer);
+    each_leaf(space_.runtime(), leaves, [&](index_t l) {
+      stage0_[leaf_slot_[l]] = grids_[l];
+      if (l == flip_leaf)
+        apply_state_bitflip(grids_[l], flip.field, flip.cell, flip.bit);
+      if (auditor_.enabled()) auditor_.verify_leaf(l, grids_[l]);
+    });
+    if (opt_.self_gravity && auditor_.moments_sealed())
+      auditor_.verify_moments(grav_->moments_crc());
   }
 
   // Record the step's task graph only when someone is observing (a trace
@@ -581,9 +622,15 @@ void step_core::sdc_retry(const sdc_snapshot& snap, real dt) {
   ++sdc_retries_;
   apex::registry::instance().add(sdc_metrics().retries);
   try {
-    // Transient-error path: restore the in-memory pre-step snapshot and
-    // re-execute.  A deterministic second execution must agree bitwise
-    // (dual-execution compare-vote) before the retry is trusted.
+    // The u0 copies are the retry's source: they must still match the
+    // pre-step seals (retaken only once every detector passed).  A flip
+    // that landed before the copy is in them too — escalate.
+    each_leaf(space_.runtime(), topo_->leaves(), [this](index_t l) {
+      auditor_.verify_leaf(l, stage0_[leaf_slot_[l]]);
+    });
+    // Transient-error path: restore the pre-step state and re-execute.  A
+    // deterministic second execution must agree bitwise (dual-execution
+    // compare-vote) before the retry is trusted.
     sdc_restore(snap);
     step_attempt(dt);
     const std::uint64_t ballot_a = sdc_state_signature();
@@ -708,69 +755,13 @@ ledger step_core::measure() const {
 // ---------------------------------------------------------------------------
 
 void step_core::sdc_seal_all() {
-  auto& rt = space_.runtime();
-  std::vector<amt::future<void>> futs;
-  for (const index_t l : topo_->leaves())
-    futs.push_back(
-        amt::async([this, l] { auditor_.seal_leaf(l, grids_[l]); }, rt));
-  amt::wait_all(futs, rt);
+  each_leaf(space_.runtime(), topo_->leaves(),
+            [this](index_t l) { auditor_.seal_leaf(l, grids_[l]); });
   if (opt_.self_gravity) auditor_.seal_moments(grav_->moments_crc());
-}
-
-void step_core::sdc_verify_all() {
-  auto& rt = space_.runtime();
-  std::vector<amt::future<void>> futs;
-  for (const index_t l : topo_->leaves())
-    futs.push_back(
-        amt::async([this, l] { auditor_.verify_leaf(l, grids_[l]); }, rt));
-  // get_all, not wait_all: a seal mismatch must surface as sdc_detected.
-  amt::get_all(futs, rt);
-  if (opt_.self_gravity && auditor_.moments_sealed())
-    auditor_.verify_moments(grav_->moments_crc());
-}
-
-void step_core::sdc_apply_bitflips(std::int64_t step) {
-  auto& inj = fault::injector::instance();
-  if (!inj.armed()) return;
-  fault::bitflip_plan plan;
-  const auto& leaves = topo_->leaves();
-  // Resolve a plan's (loc, leaf) to a concrete node: leaf index modulo the
-  // target locality's owned-leaf count, so the spec stays valid across
-  // partition changes (rebalance / shrink-on-failure).  On one locality
-  // the pool is every leaf.
-  const auto pick_leaf = [&](const fault::bitflip_plan& p) {
-    const int loc = static_cast<int>(
-        p.loc % static_cast<std::uint64_t>(num_localities()));
-    std::vector<index_t> owned;
-    for (const index_t l : leaves)
-      if (leaf_owner(l) == loc) owned.push_back(l);
-    const auto& pool = owned.empty() ? leaves : owned;
-    return pool[static_cast<std::size_t>(p.leaf % pool.size())];
-  };
-  if (inj.state_bitflip_hook(static_cast<std::uint64_t>(step), &plan)) {
-    const index_t l = pick_leaf(plan);
-    apply_state_bitflip(grids_[l], plan.field, plan.cell, plan.bit);
-    OCTO_LOG_WARN("fault: injected state bitflip at step "
-                  << step << " locality " << leaf_owner(l) << " leaf " << l
-                  << " field "
-                  << plan.field % static_cast<std::uint64_t>(grid::NFIELD)
-                  << " bit " << plan.bit % 64);
-  }
-  if (inj.moment_bitflip_hook(static_cast<std::uint64_t>(step), &plan) &&
-      opt_.self_gravity) {
-    const index_t l = pick_leaf(plan);
-    grav_->apply_moment_bitflip(l, plan.field, plan.cell, plan.bit);
-    OCTO_LOG_WARN("fault: injected moment bitflip at step " << step
-                                                            << " node " << l);
-  }
 }
 
 sdc_snapshot step_core::sdc_take_snapshot() {
   sdc_snapshot snap;
-  const auto& leaves = topo_->leaves();
-  snap.nodes.assign(leaves.begin(), leaves.end());
-  snap.data.reserve(leaves.size());
-  for (const index_t l : leaves) snap.data.push_back(grids_[l].raw());
   snap.time = time_;
   snap.dt = dt_;
   snap.steps = steps_;
@@ -780,8 +771,8 @@ sdc_snapshot step_core::sdc_take_snapshot() {
 }
 
 void step_core::sdc_restore(const sdc_snapshot& snap) {
-  for (std::size_t i = 0; i < snap.nodes.size(); ++i)
-    grids_[snap.nodes[i]].raw() = snap.data[i];
+  for (const index_t l : topo_->leaves())
+    grids_[l].raw() = stage0_[leaf_slot_[l]].raw();
   // restore_state re-exchanges ghosts, re-solves gravity and recomputes dt
   // from the restored fields — bitwise identical to the pre-attempt state,
   // so the clean re-execution matches the original seals exactly.
@@ -812,12 +803,8 @@ void step_core::sdc_audit_and_seal(real dt_next, std::int64_t step) {
   // cadence; the seals are retaken every step (a stale seal cannot verify
   // legitimately evolved state).
   if (auditor_.invariants_due(step)) {
-    auto& rt = space_.runtime();
-    std::vector<amt::future<void>> futs;
-    for (const index_t l : topo_->leaves())
-      futs.push_back(
-          amt::async([this, l] { auditor_.audit_leaf(l, grids_[l]); }, rt));
-    amt::get_all(futs, rt);
+    each_leaf(space_.runtime(), topo_->leaves(),
+              [this](index_t l) { auditor_.audit_leaf(l, grids_[l]); });
     auditor_.audit_step(measure(), dt_next, step);
   }
   sdc_seal_all();

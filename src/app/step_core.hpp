@@ -181,7 +181,7 @@ class step_core {
   virtual void on_layout() {}
   /// initialize(): the initial state, ghosts, gravity and dt are derived.
   virtual void on_initialized() {}
-  /// step(): before the snapshot and any state mutation.
+  /// step(): before the entry pass (the u0 copy) and any state mutation.
   virtual void before_step() {}
   /// step(): an SDC retry succeeded.
   virtual void after_sdc_retry() {}
@@ -189,7 +189,8 @@ class step_core {
   virtual void after_step() {}
   /// step(): add the driver's columns to the step's record.
   virtual void finish_step_record(apex::step_record& /*rec*/) {}
-  /// SDC snapshot taken / restored: save or roll back driver counters.
+  /// SDC step entry (the scalar snapshot) taken / restored: save or roll
+  /// back driver counters.
   virtual void save_step_entry() {}
   virtual void restore_step_entry() {}
   /// Locality count and leaf owner (the bitflip injector's target pool).
@@ -236,7 +237,8 @@ class step_core {
   std::unique_ptr<tree::topology> topo_;
   std::unique_ptr<gravity::fmm_solver> grav_;
   std::vector<grid::subgrid> grids_;       ///< one per node (all nodes)
-  std::vector<grid::subgrid> stage0_;      ///< RK3 u0 copies (leaves only)
+  /// RK3 u0 copies (leaves only), also the SDC retry's restore source.
+  std::vector<grid::subgrid> stage0_;
   std::vector<index_t> leaf_slot_;         ///< node -> stage0 slot
   std::vector<std::vector<index_t>> leaves_by_level_;
 
@@ -263,27 +265,26 @@ class step_core {
   /// Max signal speed over cell width: leaf l's CFL bound.
   real signal_speed(index_t l) const;
 
-  /// Build and run one step graph in \p mode: the u0 snapshot and the
-  /// three RK stages with step \p dt when \p advance, else one hydro-less
-  /// stage; each stage is hydro -> restrict -> copy -> links -> prolong ->
-  /// set-density + FMM (build_solve), then the dt reduction and one
-  /// deterministic drain.  Sets dt_; barrier mode also adds the phase wall
-  /// times.
+  /// Build and run one step graph in \p mode: the three RK stages with
+  /// step \p dt when \p advance (the u0 copies are step_attempt's), else
+  /// one hydro-less stage; each stage is hydro -> restrict -> copy -> links
+  /// -> prolong -> set-density + FMM (build_solve), then the dt reduction
+  /// and one deterministic drain.  Sets dt_; barrier mode also adds the
+  /// phase wall times.
   void step_graph(step_mode mode, real dt, bool advance);
 
   // --- SDC containment (see app/invariants.hpp) --------------------------
-  /// One execution attempt of the step: apply any armed bitflip, verify
-  /// the seals, run the physics, audit the result, retake the seals.
-  /// Throws sdc_detected on a tripped detector.
+  /// One execution attempt of the step: the entry pass (per leaf: u0 copy,
+  /// armed state bitflip, seal verify), the physics, the audit, fresh
+  /// seals.  Throws sdc_detected on a tripped detector.
   void step_attempt(real dt);
-  /// Retry a tripped step from \p snap with a dual-execution compare-vote;
-  /// rethrows sdc_detected (the checkpoint-rollback escalation) when the
-  /// retry trips again or the two executions disagree.
+  /// Retry a tripped step from the u0 copies and \p snap with a
+  /// dual-execution compare-vote; rethrows sdc_detected (the
+  /// checkpoint-rollback escalation) when a u0 copy fails its pre-step
+  /// seal, the retry trips again or the two executions disagree.
   void sdc_retry(const sdc_snapshot& snap, real dt);
   sdc_snapshot sdc_take_snapshot();
   void sdc_restore(const sdc_snapshot& snap);
-  void sdc_apply_bitflips(std::int64_t step);
-  void sdc_verify_all();
   void sdc_audit_and_seal(real dt_next, std::int64_t step);
   /// Order-independent digest of the evolved state (leaf seals + dt), the
   /// dual-execution vote's ballot.

@@ -12,6 +12,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "app/checkpoint.hpp"
 #include "app/simulation.hpp"
 #include "common/fault.hpp"
@@ -33,8 +35,11 @@ struct FaultEnv : testing::Test {
 
   void SetUp() override {
     fault::injector::instance().reset();
+    // Per process: the suite runs this binary whole (under
+    // OCTO_STEP_MODE=dataflow) beside the per-case runs.
     dir = testing::TempDir() + "/octo_fault_" +
-          testing::UnitTest::GetInstance()->current_test_info()->name();
+          testing::UnitTest::GetInstance()->current_test_info()->name() +
+          "_" + std::to_string(::getpid());
     fs::remove_all(dir);
     fs::create_directories(dir);
   }

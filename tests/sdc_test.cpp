@@ -1,11 +1,12 @@
 /// End-to-end SDC fault-injection matrix (the tentpole acceptance): an
 /// injected conserved-state or multipole-moment bit flip is detected
-/// within one step, contained by the in-memory snapshot retry, escalated
-/// to checkpoint rollback when it re-fires on the retry, and the finished
-/// run is bitwise identical to an uninterrupted one — in app::simulation
-/// and dist::cluster (1 and 4 localities), composed with locality-kill
-/// recovery and dynamic rebalancing.  The whole binary is re-run under
-/// OCTO_STEP_MODE=dataflow by the suite (see tests/CMakeLists.txt).
+/// within one step, contained by a retry from the step's RK u0 copies,
+/// escalated to checkpoint rollback when it re-fires on the retry or landed
+/// before the u0 copy, and the finished run is bitwise identical to an
+/// uninterrupted one — in app::simulation and dist::cluster (1 and 4
+/// localities), composed with regrid, locality-kill recovery and dynamic
+/// rebalancing.  The whole binary is re-run under OCTO_STEP_MODE=dataflow
+/// by the suite (see tests/CMakeLists.txt).
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,8 @@
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "apex/analyze.hpp"
 #include "apex/metrics.hpp"
@@ -79,8 +82,11 @@ struct SdcEnv : testing::Test {
 
   void SetUp() override {
     fault::injector::instance().reset();
+    // Per process: the suite runs this binary whole (under
+    // OCTO_STEP_MODE=dataflow) beside the per-case runs.
     dir = testing::TempDir() + "/octo_sdc_" +
-          testing::UnitTest::GetInstance()->current_test_info()->name();
+          testing::UnitTest::GetInstance()->current_test_info()->name() +
+          "_" + std::to_string(::getpid());
     fs::remove_all(dir);
     fs::create_directories(dir);
   }
@@ -94,6 +100,19 @@ struct SdcEnv : testing::Test {
     o.num_localities = nloc;
     o.sim.max_level = 1;
     return o;
+  }
+
+  template <typename A, typename B>
+  static bool bitwise_equal(const A& a, const B& b) {
+    if (a.topo().num_leaves() != b.topo().num_leaves()) return false;
+    for (const index_t leaf : a.topo().leaves())
+      for (int f = 0; f < grid::NFIELD; ++f)
+        for (int i = 0; i < 8; ++i)
+          for (int j = 0; j < 8; ++j)
+            for (int k = 0; k < 8; ++k)
+              if (a.leaf(leaf).at(f, i, j, k) != b.leaf(leaf).at(f, i, j, k))
+                return false;
+    return true;
   }
 
   template <typename A, typename B>
@@ -115,7 +134,7 @@ struct SdcEnv : testing::Test {
 
 /// Matrix row 1: a single bit flip in *every* conserved field is detected
 /// in the very step it lands (the seal verify runs before the state is
-/// next read), repaired by one snapshot retry, and the run finishes
+/// next read), repaired by one retry from the u0 copies, and the run finishes
 /// bitwise identical to an uninterrupted baseline.
 TEST_F(SdcEnv, SimulationRepairsBitflipInEveryField) {
   const auto sc = bump_scenario();
@@ -211,6 +230,10 @@ TEST_F(SdcEnv, AuditDisabledMissesTheFlip) {
   so.self_gravity = false;
   so.audit.enabled = false;
 
+  app::simulation ref(sc, so);
+  ref.initialize();
+  for (int s = 0; s < 3; ++s) ref.step();
+
   fault::injector::instance().arm_state_bitflip(flip_at(2));
   app::simulation sim(sc, so);
   sim.initialize();
@@ -219,6 +242,61 @@ TEST_F(SdcEnv, AuditDisabledMissesTheFlip) {
   EXPECT_EQ(sim.sdc_audits(), 0u);
   EXPECT_EQ(sim.sdc_detections(), 0u);
   EXPECT_EQ(sim.sdc_retries(), 0u);
+  // ... and it really propagated into the final state.
+  EXPECT_FALSE(bitwise_equal(ref, sim));
+}
+
+/// A regrid rebuilds the u0 copies over the new leaves (build_layout); a
+/// flip in the step after it is still repaired from them.
+TEST_F(SdcEnv, SimulationRepairsBitflipAfterRegrid) {
+  const auto sc = bump_scenario();
+  app::sim_options so;
+  so.max_level = 2;
+  so.self_gravity = false;
+  so.rho_refine = real(1.2);  // the bump's core: refine the level-1 leaves
+
+  const auto run = [&](app::simulation& sim) {
+    sim.initialize();
+    sim.step();
+    ASSERT_TRUE(sim.regrid());
+    sim.step();  // the armed step
+    sim.step();
+  };
+  app::simulation ref(sc, so);
+  run(ref);
+
+  fault::injector::instance().arm_state_bitflip(
+      flip_at(/*step=*/2, /*loc=*/0, /*leaf=*/5, /*field=*/grid::f_egas));
+  app::simulation sim(sc, so);
+  run(sim);
+  EXPECT_EQ(fault::injector::instance().injected(), 1u);
+  EXPECT_EQ(sim.sdc_detections(), 1u);
+  EXPECT_EQ(sim.sdc_retries(), 1u);
+  EXPECT_EQ(sim.sdc_rollbacks(), 0u);
+  EXPECT_EQ(sim.time(), ref.time());
+  EXPECT_EQ(sim.dt(), ref.dt());
+  expect_bitwise_equal(ref, sim);
+}
+
+/// A flip that lands at rest *before* the step's u0 copy is in the copy
+/// too, so the retry cannot repair from it: the retry's check of the u0
+/// copies against the pre-step seals escalates instead of restoring (and
+/// resealing) corrupt state.
+TEST_F(SdcEnv, SimulationEscalatesWhenFlipPrecedesTheU0Copy) {
+  const auto sc = bump_scenario();
+  app::sim_options so;
+  so.max_level = 1;
+  so.self_gravity = false;
+
+  app::simulation sim(sc, so);
+  sim.initialize();
+  sim.step();
+  app::apply_state_bitflip(sim.leaf(sim.topo().leaves()[1]), grid::f_rho,
+                           /*cell=*/77, /*bit=*/40);
+  EXPECT_THROW(sim.step(), app::sdc_detected);
+  EXPECT_EQ(sim.sdc_detections(), 1u);
+  EXPECT_EQ(sim.sdc_retries(), 1u);
+  EXPECT_EQ(sim.sdc_rollbacks(), 1u);
 }
 
 /// Matrix row 2: the distributed cluster at 1 and 4 localities.  The flip

@@ -7,6 +7,8 @@
 #include <optional>
 #include <string>
 
+#include <unistd.h>
+
 #include "app/checkpoint.hpp"
 #include "app/simulation.hpp"
 #include "common/config.hpp"
@@ -205,7 +207,8 @@ TEST_F(SimEnv, CheckpointRoundTripBitwise) {
   sim.initialize();
   sim.step();
 
-  const std::string path = testing::TempDir() + "/octo_ckpt_test.bin";
+  const std::string path = testing::TempDir() + "/octo_ckpt_test_" +
+                           std::to_string(::getpid()) + ".bin";
   const auto bytes = write_checkpoint(sim, path);
   EXPECT_GT(bytes, 0u);
 
@@ -248,7 +251,8 @@ TEST_F(SimEnv, CheckpointRoundTripBitwise) {
 }
 
 TEST_F(SimEnv, CheckpointRejectsGarbage) {
-  const std::string path = testing::TempDir() + "/octo_ckpt_bad.bin";
+  const std::string path = testing::TempDir() + "/octo_ckpt_bad_" +
+                           std::to_string(::getpid()) + ".bin";
   {
     std::ofstream os(path, std::ios::binary);
     os << "definitely not a checkpoint";

@@ -16,6 +16,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "app/simulation.hpp"
 #include "common/fault.hpp"
 #include "dist/checkpoint.hpp"
@@ -163,8 +165,11 @@ struct RecoveryEnv : TransportEnv {
 
   void SetUp() override {
     TransportEnv::SetUp();
+    // Per process: the suite runs this binary whole (under
+    // OCTO_STEP_MODE=dataflow) beside the per-case runs.
     dir = testing::TempDir() + "/octo_recovery_" +
-          testing::UnitTest::GetInstance()->current_test_info()->name();
+          testing::UnitTest::GetInstance()->current_test_info()->name() +
+          "_" + std::to_string(::getpid());
     fs::remove_all(dir);
     fs::create_directories(dir);
   }
