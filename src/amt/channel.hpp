@@ -13,13 +13,7 @@
 /// (dist recovery closes and rebuilds all boundary channels when the
 /// cluster shrinks).  Sends to a closed channel are silently dropped, so a
 /// straggler in-flight delivery cannot resurrect a torn-down exchange.
-///
-/// `receive_for(timeout)` is the deadline variant: it waits helping the
-/// scheduler, and on timeout *cancels* its pending receive slot so a later
-/// send is not swallowed by an abandoned waiter.
 
-#include <chrono>
-#include <cstdint>
 #include <deque>
 #include <exception>
 #include <mutex>
@@ -53,7 +47,7 @@ class channel {
       const std::lock_guard<std::mutex> lock(m_);
       if (closed_) return;
       if (!receivers_.empty()) {
-        waiter = std::move(receivers_.front().p);
+        waiter = std::move(receivers_.front());
         receivers_.pop_front();
         have_waiter = true;
       } else {
@@ -79,7 +73,7 @@ class channel {
       } else if (closed_) {
         broken = true;
       } else {
-        receivers_.push_back({next_ticket_++, p});
+        receivers_.push_back(p);
       }
     }
     if (ready_value)
@@ -89,47 +83,11 @@ class channel {
     return f;
   }
 
-  /// Receive with a deadline: the value if one arrives within \p timeout,
-  /// std::nullopt otherwise.  On timeout the pending receive slot is
-  /// cancelled, so an abandoned wait never swallows a later send.  Throws
-  /// broken_channel if the channel is (or becomes) closed.
-  template <typename Rep, typename Period>
-  std::optional<T> receive_for(std::chrono::duration<Rep, Period> timeout,
-                               runtime& rt = runtime::global()) {
-    promise<T> p;
-    auto f = p.get_future();
-    std::uint64_t ticket = 0;
-    {
-      const std::lock_guard<std::mutex> lock(m_);
-      if (!values_.empty()) {
-        std::optional<T> v(std::move(values_.front()));
-        values_.pop_front();
-        return v;
-      }
-      if (closed_) throw broken_channel{};
-      ticket = next_ticket_++;
-      receivers_.push_back({ticket, p});
-    }
-    if (f.wait_for(timeout, rt)) return f.get(rt);  // may throw broken_channel
-    {
-      const std::lock_guard<std::mutex> lock(m_);
-      for (auto it = receivers_.begin(); it != receivers_.end(); ++it) {
-        if (it->ticket == ticket) {
-          receivers_.erase(it);
-          return std::nullopt;
-        }
-      }
-    }
-    // A send (or close) claimed our slot between the timeout and the
-    // cancellation attempt — the outcome is imminent; take it.
-    return f.get(rt);
-  }
-
   /// Close the channel: every pending receive fails with broken_channel
   /// now, every future receive fails immediately, sends are dropped.
   /// Buffered but unreceived values are discarded.  Idempotent.
   void close() {
-    std::deque<waiter> pending;
+    std::deque<promise<T>> pending;
     {
       const std::lock_guard<std::mutex> lock(m_);
       if (closed_) return;
@@ -138,7 +96,7 @@ class channel {
       values_.clear();
     }
     for (auto& w : pending)
-      w.p.set_exception(std::make_exception_ptr(broken_channel{}));
+      w.set_exception(std::make_exception_ptr(broken_channel{}));
   }
 
   bool is_closed() const {
@@ -159,17 +117,9 @@ class channel {
   }
 
  private:
-  /// Pending receiver; the ticket lets receive_for cancel exactly its own
-  /// slot on timeout.
-  struct waiter {
-    std::uint64_t ticket;
-    promise<T> p;
-  };
-
   mutable std::mutex m_;
   std::deque<T> values_;
-  std::deque<waiter> receivers_;
-  std::uint64_t next_ticket_ = 0;
+  std::deque<promise<T>> receivers_;  ///< pending receives, FIFO
   bool closed_ = false;
 };
 

@@ -248,20 +248,13 @@ class future {
   }
 
   /// Wait until \p deadline; true when the future became ready (the value
-  /// is NOT consumed — call get() to take it), false on timeout.
+  /// is NOT consumed — call get() to take it), false on timeout.  This is
+  /// the deadline primitive under dist::transport's ack waits — a lost
+  /// message costs one timeout window instead of hanging the exchange.
   bool wait_until(std::chrono::steady_clock::time_point deadline,
                   runtime& rt = runtime::global()) const {
     OCTO_ASSERT(valid());
     return state_->wait_until(&rt, deadline);
-  }
-
-  /// Wait at most \p timeout; true when ready, false on timeout.  This is
-  /// the deadline primitive under dist::transport's ack waits — a lost
-  /// message costs one timeout window instead of hanging the exchange.
-  template <typename Rep, typename Period>
-  bool wait_for(std::chrono::duration<Rep, Period> timeout,
-                runtime& rt = runtime::global()) const {
-    return wait_until(std::chrono::steady_clock::now() + timeout, rt);
   }
 
   /// Wait and retrieve; consumes the future's value.
@@ -469,24 +462,6 @@ future<void> when_all(std::vector<future<T>> futures,
     });
   }
   return result;
-}
-
-/// Gather the values of a vector of futures into a vector.
-template <typename T>
-future<std::vector<T>> when_all_values(std::vector<future<T>> futures,
-                                       runtime& rt = runtime::global()) {
-  struct gather_state {
-    std::vector<std::shared_ptr<detail::shared_state<T>>> states;
-  };
-  auto gs = std::make_shared<gather_state>();
-  gs->states.reserve(futures.size());
-  for (auto& f : futures) gs->states.push_back(f.state());
-  return when_all(std::move(futures), rt).then_inline([gs] {
-    std::vector<T> out;
-    out.reserve(gs->states.size());
-    for (auto& s : gs->states) out.push_back(s->take());
-    return out;
-  });
 }
 
 /// Wait for every future in the vector (helping the scheduler).

@@ -48,25 +48,4 @@ class event {
   std::atomic<bool> flag_{false};
 };
 
-/// Test-and-test-and-set spinlock for very short critical sections
-/// (used by per-sub-grid accumulation in the gravity solver).
-class spinlock {
- public:
-  void lock() {
-    while (true) {
-      if (!flag_.exchange(true, std::memory_order_acquire)) return;
-      while (flag_.load(std::memory_order_relaxed)) {
-        std::this_thread::yield();
-      }
-    }
-  }
-  bool try_lock() {
-    return !flag_.exchange(true, std::memory_order_acquire);
-  }
-  void unlock() { flag_.store(false, std::memory_order_release); }
-
- private:
-  std::atomic<bool> flag_{false};
-};
-
 }  // namespace octo::amt

@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -19,32 +18,6 @@ config config::from_args(int argc, const char* const* argv) {
     } else {
       c.set(tok.substr(0, eq), tok.substr(eq + 1));
     }
-  }
-  return c;
-}
-
-namespace {
-std::string trim(const std::string& s) {
-  const auto b = s.find_first_not_of(" \t\r\n");
-  if (b == std::string::npos) return {};
-  const auto e = s.find_last_not_of(" \t\r\n");
-  return s.substr(b, e - b + 1);
-}
-}  // namespace
-
-config config::from_file(const std::string& path) {
-  std::ifstream in(path);
-  OCTO_CHECK_MSG(in.good(), "cannot open config file " << path);
-  config c;
-  std::string line;
-  while (std::getline(in, line)) {
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    const auto eq = line.find('=');
-    if (eq == std::string::npos) continue;
-    const std::string key = trim(line.substr(0, eq));
-    const std::string val = trim(line.substr(eq + 1));
-    if (!key.empty()) c.set(key, val);
   }
   return c;
 }

@@ -26,9 +26,6 @@ class config {
   /// collected as positional arguments.
   static config from_args(int argc, const char* const* argv);
 
-  /// Parse a file of `key = value` lines ('#' starts a comment).
-  static config from_file(const std::string& path);
-
   /// Read one environment variable (nullopt when unset or empty).  A name
   /// starting with "OCTO_" must be declared in env_registry(); an
   /// unregistered read throws octo::error so new knobs cannot bypass the

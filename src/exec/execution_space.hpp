@@ -1,59 +1,28 @@
 #pragma once
 /// \file execution_space.hpp
-/// Execution spaces: where and how a kernel runs (Kokkos ExecutionSpace
-/// equivalent).
-///
-/// * `serial_space` — the calling thread, no tasking (Kokkos::Serial).
-/// * `amt_space` — the AMT runtime's worker threads (the Kokkos *HPX
-///   execution space* of the paper).  `launch_params::chunks` is the knob
-///   from §VII-C: chunks == 1 runs the kernel inline on the launching task
-///   (hot cache, the Octo-Tiger default); chunks == 16 splits one kernel
-///   launch into 16 tasks to avoid starvation during distributed
-///   tree traversals (Fig. 9).
+/// `amt_space`: the AMT runtime a kernel's tasks run on (the Kokkos *HPX
+/// execution space* of the paper).  It is only a runtime handle; kernels
+/// are plain functions that `amt::task_graph` tasks call.  The §VII-C
+/// per-launch split (Fig. 9: 1 vs 16 tasks per Multipole-kernel launch) is
+/// `gravity::gravity_options::m2l_chunks`, and the root's M2L always runs
+/// as row tasks (see `fmm_solver::build_solve`).
 
-#include "amt/future.hpp"
 #include "amt/runtime.hpp"
-#include "exec/policy.hpp"
 
 namespace octo::exec {
-
-/// Per-launch configuration (Kokkos "chunk size" / HPX executor parameters).
-struct launch_params {
-  /// Number of AMT tasks one kernel launch is split into.
-  int chunks = 1;
-};
-
-/// Runs kernels synchronously on the calling thread.
-struct serial_space {
-  static constexpr const char* name() { return "serial"; }
-};
 
 /// Runs kernels as tasks on an AMT runtime.
 class amt_space {
  public:
-  explicit amt_space(amt::runtime& rt, launch_params lp = {})
-      : rt_(&rt), lp_(lp) {
-    OCTO_ASSERT(lp_.chunks >= 1);
-  }
+  explicit amt_space(amt::runtime& rt) : rt_(&rt) {}
 
-  /// Default: the global runtime, one task per launch.
+  /// Default: the global runtime.
   amt_space() : rt_(&amt::runtime::global()) {}
 
-  static constexpr const char* name() { return "amt"; }
-
   amt::runtime& runtime() const { return *rt_; }
-  const launch_params& params() const { return lp_; }
-
-  /// Same space with a different chunk count (per-launch override).
-  amt_space with_chunks(int chunks) const {
-    launch_params lp = lp_;
-    lp.chunks = chunks;
-    return amt_space(*rt_, lp);
-  }
 
  private:
   amt::runtime* rt_;
-  launch_params lp_{};
 };
 
 }  // namespace octo::exec

@@ -112,31 +112,6 @@ TEST_F(ChannelTest, CloseRacesConcurrentReceivers) {
   EXPECT_EQ(broken, 64);
 }
 
-TEST_F(ChannelTest, ReceiveForReturnsBufferedValueImmediately) {
-  channel<int> ch;
-  ch.send(42);
-  const auto v = ch.receive_for(std::chrono::milliseconds(1), rt);
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, 42);
-}
-
-TEST_F(ChannelTest, ReceiveForTimesOutAndCancelsItsSlot) {
-  channel<int> ch;
-  const auto v = ch.receive_for(std::chrono::milliseconds(2), rt);
-  EXPECT_FALSE(v.has_value());
-  // The abandoned waiter must not swallow the next send.
-  EXPECT_EQ(ch.waiting(), 0u);
-  ch.send(7);
-  EXPECT_EQ(ch.receive().get(rt), 7);
-}
-
-TEST_F(ChannelTest, ReceiveForThrowsOnClosedChannel) {
-  channel<int> ch;
-  ch.close();
-  EXPECT_THROW(ch.receive_for(std::chrono::milliseconds(1), rt),
-               broken_channel);
-}
-
 TEST_F(ChannelTest, ProducerConsumerStress) {
   channel<int> ch;
   constexpr int N = 2000;

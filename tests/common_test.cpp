@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <fstream>
 #include <sstream>
 
 #include "common/config.hpp"
@@ -118,17 +117,6 @@ TEST(Config, MalformedValueThrows) {
   EXPECT_THROW(c.get("n", 0), error);
   c.set("b", "maybe");
   EXPECT_THROW(c.get("b", false), error);
-}
-
-TEST(Config, FromFile) {
-  const std::string path = testing::TempDir() + "/octo_config_test.cfg";
-  {
-    std::ofstream os(path);
-    os << "# comment\nlevel = 3\n  name= rotating_star # trailing\n\n";
-  }
-  const auto c = config::from_file(path);
-  EXPECT_EQ(c.get("level", 0), 3);
-  EXPECT_EQ(c.get("name", std::string()), "rotating_star");
 }
 
 TEST(Table, AlignsAndCounts) {

@@ -1,16 +1,15 @@
 /// Tests for the extension features: the HLLC Riemann solver, dynamic
-/// regridding, the Sedov blast scenario, slice/profile output, and the DES
-/// critical-path analysis.
+/// regridding, the Sedov blast scenario, the gridded rotating-star density,
+/// and the DES critical-path analysis.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <fstream>
+#include <utility>
+#include <vector>
 
-#include "app/output.hpp"
 #include "app/simulation.hpp"
-#include "app/vtk.hpp"
 #include "des/workload.hpp"
 #include "hydro/kernel.hpp"
 
@@ -127,13 +126,30 @@ TEST_F(ExtEnv, SedovBlastExpandsSpherically) {
   const auto l1 = sim.measure();
   // closed-box-like early phase: energy conserved to outflow level
   EXPECT_NEAR(l1.gas_energy, l0.gas_energy, 1e-6 * l0.gas_energy);
-  // shock moved outward: peak density now off-center
-  const auto prof = app::extract_radial_profile(sim, grid::f_rho, 0.9, 30);
-  std::size_t peak = 0;
-  for (std::size_t b = 1; b < prof.value.size(); ++b)
-    if (prof.value[b] > prof.value[peak]) peak = b;
-  EXPECT_GT(prof.r[peak], 0.05);
-  EXPECT_GT(prof.value[peak], 1.1);  // compression above ambient
+  // shock moved outward: the densest cell is off-center and compressed
+  // above ambient, the innermost cells (r = 0.054; the next shell is at
+  // r = 0.104) are evacuated below it
+  real r_peak = 0, rho_peak = 0, r_center = 1, rho_center = 0;
+  for (const index_t leaf : sim.topo().leaves()) {
+    const auto& u = sim.leaf(leaf);
+    for (int i = 0; i < N; ++i)
+      for (int j = 0; j < N; ++j)
+        for (int k = 0; k < N; ++k) {
+          const real r = norm(u.cell_center(i, j, k));
+          const real rho = u.at(grid::f_rho, i, j, k);
+          if (rho > rho_peak) {
+            rho_peak = rho;
+            r_peak = r;
+          }
+          if (r < r_center) {
+            r_center = r;
+            rho_center = rho;
+          }
+        }
+  }
+  EXPECT_GT(r_peak, 0.1);
+  EXPECT_GT(rho_peak, 1.1);
+  EXPECT_LT(rho_center, 1.0);
   // spherical symmetry: +x and +y momenta mirror to ~roundoff
   EXPECT_LT(norm(l1.momentum), 1e-10);
 }
@@ -196,21 +212,24 @@ TEST_F(ExtEnv, SliceExtractionCoversPlane) {
   opt.max_level = 2;
   app::simulation sim(sc, opt);
   sim.initialize();
-  const auto cells = app::extract_slice(sim, grid::f_rho, 2, 0.01);
-  // the z~0 plane of a level-2 uniform region: 32x32 cells
-  EXPECT_GE(cells.size(), 32u * 32u);
+  // leaf cells whose z-extent holds the plane z = 0.01
+  constexpr real z = 0.01;
+  std::size_t cells = 0;
   real peak = 0;
-  for (const auto& c : cells) peak = std::max(peak, c.value);
+  for (const index_t leaf : sim.topo().leaves()) {
+    const auto& u = sim.leaf(leaf);
+    for (int i = 0; i < N; ++i)
+      for (int j = 0; j < N; ++j)
+        for (int k = 0; k < N; ++k) {
+          const real zc = u.cell_center(i, j, k)[2];
+          if (z < zc - u.dx() / 2 || z >= zc + u.dx() / 2) continue;
+          ++cells;
+          peak = std::max(peak, u.at(grid::f_rho, i, j, k));
+        }
+  }
+  // the z~0 plane of a level-2 uniform region: 32x32 cells
+  EXPECT_GE(cells, 32u * 32u);
   EXPECT_GT(peak, 1.0);  // stellar core density
-
-  const std::string path = testing::TempDir() + "/octo_slice.csv";
-  const auto n = app::write_slice_csv(sim, grid::f_rho, 2, 0.01, path);
-  EXPECT_EQ(n, cells.size());
-  std::ifstream in(path);
-  std::string header;
-  std::getline(in, header);
-  EXPECT_EQ(header, "x,y,dx,rho");
-  std::remove(path.c_str());
 }
 
 TEST_F(ExtEnv, RadialProfileMonotoneForPolytrope) {
@@ -219,15 +238,22 @@ TEST_F(ExtEnv, RadialProfileMonotoneForPolytrope) {
   opt.max_level = 2;
   app::simulation sim(sc, opt);
   sim.initialize();
-  const auto prof = app::extract_radial_profile(sim, grid::f_rho, 0.4, 10);
-  // Skip bins narrower than the grid spacing (no cell centers fall there).
-  real prev = -1;
-  for (std::size_t b = 0; b < prof.value.size(); ++b) {
-    if (prof.count[b] == 0) continue;
-    if (prev >= 0)
-      EXPECT_LE(prof.value[b], prev * (1 + 1e-6)) << "bin " << b;
-    prev = prof.value[b];
+  // cells sample the polytrope at their centers: sorted by radius, the
+  // density never rises
+  std::vector<std::pair<real, real>> cells;  // (radius, density)
+  for (const index_t leaf : sim.topo().leaves()) {
+    const auto& u = sim.leaf(leaf);
+    for (int i = 0; i < N; ++i)
+      for (int j = 0; j < N; ++j)
+        for (int k = 0; k < N; ++k)
+          cells.emplace_back(norm(u.cell_center(i, j, k)),
+                             u.at(grid::f_rho, i, j, k));
   }
+  ASSERT_FALSE(cells.empty());
+  std::sort(cells.begin(), cells.end());
+  for (std::size_t c = 1; c < cells.size(); ++c)
+    ASSERT_LE(cells[c].second, cells[c - 1].second * (1 + 1e-6))
+        << "r=" << cells[c].first;
 }
 
 TEST(McLimiter, UniformStateStillZeroDivergence) {
@@ -275,30 +301,6 @@ TEST(McLimiter, ReconstructsLinearProfilesExactly) {
   hydro::flux_divergence(u, mc, w2, d2);
   for (std::size_t c = 0; c < d1.size(); ++c)
     ASSERT_NEAR(d1[c], d2[c], 1e-11 * std::max(std::abs(d1[c]), real(1)));
-}
-
-TEST_F(ExtEnv, VtkOutputWellFormed) {
-  auto sc = scen::rotating_star();
-  app::sim_options opt;
-  opt.max_level = 1;
-  app::simulation sim(sc, opt);
-  sim.initialize();
-  const std::string path = testing::TempDir() + "/octo_out.vtk";
-  const auto bytes = app::write_vtk(sim, path);
-  EXPECT_GT(bytes, 0u);
-  std::ifstream in(path);
-  std::string line;
-  std::getline(in, line);
-  EXPECT_EQ(line, "# vtk DataFile Version 3.0");
-  // count CELL blocks
-  std::size_t cells_decl = 0, scalars = 0;
-  while (std::getline(in, line)) {
-    if (line.rfind("CELLS ", 0) == 0) ++cells_decl;
-    if (line.rfind("SCALARS ", 0) == 0) ++scalars;
-  }
-  EXPECT_EQ(cells_decl, 1u);
-  EXPECT_EQ(scalars, 2u);  // rho + egas by default
-  std::remove(path.c_str());
 }
 
 TEST(CriticalPath, ChainAndWidth) {

@@ -116,14 +116,6 @@ TEST_F(FutureTest, WhenAllEmpty) {
   EXPECT_TRUE(f.is_ready());
 }
 
-TEST_F(FutureTest, WhenAllValuesGathers) {
-  std::vector<future<int>> futs;
-  for (int i = 0; i < 5; ++i) futs.push_back(async([i] { return i * i; }, rt));
-  auto vals = when_all_values(std::move(futs), rt).get(rt);
-  ASSERT_EQ(vals.size(), 5u);
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(vals[static_cast<std::size_t>(i)], i * i);
-}
-
 TEST_F(FutureTest, WhenAllPropagatesException) {
   std::vector<future<int>> futs;
   futs.push_back(async([]() -> int { return 1; }, rt));

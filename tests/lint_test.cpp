@@ -87,6 +87,17 @@ TEST(Lint, MissingCtestTimeoutFixtureIsDetected) {
             2);
 }
 
+TEST(Lint, OrphanHeaderFixtureIsDetected) {
+  std::vector<finding> fs;
+  lint_orphan_headers(
+      std::string(OCTO_REPO_ROOT) + "/tests/lint_fixtures/orphan_tree", fs);
+  // Only the header that nothing but its own .cpp and a test includes;
+  // the directory-relative and perfbench/ includes keep the others alive.
+  ASSERT_EQ(fs.size(), 1u);
+  EXPECT_EQ(fs[0].rule, "orphan-header");
+  EXPECT_EQ(fs[0].file, "src/lib/orphan.hpp");
+}
+
 TEST(Lint, CleanFixturePasses) {
   std::vector<finding> fs;
   lint_cpp_text("src/clean.cpp", fixture("clean.cpp"), repo_registries(),

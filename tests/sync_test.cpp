@@ -1,9 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <mutex>
-#include <thread>
-
 #include "amt/runtime.hpp"
 #include "amt/sync.hpp"
 
@@ -33,32 +29,6 @@ TEST(Event, SetAndWait) {
   rt.post([&] { e.set(); });
   e.wait(rt);
   EXPECT_TRUE(e.is_set());
-}
-
-TEST(Spinlock, MutualExclusion) {
-  spinlock sl;
-  long long counter = 0;
-  constexpr int N = 50000;
-  auto work = [&] {
-    for (int i = 0; i < N; ++i) {
-      const std::lock_guard<spinlock> g(sl);
-      ++counter;
-    }
-  };
-  std::thread t1(work), t2(work);
-  work();
-  t1.join();
-  t2.join();
-  EXPECT_EQ(counter, 3LL * N);
-}
-
-TEST(Spinlock, TryLock) {
-  spinlock sl;
-  EXPECT_TRUE(sl.try_lock());
-  EXPECT_FALSE(sl.try_lock());
-  sl.unlock();
-  EXPECT_TRUE(sl.try_lock());
-  sl.unlock();
 }
 
 }  // namespace

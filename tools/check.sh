@@ -1,6 +1,7 @@
 #!/bin/sh
-# Project correctness gate: octo_lint + the registry/schema sync tests,
-# plus clang-tidy over src/ when available.  Run from anywhere:
+# Project correctness gate: octo_lint + the registry/schema sync tests, a
+# build of the stand-alone perfbench driver, plus clang-tidy over src/ when
+# available.  Run from anywhere:
 #
 #   tools/check.sh [BUILD_DIR]      # default build dir: ./build
 #
@@ -25,6 +26,13 @@ cmake --build "$build_dir" --target lint_test metrics_test -- -j >/dev/null
 "$build_dir/tests/lint_test" --gtest_brief=1
 "$build_dir/tests/metrics_test" \
   --gtest_filter='Metrics.SchemaMatchesCsvJsonlAndDocs' --gtest_brief=1
+
+# perfbench/ compiles ../src directly with its own CMake tree and is not
+# part of the build above, so a src/ API change that breaks it fails here.
+echo "== perfbench build =="
+perfbench_build="$build_dir/perfbench-check"
+cmake -S "$repo_root/perfbench" -B "$perfbench_build" >/dev/null
+cmake --build "$perfbench_build" --parallel 4 >/dev/null
 
 if command -v clang-tidy >/dev/null 2>&1; then
   echo "== clang-tidy (bugprone/concurrency/performance) =="

@@ -280,6 +280,26 @@ std::string add_test_name(const std::string& text, std::size_t open,
   return {};
 }
 
+/// Targets of the `#include "..."` lines in \p text.
+std::vector<std::string> quoted_includes(const std::string& text) {
+  std::vector<std::string> out;
+  std::istringstream lines(text);
+  std::string line;
+  while (std::getline(lines, line)) {
+    std::size_t p = line.find_first_not_of(" \t");
+    if (p == std::string::npos || line[p] != '#') continue;
+    p = line.find_first_not_of(" \t", p + 1);
+    if (p == std::string::npos || line.compare(p, 7, "include") != 0)
+      continue;
+    const std::size_t q0 = line.find('"', p + 7);
+    if (q0 == std::string::npos) continue;
+    const std::size_t q1 = line.find('"', q0 + 1);
+    if (q1 != std::string::npos)
+      out.push_back(line.substr(q0 + 1, q1 - q0 - 1));
+  }
+  return out;
+}
+
 }  // namespace
 
 std::vector<std::string> parse_registry_table(const std::string& file_text,
@@ -365,6 +385,48 @@ void lint_cmake_text(const std::string& path, const std::string& text,
   }
 }
 
+void lint_orphan_headers(const std::string& root,
+                         std::vector<finding>& out) {
+  const fs::path r(root);
+  std::vector<fs::path> headers, includers;
+  for (const char* dir : {"src", "tools", "bench", "examples", "perfbench"}) {
+    const fs::path d = r / dir;
+    if (!fs::exists(d)) continue;
+    for (const auto& e : fs::recursive_directory_iterator(d)) {
+      if (!e.is_regular_file()) continue;
+      const std::string ext = e.path().extension().string();
+      if (ext != ".cpp" && ext != ".hpp") continue;
+      includers.push_back(e.path().lexically_normal());
+      if (ext == ".hpp" && std::string(dir) == "src")
+        headers.push_back(e.path().lexically_normal());
+    }
+  }
+  std::sort(headers.begin(), headers.end());
+  std::vector<bool> used(headers.size(), false);
+  for (const auto& f : includers) {
+    for (const std::string& inc : quoted_includes(read_file(f))) {
+      for (const fs::path& cand :
+           {(r / "src" / inc).lexically_normal(),
+            (f.parent_path() / inc).lexically_normal()}) {
+        const auto it = std::find(headers.begin(), headers.end(), cand);
+        if (it == headers.end()) continue;
+        fs::path own_cpp = cand;
+        own_cpp.replace_extension(".cpp");
+        if (f != own_cpp)
+          used[static_cast<std::size_t>(it - headers.begin())] = true;
+      }
+    }
+  }
+  for (std::size_t i = 0; i < headers.size(); ++i)
+    if (!used[i])
+      out.push_back(finding{fs::relative(headers[i], r).generic_string(), 1,
+                            "orphan-header",
+                            "no file under src/ (other than its own .cpp), "
+                            "tools/, bench/, examples/ or perfbench/ "
+                            "includes this header — code only tests reach "
+                            "is dead"});
+}
+
 std::vector<finding> run(const std::string& repo_root) {
   const registries reg = load_registries(repo_root);
   std::vector<finding> out;
@@ -396,6 +458,7 @@ std::vector<finding> run(const std::string& repo_root) {
     const std::string rel = fs::relative(f, root).generic_string();
     lint_cmake_text(rel, read_file(f), out);
   }
+  lint_orphan_headers(repo_root, out);
   return out;
 }
 

@@ -18,8 +18,12 @@
 ///   ctest-timeout   an add_test() without a TIMEOUT property, or a
 ///                   gtest_discover_tests() without PROPERTIES TIMEOUT —
 ///                   a hung test must fail the suite, not wedge it
+///   orphan-header   a header under src/ that no file under src/ (other
+///                   than its own .cpp), tools/, bench/, examples/ or
+///                   perfbench/ #includes — code only tests reach is dead
 ///
-/// A line containing `octo-lint-allow(<rule>)` is exempt from <rule>.
+/// A line containing `octo-lint-allow(<rule>)` is exempt from <rule>
+/// (orphan-header has no escape: give the header a consumer or delete it).
 /// Paths containing "lint_fixtures" are never scanned by run() — they hold
 /// the deliberately-broken inputs tests/lint_test.cpp feeds the per-file
 /// entry points below.
@@ -63,9 +67,14 @@ void lint_cpp_text(const std::string& path, const std::string& text,
 void lint_cmake_text(const std::string& path, const std::string& text,
                      std::vector<finding>& out);
 
+/// The orphan-header rule over the tree at \p root.  Quoted includes
+/// resolve against <root>/src and against the including file's directory;
+/// perfbench/ is only read, never linted.
+void lint_orphan_headers(const std::string& root, std::vector<finding>& out);
+
 /// Walk the tree (src/ tools/ tests/ bench/ examples/ + every
 /// CMakeLists.txt) and apply all rules.  Skips paths containing
-/// "lint_fixtures".
+/// "lint_fixtures".  Adds the orphan-header findings.
 std::vector<finding> run(const std::string& repo_root);
 
 }  // namespace octo::lint
