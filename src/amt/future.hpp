@@ -464,17 +464,10 @@ future<void> when_all(std::vector<future<T>> futures,
   return result;
 }
 
-/// Wait for every future in the vector (helping the scheduler).
-template <typename T>
-void wait_all(std::vector<future<T>>& futures,
-              runtime& rt = runtime::global()) {
-  for (auto& f : futures) f.wait(rt);
-}
-
-/// Wait for every future, then rethrow the first exception any of them
-/// holds.  Unlike wait_all(), a task failure is not silently dropped —
-/// fault-detection paths (e.g. ghost-slab checksum mismatches) use this so
-/// corruption fails the whole exchange loudly.  All futures are drained
+/// Wait for every future (helping the scheduler), then rethrow the first
+/// exception any of them holds, so a task failure is never silently
+/// dropped — fault-detection paths (e.g. ghost-slab checksum mismatches)
+/// rely on this to fail the whole exchange loudly.  All futures are drained
 /// before the rethrow, so channels and other shared structures are left in
 /// a consistent state for a post-rollback retry.
 template <typename T>

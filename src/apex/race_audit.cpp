@@ -31,6 +31,10 @@ const char* rgn_name(rgn r) {
 
 namespace {
 
+/// Stop collecting after this many conflicts (the graph is usually either
+/// clean or systematically broken).
+constexpr std::size_t max_conflicts = 32;
+
 rgn rgn_from_name(const std::string& s) {
   for (int i = 0; i <= static_cast<int>(rgn::dtred); ++i)
     if (s == rgn_name(static_cast<rgn>(i))) return static_cast<rgn>(i);
@@ -169,7 +173,7 @@ race_audit_result audit_races(const graph_profile& g,
         c.first_access = *lo.acc;
         c.second_access = *hi.acc;
         res.conflicts.push_back(std::move(c));
-        if (res.conflicts.size() >= opt.max_conflicts) return res;
+        if (res.conflicts.size() >= max_conflicts) return res;
       }
     }
   }

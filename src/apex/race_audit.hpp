@@ -100,9 +100,6 @@ struct race_audit_options {
   /// edge bug class without introducing an actual race.
   std::string drop_edge_from;
   std::string drop_edge_to;
-  /// Stop collecting after this many conflicts (the graph is usually
-  /// either clean or systematically broken).
-  std::size_t max_conflicts = 32;
 };
 
 struct race_audit_result {

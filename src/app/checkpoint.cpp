@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <utility>
 
 #include "amt/future.hpp"
 #include "apex/apex.hpp"
@@ -25,6 +26,8 @@ constexpr std::size_t cells = std::size_t(grid::NFIELD) * N * N * N;
 struct ckpt_metrics {
   apex::metric_id write = apex::registry::instance().timer("ckpt.write");
   apex::metric_id restore = apex::registry::instance().timer("ckpt.restore");
+  apex::metric_id written =
+      apex::registry::instance().counter("ckpt.written");
   apex::metric_id faults =
       apex::registry::instance().counter("fault.injected");
 };
@@ -170,6 +173,11 @@ void unpack_leaf_fields(const std::vector<real>& flat, grid::subgrid& g) {
         for (int k = 0; k < N; ++k) g.at(f, i, j, k) = flat[c++];
 }
 
+namespace {
+
+/// Write \p data to \p path atomically (temp file + rename).  Returns
+/// bytes written.  Throws octo::error on IO failure or injected fault, in
+/// which case \p path still holds its previous contents.
 std::size_t write_checkpoint_file(const checkpoint_data& data,
                                   const std::string& path) {
   const apex::scoped_timer apex_t(metrics().write);
@@ -220,6 +228,8 @@ std::size_t write_checkpoint_file(const checkpoint_data& data,
                                                    << ")");
   return total;
 }
+
+}  // namespace
 
 checkpoint_data read_checkpoint(const std::string& path) {
   const apex::scoped_trace_span trace_span("ckpt.restore");
@@ -283,45 +293,52 @@ checkpoint_data read_checkpoint(const std::string& path) {
   return data;
 }
 
-std::size_t write_checkpoint(const simulation& sim, const std::string& path) {
+std::size_t write_checkpoint(const step_core& core, const std::string& path,
+                             std::vector<std::uint64_t> stats) {
   checkpoint_data data;
-  data.time = sim.time();
-  data.step = sim.steps_taken();
-  data.dt = sim.dt();
-  data.domain_half = sim.topo().domain_half_width();
-  data.max_level = sim.topo().max_depth();
+  data.time = core.time();
+  data.step = core.steps_taken();
+  data.dt = core.dt();
+  data.domain_half = core.topo().domain_half_width();
+  data.max_level = core.topo().max_depth();
+  data.stats = std::move(stats);
 
-  const auto& leaves = sim.topo().leaves();
+  // Leaf records in SFC order — dist::cluster's distribution key, so a
+  // restored cluster shards identically.  One amt task packs each leaf.
+  const auto& leaves = core.topo().leaves();
   data.leaf_codes.resize(leaves.size());
   data.fields.resize(leaves.size());
-  auto& rt = sim.space().runtime();
+  auto& rt = core.space().runtime();
   std::vector<amt::future<void>> futs;
   futs.reserve(leaves.size());
   for (std::size_t s = 0; s < leaves.size(); ++s) {
     futs.push_back(amt::async(
-        [&sim, &data, &leaves, s] {
+        [&core, &data, &leaves, s] {
           const index_t l = leaves[s];
-          data.leaf_codes[s] = sim.topo().node(l).code;
-          data.fields[s] = pack_leaf_fields(sim.leaf(l));
+          data.leaf_codes[s] = core.topo().node(l).code;
+          data.fields[s] = pack_leaf_fields(core.leaf(l));
         },
         rt));
   }
   amt::get_all(futs, rt);
-  return write_checkpoint_file(data, path);
+  const std::size_t bytes = write_checkpoint_file(data, path);
+  apex::registry::instance().add(metrics().written);
+  return bytes;
 }
 
-void restore_checkpoint(simulation& sim, const checkpoint_data& data) {
+void restore_checkpoint(step_core& core, const checkpoint_data& data) {
   const apex::scoped_timer apex_t(metrics().restore);
+  const apex::scoped_trace_span trace_span("ckpt.restore");
   OCTO_CHECK_MSG(static_cast<index_t>(data.leaf_codes.size()) ==
-                     sim.topo().num_leaves(),
+                     core.topo().num_leaves(),
                  "checkpoint leaf count mismatch");
   for (std::size_t s = 0; s < data.leaf_codes.size(); ++s) {
-    const index_t node = sim.topo().find(data.leaf_codes[s]);
-    OCTO_CHECK_MSG(node != tree::invalid_node && sim.topo().node(node).leaf,
+    const index_t node = core.topo().find(data.leaf_codes[s]);
+    OCTO_CHECK_MSG(node != tree::invalid_node && core.topo().node(node).leaf,
                    "checkpoint topology mismatch at leaf " << s);
-    unpack_leaf_fields(data.fields[s], sim.leaf(node));
+    unpack_leaf_fields(data.fields[s], core.leaf(node));
   }
-  sim.restore_state(data.time, data.step);
+  core.restore_state(data.time, data.step);
 }
 
 }  // namespace octo::app

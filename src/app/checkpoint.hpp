@@ -22,8 +22,9 @@
 ///
 /// The `stats` words are an opaque extension slot: empty for
 /// `app::simulation`, the four exchange_stats counters for the
-/// multi-locality `dist::cluster` (dist/checkpoint.hpp), which reuses this
-/// record layer leaf-by-leaf along its SFC partition.
+/// multi-locality `dist::cluster` (dist/checkpoint.hpp).  Both drivers
+/// write and restore through write_checkpoint() / restore_checkpoint()
+/// below.
 ///
 /// Ghost cells are not stored; restore re-exchanges ghosts, re-solves
 /// gravity, and recomputes the CFL dt from the restored fields, which is
@@ -34,15 +35,14 @@
 #include <string>
 #include <vector>
 
-#include "app/simulation.hpp"
+#include "app/step_core.hpp"
 
 namespace octo::app {
 
 /// On-disk checkpoint version written by this build.
 inline constexpr std::int64_t checkpoint_version = 2;
 
-/// Result of reading a checkpoint back (also the writer's input — the
-/// cluster writer in dist/ fills one of these from its partition).
+/// Result of reading a checkpoint back (also the writer's input).
 struct checkpoint_data {
   real time = 0;
   std::int64_t step = 0;
@@ -64,24 +64,22 @@ std::vector<real> pack_leaf_fields(const grid::subgrid& g);
 /// Unpack a leaf record payload back into \p g's owned cells.
 void unpack_leaf_fields(const std::vector<real>& flat, grid::subgrid& g);
 
-/// Write \p data to \p path atomically (temp file + rename).  Returns
-/// bytes written.  Throws octo::error on IO failure or injected fault, in
-/// which case \p path still holds its previous contents.
-std::size_t write_checkpoint_file(const checkpoint_data& data,
-                                  const std::string& path);
-
 /// Read and fully verify a checkpoint; throws octo::error naming the
 /// failing record (header / leaf record / trailer) on any corruption.
 checkpoint_data read_checkpoint(const std::string& path);
 
-/// Write the current state of \p sim to \p path (atomic, v2).  Returns
-/// bytes written.
-std::size_t write_checkpoint(const simulation& sim, const std::string& path);
+/// Write the current state of either driver to \p path (atomic, v2), with
+/// \p stats as the header's extension words.  Returns bytes written and
+/// counts `ckpt.written`.
+std::size_t write_checkpoint(const step_core& core, const std::string& path,
+                             std::vector<std::uint64_t> stats = {});
 
-/// Restore a checkpoint into a simulation whose topology has the same leaf
+/// Restore a checkpoint into a driver whose topology has the same leaf
 /// codes (throws otherwise): sub-grid contents, then time/step via
-/// simulation::restore_state(), which re-exchanges ghosts and recomputes
-/// dt so the next step() is bitwise identical to an uninterrupted run.
-void restore_checkpoint(simulation& sim, const checkpoint_data& data);
+/// step_core::restore_state(), which re-exchanges ghosts and recomputes dt
+/// so the next step() is bitwise identical to an uninterrupted run.
+/// Samples the `ckpt.restore` timer.  The extension words are the
+/// caller's to read.
+void restore_checkpoint(step_core& core, const checkpoint_data& data);
 
 }  // namespace octo::app

@@ -12,6 +12,20 @@
 
 namespace octo::app {
 
+namespace {
+
+/// Conservation drift trips when one step's drift exceeds
+/// `drift_ratio * max(EWMA drift, drift_floor)`.
+constexpr double drift_ratio = 100.0;
+constexpr double drift_floor = 1e-12;
+constexpr double ewma_alpha = 0.3;
+/// Audited steps that only feed the EWMA before drift checks arm.
+constexpr int warmup = 3;
+/// CFL-dt sanity: dt may not grow by more than this factor per step.
+constexpr double dt_growth = 8.0;
+
+}  // namespace
+
 bool audit_options::default_audit_enabled() {
   const auto v = config::env("OCTO_AUDIT");
   return !v || *v != "0";
@@ -139,7 +153,7 @@ void invariant_auditor::audit_step(const ledger& now, real dt,
     detected(os.str());
   }
   if (hist_.have_prev && hist_.prev_dt > 0 &&
-      static_cast<double>(dt) > opt_.dt_growth * hist_.prev_dt) {
+      static_cast<double>(dt) > dt_growth * hist_.prev_dt) {
     std::ostringstream os;
     os << "CFL dt grew " << static_cast<double>(dt) / hist_.prev_dt
        << "x in one step (" << hist_.prev_dt << " -> " << dt << ") at step "
@@ -171,9 +185,9 @@ void invariant_auditor::audit_step(const ledger& now, real dt,
       // bitwise exact.
       const double scale =
           std::max({std::abs(q[c]), std::abs(hist_.prev[c]), 1.0});
-      const double tol = opt_.drift_ratio *
-                         std::max(hist_.ewma[c], opt_.drift_floor * scale);
-      if (hist_.audited > opt_.warmup && drift > tol) {
+      const double tol =
+          drift_ratio * std::max(hist_.ewma[c], drift_floor * scale);
+      if (hist_.audited > warmup && drift > tol) {
         std::ostringstream os;
         os << "conservation drift: global " << names[c] << " jumped by "
            << drift << " in one step (EWMA drift " << hist_.ewma[c]
@@ -182,8 +196,8 @@ void invariant_auditor::audit_step(const ledger& now, real dt,
       }
       hist_.ewma[c] = hist_.audited == 0
                           ? drift
-                          : (1.0 - opt_.ewma_alpha) * hist_.ewma[c] +
-                                opt_.ewma_alpha * drift;
+                          : (1.0 - ewma_alpha) * hist_.ewma[c] +
+                                ewma_alpha * drift;
     }
     ++hist_.audited;
   }

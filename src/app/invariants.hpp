@@ -66,15 +66,6 @@ struct audit_options {
   /// seals are per-step regardless — a stale seal cannot be re-verified
   /// once the state legitimately evolves).
   int every = default_audit_every();
-  /// Conservation drift trips when one step's drift exceeds
-  /// `drift_ratio * max(EWMA drift, drift_floor)`.
-  double drift_ratio = 100.0;
-  double drift_floor = 1e-12;
-  double ewma_alpha = 0.3;
-  /// Audited steps that only feed the EWMA before drift checks arm.
-  int warmup = 3;
-  /// CFL-dt sanity: dt may not grow by more than this factor per step.
-  double dt_growth = 8.0;
 
   static bool default_audit_enabled();
   static int default_audit_every();

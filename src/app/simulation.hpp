@@ -19,12 +19,6 @@ class simulation : public step_core {
   /// Returns true if the topology changed.
   bool regrid();
 
-  /// Narrow restore hook for checkpointing: overwrite the integration
-  /// clock (leaf fields must already hold the checkpointed state), then
-  /// rebuild the derived state exactly as an uninterrupted run would carry
-  /// it — re-exchange ghosts, re-solve gravity, recompute the CFL dt.
-  using step_core::restore_state;
-
   index_t num_leaves() const { return topo_->num_leaves(); }
   index_t num_cells() const { return topo_->num_cells(); }
 

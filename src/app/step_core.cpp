@@ -50,13 +50,12 @@ bool default_audit_races() {
 
 step_core::step_core(const scen::scenario& sc, sim_options opt,
                      exec::amt_space space, bool leaf_links,
-                     bool measure_costs, double cost_alpha)
+                     bool measure_costs)
     : scenario_(sc),
       opt_(opt),
       space_(space),
       leaf_links_(leaf_links),
-      measure_costs_(measure_costs),
-      cost_alpha_(cost_alpha) {}
+      measure_costs_(measure_costs) {}
 
 void step_core::initialize() {
   topo_ = std::make_unique<tree::topology>(scenario_.domain_half,
@@ -113,7 +112,7 @@ void step_core::build_layout() {
     leaves_by_level_[static_cast<std::size_t>(topo_->node(l).level)]
         .push_back(l);
   // Leaf slots changed identity: measured history no longer lines up.
-  cost_model_.reset(measure_costs_ ? leaves.size() : 0, cost_alpha_);
+  cost_model_.reset(measure_costs_ ? leaves.size() : 0);
 }
 
 void step_core::rederive_state() {

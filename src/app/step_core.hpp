@@ -74,6 +74,7 @@ struct sim_options {
   /// Density threshold for dynamic regridding ("AMR is based on the
   /// density field", §IV-C): regrid() refines every region whose density
   /// exceeds this value, up to max_level.
+  // option kept: ExtEnv.RegridRefinesWhereDense
   real rho_refine = real(1e-3);
   /// Step execution mode (see step_mode; default honors OCTO_STEP_MODE).
   step_mode mode = default_step_mode();
@@ -132,6 +133,13 @@ class step_core {
 
   ledger measure() const;
 
+  /// Restore hook for checkpointing (app/checkpoint.hpp): overwrite the
+  /// clock (leaf fields must already hold the state), then rebuild derived
+  /// state — re-exchange ghosts, re-solve gravity, recompute the CFL dt —
+  /// and retake the seals, bitwise identical to what an uninterrupted run
+  /// carries at this point.
+  void restore_state(real time, std::int64_t step);
+
   /// Attach a metrics sink: every step() then emits one structured record
   /// (per-phase wall times, processed sub-grid cells/second).  The sink
   /// must outlive the driver; pass nullptr to detach.
@@ -158,10 +166,10 @@ class step_core {
   using sf = amt::shared_future<void>;
 
   /// \p leaf_links: leaf-to-leaf ghost faces travel through the driver's
-  /// link hooks instead of the copy task.  \p measure_costs / \p cost_alpha
-  /// configure the per-leaf cost model.
+  /// link hooks instead of the copy task.  \p measure_costs switches on
+  /// the per-leaf cost model (EWMA weight 0.3, leaf_cost_model's default).
   step_core(const scen::scenario& sc, sim_options opt, exec::amt_space space,
-            bool leaf_links, bool measure_costs, double cost_alpha = 0.3);
+            bool leaf_links, bool measure_costs);
 
   /// The step graph while step_graph() builds it: the task graph itself
   /// and the per-node task edges of the current and previous RK stage,
@@ -213,10 +221,6 @@ class step_core {
   }
 
   // --- shared machinery for the drivers -----------------------------------
-  /// Overwrite the clock (leaf fields must already hold the state), then
-  /// rebuild derived state and retake the seals — bitwise identical to
-  /// what an uninterrupted run carries at this point.
-  void restore_state(real time, std::int64_t step);
   /// Leaf slots, stage-0 copies, per-level leaf lists, gravity solver and
   /// cost model for the current topology.
   void build_layout();
@@ -292,7 +296,6 @@ class step_core {
 
   const bool leaf_links_;
   const bool measure_costs_;
-  const double cost_alpha_;
 
   apex::metrics_sink* metrics_ = nullptr;
   apex::step_record last_metrics_{};

@@ -32,13 +32,8 @@ struct workload_options {
   int m2l_chunks = 1;
   bool use_gpus = true;
   bool gravity = true;
-  int rk_stages = 3;
+  // option kept: ROADMAP item 7 (kernel costs from measurements)
   machine::kernel_work work{};
-  /// Bookkeeping cost of the §VII-B promise/future notification, charged
-  /// per neighbor slab (local and remote) when comm_opt is on — the "make
-  /// sure the local neighbors are up-to-date" machinery.  Against the
-  /// savings of skipped serialization this produces Fig. 8's break-even.
-  real sync_overhead_us = real(3.9);
 };
 
 /// Build the DAG of one full timestep.

@@ -5,9 +5,7 @@
 #include <filesystem>
 #include <vector>
 
-#include "amt/future.hpp"
 #include "apex/apex.hpp"
-#include "apex/trace.hpp"
 #include "common/error.hpp"
 #include "common/log.hpp"
 
@@ -20,8 +18,6 @@ namespace {
 struct driver_counters {
   apex::metric_id rollbacks =
       apex::registry::instance().counter("ckpt.rollbacks");
-  apex::metric_id written =
-      apex::registry::instance().counter("ckpt.written");
 };
 driver_counters& counters() {
   static driver_counters c;
@@ -53,59 +49,23 @@ std::vector<std::string> list_checkpoints(const std::string& dir) {
 }  // namespace
 
 std::size_t write_checkpoint(const cluster& cl, const std::string& path) {
-  app::checkpoint_data data;
-  data.time = cl.time();
-  data.step = cl.steps_taken();
-  data.dt = cl.dt();
-  data.domain_half = cl.topo().domain_half_width();
-  data.max_level = cl.topo().max_depth();
   const auto& st = cl.stats();
-  data.stats = {st.local_direct, st.local_serialized, st.remote_messages,
-                st.bytes_serialized};
-
-  // Leaf records in SFC order — the partition's distribution key, so a
-  // restored run shards identically.  Payload packing is one amt task per
-  // leaf, as every other per-leaf phase of the cluster.
-  const auto& leaves = cl.topo().leaves();
-  data.leaf_codes.resize(leaves.size());
-  data.fields.resize(leaves.size());
-  auto& rt = cl.space().runtime();
-  std::vector<amt::future<void>> futs;
-  futs.reserve(leaves.size());
-  for (std::size_t s = 0; s < leaves.size(); ++s) {
-    futs.push_back(amt::async(
-        [&cl, &data, &leaves, s] {
-          const index_t l = leaves[s];
-          data.leaf_codes[s] = cl.topo().node(l).code;
-          data.fields[s] = app::pack_leaf_fields(cl.leaf(l));
-        },
-        rt));
-  }
-  amt::get_all(futs, rt);
-  const std::size_t bytes = app::write_checkpoint_file(data, path);
-  apex::registry::instance().add(counters().written);
-  return bytes;
+  return app::write_checkpoint(cl, path,
+                               {st.local_direct, st.local_serialized,
+                                st.remote_messages, st.bytes_serialized});
 }
 
 void restore_checkpoint(cluster& cl, const app::checkpoint_data& data) {
-  const apex::scoped_trace_span trace_span("ckpt.restore");
-  OCTO_CHECK_MSG(static_cast<index_t>(data.leaf_codes.size()) ==
-                     cl.topo().num_leaves(),
-                 "checkpoint leaf count mismatch");
   OCTO_CHECK_MSG(data.stats.size() == 4,
                  "not a cluster checkpoint (missing exchange_stats words)");
-  for (std::size_t s = 0; s < data.leaf_codes.size(); ++s) {
-    const index_t node = cl.topo().find(data.leaf_codes[s]);
-    OCTO_CHECK_MSG(node != tree::invalid_node && cl.topo().node(node).leaf,
-                   "checkpoint topology mismatch at leaf " << s);
-    app::unpack_leaf_fields(data.fields[s], cl.leaf(node));
-  }
+  app::restore_checkpoint(cl, data);
   exchange_stats st;
   st.local_direct = data.stats[0];
   st.local_serialized = data.stats[1];
   st.remote_messages = data.stats[2];
   st.bytes_serialized = data.stats[3];
-  cl.restore_state(data.time, data.step, st);
+  // Last, so the checkpointed counters win over the restore exchange.
+  cl.restore_stats(st);
 }
 
 std::string newest_valid_checkpoint(const std::string& dir) {

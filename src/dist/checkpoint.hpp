@@ -2,12 +2,11 @@
 /// \file checkpoint.hpp (dist)
 /// Fault-tolerant checkpoint/restart for the multi-locality cluster.
 ///
-/// Reuses the v2 record layer of app/checkpoint.hpp: per-leaf records in
-/// SFC order (the partition's distribution key, so a restored run shards
-/// identically), the full integration state (time, step, dt) in the
-/// header, and the four exchange_stats counters in the header's extension
-/// words.  Leaf payloads are packed concurrently via amt::async on the
-/// cluster's own runtime.
+/// Writes and restores through app/checkpoint.hpp, which both drivers
+/// share (per-leaf records in SFC order, the integration state in the
+/// header, the `ckpt.written` counter and `ckpt.restore` timer); the
+/// cluster adds its four exchange_stats counters as the header's
+/// extension words.
 ///
 /// `run_with_checkpoints` is the resilience driver the paper's Fugaku-scale
 /// runs rely on: step the cluster, checkpoint every `every` steps keeping
@@ -26,18 +25,23 @@
 
 namespace octo::dist {
 
-/// Write the cluster's state to \p path (atomic, v2).  Returns bytes.
+/// app::write_checkpoint with the four exchange_stats counters as the
+/// header's extension words.  Returns bytes.
 std::size_t write_checkpoint(const cluster& cl, const std::string& path);
 
-/// Restore a verified checkpoint into a cluster whose topology has the
-/// same leaf codes (throws otherwise); see cluster::restore_state().
+/// app::restore_checkpoint, then the exchange_stats counters from the
+/// extension words (throws if the file carries none).
 void restore_checkpoint(cluster& cl, const app::checkpoint_data& data);
 
 struct run_options {
   std::string dir;       ///< directory for ckpt_<step>.bin files
   int every = 1;         ///< checkpoint cadence in steps
-  int keep = 3;          ///< retain the newest K checkpoint files
-  int max_restarts = 8;  ///< give up (rethrow) after this many rollbacks
+  /// Retain the newest K checkpoint files.
+  // option kept: FaultEnv.RollbackReplayMatchesUninterruptedRunBitwise
+  int keep = 3;
+  /// Give up (rethrow) after this many rollbacks.
+  // option kept: FaultEnv.DriverGivesUpAfterMaxRestarts
+  int max_restarts = 8;
 };
 
 struct run_result {

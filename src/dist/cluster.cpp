@@ -20,10 +20,17 @@
 
 namespace octo::dist {
 
+namespace {
+
+/// Heartbeat deadline for locality-failure detection; a locality that has
+/// not beaten this long after the step opened is declared dead.
+constexpr double heartbeat_deadline_ms = 25;
+
+}  // namespace
+
 cluster::cluster(const scen::scenario& sc, dist_options opt,
                  exec::amt_space space)
-    : step_core(sc, opt.sim, space, /*leaf_links=*/true, opt.lb.measuring(),
-                opt.lb.ewma_alpha),
+    : step_core(sc, opt.sim, space, /*leaf_links=*/true, opt.lb.measuring()),
       dopt_(std::move(opt)) {
   OCTO_CHECK(dopt_.num_localities >= 1);
   // OCTO_TRACE naming an existing directory selects the distributed-trace
@@ -222,7 +229,7 @@ void cluster::update_replicas() {
     futs.push_back(amt::async(
         [this, s, l = leaves[s]] { replicas_[s] = grids_[l]; }, rt));
   }
-  amt::wait_all(futs, rt);
+  amt::get_all(futs, rt);
 }
 
 // ---------------------------------------------------------------------------
@@ -465,7 +472,7 @@ void cluster::before_step() {
     if (locality_alive_[static_cast<std::size_t>(loc)] &&
         inj.locality_alive(loc))
       monitor_.beat(loc);
-  auto dead = monitor_.overdue(dopt_.heartbeat_deadline_ms);
+  auto dead = monitor_.overdue(heartbeat_deadline_ms);
   if (dead.empty() && monitor_.window_suspended()) {
     // A suspended window (post-rebalance/recovery quiescence) skips the
     // deadline so a slow survivor is not misdeclared — but a locality
@@ -528,11 +535,6 @@ void cluster::finish_step_record(apex::step_record& rec) {
   }
 }
 
-void cluster::restore_state(real time, std::int64_t step,
-                            const exchange_stats& st) {
-  step_core::restore_state(time, step);
-  // Last, so the checkpointed counters win over the restore exchange.
-  stats_ = st;
-}
+void cluster::restore_stats(const exchange_stats& st) { stats_ = st; }
 
 }  // namespace octo::dist

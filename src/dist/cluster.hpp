@@ -62,8 +62,6 @@ struct lb_options {
   /// Hysteresis: apply a candidate partition only when the current
   /// measured max/mean exceeds the projected one by this factor.
   double min_gain = 1.05;
-  /// EWMA weight of the newest step in the per-leaf cost model.
-  double ewma_alpha = 0.3;
 
   bool measuring() const { return measure || every > 0; }
 };
@@ -77,9 +75,6 @@ struct dist_options {
   /// the baseline for measuring the robustness tax (bench_fig8).
   bool reliable_transport = true;
   transport_options transport{};
-  /// Heartbeat deadline for locality-failure detection; a locality that
-  /// has not beaten this long after the step opened is declared dead.
-  double heartbeat_deadline_ms = 25;
   /// Keep an in-memory buddy replica of every leaf's state on the next
   /// surviving locality along the SFC — the online recovery source.
   bool buddy_replication = true;
@@ -109,12 +104,10 @@ class cluster : public app::step_core {
   /// Writes the distributed trace bundle (see set_trace_dir) when armed.
   ~cluster() override;
 
-  /// Narrow restore hook for checkpointing (dist/checkpoint.hpp): the leaf
-  /// fields must already hold the checkpointed state; this overwrites the
-  /// integration clock and exchange statistics, re-exchanges ghosts,
-  /// re-solves gravity and recomputes the CFL dt — bitwise identical to
-  /// the state an uninterrupted run carries after the same step.
-  void restore_state(real time, std::int64_t step, const exchange_stats& st);
+  /// Checkpoint restore's last step (dist/checkpoint.hpp): overwrite the
+  /// exchange statistics after step_core::restore_state() has re-exchanged
+  /// the ghosts, so the checkpointed counters win.
+  void restore_stats(const exchange_stats& st);
 
   /// Live locality-failure recovery (implemented in recovery.cpp): mark
   /// \p dead localities dead, shrink the partition over the survivors,

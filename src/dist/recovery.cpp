@@ -16,6 +16,10 @@ namespace octo::dist {
 
 namespace {
 
+/// run_with_recovery gives up (rethrows locality_failure) after this many
+/// recoveries.
+constexpr int max_recoveries = 4;
+
 struct recovery_counters {
   apex::metric_id localities_lost =
       apex::registry::instance().counter("recovery.localities_lost");
@@ -199,7 +203,7 @@ void cluster::recover_locality_failure(const std::vector<int>& dead,
     for (const index_t l : lost)
       futs.push_back(amt::async(
           [this, l] { grids_[l] = replicas_[leaf_slot_[l]]; }, rt));
-    amt::wait_all(futs, rt);
+    amt::get_all(futs, rt);
     // Derived state over the shrunk partition: ghosts, gravity, dt.
     rederive_state();
     OCTO_LOG_INFO("recovery: restored " << lost.size()
@@ -242,13 +246,12 @@ void cluster::recover_locality_failure(const std::vector<int>& dead,
 
 recovery_result run_with_recovery(cluster& cl, int target_steps,
                                   const recovery_options& opt) {
-  OCTO_CHECK(opt.max_recoveries >= 0);
   recovery_result res;
   while (cl.steps_taken() < target_steps) {
     try {
       cl.step();
     } catch (const locality_failure& f) {
-      if (++res.recoveries > opt.max_recoveries) {
+      if (++res.recoveries > max_recoveries) {
         OCTO_LOG_WARN("run_with_recovery: giving up after "
                       << res.recoveries - 1 << " recoveries: " << f.what());
         throw;

@@ -21,7 +21,7 @@
 ///     every boundary channel and the transport layer, then re-derives
 ///     ghosts/gravity/dt so the run continues with correct physics;
 ///   * `run_with_recovery` — the driver: step to target, recover in place
-///     on every locality_failure, give up after max_recoveries.
+///     on every locality_failure, give up after 4 recoveries.
 ///
 /// Kill injection: `OCTO_FAULT_LOCALITY_KILL=<loc>:<step>` (or
 /// `fault::injector::arm_locality_kill`).  Observability: apex counters
@@ -119,8 +119,6 @@ struct recovery_options {
   /// Checkpoint directory for the rollback fallback when a buddy replica
   /// is unavailable (empty: replicas are the only recovery source).
   std::string ckpt_dir;
-  /// Give up (rethrow locality_failure) after this many recoveries.
-  int max_recoveries = 4;
 };
 
 struct recovery_result {
@@ -130,8 +128,8 @@ struct recovery_result {
 };
 
 /// Step \p cl until steps_taken() == \p target_steps, recovering in place
-/// from every detected locality failure.  Throws the last failure once
-/// opt.max_recoveries is exhausted, and any non-failure error unchanged.
+/// from every detected locality failure.  Throws the last failure after 4
+/// recoveries, and any non-failure error unchanged.
 recovery_result run_with_recovery(cluster& cl, int target_steps,
                                   const recovery_options& opt = {});
 

@@ -19,6 +19,11 @@ namespace octo::dist {
 
 namespace {
 
+/// Ack deadline growth per retransmission.
+constexpr double backoff_factor = 2;
+/// Ack deadline noise, as a fraction of the window.
+constexpr double jitter = 0.25;
+
 struct transport_counters {
   apex::metric_id messages =
       apex::registry::instance().counter("transport.messages");
@@ -109,7 +114,7 @@ struct transport::state {
                                     std::memory_order_relaxed);
     const double u =
         static_cast<double>(splitmix64(s) >> 11) * 0x1.0p-53;  // [0, 1)
-    return 1.0 + opt.jitter * (2 * u - 1);
+    return 1.0 + jitter * (2 * u - 1);
   }
 };
 
@@ -238,7 +243,6 @@ transport::transport(int num_links, transport_options opt, amt::runtime& rt)
     : state_(std::make_shared<state>()) {
   OCTO_CHECK(num_links >= 0);
   OCTO_CHECK(opt.ack_timeout_ms > 0 && opt.max_retries >= 0);
-  OCTO_CHECK(opt.backoff_factor >= 1 && opt.jitter >= 0 && opt.jitter < 1);
   state_->opt = opt;
   state_->rt = &rt;
   state_->links = std::vector<state::link_state>(
@@ -305,7 +309,7 @@ void transport::send(int link, int src_loc, int dst_loc,
     const apex::scoped_trace_span retry_span("transport.retry");
     st->retries.fetch_add(1, std::memory_order_relaxed);
     apex::registry::instance().add(counters().retries);
-    window_ms *= st->opt.backoff_factor;
+    window_ms *= backoff_factor;
   }
 }
 

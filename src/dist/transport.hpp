@@ -57,10 +57,13 @@ class transport_error : public error {
 };
 
 struct transport_options {
-  double ack_timeout_ms = 10;  ///< first attempt's ack deadline
-  int max_retries = 10;        ///< retransmissions after the first attempt
-  double backoff_factor = 2;   ///< deadline growth per retransmission
-  double jitter = 0.25;        ///< deadline noise, fraction of the window
+  /// First attempt's ack deadline; it doubles per retransmission, with
+  /// +-25 % jitter.
+  // option kept: TransportEnv.ThrowsAfterRetriesExhausted
+  double ack_timeout_ms = 10;
+  /// Retransmissions after the first attempt.
+  // option kept: TransportEnv.ThrowsAfterRetriesExhausted
+  int max_retries = 10;
 };
 
 /// Monotonic counters, snapshotted by stats().

@@ -34,6 +34,9 @@
 namespace octo::gravity {
 
 struct gravity_options {
+  /// A runtime value on purpose: a compile-time G = 1 could let the
+  /// compiler re-contract the M2L FMAs and change bits.
+  // option kept: bitwise M2L contract (gravity_test ChunkCountBitwise.*)
   real G = units::G_code;
   /// Select the vector-ABI kernels (paper's SVE toggle, Fig. 7).
   bool use_simd = true;

@@ -148,87 +148,11 @@ state_pack<P> hll_flux(const state_pack<P>& UL, const state_pack<P>& UR,
   return F;
 }
 
-/// HLLC flux: restores the middle (contact) wave missing from HLL.
-/// Star-region speed and states follow Toro §10.4; passive scalars ride
-/// the density ratio.
-template <typename P>
-state_pack<P> hllc_flux(const state_pack<P>& UL, const state_pack<P>& UR,
-                        int axis, const ideal_gas& gas) {
-  const prim_pack<P> qL = to_prim(UL, gas);
-  const prim_pack<P> qR = to_prim(UR, gas);
-  const P vaL = axis == 0 ? qL.vx : (axis == 1 ? qL.vy : qL.vz);
-  const P vaR = axis == 0 ? qR.vx : (axis == 1 ? qR.vy : qR.vz);
-  const P sL = min(vaL - qL.cs, vaR - qR.cs);
-  const P sR = max(vaL + qL.cs, vaR + qR.cs);
-  const state_pack<P> FL = phys_flux(UL, qL, axis);
-  const state_pack<P> FR = phys_flux(UR, qR, axis);
-
-  // contact speed
-  const P mL = qL.rho * (sL - vaL);
-  const P mR = qR.rho * (sR - vaR);
-  const P den = mL - mR;
-  const P inv_den = P(1) / select(abs(den) > P(1e-300), den, P(1e-300));
-  const P sStar = (qR.p - qL.p + mL * vaL - mR * vaR) * inv_den;
-
-  // star states
-  const auto star = [&](const state_pack<P>& U, const prim_pack<P>& q,
-                        const P& s, const P& va) {
-    const P factor = q.rho * (s - va) / (s - sStar);
-    state_pack<P> W;
-    W.rho = factor;
-    const P ratio = factor / max(U.rho, P(gas.rho_floor));
-    W.sx = U.sx * ratio;
-    W.sy = U.sy * ratio;
-    W.sz = U.sz * ratio;
-    if (axis == 0) W.sx = factor * sStar;
-    if (axis == 1) W.sy = factor * sStar;
-    if (axis == 2) W.sz = factor * sStar;
-    const P e_over_rho = U.egas / max(U.rho, P(gas.rho_floor));
-    W.egas = factor * (e_over_rho +
-                       (sStar - va) * (sStar + q.p / (q.rho * (s - va))));
-    W.tau = U.tau * ratio;
-    W.spc0 = U.spc0 * ratio;
-    W.spc1 = U.spc1 * ratio;
-    return W;
-  };
-  const state_pack<P> WL = star(UL, qL, sL, vaL);
-  const state_pack<P> WR = star(UR, qR, sR, vaR);
-
-  // F = FK + sK (U*K - UK) in the star regions.
-  const auto left_outer = sL >= P(0);
-  const auto left_star = sStar >= P(0);
-  const auto right_outer = sR <= P(0);
-  state_pack<P> F;
-  const auto blend = [&](const P& fl, const P& fr, const P& ul, const P& ur,
-                         const P& wl, const P& wr) {
-    const P fsl = fl + sL * (wl - ul);
-    const P fsr = fr + sR * (wr - ur);
-    const P mid = select(left_star, fsl, fsr);
-    return select(left_outer, fl, select(right_outer, fr, mid));
-  };
-  F.rho = blend(FL.rho, FR.rho, UL.rho, UR.rho, WL.rho, WR.rho);
-  F.sx = blend(FL.sx, FR.sx, UL.sx, UR.sx, WL.sx, WR.sx);
-  F.sy = blend(FL.sy, FR.sy, UL.sy, UR.sy, WL.sy, WR.sy);
-  F.sz = blend(FL.sz, FR.sz, UL.sz, UR.sz, WL.sz, WR.sz);
-  F.egas = blend(FL.egas, FR.egas, UL.egas, UR.egas, WL.egas, WR.egas);
-  F.tau = blend(FL.tau, FR.tau, UL.tau, UR.tau, WL.tau, WR.tau);
-  F.spc0 = blend(FL.spc0, FR.spc0, UL.spc0, UR.spc0, WL.spc0, WR.spc0);
-  F.spc1 = blend(FL.spc1, FR.spc1, UL.spc1, UR.spc1, WL.spc1, WR.spc1);
-  return F;
-}
-
 template <typename P>
 P pack_minmod(P a, P b) {
   const auto opposite = a * b <= P(0);
   const P m = select(abs(a) < abs(b), a, b);
   return select(opposite, P(0), m);
-}
-
-/// Monotonized-central limiter: minmod(2a, 2b, (a+b)/2).
-template <typename P>
-P pack_mc(P a, P b) {
-  const P c = (a + b) * P(0.5);
-  return pack_minmod(pack_minmod(P(2) * a, P(2) * b), c);
 }
 
 /// Cell stride along an axis in the linear (field-block) index space.
@@ -238,7 +162,6 @@ constexpr index_t axis_stride(int axis) {
 
 template <typename P>
 void flux_divergence_impl(const subgrid& u, const ideal_gas& gas,
-                          riemann_solver rs, slope_limiter lim,
                           workspace& ws, real* dudt) {
   static_assert(N % 1 == 0);
   const int W = P::size();
@@ -267,10 +190,7 @@ void flux_divergence_impl(const subgrid& u, const ideal_gas& gas,
               um.copy_from(src + c - st);
               u0.copy_from(src + c);
               up.copy_from(src + c + st);
-              const P s = lim == slope_limiter::mc
-                              ? pack_mc(up - u0, u0 - um)
-                              : pack_minmod(up - u0, u0 - um);
-              s.copy_to(sl + c);
+              pack_minmod(up - u0, u0 - um).copy_to(sl + c);
             }
       }
     }
@@ -287,9 +207,7 @@ void flux_divergence_impl(const subgrid& u, const ideal_gas& gas,
             state_pack<P> UL, UR;
             load_recon(u, ws, c - st, real(0.5), UL);
             load_recon(u, ws, c, real(-0.5), UR);
-            const state_pack<P> F = rs == riemann_solver::hllc
-                                        ? hllc_flux(UL, UR, axis, gas)
-                                        : hll_flux(UL, UR, axis, gas);
+            const state_pack<P> F = hll_flux(UL, UR, axis, gas);
             F.rho.copy_to(ws.flux(grid::f_rho) + c);
             F.sx.copy_to(ws.flux(grid::f_sx) + c);
             F.sy.copy_to(ws.flux(grid::f_sy) + c);
@@ -349,11 +267,9 @@ void flux_divergence(const subgrid& u, const hydro_options& opt,
   // The paper's "Reconstruct + Flux" Kokkos kernel; one span per sub-grid.
   const apex::scoped_trace_span span("hydro.flux_divergence");
   if (opt.use_simd) {
-    flux_divergence_impl<vector_pack>(u, opt.gas, opt.riemann, opt.limiter,
-                                      ws, dudt.data());
+    flux_divergence_impl<vector_pack>(u, opt.gas, ws, dudt.data());
   } else {
-    flux_divergence_impl<scalar_pack>(u, opt.gas, opt.riemann, opt.limiter,
-                                      ws, dudt.data());
+    flux_divergence_impl<scalar_pack>(u, opt.gas, ws, dudt.data());
   }
 }
 

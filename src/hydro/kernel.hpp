@@ -20,16 +20,6 @@
 
 namespace octo::hydro {
 
-/// Approximate Riemann solver selection.  HLL is Octo-Tiger's robust
-/// default; HLLC restores the contact wave (stationary contacts are kept
-/// exactly) at slightly higher cost.
-enum class riemann_solver { hll, hllc };
-
-/// Slope limiter for the piecewise-linear reconstruction.  minmod is the
-/// most diffusive/robust; MC (monotonized central) is sharper while still
-/// TVD.
-enum class slope_limiter { minmod, mc };
-
 struct hydro_options {
   ideal_gas gas{};
   /// Rotating-frame angular frequency about z (the binary's orbital
@@ -37,8 +27,6 @@ struct hydro_options {
   real omega = 0;
   /// Select the vector-ABI kernels (the paper's SVE toggle).
   bool use_simd = true;
-  riemann_solver riemann = riemann_solver::hll;
-  slope_limiter limiter = slope_limiter::minmod;
 };
 
 /// Number of reals in a du/dt block (owned cells only, all fields).

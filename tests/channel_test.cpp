@@ -124,7 +124,7 @@ TEST_F(ChannelTest, ProducerConsumerStress) {
   for (int i = 1; i <= N; ++i) {
     rt.post([&ch, i] { ch.send(i); });
   }
-  wait_all(consumers, rt);
+  get_all(consumers, rt);
   EXPECT_EQ(sum.load(), static_cast<long long>(N) * (N + 1) / 2);
 }
 

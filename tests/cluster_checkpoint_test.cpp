@@ -14,6 +14,7 @@
 
 #include <unistd.h>
 
+#include "apex/apex.hpp"
 #include "app/checkpoint.hpp"
 #include "app/simulation.hpp"
 #include "common/fault.hpp"
@@ -160,6 +161,46 @@ TEST_F(FaultEnv, ClusterCheckpointRoundTripBitwise) {
   cl2.step();
   EXPECT_EQ(cl2.time(), cl.time());
   expect_bitwise_equal(cl, cl2);
+}
+
+/// Both drivers share one checkpoint path, so both count a write in
+/// `ckpt.written` and time a restore in `ckpt.restore`.
+TEST_F(FaultEnv, BothDriversCountCheckpointWritesAndTimeRestores) {
+  const auto& reg = apex::registry::instance();
+  const auto written = [&reg] {
+    for (const auto& c : reg.counters())
+      if (c.name == "ckpt.written") return c.value;
+    return std::uint64_t{0};
+  };
+  const auto restores = [&reg] {
+    for (const auto& t : reg.timers())
+      if (t.name == "ckpt.restore") return t.calls;
+    return std::uint64_t{0};
+  };
+  auto sc = scen::rotating_star();
+  app::sim_options so;
+  so.max_level = 1;
+  app::simulation sim(sc, so);
+  sim.initialize();
+  cluster cl(sc, base_opts(2, 1));
+  cl.initialize();
+
+  const std::string sim_path = dir + "/sim.bin";
+  std::uint64_t w0 = written();
+  app::write_checkpoint(sim, sim_path);
+  EXPECT_EQ(written(), w0 + 1) << "app::simulation write";
+  const std::string cl_path = dir + "/cluster.bin";
+  w0 = written();
+  write_checkpoint(cl, cl_path);
+  EXPECT_EQ(written(), w0 + 1) << "dist::cluster write";
+
+  std::uint64_t r0 = restores();
+  app::restore_checkpoint(sim, app::read_checkpoint(sim_path));
+  EXPECT_EQ(restores(), r0 + 1) << "app::simulation restore";
+  const auto cl_data = app::read_checkpoint(cl_path);
+  r0 = restores();
+  restore_checkpoint(cl, cl_data);
+  EXPECT_EQ(restores(), r0 + 1) << "dist::cluster restore";
 }
 
 /// Acceptance: a run interrupted by an injected fault, restarted from its

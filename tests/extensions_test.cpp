@@ -1,6 +1,6 @@
-/// Tests for the extension features: the HLLC Riemann solver, dynamic
-/// regridding, the Sedov blast scenario, the gridded rotating-star density,
-/// and the DES critical-path analysis.
+/// Tests for the extension features: dynamic regridding, the Sedov blast
+/// scenario, the gridded rotating-star density, and the DES critical-path
+/// analysis.
 
 #include <gtest/gtest.h>
 
@@ -11,102 +11,12 @@
 
 #include "app/simulation.hpp"
 #include "des/workload.hpp"
-#include "hydro/kernel.hpp"
 
 namespace octo {
 namespace {
 
 using grid::subgrid;
 constexpr int N = subgrid::N;
-constexpr int G = subgrid::G;
-
-void fill_contact(subgrid& u, const hydro::ideal_gas& gas) {
-  for (int i = -G; i < N + G; ++i)
-    for (int j = -G; j < N + G; ++j)
-      for (int k = -G; k < N + G; ++k) {
-        const real rho = i < N / 2 ? 1.0 : 2.0;
-        const real eint = 1.0 / (gas.gamma - 1);
-        u.at(grid::f_rho, i, j, k) = rho;
-        u.at(grid::f_sx, i, j, k) = 0;
-        u.at(grid::f_sy, i, j, k) = 0;
-        u.at(grid::f_sz, i, j, k) = 0;
-        u.at(grid::f_egas, i, j, k) = eint;
-        u.at(grid::f_tau, i, j, k) = std::pow(eint, 1 / gas.gamma);
-        u.at(grid::f_spc0, i, j, k) = rho;
-        u.at(grid::f_spc1, i, j, k) = 0;
-      }
-}
-
-TEST(Hllc, StationaryContactExactlyPreserved) {
-  // HLLC resolves the contact wave: a stationary density jump at uniform
-  // pressure produces exactly zero flux divergence (HLL diffuses it).
-  hydro::hydro_options hllc;
-  hllc.riemann = hydro::riemann_solver::hllc;
-  hydro::hydro_options hll;
-  hll.riemann = hydro::riemann_solver::hll;
-
-  subgrid u(rvec3{0, 0, 0}, 0.1);
-  fill_contact(u, hllc.gas);
-  hydro::workspace ws;
-  std::vector<real> d_hllc(static_cast<std::size_t>(hydro::dudt_size), 0);
-  std::vector<real> d_hll(static_cast<std::size_t>(hydro::dudt_size), 0);
-  hydro::flux_divergence(u, hllc, ws, d_hllc);
-  hydro::flux_divergence(u, hll, ws, d_hll);
-
-  real hllc_max = 0, hll_max = 0;
-  for (std::size_t c = 0; c < d_hllc.size(); ++c) {
-    hllc_max = std::max(hllc_max, std::abs(d_hllc[c]));
-    hll_max = std::max(hll_max, std::abs(d_hll[c]));
-  }
-  EXPECT_LT(hllc_max, 1e-11);  // exact contact preservation
-  EXPECT_GT(hll_max, 1e-3);    // HLL diffuses the contact
-}
-
-TEST(Hllc, UniformFlowZeroDivergence) {
-  hydro::hydro_options opt;
-  opt.riemann = hydro::riemann_solver::hllc;
-  subgrid u(rvec3{0, 0, 0}, 0.1);
-  const real eint = 1.0 / (opt.gas.gamma - 1);
-  for (int i = -G; i < N + G; ++i)
-    for (int j = -G; j < N + G; ++j)
-      for (int k = -G; k < N + G; ++k) {
-        u.at(grid::f_rho, i, j, k) = 1.3;
-        u.at(grid::f_sx, i, j, k) = 1.3 * 0.4;
-        u.at(grid::f_sy, i, j, k) = 1.3 * -0.2;
-        u.at(grid::f_sz, i, j, k) = 1.3 * 0.1;
-        u.at(grid::f_egas, i, j, k) =
-            eint + real(0.5) * 1.3 * (0.16 + 0.04 + 0.01);
-        u.at(grid::f_tau, i, j, k) = std::pow(eint, 1 / opt.gas.gamma);
-        u.at(grid::f_spc0, i, j, k) = 1.3;
-        u.at(grid::f_spc1, i, j, k) = 0;
-      }
-  hydro::workspace ws;
-  std::vector<real> dudt(static_cast<std::size_t>(hydro::dudt_size), 0);
-  hydro::flux_divergence(u, opt, ws, dudt);
-  for (const real v : dudt) EXPECT_NEAR(v, 0.0, 1e-11);
-}
-
-TEST(Hllc, ScalarSimdAgree) {
-  hydro::hydro_options o1, o2;
-  o1.riemann = o2.riemann = hydro::riemann_solver::hllc;
-  o1.use_simd = false;
-  o2.use_simd = true;
-  subgrid u(rvec3{0, 0, 0}, 0.1);
-  fill_contact(u, o1.gas);
-  // add some velocity structure so every HLLC branch is exercised
-  for (int i = -G; i < N + G; ++i)
-    for (int j = -G; j < N + G; ++j)
-      for (int k = -G; k < N + G; ++k)
-        u.at(grid::f_sx, i, j, k) =
-            u.at(grid::f_rho, i, j, k) * real(0.3) * std::sin(i + j + k);
-  hydro::workspace w1, w2;
-  std::vector<real> d1(static_cast<std::size_t>(hydro::dudt_size), 0);
-  std::vector<real> d2(static_cast<std::size_t>(hydro::dudt_size), 0);
-  hydro::flux_divergence(u, o1, w1, d1);
-  hydro::flux_divergence(u, o2, w2, d2);
-  for (std::size_t c = 0; c < d1.size(); ++c)
-    ASSERT_NEAR(d1[c], d2[c], 1e-11 * std::max(std::abs(d1[c]), real(1)));
-}
 
 struct ExtEnv : testing::Test {
   amt::runtime rt{3};
@@ -118,7 +28,6 @@ TEST_F(ExtEnv, SedovBlastExpandsSpherically) {
   app::sim_options opt;
   opt.max_level = 2;
   opt.self_gravity = false;
-  opt.hydro.riemann = hydro::riemann_solver::hllc;
   app::simulation sim(sc, opt);
   sim.initialize();
   const auto l0 = sim.measure();
@@ -254,53 +163,6 @@ TEST_F(ExtEnv, RadialProfileMonotoneForPolytrope) {
   for (std::size_t c = 1; c < cells.size(); ++c)
     ASSERT_LE(cells[c].second, cells[c - 1].second * (1 + 1e-6))
         << "r=" << cells[c].first;
-}
-
-TEST(McLimiter, UniformStateStillZeroDivergence) {
-  hydro::hydro_options opt;
-  opt.limiter = hydro::slope_limiter::mc;
-  subgrid u(rvec3{0, 0, 0}, 0.1);
-  const real eint = 1.0 / (opt.gas.gamma - 1);
-  for (int i = -G; i < N + G; ++i)
-    for (int j = -G; j < N + G; ++j)
-      for (int k = -G; k < N + G; ++k) {
-        u.at(grid::f_rho, i, j, k) = 1.0;
-        u.at(grid::f_egas, i, j, k) = eint;
-        u.at(grid::f_tau, i, j, k) = std::pow(eint, 1 / opt.gas.gamma);
-        u.at(grid::f_spc0, i, j, k) = 1.0;
-      }
-  hydro::workspace ws;
-  std::vector<real> dudt(static_cast<std::size_t>(hydro::dudt_size), 0);
-  hydro::flux_divergence(u, opt, ws, dudt);
-  for (const real v : dudt) EXPECT_NEAR(v, 0.0, 1e-13);
-}
-
-TEST(McLimiter, ReconstructsLinearProfilesExactly) {
-  // On a linear profile both limiters give the exact slope, so the flux
-  // divergence of a linear density advected at constant velocity matches
-  // between minmod and MC to roundoff; on a *curved* profile MC is less
-  // diffusive (different dudt).
-  hydro::hydro_options mm, mc;
-  mc.limiter = hydro::slope_limiter::mc;
-  subgrid u(rvec3{0, 0, 0}, 0.1);
-  const real eint = 10.0 / (mm.gas.gamma - 1);  // high pressure floor
-  for (int i = -G; i < N + G; ++i)
-    for (int j = -G; j < N + G; ++j)
-      for (int k = -G; k < N + G; ++k) {
-        const real rho = 2.0 + 0.05 * i;  // linear in x
-        u.at(grid::f_rho, i, j, k) = rho;
-        u.at(grid::f_sx, i, j, k) = rho * 0.3;
-        u.at(grid::f_egas, i, j, k) = eint + 0.5 * rho * 0.09;
-        u.at(grid::f_tau, i, j, k) = std::pow(eint, 1 / mm.gas.gamma);
-        u.at(grid::f_spc0, i, j, k) = rho;
-      }
-  hydro::workspace w1, w2;
-  std::vector<real> d1(static_cast<std::size_t>(hydro::dudt_size), 0);
-  std::vector<real> d2(static_cast<std::size_t>(hydro::dudt_size), 0);
-  hydro::flux_divergence(u, mm, w1, d1);
-  hydro::flux_divergence(u, mc, w2, d2);
-  for (std::size_t c = 0; c < d1.size(); ++c)
-    ASSERT_NEAR(d1[c], d2[c], 1e-11 * std::max(std::abs(d1[c]), real(1)));
 }
 
 TEST(CriticalPath, ChainAndWidth) {

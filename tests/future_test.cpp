@@ -128,7 +128,7 @@ TEST_F(FutureTest, WaitAllHelper) {
   std::atomic<int> n{0};
   for (int i = 0; i < 20; ++i)
     futs.push_back(async([&] { n.fetch_add(1); }, rt));
-  wait_all(futs, rt);
+  get_all(futs, rt);
   EXPECT_EQ(n.load(), 20);
 }
 

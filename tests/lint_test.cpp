@@ -98,6 +98,28 @@ TEST(Lint, OrphanHeaderFixtureIsDetected) {
   EXPECT_EQ(fs[0].file, "src/lib/orphan.hpp");
 }
 
+TEST(Lint, UnsetOptionFixtureIsDetected) {
+  std::vector<finding> fs;
+  lint_unset_options(
+      std::string(OCTO_REPO_ROOT) + "/tests/lint_fixtures/option_tree", fs);
+  std::vector<std::string> fields;
+  for (const finding& f : fs) {
+    EXPECT_EQ(f.rule, "unset-option");
+    EXPECT_EQ(f.file, "src/lib/opts.hpp");
+    fields.push_back(f.message.substr(0, f.message.find(' ')));
+  }
+  // Set in src/, examples/ (also via `.inner.flag =`) or perfbench/, or
+  // kept with a named consumer: clean.  Set only by a test, only compared,
+  // only in a comment, or kept without a consumer: flagged.  Functions,
+  // statics, aliases and non-`_options` structs are not fields.
+  EXPECT_EQ(fields, (std::vector<std::string>{
+                        "demo_options::only_tests_set",
+                        "demo_options::compared_only",
+                        "demo_options::commented_out",
+                        "demo_options::after_kept",
+                        "demo_options::kept_without_consumer"}));
+}
+
 TEST(Lint, CleanFixturePasses) {
   std::vector<finding> fs;
   lint_cpp_text("src/clean.cpp", fixture("clean.cpp"), repo_registries(),

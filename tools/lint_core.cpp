@@ -5,6 +5,8 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
+#include <set>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -300,6 +302,123 @@ std::vector<std::string> quoted_includes(const std::string& text) {
   return out;
 }
 
+/// The .cpp/.hpp files under \p dirs of \p root.
+std::vector<fs::path> cpp_files_under(const fs::path& root,
+                                      std::initializer_list<const char*> dirs) {
+  std::vector<fs::path> out;
+  for (const char* dir : dirs) {
+    const fs::path d = root / dir;
+    if (!fs::exists(d)) continue;
+    for (const auto& e : fs::recursive_directory_iterator(d)) {
+      if (!e.is_regular_file()) continue;
+      const std::string ext = e.path().extension().string();
+      if (ext == ".cpp" || ext == ".hpp")
+        out.push_back(e.path().lexically_normal());
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// Adds to \p out every name blanked \p code assigns as `.name =` (not
+/// `==`); each link of a chain such as `.audit.enabled =` counts.
+void collect_assigned(const std::string& code, std::set<std::string>& out) {
+  for (std::size_t p = code.find('='); p != std::string::npos;
+       p = code.find('=', p + 1)) {
+    if (p + 1 < code.size() && code[p + 1] == '=') {
+      ++p;
+      continue;
+    }
+    std::size_t e = p;
+    while (e > 0 && (code[e - 1] == ' ' || code[e - 1] == '\t')) --e;
+    while (true) {
+      std::size_t b = e;
+      while (b > 0 && is_word(code[b - 1])) --b;
+      if (b == e || b == 0 || code[b - 1] != '.') break;
+      out.insert(code.substr(b, e - b));
+      e = b - 1;
+    }
+  }
+}
+
+/// One data member of a `struct *_options` definition.
+struct option_field {
+  std::string name;
+  std::size_t pos;    ///< offset of the name in the file
+  bool kept = false;  ///< carries an `// option kept: <consumer>` comment
+};
+
+/// Whether the raw lines of a declaration — the lines from \p first to
+/// \p last plus the comment-only lines directly above — carry an
+/// `option kept:` comment naming a consumer.
+bool carries_kept_comment(const std::string& text, std::size_t first,
+                          std::size_t last) {
+  std::size_t b = text.rfind('\n', first);
+  b = (b == std::string::npos) ? 0 : b + 1;
+  while (b > 1) {  // b - 1 is the newline ending the line above
+    std::size_t pb = text.rfind('\n', b - 2);
+    pb = (pb == std::string::npos) ? 0 : pb + 1;
+    const std::string above = text.substr(pb, b - 1 - pb);
+    const std::size_t c = above.find_first_not_of(" \t");
+    if (c == std::string::npos || above.compare(c, 2, "//") != 0) break;
+    b = pb;
+  }
+  std::size_t e = text.find('\n', last);
+  if (e == std::string::npos) e = text.size();
+  const std::string decl = text.substr(b, e - b);
+  static const std::string tag = "option kept:";
+  const std::size_t k = decl.find(tag);
+  if (k == std::string::npos) return false;
+  const std::size_t eol = decl.find('\n', k);
+  const std::string consumer =
+      decl.substr(k + tag.size(), eol - k - tag.size());
+  return consumer.find_first_not_of(" \t") != std::string::npos;
+}
+
+/// The data members of the struct whose body opens at code[open] == '{':
+/// depth-1 statements that are not functions, statics or type aliases.
+std::vector<option_field> struct_fields(const std::string& text,
+                                        const std::string& code,
+                                        std::size_t open) {
+  std::vector<option_field> out;
+  int depth = 0;
+  std::size_t start = open + 1;
+  for (std::size_t p = open; p < code.size(); ++p) {
+    const char c = code[p];
+    if (c == '{') ++depth;
+    if (c == '}' && --depth == 0) break;
+    const bool closes_body = c == '}' && depth == 1;
+    if (!(c == ';' && depth == 1) && !closes_body) continue;
+    const std::size_t begin = start;
+    const std::string stmt = code.substr(begin, p - begin);
+    const std::size_t eq = stmt.find_first_of("={");
+    const std::size_t paren = stmt.find('(');
+    const bool is_function = paren != std::string::npos && paren < eq;
+    if (closes_body && (is_function || eq == std::string::npos)) {
+      start = p + 1;  // a member function body (no ';' follows)
+      continue;
+    }
+    if (closes_body) continue;  // brace initializer: the ';' ends it
+    start = p + 1;
+    std::istringstream words(stmt);
+    std::string first;
+    words >> first;
+    if (is_function || first.empty() || first == "static" ||
+        first == "using" || first == "friend" || first == "typedef" ||
+        first == "enum" || first == "struct" || first == "class")
+      continue;
+    std::size_t e = std::min(eq, stmt.size());
+    while (e > 0 && !is_word(stmt[e - 1])) --e;
+    std::size_t b = e;
+    while (b > 0 && is_word(stmt[b - 1])) --b;
+    if (b == e) continue;
+    const std::size_t first_pos = begin + stmt.find_first_not_of(" \t\n");
+    out.push_back(option_field{stmt.substr(b, e - b), begin + b,
+                               carries_kept_comment(text, first_pos, p)});
+  }
+  return out;
+}
+
 }  // namespace
 
 std::vector<std::string> parse_registry_table(const std::string& file_text,
@@ -388,20 +507,11 @@ void lint_cmake_text(const std::string& path, const std::string& text,
 void lint_orphan_headers(const std::string& root,
                          std::vector<finding>& out) {
   const fs::path r(root);
-  std::vector<fs::path> headers, includers;
-  for (const char* dir : {"src", "tools", "bench", "examples", "perfbench"}) {
-    const fs::path d = r / dir;
-    if (!fs::exists(d)) continue;
-    for (const auto& e : fs::recursive_directory_iterator(d)) {
-      if (!e.is_regular_file()) continue;
-      const std::string ext = e.path().extension().string();
-      if (ext != ".cpp" && ext != ".hpp") continue;
-      includers.push_back(e.path().lexically_normal());
-      if (ext == ".hpp" && std::string(dir) == "src")
-        headers.push_back(e.path().lexically_normal());
-    }
-  }
-  std::sort(headers.begin(), headers.end());
+  const std::vector<fs::path> includers =
+      cpp_files_under(r, {"src", "tools", "bench", "examples", "perfbench"});
+  std::vector<fs::path> headers;
+  for (const fs::path& f : cpp_files_under(r, {"src"}))
+    if (f.extension() == ".hpp") headers.push_back(f);
   std::vector<bool> used(headers.size(), false);
   for (const auto& f : includers) {
     for (const std::string& inc : quoted_includes(read_file(f))) {
@@ -425,6 +535,41 @@ void lint_orphan_headers(const std::string& root,
                             "tools/, bench/, examples/ or perfbench/ "
                             "includes this header — code only tests reach "
                             "is dead"});
+}
+
+void lint_unset_options(const std::string& root, std::vector<finding>& out) {
+  const fs::path r(root);
+  std::set<std::string> assigned;
+  for (const fs::path& f : cpp_files_under(
+           r, {"src", "bench", "examples", "tools", "perfbench"}))
+    collect_assigned(blank_noncode(read_file(f), nullptr), assigned);
+  for (const fs::path& f : cpp_files_under(r, {"src"})) {
+    const std::string text = read_file(f);
+    const std::string code = blank_noncode(text, nullptr);
+    for (std::size_t p = find_call(code, "struct ", 0);
+         p != std::string::npos; p = find_call(code, "struct ", p + 1)) {
+      std::istringstream decl(code.substr(p + 7, 128));
+      std::string name, brace;
+      decl >> name >> brace;
+      const std::string suffix = "_options";
+      if (brace != "{" || name.size() <= suffix.size() ||
+          name.compare(name.size() - suffix.size(), suffix.size(), suffix) !=
+              0)
+        continue;
+      for (const option_field& field :
+           struct_fields(text, code, code.find('{', p))) {
+        if (field.kept || assigned.count(field.name) != 0) continue;
+        out.push_back(finding{
+            fs::relative(f, r).generic_string(), line_of(text, field.pos),
+            "unset-option",
+            name + "::" + field.name +
+                " is assigned by no file under src/, bench/, examples/, "
+                "tools/ or perfbench/ — make it a constant in the .cpp "
+                "that reads it, or name its consumer with "
+                "`// option kept: <consumer>`"});
+      }
+    }
+  }
 }
 
 std::vector<finding> run(const std::string& repo_root) {
@@ -459,6 +604,7 @@ std::vector<finding> run(const std::string& repo_root) {
     lint_cmake_text(rel, read_file(f), out);
   }
   lint_orphan_headers(repo_root, out);
+  lint_unset_options(repo_root, out);
   return out;
 }
 

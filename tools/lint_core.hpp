@@ -21,9 +21,17 @@
 ///   orphan-header   a header under src/ that no file under src/ (other
 ///                   than its own .cpp), tools/, bench/, examples/ or
 ///                   perfbench/ #includes — code only tests reach is dead
+///   unset-option    a data member of a `struct *_options` under src/ that
+///                   no file under src/, bench/, examples/, tools/ or
+///                   perfbench/ assigns (`.name =`; each link of a chain
+///                   such as `.audit.enabled =` counts) — a knob no
+///                   program turns is a constant
 ///
 /// A line containing `octo-lint-allow(<rule>)` is exempt from <rule>
-/// (orphan-header has no escape: give the header a consumer or delete it).
+/// (orphan-header has no escape: give the header a consumer or delete it;
+/// unset-option's escape is an `// option kept: <consumer>` comment on the
+/// field's declaration or the comment lines directly above it, naming the
+/// test or ROADMAP item that sets it).
 /// Paths containing "lint_fixtures" are never scanned by run() — they hold
 /// the deliberately-broken inputs tests/lint_test.cpp feeds the per-file
 /// entry points below.
@@ -72,9 +80,14 @@ void lint_cmake_text(const std::string& path, const std::string& text,
 /// perfbench/ is only read, never linted.
 void lint_orphan_headers(const std::string& root, std::vector<finding>& out);
 
+/// The unset-option rule over the tree at \p root.  Fields match setters by
+/// name alone, whatever struct the setter's object has; perfbench/ is only
+/// read, never linted.
+void lint_unset_options(const std::string& root, std::vector<finding>& out);
+
 /// Walk the tree (src/ tools/ tests/ bench/ examples/ + every
 /// CMakeLists.txt) and apply all rules.  Skips paths containing
-/// "lint_fixtures".  Adds the orphan-header findings.
+/// "lint_fixtures".  Adds the orphan-header and unset-option findings.
 std::vector<finding> run(const std::string& repo_root);
 
 }  // namespace octo::lint
