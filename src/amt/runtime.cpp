@@ -24,6 +24,9 @@ std::mutex g_global_mutex;
 
 runtime::runtime(unsigned num_threads) {
   OCTO_CHECK(num_threads >= 1);
+  // Bootstrap the trace (OCTO_TRACE, OCTO_TRACE_BUFFER) on this thread: a
+  // bad value throws here rather than terminating a worker.
+  (void)apex::trace::instance();
   workers_.reserve(num_threads);
   for (unsigned i = 0; i < num_threads; ++i) {
     workers_.push_back(std::make_unique<worker>(static_cast<int>(i)));

@@ -4,7 +4,6 @@
 #include <fstream>
 #include <ostream>
 #include <sstream>
-#include <unordered_map>
 
 #include "common/json.hpp"
 
@@ -29,14 +28,6 @@ loaded_trace load_chrome_trace(const std::string& path) {
                  path + ": no traceEvents array");
 
   loaded_trace t;
-  struct half_flow {
-    int pid = 0;
-    double ts = 0;
-    bool seen = false;
-  };
-  // id -> pending halves (s first in practice, but order-independent).
-  std::unordered_map<std::string, std::pair<half_flow, half_flow>> halves;
-
   for (const json::value& ev : events->as_array()) {
     if (!ev.is_object()) continue;
     ++t.events;
@@ -54,34 +45,8 @@ loaded_trace load_chrome_trace(const std::string& path) {
     } else if (ph == "M" && ev.string_or("name", "") == "thread_name") {
       if (const json::value* args = ev.find("args"))
         t.thread_names[{pid, tid}] = args->string_or("name", "");
-    } else if (ph == "s" || ph == "f") {
-      const std::string id = ev.string_or("id", "");
-      if (id.empty()) continue;
-      auto& pair = halves[id];
-      half_flow& h = ph == "s" ? pair.first : pair.second;
-      h.pid = pid;
-      h.ts = ev.number_or("ts", 0);
-      h.seen = true;
     }
   }
-  for (auto& [id, pair] : halves) {
-    if (pair.first.seen && pair.second.seen) {
-      trace_flow f;
-      f.id = id;
-      f.src_pid = pair.first.pid;
-      f.dst_pid = pair.second.pid;
-      f.send_ts_us = pair.first.ts;
-      f.recv_ts_us = pair.second.ts;
-      t.flows.push_back(std::move(f));
-    } else {
-      ++t.unmatched_flows;
-    }
-  }
-  std::sort(t.flows.begin(), t.flows.end(),
-            [](const trace_flow& a, const trace_flow& b) {
-              return a.send_ts_us != b.send_ts_us ? a.send_ts_us < b.send_ts_us
-                                                  : a.id < b.id;
-            });
   return t;
 }
 
@@ -206,16 +171,7 @@ std::vector<regression> baseline_diff(const std::vector<step_record>& base,
 void print_trace_report(std::ostream& os, const loaded_trace& t,
                         std::size_t top_k) {
   os << "trace: " << t.events << " events, " << t.spans.size()
-     << " spans, " << t.flows.size() << " cross-locality flows";
-  if (t.unmatched_flows > 0) os << " (" << t.unmatched_flows << " unmatched)";
-  os << "\n";
-
-  std::uint64_t causal = 0;
-  for (const trace_flow& f : t.flows)
-    if (f.recv_ts_us >= f.send_ts_us) ++causal;
-  if (!t.flows.empty())
-    os << "  flows causally ordered: " << causal << "/" << t.flows.size()
-       << "\n";
+     << " spans\n";
 
   os << "  utilization per timeline:\n";
   for (const utilization_row& row : compute_utilization(t)) {

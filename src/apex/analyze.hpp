@@ -1,8 +1,8 @@
 #pragma once
 /// \file analyze.hpp
 /// Offline ingestion + reporting over the observability artifacts this
-/// repo emits: Chrome trace files (per-locality or merged, including the
-/// cross-locality flow events) and per-step metrics JSONL.
+/// repo emits: Chrome trace files (apex::trace) and per-step metrics
+/// JSONL.
 ///
 /// This is the library behind `tools/octo_analyze`; it lives in apex so
 /// tests can drive the exact code the CLI runs (load -> report ->
@@ -21,29 +21,17 @@ namespace octo::apex {
 /// One `ph:"X"` span from a Chrome trace.
 struct trace_span {
   std::string name;
-  int pid = 0;  ///< locality (0 for single-process traces)
+  int pid = 0;  ///< Chrome-trace process id (apex::trace writes 0)
   int tid = 0;  ///< worker timeline
   double ts_us = 0;
   double dur_us = 0;
 };
 
-/// One matched cross-locality flow: a `ph:"s"` start joined to its
-/// `ph:"f"` finish by flow id.
-struct trace_flow {
-  std::string id;       ///< "l<link>.s<seq>"
-  int src_pid = 0;      ///< sending locality
-  int dst_pid = 0;      ///< receiving locality
-  double send_ts_us = 0;
-  double recv_ts_us = 0;
-};
-
 struct loaded_trace {
   std::vector<trace_span> spans;
-  std::vector<trace_flow> flows;  ///< matched s/f pairs only
   /// (pid, tid) -> thread name from `ph:"M"` metadata.
   std::map<std::pair<int, int>, std::string> thread_names;
-  std::uint64_t events = 0;          ///< total events in the file
-  std::uint64_t unmatched_flows = 0; ///< s without f or vice versa
+  std::uint64_t events = 0;  ///< total events in the file
 };
 
 /// Parse a Chrome trace-event JSON file ({"traceEvents":[...]}).

@@ -2,8 +2,10 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iomanip>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <ostream>
@@ -30,6 +32,8 @@
 #endif
 
 #include "common/config.hpp"
+#include "common/error.hpp"
+#include "common/fault.hpp"
 
 namespace octo::apex {
 
@@ -117,10 +121,7 @@ std::chrono::steady_clock::time_point trace::epoch() {
 
 trace::trace() : impl_(new impl) {
   (void)epoch();  // pin the epoch at first instance() call
-  if (const auto cap = config::env("OCTO_TRACE_BUFFER")) {
-    const long v = std::strtol(cap->c_str(), nullptr, 10);
-    if (v > 0) impl_->capacity = static_cast<std::size_t>(v);
-  }
+  impl_->capacity = default_buffer_capacity();
   if (const auto path = config::env("OCTO_TRACE")) enable(*path);
 }
 
@@ -138,7 +139,18 @@ trace& trace::instance() {
   return *t;
 }
 
+std::size_t trace::default_buffer_capacity() {
+  const auto v = config::env("OCTO_TRACE_BUFFER");
+  return static_cast<std::size_t>(fault::parse_positive_u64(
+      "OCTO_TRACE_BUFFER", v ? v->c_str() : nullptr, std::size_t(1) << 16,
+      std::numeric_limits<std::size_t>::max()));
+}
+
 void trace::enable(std::string path) {
+  std::error_code ec;
+  if (!path.empty() && std::filesystem::is_directory(path, ec))
+    throw error("apex::trace: cannot write the trace to '" + path +
+                "': it is a directory (expected a file path)");
   path_ = std::move(path);
   if (!path_.empty()) {
     static bool atexit_registered = false;
@@ -184,18 +196,18 @@ void trace::record_instant(const char* name) {
   impl_->get_buffer()->push({name, now_ns(), 0, trace_event::kind::instant});
 }
 
-std::uint64_t trace::write_body(std::ostream& os, int pid,
-                                bool& first) const {
+void trace::write(std::ostream& os) const {
   const std::lock_guard<std::mutex> lock(impl_->mutex);
   const auto flags = os.flags();
   const auto precision = os.precision();
-  os << std::fixed << std::setprecision(3);
+  os << std::fixed << std::setprecision(3) << "{\"traceEvents\":[";
+  bool first = true;
   std::uint64_t total_dropped = 0;
   for (const auto& buf : impl_->buffers) {
     total_dropped += buf->dropped.load(std::memory_order_relaxed);
     if (!buf->name.empty()) {
       os << (first ? "" : ",")
-         << "{\"ph\":\"M\",\"pid\":" << pid << ",\"tid\":" << buf->tid
+         << "{\"ph\":\"M\",\"pid\":0,\"tid\":" << buf->tid
          << ",\"name\":\"thread_name\",\"args\":{\"name\":\""
          << json_escape(buf->name) << "\"}}";
       first = false;
@@ -204,7 +216,7 @@ std::uint64_t trace::write_body(std::ostream& os, int pid,
     for (std::size_t i = 0; i < n; ++i) {
       const trace_event& ev = buf->events[i];
       os << (first ? "" : ",") << "{\"name\":\"" << json_escape(ev.name)
-         << "\",\"cat\":\"octo\",\"pid\":" << pid << ",\"tid\":" << buf->tid
+         << "\",\"cat\":\"octo\",\"pid\":0,\"tid\":" << buf->tid
          << ",\"ts\":" << static_cast<double>(ev.ts_ns) * 1e-3;
       if (ev.type == trace_event::kind::span)
         os << ",\"ph\":\"X\",\"dur\":" << static_cast<double>(ev.dur_ns) * 1e-3;
@@ -214,17 +226,10 @@ std::uint64_t trace::write_body(std::ostream& os, int pid,
       first = false;
     }
   }
-  os.flags(flags);
-  os.precision(precision);
-  return total_dropped;
-}
-
-void trace::write(std::ostream& os) const {
-  os << "{\"traceEvents\":[";
-  bool first = true;
-  const std::uint64_t total_dropped = write_body(os, 0, first);
   os << "],\"displayTimeUnit\":\"ms\",\"otherData\":{\"dropped\":"
      << total_dropped << "}}\n";
+  os.flags(flags);
+  os.precision(precision);
 }
 
 bool trace::write_to_file() const {

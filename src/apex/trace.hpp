@@ -20,7 +20,9 @@
 ///
 /// Bootstrap: `trace::instance()` reads `OCTO_TRACE=<file.json>` from the
 /// environment on first use; when set, tracing starts enabled and the
-/// trace is written at process exit (and on explicit `write()`).
+/// trace is written at process exit (and on explicit `write()`).  A
+/// multi-locality `dist::cluster` run traces the same way: one file, every
+/// worker's spans under pid 0 (the in-process localities share one pool).
 
 #include <atomic>
 #include <chrono>
@@ -48,7 +50,8 @@ class trace {
   }
 
   /// Start recording; the trace will be written to \p path by write() or,
-  /// if \p path is non-empty, automatically at process exit.
+  /// if \p path is non-empty, automatically at process exit.  Throws
+  /// octo::error naming \p path when it is an existing directory.
   void enable(std::string path);
   /// Stop recording (already-captured events are kept until write()).
   void disable();
@@ -73,10 +76,6 @@ class trace {
 
   /// Serialize everything recorded so far as Chrome trace-event JSON.
   void write(std::ostream& os) const;
-  /// Emit just the event objects (comma separated, honoring and updating
-  /// \p first) with the given Chrome-trace pid.  Composition hook for the
-  /// per-locality / merged writers in dist.  Returns the dropped count.
-  std::uint64_t write_body(std::ostream& os, int pid, bool& first) const;
   /// Write to the path given to enable(); returns false if none/IO error.
   bool write_to_file() const;
   const std::string& path() const { return path_; }
@@ -89,8 +88,11 @@ class trace {
   void clear();
 
   /// Per-thread buffer capacity for threads that start recording after the
-  /// call (default 1<<16 events, or OCTO_TRACE_BUFFER).
+  /// call (default: default_buffer_capacity()).
   void set_buffer_capacity(std::size_t events);
+  /// OCTO_TRACE_BUFFER, a positive integer, or 1<<16 events when unset;
+  /// any other value throws octo::error naming the variable.
+  static std::size_t default_buffer_capacity();
 
  private:
   trace();

@@ -3,11 +3,14 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <sstream>
 
 #include "app/simulation.hpp"
 #include "common/config.hpp"
 #include "common/crc32.hpp"
+#include "common/error.hpp"
+#include "common/fault.hpp"
 #include "grid/field.hpp"
 
 namespace octo::app {
@@ -28,14 +31,16 @@ constexpr double dt_growth = 8.0;
 
 bool audit_options::default_audit_enabled() {
   const auto v = config::env("OCTO_AUDIT");
-  return !v || *v != "0";
+  if (!v || *v == "1") return true;
+  if (*v == "0") return false;
+  throw error("OCTO_AUDIT='" + *v + "' is not a switch (expected 0 or 1)");
 }
 
 int audit_options::default_audit_every() {
   const auto v = config::env("OCTO_AUDIT_EVERY");
-  if (!v) return 4;
-  const long e = std::strtol(v->c_str(), nullptr, 10);
-  return e > 0 ? static_cast<int>(e) : 4;
+  return static_cast<int>(fault::parse_positive_u64(
+      "OCTO_AUDIT_EVERY", v ? v->c_str() : nullptr, 4,
+      std::numeric_limits<int>::max()));
 }
 
 const sdc_metric_ids& sdc_metrics() {

@@ -30,12 +30,11 @@ const std::vector<env_var_info>& config::env_registry() {
       {"OCTO_STEP_MODE", "step execution mode: barrier (default) or dataflow"},
       {"OCTO_RACE_AUDIT", "1 = audit each recorded step for unordered conflicting task footprints (apex/race_audit.hpp)"},
       {"OCTO_RACE_AUDIT_DUMP", "path: dump each audited step's task graph + footprints as JSON for octo_analyze --race-audit"},
-      {"OCTO_TRACE", "trace sink: file path, or existing directory for the per-locality distributed bundle"},
-      {"OCTO_TRACE_BUFFER", "per-thread trace ring capacity in events"},
-      {"OCTO_TRACE_SKEW_US", "injected per-locality clock skew for trace merging, microseconds"},
+      {"OCTO_TRACE", "Chrome trace output file, written at exit (a cluster run traces to one file too)"},
+      {"OCTO_TRACE_BUFFER", "per-thread trace ring capacity in events (a positive integer)"},
       {"OCTO_METRICS", "per-step metrics JSONL output path (examples read it via merge_env)"},
-      {"OCTO_AUDIT", "silent-data-corruption auditing: 0 disables (default on)"},
-      {"OCTO_AUDIT_EVERY", "physics-invariant audit cadence in steps (default 4)"},
+      {"OCTO_AUDIT", "silent-data-corruption auditing: 0 disables, 1 enables (default on)"},
+      {"OCTO_AUDIT_EVERY", "physics-invariant audit cadence in steps, a positive integer (default 4)"},
       {"OCTO_FAULT_SEED", "fault injector RNG seed (splitmix64 stream)"},
       {"OCTO_FAULT_GHOST_CORRUPT", "bit-flip the nth serialized ghost slab (1-based; 0 disarms)"},
       {"OCTO_FAULT_GHOST_TRUNCATE", "truncate the nth serialized ghost slab to half its size"},

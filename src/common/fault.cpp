@@ -52,6 +52,18 @@ std::uint64_t parse_fault_u64(const char* name, const char* value,
   return v;
 }
 
+std::uint64_t parse_positive_u64(const char* name, const char* value,
+                                 std::uint64_t dflt, std::uint64_t max) {
+  if (value == nullptr || *value == '\0') return dflt;
+  const char* p = value;
+  std::uint64_t v = 0;
+  if (!eat_u64(p, v) || *p != '\0' || v == 0 || v > max)
+    throw error(std::string(name) + "='" + value +
+                "' is not a positive base-10 integer (at most " +
+                std::to_string(max) + ")");
+  return v;
+}
+
 double parse_fault_prob(const char* name, const char* value) {
   if (value == nullptr || *value == '\0') return 0;
   char* end = nullptr;

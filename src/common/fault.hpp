@@ -97,6 +97,12 @@ bitflip_spec parse_bitflip_spec(const char* name, const char* value);
 /// Strict base-10 u64; rejects empty-after-sign, trailing garbage, range.
 std::uint64_t parse_fault_u64(const char* name, const char* value,
                               std::uint64_t dflt);
+/// Strict positive base-10 integer for the size and cadence env knobs
+/// (OCTO_AUDIT_EVERY, OCTO_TRACE_BUFFER): nullptr/empty \p value gives
+/// \p dflt; zero, a value above \p max or anything malformed throws
+/// octo::error naming \p name.
+std::uint64_t parse_positive_u64(const char* name, const char* value,
+                                 std::uint64_t dflt, std::uint64_t max);
 /// Strict probability in [0, 1]; rejects non-numeric and out-of-range.
 double parse_fault_prob(const char* name, const char* value);
 /// Parse "<loc>:<step>"; returns {-1, 0} when \p value is null/empty.

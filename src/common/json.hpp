@@ -1,8 +1,8 @@
 #pragma once
 /// \file json.hpp
 /// Minimal recursive-descent JSON reader for the observability pipeline:
-/// `dist::merge_traces` re-reads per-locality Chrome trace files and
-/// `tools/octo_analyze` ingests merged traces and metrics JSONL.  Scope is
+/// `tools/octo_analyze` (apex/analyze.hpp) ingests Chrome traces and
+/// metrics JSONL.  Scope is
 /// deliberately small — the values this repo itself emits (objects, arrays,
 /// strings with the escapes apex writes, doubles, bools, null) — not a
 /// general validator.  Parse errors throw octo::error with a byte offset.

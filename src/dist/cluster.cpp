@@ -1,19 +1,11 @@
 #include "dist/cluster.hpp"
 
 #include <atomic>
-#include <charconv>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <limits>
-#include <ostream>
 #include <utility>
 
 #include "amt/future.hpp"
 #include "apex/apex.hpp"
-#include "apex/flow.hpp"
 #include "apex/trace.hpp"
-#include "common/config.hpp"
 #include "common/error.hpp"
 #include "common/fault.hpp"
 #include "dist/serialize.hpp"
@@ -33,111 +25,6 @@ cluster::cluster(const scen::scenario& sc, dist_options opt,
     : step_core(sc, opt.sim, space, /*leaf_links=*/true, opt.lb.measuring()),
       dopt_(std::move(opt)) {
   OCTO_CHECK(dopt_.num_localities >= 1);
-  // OCTO_TRACE naming an existing directory selects the distributed-trace
-  // workflow (a file path keeps the plain single-trace behaviour the apex
-  // bootstrap already handles).
-  if (const auto env = config::env("OCTO_TRACE")) {
-    std::error_code ec;
-    if (std::filesystem::is_directory(*env, ec)) {
-      std::int64_t skew_ns = 2'000'000;
-      if (const auto sk = config::env("OCTO_TRACE_SKEW_US")) {
-        const char* b = sk->data();
-        const char* e = b + sk->size();
-        long long us = -1;
-        const auto [end, err] = std::from_chars(b, e, us);
-        if (err != std::errc{} || end != e || us < 0 ||
-            us > std::numeric_limits<std::int64_t>::max() / 1000)
-          throw error("OCTO_TRACE_SKEW_US='" + *sk +
-                      "' is not a non-negative integer of microseconds");
-        skew_ns = static_cast<std::int64_t>(us) * 1000;
-      }
-      set_trace_dir(*env, skew_ns);
-    }
-  }
-}
-
-cluster::~cluster() {
-  if (trace_dir_.empty() || !initialized_) return;
-  try {
-    write_trace_bundle(trace_dir_);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "dist::cluster: trace bundle failed: %s\n",
-                 e.what());
-  }
-}
-
-void cluster::set_trace_dir(const std::string& dir,
-                            std::int64_t skew_ns_per_locality) {
-  trace_dir_ = dir;
-  trace_skew_ns_ = skew_ns_per_locality;
-  auto& tr = apex::trace::instance();
-  // Record spans, but route the single-file writer away from the
-  // directory: the bundle writer below owns every file in there.
-  tr.enable("");
-  auto& fr = apex::flow_recorder::instance();
-  for (int k = 0; k < dopt_.num_localities; ++k)
-    fr.set_clock_skew(static_cast<std::uint32_t>(k),
-                      skew_ns_per_locality * k);
-  apex::flow_recorder::set_enabled(true);
-}
-
-merge_result cluster::write_trace_bundle(const std::string& dir) {
-  const auto flows = apex::flow_recorder::instance().snapshot();
-  std::vector<std::string> files;
-  files.reserve(static_cast<std::size_t>(dopt_.num_localities));
-  for (int k = 0; k < dopt_.num_localities; ++k) {
-    std::string path = dir + "/trace.loc" + std::to_string(k) + ".json";
-    std::ofstream out(path, std::ios::trunc);
-    OCTO_CHECK_MSG(out.good(), "cannot write " + path);
-    // The in-process cluster shares one worker pool; its span timelines
-    // are written once, under locality 0's pid.
-    write_locality_trace(out, k, flows, /*include_spans=*/k == 0);
-    files.push_back(std::move(path));
-  }
-  const merge_result res = merge_traces(files, dir + "/trace.merged.json");
-  std::ofstream rep(dir + "/cluster_report.txt", std::ios::trunc);
-  if (rep.good()) write_cluster_report(rep);
-  return res;
-}
-
-void cluster::write_cluster_report(std::ostream& os) const {
-  const auto flows = apex::flow_recorder::instance().snapshot();
-  const auto nloc = static_cast<std::size_t>(dopt_.num_localities);
-  os << "=== cluster report (" << dopt_.num_localities << " localities, "
-     << live_localities() << " alive, " << steps_ << " steps) ===\n";
-
-  struct loc_traffic {
-    std::uint64_t sent = 0, received = 0, bytes_out = 0;
-  };
-  std::vector<loc_traffic> traffic(nloc);
-  for (const auto& f : flows) {
-    if (f.src_loc < nloc) {
-      ++traffic[f.src_loc].sent;
-      traffic[f.src_loc].bytes_out += f.bytes;
-    }
-    if (f.dst_loc < nloc) ++traffic[f.dst_loc].received;
-  }
-  const auto offsets = offset_est_.offsets(nloc);
-  for (std::size_t k = 0; k < nloc; ++k) {
-    os << "locality " << k << ": " << traffic[k].sent << " slabs out ("
-       << traffic[k].bytes_out << " B), " << traffic[k].received
-       << " in; clock skew " << trace_skew_ns_ * static_cast<std::int64_t>(k)
-       << " ns, estimated offset " << offsets[k] << " ns\n";
-  }
-  os << "flow samples: " << flows.size() << " (" << offset_est_.samples()
-     << " used for offset estimation)\n";
-
-  const transport_stats ts = transport_statistics();
-  os << "transport: " << ts.messages << " messages, " << ts.retries
-     << " retries, " << ts.timeouts << " timeouts, " << ts.dups_dropped
-     << " dups dropped\n";
-  os << "exchange: " << stats_.local_direct << " direct / "
-     << stats_.local_serialized << " local-serialized / "
-     << stats_.remote_messages << " remote slabs, "
-     << stats_.bytes_serialized << " B serialized\n";
-
-  os << "--- aggregated apex counters (all localities) ---\n";
-  apex::registry::instance().report(os);
 }
 
 void cluster::on_layout() {
@@ -524,15 +411,6 @@ void cluster::finish_step_record(apex::step_record& rec) {
         tree::cost_max_over_mean(*topo_, part_, cost_model_.costs()));
   // Feed the adaptive heartbeat deadline with this step's wall time.
   monitor_.observe_step_ms(rec.step_seconds * 1e3);
-
-  // Refine the clock-offset estimate with this step's fresh flow samples:
-  // the per-link minima only sharpen as more slabs transit.
-  if (apex::flow_recorder::enabled()) {
-    const auto flows = apex::flow_recorder::instance().snapshot();
-    for (std::size_t i = flows_consumed_; i < flows.size(); ++i)
-      offset_est_.observe(flows[i]);
-    flows_consumed_ = flows.size();
-  }
 }
 
 void cluster::restore_stats(const exchange_stats& st) { stats_ = st; }

@@ -45,7 +45,6 @@
 #include "amt/channel.hpp"
 #include "app/step_core.hpp"
 #include "dist/recovery.hpp"
-#include "dist/trace_merge.hpp"
 #include "dist/transport.hpp"
 #include "tree/partition.hpp"
 
@@ -101,8 +100,6 @@ class cluster : public app::step_core {
  public:
   cluster(const scen::scenario& sc, dist_options opt,
           exec::amt_space space = exec::amt_space{});
-  /// Writes the distributed trace bundle (see set_trace_dir) when armed.
-  ~cluster() override;
 
   /// Checkpoint restore's last step (dist/checkpoint.hpp): overwrite the
   /// exchange statistics after step_core::restore_state() has re-exchanged
@@ -147,28 +144,6 @@ class cluster : public app::step_core {
     return locality_alive_[static_cast<std::size_t>(loc)] != 0;
   }
   int live_localities() const;
-
-  /// Arm distributed tracing into \p dir: span recording plus per-locality
-  /// message-flow stamps on deliberately skewed locality clocks
-  /// (skew_ns_per_locality x locality index simulates independent node
-  /// clocks; the merge has to undo it).  The bundle — trace.locK.json per
-  /// locality, the clock-aligned trace.merged.json, cluster_report.txt —
-  /// is written by write_trace_bundle(), or automatically at destruction.
-  /// Also armed from the environment: OCTO_TRACE naming an existing
-  /// *directory* selects this mode (OCTO_TRACE_SKEW_US, a non-negative
-  /// integer, overrides the per-locality skew, default 2000 us; any other
-  /// value throws octo::error naming it).
-  void set_trace_dir(const std::string& dir,
-                     std::int64_t skew_ns_per_locality = 2'000'000);
-
-  /// Write the distributed trace bundle into \p dir (see set_trace_dir)
-  /// and return the merge summary (offsets applied, flows matched).
-  merge_result write_trace_bundle(const std::string& dir);
-
-  /// Cluster-wide end-of-run report: aggregated apex counters for all
-  /// localities, per-locality traffic totals, estimated clock offsets vs.
-  /// the configured skews, transport statistics.
-  void write_cluster_report(std::ostream& os) const;
 
  private:
   /// One message through a boundary channel.
@@ -256,14 +231,6 @@ class cluster : public app::step_core {
   /// Dynamic load rebalancing state (dist/rebalance.cpp).
   std::uint64_t rebalance_count_ = 0;
   std::uint64_t rebalances_skipped_ = 0;
-
-  /// Distributed-trace state (set_trace_dir): output directory, configured
-  /// per-locality skew, the live offset estimator (refined every step from
-  /// new flow samples), and how many samples it has already consumed.
-  std::string trace_dir_;
-  std::int64_t trace_skew_ns_ = 0;
-  clock_offset_estimator offset_est_;
-  std::size_t flows_consumed_ = 0;
 
   exchange_stats stats_;
   /// stats_ at the SDC snapshot: a retried step counts its slabs once.

@@ -11,7 +11,6 @@
 
 #include "amt/future.hpp"
 #include "apex/apex.hpp"
-#include "apex/flow.hpp"
 #include "apex/trace.hpp"
 #include "common/fault.hpp"
 
@@ -60,8 +59,6 @@ struct message {
   std::uint32_t epoch = 0;  ///< link generation the frame belongs to
   int src_loc = 0;
   int dst_loc = 0;
-  std::uint64_t send_ts_ns = 0;  ///< sender's locality clock at send()
-  std::uint64_t bytes = 0;       ///< payload size (payload is moved out)
   std::vector<std::uint8_t> payload;
   transport::deliver_fn deliver;
   amt::promise<void> ack_promise;
@@ -215,17 +212,6 @@ void on_frame(const std::shared_ptr<transport::state>& st,
     }
   }
   if (fresh) {
-    // Flow stamp: first (application-visible) delivery of this sequence
-    // number.  Receive time is on the *destination* locality's clock; the
-    // merge step (dist/trace_merge.hpp) aligns it with the send stamp.
-    if (apex::flow_recorder::enabled()) {
-      auto& fr = apex::flow_recorder::instance();
-      fr.record({static_cast<std::uint64_t>(msg->link), msg->seq,
-                 static_cast<std::uint32_t>(msg->src_loc),
-                 static_cast<std::uint32_t>(msg->dst_loc), msg->send_ts_ns,
-                 fr.now_loc(static_cast<std::uint32_t>(msg->dst_loc)),
-                 msg->bytes});
-    }
     msg->deliver(std::move(msg->payload));
   } else {
     st->dups_dropped.fetch_add(1, std::memory_order_relaxed);
@@ -263,11 +249,7 @@ void transport::send(int link, int src_loc, int dst_loc,
   msg->src_loc = src_loc;
   msg->dst_loc = dst_loc;
   msg->payload = std::move(payload);
-  msg->bytes = msg->payload.size();
   msg->deliver = std::move(deliver);
-  if (apex::flow_recorder::enabled())
-    msg->send_ts_ns = apex::flow_recorder::instance().now_loc(
-        static_cast<std::uint32_t>(src_loc));
   msg->epoch = st->epoch.load(std::memory_order_acquire);
   {
     auto& ls = st->links[static_cast<std::size_t>(link)];

@@ -1,16 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
-#include <filesystem>
-#include <optional>
-#include <string>
 
-#include <unistd.h>
-
-#include "apex/trace.hpp"
 #include "app/simulation.hpp"
-#include "common/config.hpp"
 #include "common/fault.hpp"
 #include "dist/cluster.hpp"
 #include "dist/serialize.hpp"
@@ -208,46 +200,6 @@ TEST_F(ClusterEnv, ReinitializeResetsClockStepsAndSdcCounters) {
   EXPECT_EQ(cl.step(), fresh.step());
   EXPECT_EQ(cl.time(), fresh.time());
   EXPECT_EQ(cl.last_step_metrics().step, 1);
-}
-
-/// OCTO_TRACE_SKEW_US must be a non-negative integer: a negative or
-/// malformed value fails loudly, naming the variable and the value,
-/// instead of being dropped or half-parsed.
-TEST(TraceSkewEnv, MalformedValueThrowsNamingIt) {
-  const std::optional<std::string> saved_trace = config::env("OCTO_TRACE");
-  const std::optional<std::string> saved_skew =
-      config::env("OCTO_TRACE_SKEW_US");
-  // Per-process directory: the whole-binary dataflow rerun may run this
-  // case concurrently with the per-test process.
-  const std::string dir =
-      testing::TempDir() + "/octo_skew_env_" + std::to_string(::getpid());
-  std::filesystem::create_directories(dir);
-  // Build the trace singleton first: created while OCTO_TRACE names the
-  // directory, it would adopt it as its output file and write it at exit.
-  (void)apex::trace::instance();
-  ::setenv("OCTO_TRACE", dir.c_str(), 1);
-  const auto sc = scen::rotating_star();
-  for (const char* bad : {"-5", "12us", "abc", "1.5"}) {
-    ::setenv("OCTO_TRACE_SKEW_US", bad, 1);
-    try {
-      cluster cl(sc, dist_options{});
-      ADD_FAILURE() << "OCTO_TRACE_SKEW_US=" << bad << " was accepted";
-    } catch (const error& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find("OCTO_TRACE_SKEW_US"), std::string::npos) << what;
-      EXPECT_NE(what.find(bad), std::string::npos) << what;
-    }
-  }
-  const auto restore = [](const char* name,
-                          const std::optional<std::string>& v) {
-    if (v)
-      ::setenv(name, v->c_str(), 1);
-    else
-      ::unsetenv(name);
-  };
-  restore("OCTO_TRACE", saved_trace);
-  restore("OCTO_TRACE_SKEW_US", saved_skew);
-  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 /// Unit coverage for the SDC defense (app/invariants.hpp): CRC32 leaf and
 /// moment seals, the physics-invariant auditor (NaN/positivity scans,
 /// conservation-drift EWMA, CFL-dt sanity), the bit-flip primitive, the
-/// compute-fault injector hooks, strict fault-spec parsing, and the EOS
-/// non-finite input guards.
+/// compute-fault injector hooks, strict fault-spec and audit-env parsing,
+/// and the EOS non-finite input guards.
 
 // Force the EOS guards on in this translation unit: the guard machinery is
 // header-only, and the default RelWithDebInfo build defines NDEBUG (which
@@ -12,11 +12,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <limits>
+#include <optional>
 #include <string>
 
 #include "app/invariants.hpp"
 #include "app/simulation.hpp"
+#include "common/config.hpp"
 #include "common/error.hpp"
 #include "common/fault.hpp"
 #include "grid/field.hpp"
@@ -257,6 +260,65 @@ TEST(InvariantAudit, CadenceFollowsEveryAndEnable) {
   opt.enabled = false;
   invariant_auditor off(opt);
   EXPECT_FALSE(off.invariants_due(4));
+}
+
+/// Sets one environment variable for a scope and restores it after.
+class scoped_env {
+ public:
+  explicit scoped_env(const char* name)
+      : name_(name), saved_(config::env(name)) {}
+  ~scoped_env() {
+    if (saved_)
+      ::setenv(name_, saved_->c_str(), 1);
+    else
+      ::unsetenv(name_);
+  }
+  void set(const char* v) const { ::setenv(name_, v, 1); }
+  void unset() const { ::unsetenv(name_); }
+
+ private:
+  const char* name_;
+  std::optional<std::string> saved_;
+};
+
+/// Expects \p f to throw octo::error whose message names \p what.
+template <class F>
+void expect_rejects(F f, const std::string& what) {
+  try {
+    f();
+    ADD_FAILURE() << "accepted " << what;
+  } catch (const error& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(InvariantAudit, AuditSwitchAcceptsOnlyZeroOrOne) {
+  const scoped_env env("OCTO_AUDIT");
+  env.unset();
+  EXPECT_TRUE(audit_options::default_audit_enabled());
+  env.set("1");
+  EXPECT_TRUE(audit_options::default_audit_enabled());
+  env.set("0");
+  EXPECT_FALSE(audit_options::default_audit_enabled());
+  for (const char* bad : {"off", "on", "true", "2", "00"}) {
+    env.set(bad);
+    expect_rejects([] { (void)audit_options::default_audit_enabled(); },
+                   std::string("OCTO_AUDIT='") + bad + "'");
+  }
+}
+
+TEST(InvariantAudit, AuditCadenceAcceptsOnlyPositiveIntegers) {
+  const scoped_env env("OCTO_AUDIT_EVERY");
+  env.unset();
+  EXPECT_EQ(audit_options::default_audit_every(), 4);
+  env.set("7");
+  EXPECT_EQ(audit_options::default_audit_every(), 7);
+  for (const char* bad : {"abc", "0", "-3", "4x", "2.5", "3000000000"}) {
+    env.set(bad);
+    expect_rejects([] { (void)audit_options::default_audit_every(); },
+                   std::string("OCTO_AUDIT_EVERY='") + bad + "'");
+  }
 }
 
 // --------------------------------------------- strict fault-spec parsing --

@@ -1,11 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstdlib>
+#include <filesystem>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
 
+#include <unistd.h>
+
 #include "apex/trace.hpp"
+#include "common/config.hpp"
+#include "common/error.hpp"
 
 namespace octo::apex {
 namespace {
@@ -196,6 +203,58 @@ TEST_F(TraceTest, ConcurrentRecordingKeepsEveryThreadsEvents) {
   for (auto& t : pool) t.join();
   EXPECT_EQ(tr.captured() - before, n_threads * per_thread);
   EXPECT_EQ(tr.dropped(), 0u);
+}
+
+TEST_F(TraceTest, EnableRejectsADirectoryNamingIt) {
+  auto& tr = trace::instance();
+  const std::string dir = testing::TempDir() + "/octo_trace_dir_" +
+                          std::to_string(::getpid());
+  std::filesystem::create_directories(dir);
+  try {
+    tr.enable(dir);
+    ADD_FAILURE() << "enable(<directory>) was accepted";
+  } catch (const error& e) {
+    EXPECT_NE(std::string(e.what()).find(dir), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(tr.path(), "");
+
+  // A file path and the empty (record-only) path still work.
+  const std::string file = dir + "/trace.json";
+  tr.enable(file);
+  EXPECT_TRUE(trace::enabled());
+  EXPECT_EQ(tr.path(), file);
+  { scoped_trace_span s("unit.to_file"); }
+  EXPECT_TRUE(tr.write_to_file());
+  EXPECT_TRUE(std::filesystem::is_regular_file(file));
+  tr.enable("");
+  EXPECT_TRUE(trace::enabled());
+  EXPECT_EQ(tr.path(), "");
+  std::filesystem::remove_all(dir);
+}
+
+TEST(TraceEnv, BufferCapacityAcceptsOnlyPositiveIntegers) {
+  (void)trace::instance();  // bootstrap before the variable changes
+  const std::optional<std::string> saved = config::env("OCTO_TRACE_BUFFER");
+  ::unsetenv("OCTO_TRACE_BUFFER");
+  EXPECT_EQ(trace::default_buffer_capacity(), std::size_t(1) << 16);
+  ::setenv("OCTO_TRACE_BUFFER", "64", 1);
+  EXPECT_EQ(trace::default_buffer_capacity(), 64u);
+  for (const char* bad : {"64k", "abc", "0", "-5", "1.5"}) {
+    ::setenv("OCTO_TRACE_BUFFER", bad, 1);
+    try {
+      (void)trace::default_buffer_capacity();
+      ADD_FAILURE() << "OCTO_TRACE_BUFFER=" << bad << " was accepted";
+    } catch (const error& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("OCTO_TRACE_BUFFER='") +
+                                           bad + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  if (saved)
+    ::setenv("OCTO_TRACE_BUFFER", saved->c_str(), 1);
+  else
+    ::unsetenv("OCTO_TRACE_BUFFER");
 }
 
 }  // namespace

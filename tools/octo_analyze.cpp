@@ -1,7 +1,7 @@
 /// \file octo_analyze.cpp
 /// Offline analyzer over the observability artifacts the runtime emits:
 ///
-///   octo_analyze trace.merged.json            # span/flow/utilization report
+///   octo_analyze trace.json                   # span/utilization report
 ///   octo_analyze metrics.jsonl                # per-step metrics summary
 ///   octo_analyze --baseline old.jsonl new.jsonl --threshold 10
 ///                                             # flag per-step regressions
