@@ -12,10 +12,11 @@
 ///
 /// With `kill_loc=<loc>` (optionally `kill_step=<n>`, default 1) — or the
 /// `OCTO_FAULT_LOCALITY_KILL=<loc>:<step>` env knob — a locality is killed
-/// mid-run instead: the heartbeat deadline detects the death, the partition
-/// shrinks over the survivors, the lost leaves come back from buddy
-/// replicas (or the newest checkpoint in ckpt_dir=), and the surviving run
-/// is compared cell-for-cell against the uninterrupted reference.
+/// mid-run instead: the cluster sees the death at that step's entry (the
+/// injector's liveness, no deadline), the partition shrinks over the
+/// survivors, the lost leaves come back from buddy replicas (or the newest
+/// checkpoint in ckpt_dir=), and the surviving run is compared
+/// cell-for-cell against the uninterrupted reference.
 ///
 ///   ./distributed_demo [localities=4] [level=2] [steps=2] [threads=4]
 ///                      [ckpt_dir=/tmp/...] [ckpt_every=1]

@@ -4,6 +4,8 @@
 #include <fstream>
 #include <ostream>
 #include <sstream>
+#include <type_traits>
+#include <variant>
 
 #include "common/json.hpp"
 
@@ -59,62 +61,47 @@ std::vector<step_record> load_metrics_jsonl(const std::string& path) {
     if (line.empty()) continue;
     const json::value v = json::parse(line);
     step_record r;
-    r.step = static_cast<int>(v.number_or("step", 0));
-    r.time = v.number_or("time", 0);
-    r.dt = v.number_or("dt", 0);
-    r.step_seconds = v.number_or("step_seconds", 0);
-    r.exchange_seconds = v.number_or("exchange_seconds", 0);
-    r.gravity_seconds = v.number_or("gravity_seconds", 0);
-    r.hydro_seconds = v.number_or("hydro_seconds", 0);
-    r.subgrids = static_cast<std::uint64_t>(v.number_or("subgrids", 0));
-    r.cells = static_cast<std::uint64_t>(v.number_or("cells", 0));
-    r.cells_per_sec = v.number_or("cells_per_sec", 0);
-    r.transport_retries =
-        static_cast<std::uint64_t>(v.number_or("transport_retries", 0));
-    r.transport_timeouts =
-        static_cast<std::uint64_t>(v.number_or("transport_timeouts", 0));
-    r.transport_dups_dropped =
-        static_cast<std::uint64_t>(v.number_or("transport_dups_dropped", 0));
-    r.localities_lost =
-        static_cast<std::uint64_t>(v.number_or("localities_lost", 0));
-    r.leaves_migrated =
-        static_cast<std::uint64_t>(v.number_or("leaves_migrated", 0));
-    r.idle_fraction = v.number_or("idle_fraction", 0);
-    r.crit_path_us = v.number_or("crit_path_us", 0);
-    r.crit_path_frac = v.number_or("crit_path_frac", 0);
-    r.imbalance = v.number_or("imbalance", 0);
-    r.rebalance_count =
-        static_cast<std::uint64_t>(v.number_or("rebalance_count", 0));
-    r.max_over_mean = v.number_or("max_over_mean", 0);
-    r.sdc_audits = static_cast<std::uint64_t>(v.number_or("sdc_audits", 0));
-    r.sdc_detected =
-        static_cast<std::uint64_t>(v.number_or("sdc_detected", 0));
-    r.sdc_retries = static_cast<std::uint64_t>(v.number_or("sdc_retries", 0));
-    r.sdc_rollbacks =
-        static_cast<std::uint64_t>(v.number_or("sdc_rollbacks", 0));
+    for (const step_column& c : step_columns)
+      std::visit(
+          [&](auto member) {
+            using field = std::remove_reference_t<decltype(r.*member)>;
+            r.*member = static_cast<field>(v.number_or(c.name, 0));
+          },
+          c.member);
     steps.push_back(r);
   }
   return steps;
 }
 
 std::vector<utilization_row> compute_utilization(const loaded_trace& t) {
-  std::map<std::pair<int, int>, utilization_row> rows;
+  // Spans nest on one timeline (an amt.task and the phase spans inside
+  // it), so a timeline's busy time is the union of its span intervals,
+  // not the sum of their durations.
+  std::map<std::pair<int, int>, std::vector<std::pair<double, double>>>
+      timelines;
   double t_min = 0, t_max = 0;
   bool any = false;
   for (const trace_span& s : t.spans) {
-    auto& row = rows[{s.pid, s.tid}];
-    row.pid = s.pid;
-    row.tid = s.tid;
-    row.busy_us += s.dur_us;
-    ++row.spans;
+    timelines[{s.pid, s.tid}].emplace_back(s.ts_us, s.ts_us + s.dur_us);
     if (!any || s.ts_us < t_min) t_min = s.ts_us;
     if (!any || s.ts_us + s.dur_us > t_max) t_max = s.ts_us + s.dur_us;
     any = true;
   }
   const double window = any ? t_max - t_min : 0;
   std::vector<utilization_row> out;
-  out.reserve(rows.size());
-  for (auto& [key, row] : rows) {
+  out.reserve(timelines.size());
+  for (auto& [key, iv] : timelines) {
+    utilization_row row;
+    row.pid = key.first;
+    row.tid = key.second;
+    row.spans = iv.size();
+    std::sort(iv.begin(), iv.end());
+    double end = iv.front().first;
+    for (const auto& [lo, hi] : iv) {
+      if (hi <= end) continue;
+      row.busy_us += hi - std::max(lo, end);
+      end = hi;
+    }
     const auto name = t.thread_names.find(key);
     if (name != t.thread_names.end()) row.name = name->second;
     row.utilization = window > 0 ? row.busy_us / window : 0;

@@ -47,7 +47,7 @@ struct utilization_row {
   int pid = 0;
   int tid = 0;
   std::string name;
-  double busy_us = 0;
+  double busy_us = 0;  ///< union of the timeline's span intervals
   std::uint64_t spans = 0;
   double utilization = 0;  ///< busy / trace wall window
 };

@@ -1,8 +1,35 @@
 #include "apex/metrics.hpp"
 
 #include <cstdio>
+#include <string>
+#include <type_traits>
+#include <variant>
 
 namespace octo::apex {
+
+namespace {
+
+/// Append column \p c of \p rec: `%d`, `%llu` or `%.9g` by member type.
+void append_value(std::string& out, const step_record& rec,
+                  const step_column& c) {
+  char value[32];
+  std::visit(
+      [&](auto member) {
+        const auto v = rec.*member;
+        using field = std::remove_const_t<decltype(v)>;
+        if constexpr (std::is_same_v<field, int>)
+          std::snprintf(value, sizeof value, "%d", v);
+        else if constexpr (std::is_same_v<field, double>)
+          std::snprintf(value, sizeof value, "%.9g", v);
+        else
+          std::snprintf(value, sizeof value, "%llu",
+                        static_cast<unsigned long long>(v));
+      },
+      c.member);
+  out += value;
+}
+
+}  // namespace
 
 bool metrics_sink::open(const std::string& path, format f) {
   const std::lock_guard<std::mutex> lock(mutex_);
@@ -23,69 +50,28 @@ bool metrics_sink::open(const std::string& path) {
 void metrics_sink::emit(const step_record& rec) {
   const std::lock_guard<std::mutex> lock(mutex_);
   if (!out_.is_open()) return;
-  char line[1536];
+  std::string line;
   if (format_ == format::csv) {
-    if (emitted_ == 0)
-      out_ << "step,time,dt,step_seconds,exchange_seconds,gravity_seconds,"
-              "hydro_seconds,subgrids,cells,cells_per_sec,"
-              "transport_retries,transport_timeouts,transport_dups_dropped,"
-              "localities_lost,leaves_migrated,idle_fraction,"
-              "crit_path_us,crit_path_frac,imbalance,"
-              "rebalance_count,max_over_mean,"
-              "sdc_audits,sdc_detected,sdc_retries,sdc_rollbacks\n";
-    std::snprintf(line, sizeof line,
-                  "%d,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%llu,%llu,%.9g,"
-                  "%llu,%llu,%llu,%llu,%llu,%.9g,%.9g,%.9g,%.9g,"
-                  "%llu,%.9g,%llu,%llu,%llu,%llu\n",
-                  rec.step, rec.time, rec.dt, rec.step_seconds,
-                  rec.exchange_seconds, rec.gravity_seconds,
-                  rec.hydro_seconds,
-                  static_cast<unsigned long long>(rec.subgrids),
-                  static_cast<unsigned long long>(rec.cells),
-                  rec.cells_per_sec,
-                  static_cast<unsigned long long>(rec.transport_retries),
-                  static_cast<unsigned long long>(rec.transport_timeouts),
-                  static_cast<unsigned long long>(rec.transport_dups_dropped),
-                  static_cast<unsigned long long>(rec.localities_lost),
-                  static_cast<unsigned long long>(rec.leaves_migrated),
-                  rec.idle_fraction, rec.crit_path_us, rec.crit_path_frac,
-                  rec.imbalance,
-                  static_cast<unsigned long long>(rec.rebalance_count),
-                  rec.max_over_mean,
-                  static_cast<unsigned long long>(rec.sdc_audits),
-                  static_cast<unsigned long long>(rec.sdc_detected),
-                  static_cast<unsigned long long>(rec.sdc_retries),
-                  static_cast<unsigned long long>(rec.sdc_rollbacks));
+    if (emitted_ == 0) {
+      for (const step_column& c : step_columns) {
+        if (&c != step_columns) line += ',';
+        line += c.name;
+      }
+      line += '\n';
+    }
+    for (const step_column& c : step_columns) {
+      if (&c != step_columns) line += ',';
+      append_value(line, rec, c);
+    }
+    line += '\n';
   } else {
-    std::snprintf(
-        line, sizeof line,
-        "{\"step\":%d,\"time\":%.9g,\"dt\":%.9g,\"step_seconds\":%.9g,"
-        "\"exchange_seconds\":%.9g,\"gravity_seconds\":%.9g,"
-        "\"hydro_seconds\":%.9g,\"subgrids\":%llu,\"cells\":%llu,"
-        "\"cells_per_sec\":%.9g,\"transport_retries\":%llu,"
-        "\"transport_timeouts\":%llu,\"transport_dups_dropped\":%llu,"
-        "\"localities_lost\":%llu,\"leaves_migrated\":%llu,"
-        "\"idle_fraction\":%.9g,\"crit_path_us\":%.9g,"
-        "\"crit_path_frac\":%.9g,\"imbalance\":%.9g,"
-        "\"rebalance_count\":%llu,\"max_over_mean\":%.9g,"
-        "\"sdc_audits\":%llu,\"sdc_detected\":%llu,"
-        "\"sdc_retries\":%llu,\"sdc_rollbacks\":%llu}\n",
-        rec.step, rec.time, rec.dt, rec.step_seconds, rec.exchange_seconds,
-        rec.gravity_seconds, rec.hydro_seconds,
-        static_cast<unsigned long long>(rec.subgrids),
-        static_cast<unsigned long long>(rec.cells), rec.cells_per_sec,
-        static_cast<unsigned long long>(rec.transport_retries),
-        static_cast<unsigned long long>(rec.transport_timeouts),
-        static_cast<unsigned long long>(rec.transport_dups_dropped),
-        static_cast<unsigned long long>(rec.localities_lost),
-        static_cast<unsigned long long>(rec.leaves_migrated),
-        rec.idle_fraction, rec.crit_path_us, rec.crit_path_frac,
-        rec.imbalance, static_cast<unsigned long long>(rec.rebalance_count),
-        rec.max_over_mean,
-        static_cast<unsigned long long>(rec.sdc_audits),
-        static_cast<unsigned long long>(rec.sdc_detected),
-        static_cast<unsigned long long>(rec.sdc_retries),
-        static_cast<unsigned long long>(rec.sdc_rollbacks));
+    line += '{';
+    for (const step_column& c : step_columns) {
+      if (&c != step_columns) line += ',';
+      ((line += '"') += c.name) += "\":";
+      append_value(line, rec, c);
+    }
+    line += "}\n";
   }
   out_ << line;
   out_.flush();  // steps are seconds-scale; make records crash-durable

@@ -15,6 +15,7 @@
 #include <fstream>
 #include <mutex>
 #include <string>
+#include <variant>
 
 namespace octo::apex {
 
@@ -63,6 +64,47 @@ struct step_record {
                         ? static_cast<double>(cells) / step_seconds
                         : 0;
   }
+};
+
+/// One step_record column: its CSV header name / JSONL key and the member
+/// it holds.  The writer (metrics_sink::emit) and the reader
+/// (load_metrics_jsonl) both loop over `step_columns`, so the schema is
+/// spelled out once; a value prints as `%d`, `%llu` or `%.9g` by member
+/// type.
+struct step_column {
+  const char* name;
+  std::variant<int step_record::*, std::uint64_t step_record::*,
+               double step_record::*>
+      member;
+};
+
+/// Every column, in output order.
+inline constexpr step_column step_columns[] = {
+    {"step", &step_record::step},
+    {"time", &step_record::time},
+    {"dt", &step_record::dt},
+    {"step_seconds", &step_record::step_seconds},
+    {"exchange_seconds", &step_record::exchange_seconds},
+    {"gravity_seconds", &step_record::gravity_seconds},
+    {"hydro_seconds", &step_record::hydro_seconds},
+    {"subgrids", &step_record::subgrids},
+    {"cells", &step_record::cells},
+    {"cells_per_sec", &step_record::cells_per_sec},
+    {"transport_retries", &step_record::transport_retries},
+    {"transport_timeouts", &step_record::transport_timeouts},
+    {"transport_dups_dropped", &step_record::transport_dups_dropped},
+    {"localities_lost", &step_record::localities_lost},
+    {"leaves_migrated", &step_record::leaves_migrated},
+    {"idle_fraction", &step_record::idle_fraction},
+    {"crit_path_us", &step_record::crit_path_us},
+    {"crit_path_frac", &step_record::crit_path_frac},
+    {"imbalance", &step_record::imbalance},
+    {"rebalance_count", &step_record::rebalance_count},
+    {"max_over_mean", &step_record::max_over_mean},
+    {"sdc_audits", &step_record::sdc_audits},
+    {"sdc_detected", &step_record::sdc_detected},
+    {"sdc_retries", &step_record::sdc_retries},
+    {"sdc_rollbacks", &step_record::sdc_rollbacks},
 };
 
 /// Thread-safe append-only sink.  A default-constructed sink is closed;

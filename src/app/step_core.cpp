@@ -669,7 +669,6 @@ real step_core::step() {
     } catch (const sdc_detected&) {
       ++sdc_detected_;
       sdc_retry(snap, dt);
-      after_sdc_retry();
     }
   } else {
     step_attempt(dt);

@@ -5,7 +5,7 @@
 /// one task per sub-grid kernel (the paper's default launch configuration).
 /// app::simulation is this core on one locality; dist::cluster is the same
 /// core plus the hooks one locality lacks (SFC partition, leaf-face links,
-/// heartbeat, buddy replicas, rebalancing and recovery), just as a
+/// liveness, buddy replicas, rebalancing and recovery), just as a
 /// single-node Octo-Tiger run is one HPX locality of the same driver.
 ///
 /// Like Octo-Tiger, *every* node carries a sub-grid: leaves hold the evolved
@@ -191,8 +191,6 @@ class step_core {
   virtual void on_initialized() {}
   /// step(): before the entry pass (the u0 copy) and any state mutation.
   virtual void before_step() {}
-  /// step(): an SDC retry succeeded.
-  virtual void after_sdc_retry() {}
   /// step(): the clock has advanced past the completed step.
   virtual void after_step() {}
   /// step(): add the driver's columns to the step's record.

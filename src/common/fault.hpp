@@ -23,9 +23,10 @@
 ///     duplicate it with probability p, or hold it back so it arrives
 ///     after the next frame (reorder) with probability p;
 ///   * locality kill — declare locality `loc` dead when a cluster reaches
-///     integration step `step`: its heartbeat stops, its in-memory leaf
-///     state is scrubbed, and `dist` recovery must shrink the cluster and
-///     restore the lost leaves from a buddy replica or checkpoint.
+///     integration step `step`: `locality_alive(loc)` turns false, which
+///     the cluster checks at that step's entry, its in-memory leaf state is
+///     scrubbed, and `dist` recovery must shrink the cluster and restore
+///     the lost leaves from a buddy replica or checkpoint.
 ///   * silent data corruption — flip one bit inside a conserved-field array
 ///     (`OCTO_FAULT_STATE_BITFLIP`) or a multipole-moment array
 ///     (`OCTO_FAULT_MOMENT_BITFLIP`) at a chosen integration step, modeling

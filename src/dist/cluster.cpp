@@ -12,14 +12,6 @@
 
 namespace octo::dist {
 
-namespace {
-
-/// Heartbeat deadline for locality-failure detection; a locality that has
-/// not beaten this long after the step opened is declared dead.
-constexpr double heartbeat_deadline_ms = 25;
-
-}  // namespace
-
 cluster::cluster(const scen::scenario& sc, dist_options opt,
                  exec::amt_space space)
     : step_core(sc, opt.sim, space, /*leaf_links=*/true, opt.lb.measuring()),
@@ -36,7 +28,6 @@ void cluster::on_layout() {
   part_ = tree::partition_sfc(*topo_, dopt_.num_localities,
                               tree::static_leaf_costs(*topo_));
   locality_alive_.assign(static_cast<std::size_t>(dopt_.num_localities), 1);
-  monitor_.reset(dopt_.num_localities);
   rebalance_count_ = 0;
   rebalances_skipped_ = 0;
   rebuild_channels();
@@ -329,16 +320,14 @@ void cluster::add_link_tasks(step_graph_state& g) {
 }
 
 // ---------------------------------------------------------------------------
-// Step hooks: heartbeat, replicas, rebalancing, record columns
+// Step hooks: liveness, replicas, rebalancing, record columns
 // ---------------------------------------------------------------------------
 
 void cluster::before_step() {
   // Armed node-death trigger (OCTO_FAULT_STEP) — before any state
   // mutation, so a rollback sees a consistent cluster.  Likewise the
-  // locality kill + heartbeat check: detection precedes the stage-0 copy,
-  // so recovery sees every survivor at the end of the previous step (in
-  // dataflow mode the graph's deterministic drain then surfaces any
-  // failure the heartbeat round missed).
+  // locality kill + liveness check: detection precedes the stage-0 copy,
+  // so recovery sees every survivor at the end of the previous step.
   auto& inj = fault::injector::instance();
   inj.maybe_fail_step();
   const int victim =
@@ -352,33 +341,15 @@ void cluster::before_step() {
          part_.leaves_of_locality[static_cast<std::size_t>(victim)])
       grids_[l].fill_all(std::numeric_limits<real>::quiet_NaN());
   }
-  // Heartbeat round: every locality that is actually alive beats; the
-  // monitor then waits out the deadline for anyone silent.
-  monitor_.arm_step();
+  // A locality can die only through the injector, so its liveness is the
+  // whole answer: every locality still counted alive that the injector
+  // reports dead fails the step now, with no deadline to wait out.
+  std::vector<int> dead;
   for (int loc = 0; loc < dopt_.num_localities; ++loc)
     if (locality_alive_[static_cast<std::size_t>(loc)] &&
-        inj.locality_alive(loc))
-      monitor_.beat(loc);
-  auto dead = monitor_.overdue(heartbeat_deadline_ms);
-  if (dead.empty() && monitor_.window_suspended()) {
-    // A suspended window (post-rebalance/recovery quiescence) skips the
-    // deadline so a slow survivor is not misdeclared — but a locality
-    // whose *connections* are already refused is known dead, not slow;
-    // letting the step proceed would fail mid-exchange with a
-    // transport_error the recovery driver cannot attribute.
-    for (int loc = 0; loc < dopt_.num_localities; ++loc)
-      if (locality_alive_[static_cast<std::size_t>(loc)] &&
-          !inj.locality_alive(loc))
-        dead.push_back(loc);
-  }
+        !inj.locality_alive(loc))
+      dead.push_back(loc);
   if (!dead.empty()) throw locality_failure(dead);
-}
-
-void cluster::after_sdc_retry() {
-  // A successful retry took extra wall time the adaptive heartbeat
-  // deadline never observed; don't let the next round misread the stall
-  // as a locality death.
-  monitor_.suspend_next_window();
 }
 
 void cluster::after_step() {
@@ -409,8 +380,6 @@ void cluster::finish_step_record(apex::step_record& rec) {
   if (cost_model_.active() && cost_model_.steps_observed() > 0)
     rec.max_over_mean = static_cast<double>(
         tree::cost_max_over_mean(*topo_, part_, cost_model_.costs()));
-  // Feed the adaptive heartbeat deadline with this step's wall time.
-  monitor_.observe_step_ms(rec.step_seconds * 1e3);
 }
 
 void cluster::restore_stats(const exchange_stats& st) { stats_ = st; }

@@ -33,10 +33,11 @@
 /// bitwise-identically under message drop / delay / duplication /
 /// reordering, and a genuinely lost slab fails the exchange with
 /// `transport_error` instead of deadlocking the receive side.  Locality
-/// death is detected by a per-step heartbeat deadline and survived online
-/// via `recovery.hpp`: the partition shrinks over the survivors and the
-/// dead leaves are restored from in-memory buddy replicas (kept on the
-/// SFC-neighbor locality) or the newest valid checkpoint.
+/// death (the fault injector's liveness, checked at step entry) is
+/// survived online via `recovery.hpp`: the partition shrinks over the
+/// survivors and the dead leaves are restored from in-memory buddy
+/// replicas (kept on the SFC-neighbor locality) or the newest valid
+/// checkpoint.
 
 #include <cstdint>
 #include <memory>
@@ -161,11 +162,11 @@ class cluster : public app::step_core {
   // --- step-core hooks ---------------------------------------------------
   void on_layout() override;
   void on_initialized() override;
-  /// Armed node-death trigger, then the heartbeat round: fires any armed
+  /// Armed node-death trigger, then the liveness check: fires any armed
   /// locality kill, scrubs the victim's leaves, and throws
-  /// locality_failure for every locality silent past the deadline.
+  /// locality_failure naming every locality still counted alive that the
+  /// fault injector reports dead — at once, with no deadline.
   void before_step() override;
-  void after_sdc_retry() override;
   /// Rebalance check every lb.every steps, else refresh the replicas.
   void after_step() override;
   void finish_step_record(apex::step_record& rec) override;
@@ -218,7 +219,6 @@ class cluster : public app::step_core {
 
   /// Liveness and recovery state.
   std::vector<char> locality_alive_;
-  heartbeat_monitor monitor_;
   /// Buddy replicas, indexed by leaf slot: a copy of the leaf's state and
   /// the locality "holding" it (the owner's SFC successor).
   std::vector<grid::subgrid> replicas_;

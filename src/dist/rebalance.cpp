@@ -139,13 +139,12 @@ bool cluster::maybe_rebalance() {
 
   part_ = std::move(cand);
 
-  // Post-migration sequence, exactly as recovery/restore run it: the next
-  // heartbeat window is deliberately quiescent, every boundary channel is
-  // rebuilt on a fresh transport epoch (delayed pre-rebalance frames drop
-  // instead of colliding with the new generation), and the derived state —
-  // ghosts, gravity, dt — is re-derived from the unchanged fields, which
-  // keeps the run bitwise identical to one that never rebalanced.
-  monitor_.suspend_next_window();
+  // Post-migration sequence, exactly as recovery/restore run it: every
+  // boundary channel is rebuilt on a fresh transport epoch (delayed
+  // pre-rebalance frames drop instead of colliding with the new
+  // generation), and the derived state — ghosts, gravity, dt — is
+  // re-derived from the unchanged fields, which keeps the run bitwise
+  // identical to one that never rebalanced.
   rebuild_channels();
   rederive_state();
   update_replicas();

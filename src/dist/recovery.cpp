@@ -1,13 +1,9 @@
 #include "dist/recovery.hpp"
 
-#include <algorithm>
-#include <chrono>
 #include <sstream>
-#include <thread>
 
 #include "apex/apex.hpp"
 #include "apex/trace.hpp"
-#include "common/fault.hpp"
 #include "common/log.hpp"
 #include "dist/checkpoint.hpp"
 #include "dist/cluster.hpp"
@@ -40,104 +36,8 @@ std::string locality_failure::describe(const std::vector<int>& locs) {
   os << "locality failure: " << (locs.size() == 1 ? "locality" : "localities");
   for (std::size_t i = 0; i < locs.size(); ++i)
     os << (i == 0 ? " " : ", ") << locs[i];
-  os << " missed the heartbeat deadline";
+  os << (locs.size() == 1 ? " is dead" : " are dead");
   return os.str();
-}
-
-void heartbeat_monitor::reset(int num_localities) {
-  const std::lock_guard<std::mutex> lock(m_);
-  epoch_ = 0;
-  beat_epoch_.assign(static_cast<std::size_t>(num_localities), 0);
-  alive_.assign(static_cast<std::size_t>(num_localities), true);
-  ewma_step_ms_ = 0;
-  suspend_pending_ = false;
-  window_suspended_ = false;
-}
-
-void heartbeat_monitor::arm_step() {
-  const std::lock_guard<std::mutex> lock(m_);
-  ++epoch_;
-  window_suspended_ = suspend_pending_;
-  suspend_pending_ = false;
-}
-
-void heartbeat_monitor::observe_step_ms(double step_ms) {
-  if (!(step_ms > 0)) return;
-  const std::lock_guard<std::mutex> lock(m_);
-  constexpr double alpha = 0.3;
-  ewma_step_ms_ = ewma_step_ms_ == 0
-                      ? step_ms
-                      : alpha * step_ms + (1 - alpha) * ewma_step_ms_;
-}
-
-void heartbeat_monitor::suspend_next_window() {
-  const std::lock_guard<std::mutex> lock(m_);
-  suspend_pending_ = true;
-}
-
-double heartbeat_monitor::ewma_step_ms() const {
-  const std::lock_guard<std::mutex> lock(m_);
-  return ewma_step_ms_;
-}
-
-bool heartbeat_monitor::window_suspended() const {
-  const std::lock_guard<std::mutex> lock(m_);
-  return window_suspended_;
-}
-
-void heartbeat_monitor::beat(int loc) {
-  const std::lock_guard<std::mutex> lock(m_);
-  if (loc >= 0 && loc < static_cast<int>(beat_epoch_.size()))
-    beat_epoch_[static_cast<std::size_t>(loc)] = epoch_;
-}
-
-void heartbeat_monitor::mark_dead(int loc) {
-  const std::lock_guard<std::mutex> lock(m_);
-  if (loc >= 0 && loc < static_cast<int>(alive_.size()))
-    alive_[static_cast<std::size_t>(loc)] = false;
-}
-
-int heartbeat_monitor::num_live() const {
-  const std::lock_guard<std::mutex> lock(m_);
-  int n = 0;
-  for (const bool a : alive_) n += a;
-  return n;
-}
-
-std::vector<int> heartbeat_monitor::silent_unlocked() const {
-  std::vector<int> out;
-  for (std::size_t l = 0; l < alive_.size(); ++l)
-    if (alive_[l] && beat_epoch_[l] != epoch_)
-      out.push_back(static_cast<int>(l));
-  return out;
-}
-
-std::vector<int> heartbeat_monitor::overdue(double deadline_ms) const {
-  using clock = std::chrono::steady_clock;
-  double effective_ms = deadline_ms;
-  {
-    const std::lock_guard<std::mutex> lock(m_);
-    // A deliberately quiescent window (rebalance/recovery in progress)
-    // declares nobody dead, whatever the beats say.
-    if (window_suspended_) return {};
-    effective_ms = std::max(deadline_ms, deadline_scale * ewma_step_ms_);
-  }
-  const auto deadline =
-      clock::now() + std::chrono::duration_cast<clock::duration>(
-                         std::chrono::duration<double, std::milli>(
-                             effective_ms));
-  for (;;) {
-    {
-      const std::lock_guard<std::mutex> lock(m_);
-      auto silent = silent_unlocked();
-      if (silent.empty()) return silent;
-      if (clock::now() >= deadline) return silent;
-    }
-    // Beats are recorded synchronously in this in-process model, so the
-    // fast path returns without sleeping; the slice keeps the wait honest
-    // for beats arriving from other threads.
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-  }
 }
 
 void cluster::recover_locality_failure(const std::vector<int>& dead,
@@ -147,13 +47,12 @@ void cluster::recover_locality_failure(const std::vector<int>& dead,
   OCTO_CHECK_MSG(initialized_, "call initialize() first");
   OCTO_CHECK_MSG(!dead.empty(), "recover_locality_failure: empty dead list");
 
-  // 1. Mark the victims dead everywhere liveness is tracked.
+  // 1. Mark the victims dead.
   for (const int d : dead) {
     OCTO_CHECK_MSG(d >= 0 && d < dopt_.num_localities,
                    "recover_locality_failure: locality " << d
                                                          << " out of range");
     locality_alive_[static_cast<std::size_t>(d)] = 0;
-    monitor_.mark_dead(d);
   }
   std::vector<int> dead_all;  // cumulative across successive failures
   for (int l = 0; l < dopt_.num_localities; ++l)
@@ -225,9 +124,6 @@ void cluster::recover_locality_failure(const std::vector<int>& dead,
   }
 
   // 5. Re-seed replicas over the survivor set and account the recovery.
-  // The next step legitimately runs long (rebuilt channels, re-derived
-  // ghosts/gravity), so don't let its heartbeat window kill a survivor.
-  monitor_.suspend_next_window();
   update_replicas();
   // Recovered fields (replica or checkpoint) are the trusted state now:
   // retake the SDC seals so the next step's verify doesn't misread the

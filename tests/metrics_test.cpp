@@ -5,8 +5,10 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <variant>
 #include <vector>
 
+#include "apex/analyze.hpp"
 #include "apex/metrics.hpp"
 #include "app/simulation.hpp"
 
@@ -179,6 +181,92 @@ TEST(Metrics, SchemaMatchesCsvJsonlAndDocs) {
             csv_cols.end());
   EXPECT_NE(std::find(csv_cols.begin(), csv_cols.end(), "max_over_mean"),
             csv_cols.end());
+}
+
+// Every field set to a distinct value: the exact CSV and JSONL lines are
+// pinned (format by field type: %d, %llu, %.9g), and load_metrics_jsonl
+// reads every field back.  The values need at most 9 significant digits so
+// the round trip is exact.
+step_record distinct_record() {
+  step_record r;
+  r.step = 7;
+  r.time = 0.5;
+  r.dt = 0.25;
+  r.step_seconds = 1.5;
+  r.exchange_seconds = 0.125;
+  r.gravity_seconds = 0.0625;
+  r.hydro_seconds = 0.75;
+  r.subgrids = 8;
+  r.cells = 1099511627776ull;  // 2^40: wider than 32 bits
+  r.cells_per_sec = 2730.5;
+  r.transport_retries = 11;
+  r.transport_timeouts = 12;
+  r.transport_dups_dropped = 13;
+  r.localities_lost = 14;
+  r.leaves_migrated = 15;
+  r.idle_fraction = 0.1;
+  r.crit_path_us = 1234.5;
+  r.crit_path_frac = 0.375;
+  r.imbalance = 1e-10;
+  r.rebalance_count = 16;
+  r.max_over_mean = 1.25;
+  r.sdc_audits = 17;
+  r.sdc_detected = 18;
+  r.sdc_retries = 19;
+  r.sdc_rollbacks = 20;
+  return r;
+}
+
+TEST(Metrics, EveryFieldWritesExactLinesAndRoundTrips) {
+  const std::string csv_path = "metrics_fields_test.csv";
+  const std::string jsonl_path = "metrics_fields_test.jsonl";
+  const step_record rec = distinct_record();
+  metrics_sink csv, jsonl;
+  ASSERT_TRUE(csv.open(csv_path));
+  ASSERT_TRUE(jsonl.open(jsonl_path));
+  csv.emit(rec);
+  jsonl.emit(rec);
+  csv.close();
+  jsonl.close();
+
+  const auto csv_lines = read_lines(csv_path);
+  ASSERT_EQ(csv_lines.size(), 2u);
+  EXPECT_EQ(csv_lines[0],
+            "step,time,dt,step_seconds,exchange_seconds,gravity_seconds,"
+            "hydro_seconds,subgrids,cells,cells_per_sec,transport_retries,"
+            "transport_timeouts,transport_dups_dropped,localities_lost,"
+            "leaves_migrated,idle_fraction,crit_path_us,crit_path_frac,"
+            "imbalance,rebalance_count,max_over_mean,sdc_audits,"
+            "sdc_detected,sdc_retries,sdc_rollbacks");
+  EXPECT_EQ(csv_lines[1],
+            "7,0.5,0.25,1.5,0.125,0.0625,0.75,8,1099511627776,2730.5,11,12,"
+            "13,14,15,0.1,1234.5,0.375,1e-10,16,1.25,17,18,19,20");
+  std::remove(csv_path.c_str());
+
+  const auto jsonl_lines = read_lines(jsonl_path);
+  ASSERT_EQ(jsonl_lines.size(), 1u);
+  EXPECT_EQ(jsonl_lines[0],
+            "{\"step\":7,\"time\":0.5,\"dt\":0.25,\"step_seconds\":1.5,"
+            "\"exchange_seconds\":0.125,\"gravity_seconds\":0.0625,"
+            "\"hydro_seconds\":0.75,\"subgrids\":8,"
+            "\"cells\":1099511627776,\"cells_per_sec\":2730.5,"
+            "\"transport_retries\":11,\"transport_timeouts\":12,"
+            "\"transport_dups_dropped\":13,\"localities_lost\":14,"
+            "\"leaves_migrated\":15,\"idle_fraction\":0.1,"
+            "\"crit_path_us\":1234.5,\"crit_path_frac\":0.375,"
+            "\"imbalance\":1e-10,\"rebalance_count\":16,"
+            "\"max_over_mean\":1.25,\"sdc_audits\":17,\"sdc_detected\":18,"
+            "\"sdc_retries\":19,\"sdc_rollbacks\":20}");
+
+  const auto back = load_metrics_jsonl(jsonl_path);
+  std::remove(jsonl_path.c_str());
+  ASSERT_EQ(back.size(), 1u);
+  for (const step_column& c : step_columns)
+    std::visit(
+        [&](auto member) {
+          EXPECT_EQ(back[0].*member, rec.*member) << c.name;
+        },
+        c.member);
 }
 
 // A tiny simulation must produce one record per step whose cell counts

@@ -2,9 +2,9 @@
 /// sweep: the EWMA leaf cost model, static-cost seeding of the initial
 /// partition, hysteresis, physics transparency of live migration (bitwise
 /// on/off across locality counts and step modes, composed with recovery,
-/// lossy networks and checkpoints), the adaptive heartbeat deadline, and
-/// the transport generation epoch that keeps delayed pre-rebuild frames
-/// from colliding with a fresh link generation.
+/// lossy networks and checkpoints), and the transport generation epoch
+/// that keeps delayed pre-rebuild frames from colliding with a fresh link
+/// generation.
 
 #include <gtest/gtest.h>
 
@@ -90,61 +90,6 @@ TEST(LeafCostModel, ResetDiscardsHistory) {
   EXPECT_EQ(m.size(), 3u);
   EXPECT_EQ(m.steps_observed(), 0u);
   EXPECT_DOUBLE_EQ(m.ewma_ns(0), 0.0);
-}
-
-// ---------------------------------------------------------------------------
-// Adaptive heartbeat deadline (dist/recovery.hpp).
-
-TEST(HeartbeatAdaptive, StepTimeEwmaSeedsAndIgnoresNonPositive) {
-  heartbeat_monitor mon;
-  mon.reset(1);
-  EXPECT_DOUBLE_EQ(mon.ewma_step_ms(), 0.0);
-  mon.observe_step_ms(10);
-  EXPECT_DOUBLE_EQ(mon.ewma_step_ms(), 10.0);
-  mon.observe_step_ms(20);
-  EXPECT_DOUBLE_EQ(mon.ewma_step_ms(), 0.3 * 20 + 0.7 * 10);  // = 13
-  mon.observe_step_ms(0);
-  mon.observe_step_ms(-5);
-  EXPECT_DOUBLE_EQ(mon.ewma_step_ms(), 13.0) << "non-positive samples ignored";
-}
-
-TEST(HeartbeatAdaptive, SuspendedWindowDeclaresNobodyDead) {
-  heartbeat_monitor mon;
-  mon.reset(2);
-  mon.suspend_next_window();
-  EXPECT_FALSE(mon.window_suspended()) << "suspension applies at arm_step";
-  mon.arm_step();
-  EXPECT_TRUE(mon.window_suspended());
-  // Zero beats, 1 ms deadline: a deliberately quiescent cluster (a
-  // rebalance just migrated leaves) must not be declared dead.
-  EXPECT_TRUE(mon.overdue(1).empty());
-
-  mon.arm_step();  // the suspension was one-shot
-  EXPECT_FALSE(mon.window_suspended());
-  mon.beat(0);
-  const auto dead = mon.overdue(1);
-  ASSERT_EQ(dead.size(), 1u);
-  EXPECT_EQ(dead[0], 1);
-}
-
-TEST(HeartbeatAdaptive, DeadlineScalesWithMeasuredStepTime) {
-  heartbeat_monitor mon;
-  mon.reset(2);
-  // EWMA -> 25 ms, so the effective deadline is max(1, 4 x 25) = 100 ms:
-  // a beat arriving ~20 ms late (legitimately slow step) is in time even
-  // though the base deadline is 1 ms.
-  for (int i = 0; i < 3; ++i) mon.observe_step_ms(25.0);
-  EXPECT_DOUBLE_EQ(mon.ewma_step_ms(), 25.0);
-  mon.arm_step();
-  mon.beat(0);
-  std::thread late([&mon] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    mon.beat(1);
-  });
-  const auto dead = mon.overdue(1);
-  late.join();
-  EXPECT_TRUE(dead.empty())
-      << "fixed 1 ms deadline misdeclared a 20 ms-late beat dead";
 }
 
 // ---------------------------------------------------------------------------

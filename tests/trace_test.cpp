@@ -10,6 +10,7 @@
 
 #include <unistd.h>
 
+#include "apex/analyze.hpp"
 #include "apex/trace.hpp"
 #include "common/config.hpp"
 #include "common/error.hpp"
@@ -255,6 +256,39 @@ TEST(TraceEnv, BufferCapacityAcceptsOnlyPositiveIntegers) {
     ::setenv("OCTO_TRACE_BUFFER", saved->c_str(), 1);
   else
     ::unsetenv("OCTO_TRACE_BUFFER");
+}
+
+// Spans nest on a timeline (a task span and the phase spans inside it):
+// busy time is the union of the intervals, so nested time counts once and
+// no timeline reads above 100 %.
+TEST(TraceAnalyze, NestedSpansCountOnceInUtilization) {
+  loaded_trace t;
+  const auto span = [&t](int tid, double ts, double dur) {
+    trace_span s;
+    s.name = "unit.span";
+    s.tid = tid;
+    s.ts_us = ts;
+    s.dur_us = dur;
+    t.spans.push_back(s);
+  };
+  span(1, 0, 100);    // outer
+  span(1, 10, 50);    // nested inside the outer span
+  span(1, 200, 100);  // disjoint
+  span(2, 0, 300);    // a timeline busy for the whole window...
+  span(2, 50, 100);   // ...with a nested span of its own
+  t.thread_names[{0, 1}] = "worker 1";
+
+  const auto rows = compute_utilization(t);
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0].tid, 1);
+  EXPECT_EQ(rows[0].name, "worker 1");
+  EXPECT_EQ(rows[0].spans, 3u);
+  EXPECT_DOUBLE_EQ(rows[0].busy_us, 200.0);
+  EXPECT_DOUBLE_EQ(rows[0].utilization, 200.0 / 300.0);
+  EXPECT_EQ(rows[1].spans, 2u);
+  EXPECT_DOUBLE_EQ(rows[1].busy_us, 300.0);
+  for (const utilization_row& row : rows)
+    EXPECT_LE(row.utilization, 1.0) << "tid " << row.tid;
 }
 
 }  // namespace

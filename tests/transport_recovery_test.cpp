@@ -1,6 +1,6 @@
 /// Reliable transport + live locality-failure recovery (the tentpole):
 /// exactly-once delivery under injected drop / delay / duplication /
-/// reordering, bounded-retry failure, heartbeat-based death detection, and
+/// reordering, bounded-retry failure, death detection at step entry, and
 /// in-place cluster recovery from buddy replicas or checkpoint rollback
 /// with physics matching an uninterrupted run.
 
@@ -127,36 +127,6 @@ TEST_F(TransportEnv, DeadLocalityFailsFast) {
                transport_error);
 }
 
-TEST_F(TransportEnv, HeartbeatMonitorNamesSilentLocalities) {
-  heartbeat_monitor mon;
-  mon.reset(3);
-  EXPECT_EQ(mon.num_live(), 3);
-
-  mon.arm_step();
-  mon.beat(0);
-  mon.beat(1);
-  mon.beat(2);
-  EXPECT_TRUE(mon.overdue(5).empty());
-
-  mon.arm_step();
-  mon.beat(0);
-  mon.beat(2);
-  const auto start = std::chrono::steady_clock::now();
-  const auto dead = mon.overdue(5);
-  const auto waited = std::chrono::steady_clock::now() - start;
-  ASSERT_EQ(dead.size(), 1u);
-  EXPECT_EQ(dead[0], 1);
-  // Detection is bounded by the deadline (generous margin for CI noise).
-  EXPECT_LT(waited, std::chrono::milliseconds(500));
-
-  mon.mark_dead(1);
-  EXPECT_EQ(mon.num_live(), 2);
-  mon.arm_step();
-  mon.beat(0);
-  mon.beat(2);
-  EXPECT_TRUE(mon.overdue(5).empty()) << "the dead must not be waited on";
-}
-
 // ---------------------------------------------------------------------------
 // Cluster-level: ghost exchange and recovery under faults.
 
@@ -243,8 +213,8 @@ TEST_F(RecoveryEnv, ExchangeBitwiseIdenticalUnderMessageFaults) {
       << "faults armed but the transport never saw one";
 }
 
-/// Acceptance: a locality killed mid-run is detected within one step
-/// deadline and the run continues on the survivors — leaves restored from
+/// Acceptance: a locality killed mid-run is detected at the entry of the
+/// step it dies in and the run continues on the survivors — leaves restored from
 /// buddy replicas — with mass/energy matching the uninterrupted run to
 /// 1e-12 relative (here: bitwise).
 TEST_F(RecoveryEnv, LocalityKillRecoveredFromBuddyReplicas) {
@@ -284,6 +254,40 @@ TEST_F(RecoveryEnv, LocalityKillRecoveredFromBuddyReplicas) {
   while (std::getline(in, line)) all += line + "\n";
   EXPECT_NE(all.find("\"localities_lost\":1"), std::string::npos) << all;
   EXPECT_NE(all.find("\"leaves_migrated\":"), std::string::npos);
+}
+
+/// The kill is reported at the entry of the step it is armed for, without
+/// waiting on the dead: the failing step() takes less time than the last
+/// clean step did, throws before advancing the clock, and names exactly
+/// the victim.
+TEST_F(RecoveryEnv, KillReportedAtNextStepWithoutWaiting) {
+  auto sc = scen::rotating_star();
+  cluster cl(sc, base_opts(4, 2));
+  cl.initialize();
+  cl.step();
+  cl.step();
+  const double clean_step_s = cl.last_step_metrics().step_seconds;
+  ASSERT_GT(clean_step_s, 0.0);
+
+  fault::injector::instance().arm_locality_kill(1, 3);
+  std::vector<int> victims;
+  std::string what;
+  const auto start = std::chrono::steady_clock::now();
+  try {
+    cl.step();
+  } catch (const locality_failure& f) {
+    victims = f.localities();
+    what = f.what();
+  }
+  const double elapsed_s = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+
+  EXPECT_EQ(victims, std::vector<int>{1});
+  EXPECT_EQ(what, "locality failure: locality 1 is dead");
+  EXPECT_LT(elapsed_s, clean_step_s)
+      << "detection waited instead of reading the injector's liveness";
+  EXPECT_EQ(cl.steps_taken(), 2);
 }
 
 /// Buddy replicas off: recovery falls back to rolling the whole cluster

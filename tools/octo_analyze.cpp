@@ -17,6 +17,8 @@
 /// retries/rollbacks); a run whose final sdc_detected is nonzero always
 /// fails a --baseline gate regardless of the threshold.
 
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -46,6 +48,33 @@ void usage(std::ostream& os) {
         "                        unordered conflicting task footprints\n"
         "  --drop-edge FROM:TO   with --race-audit: ignore recorded FROM->TO\n"
         "                        class edges (missing-edge what-if)\n";
+}
+
+[[noreturn]] void bad_value(const std::string& flag, const std::string& value,
+                            const char* expected) {
+  std::cerr << "octo_analyze: " << flag << " wants " << expected << ", got '"
+            << value << "'\n";
+  std::exit(2);
+}
+
+/// The whole of \p value must be a base-10 count (no sign, no suffix).
+std::size_t parse_count(const std::string& flag, const std::string& value) {
+  errno = 0;
+  const unsigned long long n = std::strtoull(value.c_str(), nullptr, 10);
+  if (value.empty() ||
+      value.find_first_not_of("0123456789") != std::string::npos ||
+      errno == ERANGE)
+    bad_value(flag, value, "a non-negative integer");
+  return static_cast<std::size_t>(n);
+}
+
+/// The whole of \p value must be a finite number >= 0.
+double parse_percent(const std::string& flag, const std::string& value) {
+  char* end = nullptr;
+  const double x = std::strtod(value.c_str(), &end);
+  if (value.empty() || *end != '\0' || !(x >= 0) || !std::isfinite(x))
+    bad_value(flag, value, "a non-negative number");
+  return x;
 }
 
 bool ends_with(const std::string& s, const char* suffix) {
@@ -81,10 +110,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--baseline") {
       baseline_file = next();
     } else if (arg == "--top") {
-      top_k = static_cast<std::size_t>(std::strtoul(next().c_str(),
-                                                    nullptr, 10));
+      top_k = parse_count(arg, next());
     } else if (arg == "--threshold") {
-      threshold_pct = std::strtod(next().c_str(), nullptr);
+      threshold_pct = parse_percent(arg, next());
     } else if (arg == "--race-audit") {
       race_files.push_back(next());
     } else if (arg == "--drop-edge") {
