@@ -4,27 +4,26 @@
 /// The evolved states are bitwise identical; the exchange statistics show
 /// exactly what the optimization removes.
 ///
-/// With a fault armed (any OCTO_FAULT_* knob) or an explicit ckpt_dir=,
-/// a third run goes through dist::run_with_checkpoints: periodic v2
-/// checkpoints, rollback to the newest valid one on a detected fault,
-/// and a bitwise comparison of the recovered end state against the
-/// uninterrupted reference.
+/// With `ckpt_dir=`, a third run goes through dist::run_with_checkpoints:
+/// periodic v2 checkpoints, an injected failure of step 2 (when steps >= 2)
+/// that rolls back to the newest valid checkpoint, and a bitwise
+/// comparison of the recovered end state against the uninterrupted
+/// reference.
 ///
-/// With `kill_loc=<loc>` (optionally `kill_step=<n>`, default 1) — or the
-/// `OCTO_FAULT_LOCALITY_KILL=<loc>:<step>` env knob — a locality is killed
-/// mid-run instead: the cluster sees the death at that step's entry (the
-/// injector's liveness, no deadline), the partition shrinks over the
-/// survivors, the lost leaves come back from buddy replicas (or the newest
-/// checkpoint in ckpt_dir=), and the surviving run is compared
-/// cell-for-cell against the uninterrupted reference.
+/// With `kill_loc=<loc>` (optionally `kill_step=<n>`, default 1) a
+/// locality is killed mid-run instead: the cluster sees the death at that
+/// step's entry (the injector's liveness, no deadline), the partition
+/// shrinks over the survivors, the lost leaves come back from buddy
+/// replicas (or the newest checkpoint in ckpt_dir=), and the surviving
+/// run is compared cell-for-cell against the uninterrupted reference.
 ///
 ///   ./distributed_demo [localities=4] [level=2] [steps=2] [threads=4]
 ///                      [ckpt_dir=/tmp/...] [ckpt_every=1]
 ///                      [kill_loc=-1] [kill_step=1]
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 #include "apex/metrics.hpp"
 #include "common/config.hpp"
@@ -32,6 +31,28 @@
 #include "dist/checkpoint.hpp"
 #include "dist/cluster.hpp"
 #include "dist/recovery.hpp"
+
+namespace {
+
+/// Largest |a - b| over every owned cell of every leaf of two runs on the
+/// same tree; 0 means the runs are bitwise identical.
+double max_cell_diff(const octo::dist::cluster& a,
+                     const octo::dist::cluster& b) {
+  constexpr int n = octo::grid::subgrid::N;
+  double d = 0;
+  for (const octo::index_t leaf : a.topo().leaves()) {
+    const auto& x = a.leaf(leaf);
+    const auto& y = b.leaf(leaf);
+    for (int f = 0; f < octo::grid::NFIELD; ++f)
+      for (int i = 0; i < n; ++i)
+        for (int j = 0; j < n; ++j)
+          for (int k = 0; k < n; ++k)
+            d = std::max(d, std::abs(x.at(f, i, j, k) - y.at(f, i, j, k)));
+  }
+  return d;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace octo;
@@ -47,9 +68,11 @@ int main(int argc, char** argv) {
   // leaves migrated per step.
   apex::metrics_sink metrics;
   const auto metrics_path = cfg.get("metrics", std::string());
-  if (!metrics_path.empty() && !metrics.open(metrics_path))
+  if (!metrics_path.empty() && !metrics.open(metrics_path)) {
     std::fprintf(stderr, "cannot open metrics sink %s\n",
                  metrics_path.c_str());
+    return 1;
+  }
 
   amt::runtime rt(static_cast<unsigned>(threads));
   amt::scoped_global_runtime guard(rt);
@@ -61,31 +84,19 @@ int main(int argc, char** argv) {
   std::printf("rotating star level %d across %d localities\n\n", level,
               nloc);
 
-  // Locality-kill demo: kill_loc=/kill_step= args or the
-  // OCTO_FAULT_LOCALITY_KILL env knob.  A kill needs live recovery
-  // (partition shrink), not checkpoint rollback, so it suppresses the
-  // rollback demo below; the one-shot kill is disarmed here and re-armed
-  // for the final recovery run so it cannot fire inside the reference runs.
-  int kill_loc = cfg.get("kill_loc", -1);
-  int kill_step = cfg.get("kill_step", 1);
-  if (kill_loc < 0) {
-    if (const auto env = octo::config::env("OCTO_FAULT_LOCALITY_KILL")) {
-      unsigned long long s = 1;
-      if (std::sscanf(env->c_str(), "%d:%llu", &kill_loc, &s) >= 1)
-        kill_step = static_cast<int>(s);
-    }
-  }
+  // Locality-kill demo (kill_loc=/kill_step=).  A kill needs live
+  // recovery (partition shrink), not checkpoint rollback, so it suppresses
+  // the rollback demo below; the one-shot kill is armed only for the final
+  // recovery run so it cannot fire inside the reference runs.
+  const int kill_loc = cfg.get("kill_loc", -1);
+  const int kill_step = cfg.get("kill_step", 1);
   const bool kill_demo = kill_loc >= 0;
-  if (kill_demo) fault::injector::instance().arm_locality_kill(-1, 0);
 
-  // Resilience demo: only when asked for (ckpt_dir=) or when a fault is
-  // armed through the OCTO_FAULT_* environment knobs.  Runs first so the
-  // armed (one-shot) fault is injected into the checkpointed run, not the
-  // plain comparison runs below.
+  // Rollback demo (ckpt_dir=): step 2 of the checkpointed run fails, the
+  // driver rolls back to the newest checkpoint and replays.  Runs first and
+  // disarms the fault after, so the plain comparison runs below are clean.
   const std::string ckpt_dir = cfg.get("ckpt_dir", std::string());
-  const bool resilience =
-      !kill_demo &&
-      (!ckpt_dir.empty() || fault::injector::instance().armed());
+  const bool resilience = !kill_demo && !ckpt_dir.empty();
   dist::cluster recovered(sc, {.num_localities = nloc,
                                .local_optimization = false,
                                .sim = so});
@@ -93,23 +104,15 @@ int main(int argc, char** argv) {
   dist::run_options ro;
   if (resilience) {
     if (metrics.is_open()) recovered.set_metrics_sink(&metrics);
-    ro.dir = ckpt_dir.empty() ? std::string("/tmp/octo_ckpt_demo") : ckpt_dir;
+    ro.dir = ckpt_dir;
     ro.every = cfg.get("ckpt_every", 1);
-    // A fault can hit the initial ghost exchange too, before the driver's
-    // rollback scope begins; initialization is idempotent, so just retry.
-    for (int attempt = 0;; ++attempt) {
-      try {
-        recovered.initialize();
-        break;
-      } catch (const error& e) {
-        if (attempt >= 8) throw;
-        std::printf("fault during initialization (%s), retrying\n", e.what());
-      }
-    }
+    recovered.initialize();
+    auto& inj = fault::injector::instance();
+    if (steps >= 2) inj.arm_step_failure(2);
     rr = dist::run_with_checkpoints(recovered, steps, ro);
+    inj.arm_step_failure(0);
   }
 
-  dist::cluster* reference = nullptr;
   dist::cluster clusters[2] = {
       dist::cluster(sc, {.num_localities = nloc,
                          .local_optimization = true,
@@ -140,21 +143,11 @@ int main(int argc, char** argv) {
     std::printf("  serialized volume: %.2f MB   mass=%.12f\n\n",
                 static_cast<double>(st.bytes_serialized) / (1 << 20),
                 lg.mass);
-    if (v == 0) reference = &cl;
   }
+  const dist::cluster& reference = clusters[0];
 
   // Bitwise equivalence across the two communication paths.
-  double maxdiff = 0;
-  for (const index_t leaf : reference->topo().leaves()) {
-    const auto& a = clusters[0].leaf(leaf);
-    const auto& b = clusters[1].leaf(leaf);
-    for (int f = 0; f < grid::NFIELD; ++f)
-      for (int i = 0; i < 8; ++i)
-        for (int j = 0; j < 8; ++j)
-          for (int k = 0; k < 8; ++k)
-            maxdiff = std::max(maxdiff,
-                               std::abs(a.at(f, i, j, k) - b.at(f, i, j, k)));
-  }
+  const double maxdiff = max_cell_diff(reference, clusters[1]);
   std::printf("max |optimized - baseline| over every cell: %.1e %s\n",
               maxdiff, maxdiff == 0 ? "(bitwise identical)" : "");
 
@@ -163,17 +156,7 @@ int main(int argc, char** argv) {
         "\nfault-tolerant run: %d steps, %d rollback(s), %d checkpoint(s) "
         "in %s\n",
         rr.steps, rr.restarts, rr.checkpoints_written, ro.dir.c_str());
-    double rdiff = 0;
-    for (const index_t leaf : reference->topo().leaves()) {
-      const auto& a = reference->leaf(leaf);
-      const auto& b = recovered.leaf(leaf);
-      for (int f = 0; f < grid::NFIELD; ++f)
-        for (int i = 0; i < 8; ++i)
-          for (int j = 0; j < 8; ++j)
-            for (int k = 0; k < 8; ++k)
-              rdiff = std::max(
-                  rdiff, std::abs(a.at(f, i, j, k) - b.at(f, i, j, k)));
-    }
+    const double rdiff = max_cell_diff(reference, recovered);
     std::printf("max |recovered - reference| over every cell: %.1e %s\n",
                 rdiff, rdiff == 0 ? "(bitwise identical)" : "");
   }
@@ -201,18 +184,8 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(ts.retries),
                 static_cast<unsigned long long>(ts.timeouts),
                 static_cast<unsigned long long>(ts.dups_dropped));
-    double kdiff = 0;
-    for (const index_t leaf : reference->topo().leaves()) {
-      const auto& a = reference->leaf(leaf);
-      const auto& b = survivor.leaf(leaf);
-      for (int f = 0; f < grid::NFIELD; ++f)
-        for (int i = 0; i < 8; ++i)
-          for (int j = 0; j < 8; ++j)
-            for (int k = 0; k < 8; ++k)
-              kdiff = std::max(
-                  kdiff, std::abs(a.at(f, i, j, k) - b.at(f, i, j, k)));
-    }
-    const auto lref = reference->measure();
+    const double kdiff = max_cell_diff(reference, survivor);
+    const auto lref = reference.measure();
     const auto lsur = survivor.measure();
     std::printf("  max |survivor - reference| over every cell: %.1e %s\n",
                 kdiff, kdiff == 0 ? "(bitwise identical)" : "");

@@ -69,9 +69,11 @@ int main(int argc, char** argv) {
   if (!trace_path.empty()) apex::trace::instance().enable(trace_path);
   apex::metrics_sink metrics;
   const auto metrics_path = cfg.get("metrics", std::string());
-  if (!metrics_path.empty() && !metrics.open(metrics_path))
+  if (!metrics_path.empty() && !metrics.open(metrics_path)) {
     std::fprintf(stderr, "cannot open metrics sink %s\n",
                  metrics_path.c_str());
+    return 1;
+  }
 
   amt::runtime rt(static_cast<unsigned>(threads));
   amt::scoped_global_runtime guard(rt);

@@ -6,6 +6,7 @@
 
 #include "apex/apex.hpp"
 #include "apex/trace.hpp"
+#include "common/config.hpp"
 #include "common/error.hpp"
 #include "common/random.hpp"
 
@@ -24,8 +25,10 @@ std::mutex g_global_mutex;
 
 runtime::runtime(unsigned num_threads) {
   OCTO_CHECK(num_threads >= 1);
-  // Bootstrap the trace (OCTO_TRACE, OCTO_TRACE_BUFFER) on this thread: a
-  // bad value throws here rather than terminating a worker.
+  // Reject undeclared OCTO_* variables, then bootstrap the trace
+  // (OCTO_TRACE, OCTO_TRACE_BUFFER) on this thread: a bad environment
+  // throws here rather than terminating a worker.
+  config::check_environment();
   (void)apex::trace::instance();
   workers_.reserve(num_threads);
   for (unsigned i = 0; i < num_threads; ++i) {

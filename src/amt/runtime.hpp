@@ -40,7 +40,9 @@ struct runtime_stats {
 
 class runtime {
  public:
-  /// Create a pool with \p num_threads workers (>= 1).
+  /// Create a pool with \p num_threads workers (>= 1).  Throws octo::error,
+  /// before any worker starts, when the environment holds an OCTO_*
+  /// variable config::env_registry() does not declare.
   explicit runtime(unsigned num_threads);
   ~runtime();
 

@@ -31,20 +31,16 @@ void append_value(std::string& out, const step_record& rec,
 
 }  // namespace
 
-bool metrics_sink::open(const std::string& path, format f) {
+bool metrics_sink::open(const std::string& path) {
+  const bool csv =
+      path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0;
   const std::lock_guard<std::mutex> lock(mutex_);
   out_.open(path, std::ios::trunc);
   if (!out_.good()) return false;
   path_ = path;
-  format_ = f;
+  format_ = csv ? format::csv : format::jsonl;
   emitted_ = 0;
   return true;
-}
-
-bool metrics_sink::open(const std::string& path) {
-  const bool csv =
-      path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0;
-  return open(path, csv ? format::csv : format::jsonl);
 }
 
 void metrics_sink::emit(const step_record& rec) {

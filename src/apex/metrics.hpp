@@ -111,13 +111,10 @@ inline constexpr step_column step_columns[] = {
 /// emit() on a closed sink is a no-op, so call sites don't need guards.
 class metrics_sink {
  public:
-  enum class format { jsonl, csv };
-
   metrics_sink() = default;
 
-  /// Open \p path for writing (truncates).  Returns false on IO failure.
-  bool open(const std::string& path, format f);
-  /// Convenience: format from the path's extension (".csv" -> CSV).
+  /// Open \p path for writing (truncates); the extension picks the format
+  /// (".csv" -> CSV, anything else -> JSONL).  Returns false on IO failure.
   bool open(const std::string& path);
 
   bool is_open() const { return out_.is_open(); }
@@ -131,6 +128,8 @@ class metrics_sink {
   void close();
 
  private:
+  enum class format { jsonl, csv };
+
   std::ofstream out_;
   std::string path_;
   format format_ = format::jsonl;

@@ -33,7 +33,6 @@
 
 #include "common/config.hpp"
 #include "common/error.hpp"
-#include "common/fault.hpp"
 
 namespace octo::apex {
 
@@ -140,10 +139,9 @@ trace& trace::instance() {
 }
 
 std::size_t trace::default_buffer_capacity() {
-  const auto v = config::env("OCTO_TRACE_BUFFER");
-  return static_cast<std::size_t>(fault::parse_positive_u64(
-      "OCTO_TRACE_BUFFER", v ? v->c_str() : nullptr, std::size_t(1) << 16,
-      std::numeric_limits<std::size_t>::max()));
+  return static_cast<std::size_t>(
+      config::env_positive("OCTO_TRACE_BUFFER", std::size_t(1) << 16,
+                           std::numeric_limits<std::size_t>::max()));
 }
 
 void trace::enable(std::string path) {

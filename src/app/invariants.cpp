@@ -10,7 +10,6 @@
 #include "common/config.hpp"
 #include "common/crc32.hpp"
 #include "common/error.hpp"
-#include "common/fault.hpp"
 #include "grid/field.hpp"
 
 namespace octo::app {
@@ -30,17 +29,12 @@ constexpr double dt_growth = 8.0;
 }  // namespace
 
 bool audit_options::default_audit_enabled() {
-  const auto v = config::env("OCTO_AUDIT");
-  if (!v || *v == "1") return true;
-  if (*v == "0") return false;
-  throw error("OCTO_AUDIT='" + *v + "' is not a switch (expected 0 or 1)");
+  return config::env_switch("OCTO_AUDIT", true);
 }
 
 int audit_options::default_audit_every() {
-  const auto v = config::env("OCTO_AUDIT_EVERY");
-  return static_cast<int>(fault::parse_positive_u64(
-      "OCTO_AUDIT_EVERY", v ? v->c_str() : nullptr, 4,
-      std::numeric_limits<int>::max()));
+  return static_cast<int>(config::env_positive(
+      "OCTO_AUDIT_EVERY", 4, std::numeric_limits<int>::max()));
 }
 
 const sdc_metric_ids& sdc_metrics() {

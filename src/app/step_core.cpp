@@ -41,11 +41,7 @@ step_mode default_step_mode() {
 }
 
 bool default_audit_races() {
-  const auto v = config::env("OCTO_RACE_AUDIT");
-  if (!v || *v == "0") return false;
-  if (*v == "1") return true;
-  throw error("OCTO_RACE_AUDIT='" + *v +
-              "' is not a switch (expected 0 or 1)");
+  return config::env_switch("OCTO_RACE_AUDIT", false);
 }
 
 step_core::step_core(const scen::scenario& sc, sim_options opt,

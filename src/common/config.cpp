@@ -1,5 +1,7 @@
 #include "common/config.hpp"
 
+#include <unistd.h>
+
 #include <cctype>
 #include <cstdlib>
 #include <sstream>
@@ -35,19 +37,6 @@ const std::vector<env_var_info>& config::env_registry() {
       {"OCTO_METRICS", "per-step metrics JSONL output path (examples read it via merge_env)"},
       {"OCTO_AUDIT", "silent-data-corruption auditing: 0 disables, 1 enables (default on)"},
       {"OCTO_AUDIT_EVERY", "physics-invariant audit cadence in steps, a positive integer (default 4)"},
-      {"OCTO_FAULT_SEED", "fault injector RNG seed (splitmix64 stream)"},
-      {"OCTO_FAULT_GHOST_CORRUPT", "bit-flip the nth serialized ghost slab (1-based; 0 disarms)"},
-      {"OCTO_FAULT_GHOST_TRUNCATE", "truncate the nth serialized ghost slab to half its size"},
-      {"OCTO_FAULT_CKPT_SHORT_WRITE", "checkpoint streams stop after this many bytes (crash mid-write)"},
-      {"OCTO_FAULT_CKPT_BITFLIP", "flip one bit of the checkpoint byte at this stream offset"},
-      {"OCTO_FAULT_STEP", "throw octo::error at the nth maybe_fail_step() call (1-based)"},
-      {"OCTO_FAULT_MSG_DROP", "drop each transport frame with this probability [0,1]"},
-      {"OCTO_FAULT_MSG_DELAY_US", "delay each frame by uniform-random [0,max] microseconds"},
-      {"OCTO_FAULT_MSG_DUP", "duplicate each transport frame with this probability [0,1]"},
-      {"OCTO_FAULT_MSG_REORDER", "hold a frame past its successor with this probability [0,1]"},
-      {"OCTO_FAULT_LOCALITY_KILL", "<loc>:<step> — declare locality loc dead at integration step step"},
-      {"OCTO_FAULT_STATE_BITFLIP", "<loc>:<step>:<leaf>:<field>[:<count>] or random:<step>[:<count>] — conserved-field soft error"},
-      {"OCTO_FAULT_MOMENT_BITFLIP", "<loc>:<step>:<leaf>:<coeff>[:<count>] or random:<step>[:<count>] — multipole-moment soft error"},
   };
   return table;
 }
@@ -66,6 +55,54 @@ std::optional<std::string> config::env(const std::string& name) {
   const char* v = std::getenv(name.c_str());
   if (v == nullptr || v[0] == '\0') return std::nullopt;
   return std::string(v);
+}
+
+bool config::env_switch(const std::string& name, bool dflt) {
+  const auto v = env(name);
+  if (!v) return dflt;
+  if (*v == "0") return false;
+  if (*v == "1") return true;
+  throw error(name + "='" + *v + "' is not a switch (expected 0 or 1)");
+}
+
+std::uint64_t config::env_positive(const std::string& name,
+                                   std::uint64_t dflt, std::uint64_t max) {
+  const auto v = env(name);
+  if (!v) return dflt;
+  // Base-10 digits only: no sign, no spaces, no suffix; the running value
+  // is bounded by max, so overflow is rejected along with out-of-range.
+  std::uint64_t n = 0;
+  bool ok = true;
+  for (const char c : *v) {
+    const auto d = static_cast<std::uint64_t>(c - '0');
+    if (c < '0' || c > '9' || d > max || n > (max - d) / 10) {
+      ok = false;
+      break;
+    }
+    n = n * 10 + d;
+  }
+  if (!ok || n == 0)
+    throw error(name + "='" + *v +
+                "' is not a positive base-10 integer (at most " +
+                std::to_string(max) + ")");
+  return n;
+}
+
+void config::check_environment() {
+  std::string unknown;
+  for (char** e = environ; *e != nullptr; ++e) {
+    const std::string var = *e;
+    if (var.rfind("OCTO_", 0) != 0) continue;
+    const std::string name = var.substr(0, var.find('='));
+    if (env_registered(name)) continue;
+    unknown += (unknown.empty() ? "'" : ", '") + name + "'";
+  }
+  if (!unknown.empty())
+    throw error("unregistered OCTO_* environment variable(s) set: " +
+                unknown +
+                " — no code reads them, so they would be silently ignored "
+                "(declared names: config::env_registry() in "
+                "src/common/config.cpp)");
 }
 
 config& config::merge_env(const std::vector<std::string>& names,

@@ -5,6 +5,7 @@
 /// Used by the examples and benchmark harness to accept command-line
 /// overrides (`./quickstart level=4 steps=10`).  Keys are case-sensitive.
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
@@ -31,6 +32,23 @@ class config {
   /// unregistered read throws octo::error so new knobs cannot bypass the
   /// registry (tools/octo_lint enforces the same rule statically).
   static std::optional<std::string> env(const std::string& name);
+
+  /// Strict 0/1 switch read through env(): unset or empty gives \p dflt;
+  /// any value other than "0" or "1" throws octo::error naming \p name and
+  /// the value.
+  static bool env_switch(const std::string& name, bool dflt);
+
+  /// Strict positive base-10 integer read through env(): unset or empty
+  /// gives \p dflt; zero, a value above \p max or anything malformed
+  /// throws octo::error naming \p name and the value.
+  static std::uint64_t env_positive(const std::string& name,
+                                    std::uint64_t dflt, std::uint64_t max);
+
+  /// Throws octo::error naming every OCTO_* variable in the process
+  /// environment that env_registry() does not declare.  Nothing reads such
+  /// a variable, so a stale or misspelled knob would otherwise be ignored
+  /// without a word; amt::runtime calls this before it starts a worker.
+  static void check_environment();
 
   /// Central registry of every OCTO_* environment variable the project
   /// reads, with one-line docs.  This is the single source of truth: env()

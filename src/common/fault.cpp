@@ -1,37 +1,12 @@
 #include "common/fault.hpp"
 
-#include <cstdlib>
 #include <string>
-#include <utility>
 
-#include "common/config.hpp"
 #include "common/error.hpp"
 
 namespace octo::fault {
 
 namespace {
-
-[[noreturn]] void reject(const char* name, const char* value,
-                         const char* expected) {
-  throw error(std::string("malformed fault spec ") + name + "='" + value +
-              "' — expected " + expected +
-              " (a typo'd injection must fail loudly, not arm nothing)");
-}
-
-/// Strict u64 field parse: consumes digits from \p p, advances past them.
-/// Returns false on no digits or overflow.
-bool eat_u64(const char*& p, std::uint64_t& out) {
-  if (*p < '0' || *p > '9') return false;
-  std::uint64_t v = 0;
-  while (*p >= '0' && *p <= '9') {
-    const std::uint64_t d = static_cast<std::uint64_t>(*p - '0');
-    if (v > (~std::uint64_t(0) - d) / 10) return false;
-    v = v * 10 + d;
-    ++p;
-  }
-  out = v;
-  return true;
-}
 
 std::uint64_t splitmix64(std::uint64_t& s) {
   std::uint64_t z = (s += 0x9E3779B97F4A7C15ull);
@@ -42,116 +17,9 @@ std::uint64_t splitmix64(std::uint64_t& s) {
 
 }  // namespace
 
-std::uint64_t parse_fault_u64(const char* name, const char* value,
-                              std::uint64_t dflt) {
-  if (value == nullptr || *value == '\0') return dflt;
-  const char* p = value;
-  std::uint64_t v = 0;
-  if (!eat_u64(p, v) || *p != '\0')
-    reject(name, value, "an unsigned base-10 integer");
-  return v;
-}
-
-std::uint64_t parse_positive_u64(const char* name, const char* value,
-                                 std::uint64_t dflt, std::uint64_t max) {
-  if (value == nullptr || *value == '\0') return dflt;
-  const char* p = value;
-  std::uint64_t v = 0;
-  if (!eat_u64(p, v) || *p != '\0' || v == 0 || v > max)
-    throw error(std::string(name) + "='" + value +
-                "' is not a positive base-10 integer (at most " +
-                std::to_string(max) + ")");
-  return v;
-}
-
-double parse_fault_prob(const char* name, const char* value) {
-  if (value == nullptr || *value == '\0') return 0;
-  char* end = nullptr;
-  const double p = std::strtod(value, &end);
-  if (end == value || *end != '\0' || !(p >= 0) || !(p <= 1))
-    reject(name, value, "a probability in [0, 1]");
-  return p;
-}
-
-std::pair<int, std::uint64_t> parse_locality_kill(const char* name,
-                                                  const char* value) {
-  if (value == nullptr || *value == '\0') return {-1, 0};
-  const char* p = value;
-  std::uint64_t loc = 0, step = 0;
-  const bool ok = eat_u64(p, loc) && *p == ':' && (++p, eat_u64(p, step)) &&
-                  *p == '\0' && step != 0 && loc <= 0x7FFFFFFFull;
-  if (!ok) reject(name, value, "\"<loc>:<step>\" with step >= 1");
-  return {static_cast<int>(loc), step};
-}
-
-bitflip_spec parse_bitflip_spec(const char* name, const char* value) {
-  bitflip_spec spec;
-  if (value == nullptr || *value == '\0') return spec;
-  const char* expected =
-      "\"<loc>:<step>:<leaf>:<field>[:<count>]\" or "
-      "\"random:<step>[:<count>]\" with step >= 1, count >= 1";
-  const char* p = value;
-  if (std::string(value).rfind("random:", 0) == 0) {
-    spec.random = true;
-    p = value + 7;
-    if (!eat_u64(p, spec.step)) reject(name, value, expected);
-  } else {
-    const bool ok = eat_u64(p, spec.loc) && *p == ':' &&
-                    (++p, eat_u64(p, spec.step)) && *p == ':' &&
-                    (++p, eat_u64(p, spec.leaf)) && *p == ':' &&
-                    (++p, eat_u64(p, spec.field));
-    if (!ok) reject(name, value, expected);
-  }
-  if (*p == ':') {
-    ++p;
-    if (!eat_u64(p, spec.count)) reject(name, value, expected);
-  }
-  if (*p != '\0' || spec.step == 0 || spec.count == 0)
-    reject(name, value, expected);
-  return spec;
-}
-
 injector& injector::instance() {
   static injector inst;
   return inst;
-}
-
-namespace {
-/// Registered-env read in parser-friendly form: the parsers take
-/// nullptr/empty as "disarmed", which config::env folds into nullopt.
-std::string env_str(const char* name) {
-  return config::env(name).value_or(std::string{});
-}
-std::uint64_t env_u64(const char* name, std::uint64_t dflt) {
-  return parse_fault_u64(name, env_str(name).c_str(), dflt);
-}
-double env_prob(const char* name) {
-  return parse_fault_prob(name, env_str(name).c_str());
-}
-}  // namespace
-
-injector::injector()
-    : rng_(env_u64("OCTO_FAULT_SEED", 0x0C70F4A57ull)) {
-  ghost_corrupt_ = env_u64("OCTO_FAULT_GHOST_CORRUPT", 0);
-  ghost_truncate_ = env_u64("OCTO_FAULT_GHOST_TRUNCATE", 0);
-  ckpt_budget_ = env_u64("OCTO_FAULT_CKPT_SHORT_WRITE", no_budget);
-  const auto flip = env_u64("OCTO_FAULT_CKPT_BITFLIP", no_budget);
-  ckpt_bitflip_ = flip == no_budget ? 0 : flip + 1;
-  fail_step_ = env_u64("OCTO_FAULT_STEP", 0);
-  msg_drop_ = env_prob("OCTO_FAULT_MSG_DROP");
-  msg_delay_us_ = env_u64("OCTO_FAULT_MSG_DELAY_US", 0);
-  msg_dup_ = env_prob("OCTO_FAULT_MSG_DUP");
-  msg_reorder_ = env_prob("OCTO_FAULT_MSG_REORDER");
-  const auto [kloc, kstep] =
-      parse_locality_kill("OCTO_FAULT_LOCALITY_KILL",
-                          env_str("OCTO_FAULT_LOCALITY_KILL").c_str());
-  kill_locality_ = kloc;
-  kill_step_ = kstep;
-  arm_state_bitflip(parse_bitflip_spec(
-      "OCTO_FAULT_STATE_BITFLIP", env_str("OCTO_FAULT_STATE_BITFLIP").c_str()));
-  arm_moment_bitflip(
-      parse_bitflip_spec("OCTO_FAULT_MOMENT_BITFLIP",
-                         env_str("OCTO_FAULT_MOMENT_BITFLIP").c_str()));
 }
 
 void injector::reset() {

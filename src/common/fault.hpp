@@ -28,45 +28,36 @@
 ///     scrubbed, and `dist` recovery must shrink the cluster and restore
 ///     the lost leaves from a buddy replica or checkpoint.
 ///   * silent data corruption — flip one bit inside a conserved-field array
-///     (`OCTO_FAULT_STATE_BITFLIP`) or a multipole-moment array
-///     (`OCTO_FAULT_MOMENT_BITFLIP`) at a chosen integration step, modeling
+///     (`arm_state_bitflip`) or a multipole-moment array
+///     (`arm_moment_bitflip`) at a chosen integration step, modeling
 ///     a DRAM/register soft error at rest.  The step drivers consult the
 ///     hooks once per execution attempt of the armed step, so a `count`
 ///     greater than one re-fires on the SDC retry path and forces the
 ///     escalation to checkpoint rollback.  The `app::invariant_auditor`
 ///     must detect every such flip within one audit interval.
 ///
-/// Arming: programmatically (tests) or via the environment, read once at
-/// first use — `OCTO_FAULT_GHOST_CORRUPT=<nth>`, `OCTO_FAULT_GHOST_TRUNCATE=
-/// <nth>`, `OCTO_FAULT_CKPT_SHORT_WRITE=<bytes>`, `OCTO_FAULT_CKPT_BITFLIP=
-/// <offset>`, `OCTO_FAULT_STEP=<nth>`, `OCTO_FAULT_MSG_DROP=<p>`,
-/// `OCTO_FAULT_MSG_DELAY_US=<max_us>`, `OCTO_FAULT_MSG_DUP=<p>`,
-/// `OCTO_FAULT_MSG_REORDER=<p>`, `OCTO_FAULT_LOCALITY_KILL=<loc>:<step>`,
-/// `OCTO_FAULT_STATE_BITFLIP=<loc>:<step>:<leaf>:<field>[:<count>]` (or
-/// `random:<step>[:<count>]` for the seeded-random mode), `OCTO_FAULT_
-/// MOMENT_BITFLIP=<loc>:<step>:<leaf>:<coeff>[:<count>]` (or `random:...`),
-/// `OCTO_FAULT_SEED=<u64>`.  All counts are 1-based; 0 disarms;
-/// probabilities are floats in [0, 1].  A malformed non-empty value is a
-/// startup error (`octo::error` naming the variable and the expected
-/// format), never a silently disarmed fault — a typo'd injection test must
-/// fail loudly, not pass vacuously.  Every random decision (which bit
-/// flips, whether a frame drops) is drawn from a splitmix64 stream seeded
-/// by OCTO_FAULT_SEED, so a failing run is reproducible from its
-/// environment.
+/// Arming: only through the `arm_*` calls below (tests, and the
+/// `kill_loc=` / `ckpt_dir=` sections of `distributed_demo`); the injector
+/// reads no environment variable.  All counts are 1-based; 0 disarms;
+/// probabilities are clamped to [0, 1].  A stale `OCTO_*` knob left in the
+/// environment is rejected by `config::check_environment` when a runtime
+/// starts, so a typo'd injection fails loudly instead of passing
+/// vacuously.  Every random decision (which bit flips, whether a frame
+/// drops) is drawn from a splitmix64 stream with a fixed seed, so a
+/// failing run is reproducible.
 ///
 /// This header lives in common and must not depend on apex; call sites
 /// mirror injections into the `fault.injected` apex counter themselves.
 
 #include <atomic>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 namespace octo::fault {
 
-/// Parsed form of an `OCTO_FAULT_*_BITFLIP` spec.  `step == 0` means
-/// disarmed.  In random mode loc/leaf/field are drawn from the seeded
-/// stream when the flip fires instead of being taken from the spec.
+/// Armed state/moment bit flip.  `step == 0` means disarmed.  In random
+/// mode loc/leaf/field are drawn from the seeded stream when the flip
+/// fires instead of being taken from the spec.
 struct bitflip_spec {
   bool random = false;
   std::uint64_t loc = 0;    ///< target locality
@@ -89,26 +80,6 @@ struct bitflip_plan {
   std::uint64_t bit = 0;
   bool random = false;
 };
-
-// --- strict env-spec parsing (exposed so tests can cover the rejects) ----
-/// Parse "<loc>:<step>:<leaf>:<field>[:<count>]" or "random:<step>
-/// [:<count>]".  nullptr/empty \p value disarms; anything else malformed
-/// throws octo::error naming \p name and the expected format.
-bitflip_spec parse_bitflip_spec(const char* name, const char* value);
-/// Strict base-10 u64; rejects empty-after-sign, trailing garbage, range.
-std::uint64_t parse_fault_u64(const char* name, const char* value,
-                              std::uint64_t dflt);
-/// Strict positive base-10 integer for the size and cadence env knobs
-/// (OCTO_AUDIT_EVERY, OCTO_TRACE_BUFFER): nullptr/empty \p value gives
-/// \p dflt; zero, a value above \p max or anything malformed throws
-/// octo::error naming \p name.
-std::uint64_t parse_positive_u64(const char* name, const char* value,
-                                 std::uint64_t dflt, std::uint64_t max);
-/// Strict probability in [0, 1]; rejects non-numeric and out-of-range.
-double parse_fault_prob(const char* name, const char* value);
-/// Parse "<loc>:<step>"; returns {-1, 0} when \p value is null/empty.
-std::pair<int, std::uint64_t> parse_locality_kill(const char* name,
-                                                  const char* value);
 
 class injector {
  public:
@@ -219,7 +190,7 @@ class injector {
   }
 
  private:
-  injector();
+  injector() = default;
 
   /// Armed state/moment-bitflip target; all-atomic so arming from a test
   /// thread never races a step driver consulting the hook.
@@ -275,7 +246,7 @@ class injector {
   std::atomic<std::uint64_t> ghost_slabs_seen_{0};
   std::atomic<std::uint64_t> steps_seen_{0};
   std::atomic<std::uint64_t> injected_{0};
-  std::atomic<std::uint64_t> rng_;
+  std::atomic<std::uint64_t> rng_{0x0C70F4A57ull};  ///< splitmix64 state
 };
 
 }  // namespace octo::fault

@@ -324,7 +324,7 @@ void cluster::add_link_tasks(step_graph_state& g) {
 // ---------------------------------------------------------------------------
 
 void cluster::before_step() {
-  // Armed node-death trigger (OCTO_FAULT_STEP) — before any state
+  // Armed node-death trigger (arm_step_failure) — before any state
   // mutation, so a rollback sees a consistent cluster.  Likewise the
   // locality kill + liveness check: detection precedes the stage-0 copy,
   // so recovery sees every survivor at the end of the previous step.

@@ -22,8 +22,8 @@
 ///   * `run_with_recovery` — the driver: step to target, recover in place
 ///     on every locality_failure, give up after 4 recoveries.
 ///
-/// Kill injection: `OCTO_FAULT_LOCALITY_KILL=<loc>:<step>` (or
-/// `fault::injector::arm_locality_kill`).  Observability: apex counters
+/// Kill injection: `fault::injector::arm_locality_kill(loc, step)`
+/// (`distributed_demo kill_loc= kill_step=`).  Observability: apex counters
 /// `recovery.localities_lost`, `recovery.leaves_migrated`, timer+span
 /// `recovery.recover`.
 

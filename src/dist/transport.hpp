@@ -29,8 +29,8 @@
 ///     or suppressing it.  Cross-epoch frames are dropped at the receiver
 ///     (counted in `transport.epoch_dropped`), never delivered.
 ///
-/// The "network" consults common/fault.hpp on every transit —
-/// OCTO_FAULT_MSG_DROP / MSG_DELAY_US / MSG_DUP / MSG_REORDER — and
+/// The "network" consults common/fault.hpp on every transit — armed by
+/// arm_msg_drop / arm_msg_delay_us / arm_msg_dup / arm_msg_reorder — and
 /// delivers frames as tasks on the cluster's runtime, so delayed and
 /// reordered arrivals genuinely race with the exchange.  Acks travel the
 /// same lossy path (a delivered-but-unacked frame forces a retransmission

@@ -141,8 +141,9 @@ class fmm_solver {
   std::uint32_t moments_crc() const;
 
   /// Flip one bit of node \p node's moment component (\p coeff mod NMOM)
-  /// at cell (\p cell mod C3) — the OCTO_FAULT_MOMENT_BITFLIP injection
-  /// point, modeling a soft error at rest in the multipole data.
+  /// at cell (\p cell mod C3) — the injection point of
+  /// fault::injector::arm_moment_bitflip, modeling a soft error at rest in
+  /// the multipole data.
   void apply_moment_bitflip(index_t node, std::uint64_t coeff,
                             std::uint64_t cell, std::uint64_t bit);
 

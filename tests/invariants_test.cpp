@@ -321,73 +321,6 @@ TEST(InvariantAudit, AuditCadenceAcceptsOnlyPositiveIntegers) {
   }
 }
 
-// --------------------------------------------- strict fault-spec parsing --
-
-TEST(FaultSpecParsing, BitflipSpecAcceptsDeterministicAndRandomForms) {
-  const auto s = fault::parse_bitflip_spec("OCTO_FAULT_STATE_BITFLIP",
-                                           "2:5:3:1");
-  EXPECT_FALSE(s.random);
-  EXPECT_EQ(s.loc, 2u);
-  EXPECT_EQ(s.step, 5u);
-  EXPECT_EQ(s.leaf, 3u);
-  EXPECT_EQ(s.field, 1u);
-  EXPECT_EQ(s.count, 1u);
-
-  const auto c = fault::parse_bitflip_spec("OCTO_FAULT_STATE_BITFLIP",
-                                           "0:2:7:4:3");
-  EXPECT_EQ(c.count, 3u);
-
-  const auto r = fault::parse_bitflip_spec("OCTO_FAULT_MOMENT_BITFLIP",
-                                           "random:6:2");
-  EXPECT_TRUE(r.random);
-  EXPECT_EQ(r.step, 6u);
-  EXPECT_EQ(r.count, 2u);
-
-  // nullptr / empty disarm instead of erroring.
-  EXPECT_EQ(fault::parse_bitflip_spec("X", nullptr).step, 0u);
-  EXPECT_EQ(fault::parse_bitflip_spec("X", "").step, 0u);
-}
-
-TEST(FaultSpecParsing, MalformedBitflipSpecRejectedNamingVariable) {
-  for (const char* bad :
-       {"2:5:3", "2:5:3:1:2:9", "x:5:3:1", "2:5:3:1:", "2:5:3:1:0",
-        "0:0:3:1", "random", "random:", "random:abc", "random:0",
-        " 2:5:3:1", "2:5:3:1 "}) {
-    try {
-      (void)fault::parse_bitflip_spec("OCTO_FAULT_STATE_BITFLIP", bad);
-      FAIL() << "accepted malformed spec '" << bad << "'";
-    } catch (const error& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find("OCTO_FAULT_STATE_BITFLIP"), std::string::npos)
-          << what;
-      EXPECT_NE(what.find("expected"), std::string::npos) << what;
-    }
-  }
-}
-
-TEST(FaultSpecParsing, StrictU64ProbabilityAndKillSpecs) {
-  EXPECT_EQ(fault::parse_fault_u64("V", "42", 7), 42u);
-  EXPECT_EQ(fault::parse_fault_u64("V", nullptr, 7), 7u);
-  EXPECT_EQ(fault::parse_fault_u64("V", "", 7), 7u);
-  for (const char* bad : {"4x2", "-1", "0x10", "18446744073709551616"})
-    EXPECT_THROW((void)fault::parse_fault_u64("V", bad, 0), error)
-        << "accepted '" << bad << "'";
-
-  EXPECT_DOUBLE_EQ(fault::parse_fault_prob("P", "0.5"), 0.5);
-  EXPECT_DOUBLE_EQ(fault::parse_fault_prob("P", nullptr), 0.0);
-  for (const char* bad : {"1.5", "-0.1", "abc", "0.5x", "nan"})
-    EXPECT_THROW((void)fault::parse_fault_prob("P", bad), error)
-        << "accepted '" << bad << "'";
-
-  const auto kill = fault::parse_locality_kill("K", "1:3");
-  EXPECT_EQ(kill.first, 1);
-  EXPECT_EQ(kill.second, 3u);
-  EXPECT_EQ(fault::parse_locality_kill("K", nullptr).first, -1);
-  for (const char* bad : {"1", "1:", ":3", "1:x", "1:0", "-1:3"})
-    EXPECT_THROW((void)fault::parse_locality_kill("K", bad), error)
-        << "accepted '" << bad << "'";
-}
-
 // ------------------------------------------------------- injector hooks --
 
 struct BitflipInjector : testing::Test {

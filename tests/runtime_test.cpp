@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
+#include <optional>
+#include <string>
 #include <thread>
 
 #include "amt/future.hpp"
 #include "amt/runtime.hpp"
 #include "amt/sync.hpp"
+#include "common/config.hpp"
+#include "common/error.hpp"
 
 namespace octo::amt {
 namespace {
@@ -137,6 +142,38 @@ TEST(Runtime, DestructorDrainsCleanly) {
     l.wait(rt);
   }  // destructor joins workers
   EXPECT_EQ(executed.load(), 50);
+}
+
+/// An OCTO_* variable nothing reads stops a run instead of being ignored,
+/// so a stale fault knob cannot let a fault test pass with no fault
+/// armed.  The name is assembled at run time so the sources hold no
+/// literal of an undeclared knob.
+TEST(RuntimeEnv, UndeclaredOctoVariableThrowsNamingIt) {
+  const std::string stale = std::string("OCTO_") + "FAULT_STEP";
+  const auto expect_names_stale = [&stale](auto f) {
+    try {
+      f();
+      ADD_FAILURE() << stale << "=3 was silently ignored";
+    } catch (const error& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + stale + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  ::setenv(stale.c_str(), "3", 1);
+  expect_names_stale([] { config::check_environment(); });
+  expect_names_stale([] { runtime rt(1); });
+  ::unsetenv(stale.c_str());
+
+  // Declared names alone pass both gates.
+  const std::optional<std::string> saved = config::env("OCTO_AUDIT_EVERY");
+  ::setenv("OCTO_AUDIT_EVERY", "4", 1);
+  EXPECT_NO_THROW(config::check_environment());
+  EXPECT_NO_THROW({ runtime rt(1); });
+  if (saved)
+    ::setenv("OCTO_AUDIT_EVERY", saved->c_str(), 1);
+  else
+    ::unsetenv("OCTO_AUDIT_EVERY");
 }
 
 }  // namespace

@@ -172,7 +172,8 @@ TEST_F(SdcEnv, SimulationRepairsBitflipInEveryField) {
 }
 
 /// Random-seeded mode: the target leaf / field / cell / bit are drawn from
-/// the OCTO_FAULT_SEED stream; whatever they land on must be caught.
+/// the injector's seeded stream (arm_state_bitflip with `random = true`);
+/// whatever they land on must be caught.
 TEST_F(SdcEnv, SimulationRepairsRandomSeededBitflip) {
   const auto sc = bump_scenario();
   app::sim_options so;
