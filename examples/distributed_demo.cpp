@@ -27,6 +27,7 @@
 
 #include "apex/metrics.hpp"
 #include "common/config.hpp"
+#include "common/error.hpp"
 #include "common/fault.hpp"
 #include "dist/checkpoint.hpp"
 #include "dist/cluster.hpp"
@@ -54,7 +55,7 @@ double max_cell_diff(const octo::dist::cluster& a,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace octo;
   auto cfg = config::from_args(argc, argv);
   cfg.merge_env({"metrics"});
@@ -193,4 +194,8 @@ int main(int argc, char** argv) {
                 lref.mass);
   }
   return 0;
+} catch (const octo::error& e) {
+  // A bad argument or environment value: report it, no abort.
+  std::fprintf(stderr, "%s\n", e.what());
+  return 2;
 }

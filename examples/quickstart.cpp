@@ -17,9 +17,10 @@
 #include "app/checkpoint.hpp"
 #include "app/simulation.hpp"
 #include "common/config.hpp"
+#include "common/error.hpp"
 #include "common/stopwatch.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace octo;
   auto cfg = config::from_args(argc, argv);
   cfg.merge_env({"trace", "metrics"});
@@ -112,4 +113,8 @@ int main(int argc, char** argv) {
                     apex::trace::instance().captured()),
                 trace_path.c_str());
   return 0;
+} catch (const octo::error& e) {
+  // A bad argument or environment value: report it, no abort.
+  std::fprintf(stderr, "%s\n", e.what());
+  return 2;
 }

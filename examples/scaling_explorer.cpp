@@ -8,15 +8,17 @@
 ///                      [nodes=1,2,4,...] [simd=true] [boost=false]
 ///                      [comm_opt=true] [chunks=1] [gpus=true]
 
+#include <cstdio>
 #include <iostream>
 #include <sstream>
 
 #include "common/config.hpp"
+#include "common/error.hpp"
 #include "common/table.hpp"
 #include "des/workload.hpp"
 #include "scenarios/scenarios.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace octo;
   const auto cfg = config::from_args(argc, argv);
 
@@ -63,4 +65,8 @@ int main(int argc, char** argv) {
   }
   t.print(std::cout);
   return 0;
+} catch (const octo::error& e) {
+  // A bad argument or environment value: report it, no abort.
+  std::fprintf(stderr, "%s\n", e.what());
+  return 2;
 }

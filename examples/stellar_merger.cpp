@@ -20,6 +20,7 @@
 #include "apex/trace.hpp"
 #include "app/simulation.hpp"
 #include "common/config.hpp"
+#include "common/error.hpp"
 #include "common/stopwatch.hpp"
 #include "scf/binary_scf.hpp"
 
@@ -56,7 +57,7 @@ std::array<component_state, 2> components(const octo::app::simulation& sim) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace octo;
   auto cfg = config::from_args(argc, argv);
   cfg.merge_env({"trace", "metrics"});
@@ -136,4 +137,8 @@ int main(int argc, char** argv) {
                     apex::trace::instance().captured()),
                 trace_path.c_str());
   return 0;
+} catch (const octo::error& e) {
+  // A bad argument or environment value: report it, no abort.
+  std::fprintf(stderr, "%s\n", e.what());
+  return 2;
 }

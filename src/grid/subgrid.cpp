@@ -149,13 +149,21 @@ void coarse_slopes(const subgrid& g, int f, int I, int J, int K,
   slope[2] = minmod(v(I, J, K + 1) - v(I, J, K), v(I, J, K) - v(I, J, K - 1));
 }
 
-real prolonged_value(const subgrid& coarse, int f, int I, int J, int K,
-                     int si, int sj, int sk) {
+/// Prolong coarse cell (I, J, K) of field \p f into its 8 fine children,
+/// the lowest of which is fine cell (fi, fj, fk).  The slopes are computed
+/// once per coarse cell, not once per child.
+void prolong_cell(const subgrid& coarse, int f, int I, int J, int K,
+                  subgrid& fine, int fi, int fj, int fk) {
   real slope[3];
   coarse_slopes(coarse, f, I, J, K, slope);
+  const real c = coarse.at(f, I, J, K);
   const real off = real(0.25);
-  return coarse.at(f, I, J, K) + (si ? off : -off) * slope[0] +
-         (sj ? off : -off) * slope[1] + (sk ? off : -off) * slope[2];
+  for (int si = 0; si < 2; ++si)
+    for (int sj = 0; sj < 2; ++sj)
+      for (int sk = 0; sk < 2; ++sk)
+        fine.at(f, fi + si, fj + sj, fk + sk) =
+            c + (si ? off : -off) * slope[0] + (sj ? off : -off) * slope[1] +
+            (sk ? off : -off) * slope[2];
 }
 
 }  // namespace
@@ -165,57 +173,41 @@ void prolong_from_coarse(const subgrid& coarse, int octant, subgrid& fine) {
   const int ox = (octant & 1) * H;
   const int oy = ((octant >> 1) & 1) * H;
   const int oz = ((octant >> 2) & 1) * H;
-  for (int f = 0; f < NFIELD; ++f) {
-    for (int i = 0; i < subgrid::N; ++i)
-      for (int j = 0; j < subgrid::N; ++j)
-        for (int k = 0; k < subgrid::N; ++k) {
-          const int I = ox + i / 2;
-          const int J = oy + j / 2;
-          const int K = oz + k / 2;
-          fine.at(f, i, j, k) =
-              prolonged_value(coarse, f, I, J, K, i & 1, j & 1, k & 1);
-        }
-  }
+  for (int f = 0; f < NFIELD; ++f)
+    for (int I = 0; I < H; ++I)
+      for (int J = 0; J < H; ++J)
+        for (int K = 0; K < H; ++K)
+          prolong_cell(coarse, f, ox + I, oy + J, oz + K, fine, 2 * I, 2 * J,
+                       2 * K);
 }
 
 void fill_ghost_from_coarse(subgrid& fine, ivec3 fine_coords, int d,
                             const subgrid& coarse, ivec3 coarse_coords) {
+  // Even N and G: the ghost box starts on a coarse cell boundary and holds
+  // whole coarse cells, all 8 children of each.
+  static_assert(subgrid::N % 2 == 0 && subgrid::G % 2 == 0);
   const ivec3 dir = tree::directions()[d];
-  int lo[3], hi[3];
+  // Per axis: the coarse cells [lo, hi) under the ghost box, and the fine
+  // index of coarse cell 0's lowest child.
+  int lo[3], hi[3], shift[3];
   for (int a = 0; a < 3; ++a) {
-    if (dir[a] > 0) {
-      lo[a] = subgrid::N;
-      hi[a] = subgrid::N + subgrid::G;
-    } else if (dir[a] < 0) {
-      lo[a] = -subgrid::G;
-      hi[a] = 0;
-    } else {
-      lo[a] = 0;
-      hi[a] = subgrid::N;
-    }
+    int flo, fhi;
+    subgrid::ghost_range(static_cast<int>(dir[a]), flo, fhi);
+    const index_t f0 = fine_coords[a] * subgrid::N;
+    const index_t c0 = coarse_coords[a] * subgrid::N;
+    OCTO_ASSERT(f0 + flo >= 0);
+    lo[a] = static_cast<int>((f0 + flo) / 2 - c0);
+    hi[a] = static_cast<int>((f0 + fhi) / 2 - c0);
+    OCTO_CHECK_MSG(lo[a] >= 0 && hi[a] <= subgrid::N,
+                   "coarse ghost fill outside owned region");
+    shift[a] = static_cast<int>(2 * c0 - f0);
   }
-  for (int f = 0; f < NFIELD; ++f) {
-    for (int i = lo[0]; i < hi[0]; ++i)
-      for (int j = lo[1]; j < hi[1]; ++j)
-        for (int k = lo[2]; k < hi[2]; ++k) {
-          // Global fine cell index, then the coarse cell containing it.
-          const index_t gf[3] = {fine_coords.x * subgrid::N + i,
-                                 fine_coords.y * subgrid::N + j,
-                                 fine_coords.z * subgrid::N + k};
-          int lc[3], sub[3];
-          bool in_owned = true;
-          for (int a = 0; a < 3; ++a) {
-            OCTO_ASSERT(gf[a] >= 0);
-            const index_t gc = gf[a] / 2;
-            sub[a] = static_cast<int>(gf[a] - 2 * gc);
-            lc[a] = static_cast<int>(gc - coarse_coords[a] * subgrid::N);
-            in_owned = in_owned && lc[a] >= 0 && lc[a] < subgrid::N;
-          }
-          OCTO_CHECK_MSG(in_owned, "coarse ghost fill outside owned region");
-          fine.at(f, i, j, k) = prolonged_value(coarse, f, lc[0], lc[1],
-                                                lc[2], sub[0], sub[1], sub[2]);
-        }
-  }
+  for (int f = 0; f < NFIELD; ++f)
+    for (int I = lo[0]; I < hi[0]; ++I)
+      for (int J = lo[1]; J < hi[1]; ++J)
+        for (int K = lo[2]; K < hi[2]; ++K)
+          prolong_cell(coarse, f, I, J, K, fine, 2 * I + shift[0],
+                       2 * J + shift[1], 2 * K + shift[2]);
 }
 
 }  // namespace octo::grid

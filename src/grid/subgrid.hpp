@@ -106,13 +106,16 @@ class subgrid {
   std::vector<real>& raw() { return data_; }
   const std::vector<real>& raw() const { return data_; }
 
+  /// Ghost index range [lo, hi) along one axis on the side of direction
+  /// component dc (the owned range [0, N) for dc = 0).
+  static void ghost_range(int dc, int& lo, int& hi);
+
  private:
   static constexpr index_t off(int f) { return index_t(f) * cells_per_field; }
 
   /// Owned-cell index range [lo, hi) along one axis for packing toward
-  /// direction component dc, and ghost range for unpacking from dc.
+  /// direction component dc.
   static void pack_range(int dc, int& lo, int& hi);
-  static void ghost_range(int dc, int& lo, int& hi);
 
   rvec3 center_;
   real dx_;

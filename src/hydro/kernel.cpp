@@ -24,6 +24,7 @@ using scalar_pack = octo::simd<real, octo::simd_abi::scalar>;
 using vector_pack = octo::simd<real, octo::simd_abi::native<real>>;
 
 /// Lane-wise pow (no vector pow in the ABI; trip count is tiny and fixed).
+/// to_prim calls it only for packs where some lane falls back to tau.
 template <typename P>
 P pack_pow(P base, real exp) {
   P r;
@@ -85,10 +86,13 @@ prim_pack<P> to_prim(const state_pack<P>& s, const ideal_gas& gas) {
   q.vz = s.sz * inv_rho;
   const P ke = P(0.5) * (s.sx * q.vx + s.sy * q.vy + s.sz * q.vz);
   const P e1 = s.egas - ke;
-  const P et = pack_pow(max(s.tau, P(0)), gas.gamma);
   const auto use_e1 =
       (e1 > P(gas.energy_switch) * s.egas) && (e1 > P(gas.eint_floor));
-  const P eint = max(select(use_e1, e1, et), P(gas.eint_floor));
+  // Where every lane resolves its energy, select() would return e1 exactly.
+  P e = e1;
+  if (!all_of(use_e1))
+    e = select(use_e1, e1, pack_pow(max(s.tau, P(0)), gas.gamma));
+  const P eint = max(e, P(gas.eint_floor));
   q.p = P(gas.gamma - 1) * eint;
   q.cs = sqrt(P(gas.gamma) * q.p / q.rho);
   return q;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/random.hpp"
@@ -161,6 +162,112 @@ TEST(HydroKernels, ScalarAndSimdAgreeBitwiseish) {
   flux_divergence(u, o2, ws2, d2);
   for (std::size_t c = 0; c < d1.size(); ++c)
     ASSERT_NEAR(d1[c], d2[c], 1e-11 * std::max(std::abs(d1[c]), real(1)));
+}
+
+/// Random state whose cells resolve their internal energy (egas - ke) or
+/// not, as \p unresolved(i, j, k) says.  tau is inconsistent with egas
+/// everywhere (tau^gamma is 2-5 times the resolved eint, and O(1) where
+/// egas - ke is only 1e-5 ke), so a lane that takes the wrong branch of the
+/// dual-energy switch moves the pressure and the sound speed by O(1).
+template <typename Pred>
+void fill_dual_energy_state(subgrid& u, const ideal_gas& gas,
+                            std::uint64_t seed, Pred unresolved) {
+  xoshiro256 rng(seed);
+  for (int i = -G; i < N + G; ++i)
+    for (int j = -G; j < N + G; ++j)
+      for (int k = -G; k < N + G; ++k) {
+        const bool cold = unresolved(i, j, k);
+        const real rho = rng.uniform(0.5, 2.0);
+        const real vmag = cold ? 2.0 : 0.3;
+        const rvec3 v{rng.uniform(-vmag, vmag), rng.uniform(-vmag, vmag),
+                      rng.uniform(-vmag, vmag)};
+        const real ke = real(0.5) * rho * norm2(v);
+        const real eint = cold ? 1e-5 * ke : rng.uniform(0.5, 2.0);
+        const real etau = cold ? rng.uniform(0.5, 2.0)
+                               : eint * rng.uniform(2.0, 5.0);
+        u.at(grid::f_rho, i, j, k) = rho;
+        u.at(grid::f_sx, i, j, k) = rho * v.x;
+        u.at(grid::f_sy, i, j, k) = rho * v.y;
+        u.at(grid::f_sz, i, j, k) = rho * v.z;
+        u.at(grid::f_egas, i, j, k) = ke + eint;
+        u.at(grid::f_tau, i, j, k) = std::pow(etau, 1 / gas.gamma);
+        u.at(grid::f_spc0, i, j, k) = rho * real(0.6);
+        u.at(grid::f_spc1, i, j, k) = rho * real(0.4);
+      }
+}
+
+/// max_signal_speed from the scalar EOS, cell by cell.
+real reference_signal_speed(const subgrid& u, const ideal_gas& gas,
+                            int& n_unresolved) {
+  real vmax = 0;
+  n_unresolved = 0;
+  for (int i = 0; i < N; ++i)
+    for (int j = 0; j < N; ++j)
+      for (int k = 0; k < N; ++k) {
+        const real rho = u.at(grid::f_rho, i, j, k);
+        const real sx = u.at(grid::f_sx, i, j, k);
+        const real sy = u.at(grid::f_sy, i, j, k);
+        const real sz = u.at(grid::f_sz, i, j, k);
+        const real egas = u.at(grid::f_egas, i, j, k);
+        const real ke = real(0.5) * (sx * sx + sy * sy + sz * sz) / rho;
+        n_unresolved += !(egas - ke > gas.energy_switch * egas);
+        const real eint = gas.internal_energy(rho, sx, sy, sz, egas,
+                                              u.at(grid::f_tau, i, j, k));
+        const real vabs =
+            std::max({std::abs(sx), std::abs(sy), std::abs(sz)}) / rho;
+        vmax = std::max(vmax, vabs + gas.sound_speed(rho, gas.pressure(eint)));
+      }
+  return vmax;
+}
+
+/// The scalar and native-pack paths agree on flux_divergence and
+/// max_signal_speed (ScalarAndSimdAgreeBitwiseish tolerance), and both
+/// signal speeds match the scalar EOS; returns the unresolved cell count.
+int expect_dual_energy_paths_agree(const subgrid& u) {
+  workspace ws1, ws2;
+  hydro_options o1, o2;
+  o1.use_simd = false;
+  o2.use_simd = true;
+  std::vector<real> d1(static_cast<std::size_t>(dudt_size), 0);
+  std::vector<real> d2(static_cast<std::size_t>(dudt_size), 0);
+  flux_divergence(u, o1, ws1, d1);
+  flux_divergence(u, o2, ws2, d2);
+  for (std::size_t c = 0; c < d1.size(); ++c)
+    EXPECT_NEAR(d1[c], d2[c], 1e-11 * std::max(std::abs(d1[c]), real(1)))
+        << "flux_divergence entry " << c;
+  int n_unresolved = 0;
+  const real ref = reference_signal_speed(u, o1.gas, n_unresolved);
+  const real v1 = max_signal_speed(u, o1);
+  const real v2 = max_signal_speed(u, o2);
+  EXPECT_NEAR(v1, v2, 1e-11 * std::max(std::abs(v1), real(1)));
+  EXPECT_NEAR(v1, ref, 1e-12 * ref);
+  EXPECT_NEAR(v2, ref, 1e-12 * ref);
+  return n_unresolved;
+}
+
+TEST(HydroDualEnergy, MixedLanesMatchScalarPath) {
+  // Checkerboard: every native pack along k (2 or 4 lanes) holds resolved
+  // and unresolved lanes, so only the select() keeps each lane's branch.
+  subgrid u(rvec3{0, 0, 0}, 0.1);
+  const ideal_gas gas;
+  fill_dual_energy_state(u, gas, 77, [](int i, int j, int k) {
+    return ((i + j + k) & 1) != 0;
+  });
+  EXPECT_EQ(expect_dual_energy_paths_agree(u), N * N * N / 2);
+}
+
+TEST(HydroDualEnergy, AllResolvedIgnoresTau) {
+  subgrid u(rvec3{0, 0, 0}, 0.1);
+  const ideal_gas gas;
+  fill_dual_energy_state(u, gas, 78, [](int, int, int) { return false; });
+  EXPECT_EQ(expect_dual_energy_paths_agree(u), 0);
+}
+
+TEST(HydroDualEnergy, AllUnresolvedUsesTau) {
+  subgrid u(rvec3{0, 0, 0}, 0.1);
+  const ideal_gas gas;
+  fill_dual_energy_state(u, gas, 79, [](int, int, int) { return true; });
+  EXPECT_EQ(expect_dual_energy_paths_agree(u), N * N * N);
 }
 
 TEST(HydroSources, GravityMomentumAndEnergy) {

@@ -206,5 +206,118 @@ TEST(AmrOps, GhostFromCoarseLinearProfileExact) {
   EXPECT_NEAR(fine.at(f_rho, -2, 0, 0), 2.0 + 0.5 * 7 - 0.25 * 0.5, 1e-13);
 }
 
+/// The per-fine-cell prolongation formula the AMR operators must match
+/// bit for bit: limited slopes of coarse cell (I, J, K), then the child at
+/// sub-position (si, sj, sk).
+real reference_minmod(real a, real b) {
+  if (a * b <= 0) return 0;
+  return std::abs(a) < std::abs(b) ? a : b;
+}
+
+real reference_prolonged_value(const subgrid& coarse, int f, int I, int J,
+                               int K, int si, int sj, int sk) {
+  const auto v = [&](int i, int j, int k) { return coarse.at(f, i, j, k); };
+  const real c = v(I, J, K);
+  const real s0 = reference_minmod(v(I + 1, J, K) - c, c - v(I - 1, J, K));
+  const real s1 = reference_minmod(v(I, J + 1, K) - c, c - v(I, J - 1, K));
+  const real s2 = reference_minmod(v(I, J, K + 1) - c, c - v(I, J, K - 1));
+  const real off = real(0.25);
+  return c + (si ? off : -off) * s0 + (sj ? off : -off) * s1 +
+         (sk ? off : -off) * s2;
+}
+
+/// Non-smooth coarse field: independent values of both signs, so minmod
+/// takes every branch (sign change, left smaller, right smaller).
+void fill_rough(subgrid& u, std::uint64_t seed) {
+  xoshiro256 rng(seed);
+  for (int f = 0; f < NFIELD; ++f)
+    for (int i = -G; i < N + G; ++i)
+      for (int j = -G; j < N + G; ++j)
+        for (int k = -G; k < N + G; ++k)
+          u.at(f, i, j, k) = rng.uniform(-1.0, 2.0);
+}
+
+TEST(AmrOps, ProlongationMatchesPerCellFormulaBitwise) {
+  subgrid coarse(rvec3{0, 0, 0}, 0.25), fine;
+  fill_rough(coarse, 17);
+  for (int oct = 0; oct < NCHILD; ++oct) {
+    prolong_from_coarse(coarse, oct, fine);
+    const int o[3] = {(oct & 1) * N / 2, ((oct >> 1) & 1) * N / 2,
+                      ((oct >> 2) & 1) * N / 2};
+    for (int f = 0; f < NFIELD; ++f)
+      for (int i = 0; i < N; ++i)
+        for (int j = 0; j < N; ++j)
+          for (int k = 0; k < N; ++k)
+            ASSERT_EQ(fine.at(f, i, j, k),
+                      reference_prolonged_value(coarse, f, o[0] + i / 2,
+                                                o[1] + j / 2, o[2] + k / 2,
+                                                i & 1, j & 1, k & 1))
+                << "octant " << oct << " field " << f << " cell " << i << ","
+                << j << "," << k;
+  }
+}
+
+TEST(AmrOps, GhostFromCoarseMatchesPerCellFormulaBitwise) {
+  // A fine leaf at 2 * parent + parity sees its parent's neighbor (one level
+  // coarser) across side d only where the side points away from its
+  // siblings: parity 0 on a -1 axis, 1 on a +1 axis, either on a 0 axis.
+  subgrid coarse(rvec3{0, 0, 0}, 0.25);
+  fill_rough(coarse, 19);
+  const ivec3 parent{3, 2, 5};
+  const real sentinel = -99.0;
+  int checked_dirs = 0, checked_cells = 0;
+  for (int d = 0; d < NNEIGHBOR; ++d) {
+    const ivec3 dir = tree::directions()[d];
+    for (int parity = 0; parity < NCHILD; ++parity) {
+      ivec3 fine_coords;
+      bool allowed = true;
+      for (int a = 0; a < 3; ++a) {
+        const int p = (parity >> a) & 1;
+        if ((dir[a] < 0 && p != 0) || (dir[a] > 0 && p != 1)) allowed = false;
+        fine_coords[a] = 2 * parent[a] + p;
+      }
+      if (!allowed) continue;
+      const ivec3 coarse_coords = parent + dir;
+      subgrid fine(rvec3{0, 0, 0}, 0.125);
+      fine.fill_all(sentinel);
+      fill_ghost_from_coarse(fine, fine_coords, d, coarse, coarse_coords);
+      ++checked_dirs;
+      for (int f = 0; f < NFIELD; ++f)
+        for (int i = -G; i < N + G; ++i)
+          for (int j = -G; j < N + G; ++j)
+            for (int k = -G; k < N + G; ++k) {
+              const int c[3] = {i, j, k};
+              bool in_box = true;
+              int lc[3], sub[3];
+              for (int a = 0; a < 3; ++a) {
+                const bool lo_side = c[a] < 0, hi_side = c[a] >= N;
+                in_box = in_box && (dir[a] < 0   ? lo_side
+                                    : dir[a] > 0 ? hi_side
+                                                 : !lo_side && !hi_side);
+                const index_t gf = fine_coords[a] * N + c[a];
+                lc[a] = static_cast<int>(gf / 2 - coarse_coords[a] * N);
+                sub[a] = static_cast<int>(gf & 1);
+              }
+              if (!in_box) {
+                ASSERT_EQ(fine.at(f, i, j, k), sentinel)
+                    << "dir " << d << " wrote outside its ghost box at " << i
+                    << "," << j << "," << k;
+                continue;
+              }
+              ++checked_cells;
+              ASSERT_EQ(fine.at(f, i, j, k),
+                        reference_prolonged_value(coarse, f, lc[0], lc[1],
+                                                  lc[2], sub[0], sub[1],
+                                                  sub[2]))
+                  << "dir " << d << " parity " << parity << " field " << f
+                  << " cell " << i << "," << j << "," << k;
+            }
+    }
+  }
+  // 6 faces x 4 parities + 12 edges x 2 + 8 corners x 1.
+  EXPECT_EQ(checked_dirs, 6 * 4 + 12 * 2 + 8);
+  EXPECT_GT(checked_cells, 0);
+}
+
 }  // namespace
 }  // namespace octo::grid
