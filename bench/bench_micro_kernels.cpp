@@ -51,10 +51,10 @@ void hydro_flux_kernel(benchmark::State& state) {
 
 void gravity_solve(benchmark::State& state) {
   // Full FMM; per-sub-grid cost = time / nodes.  Arg "tree": 0 = the root
-  // plus 8 leaves; 1 = uniform level 2, every leaf on the monopole-source
-  // M2L and the root split into row tasks; 2 = AMR (level 2 where x < 0),
-  // whose unrefined leaves border refined nodes and keep the general leaf
-  // M2L.
+  // plus 8 leaves; 1 = uniform level 2, every leaf on the mono-case table
+  // kernel and the packed root M2L split into row tasks; 2 = AMR (level 2
+  // where x < 0), whose unrefined leaves border refined nodes and keep the
+  // general leaf M2L.
   const bool simd = state.range(0) != 0;
   const auto shape = state.range(1);
   amt::runtime rt(2);

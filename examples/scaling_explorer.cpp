@@ -8,7 +8,9 @@
 ///                      [nodes=1,2,4,...] [simd=true] [boost=false]
 ///                      [comm_opt=true] [chunks=1] [gpus=true]
 
+#include <climits>
 #include <cstdio>
+#include <cstdlib>
 #include <iostream>
 #include <sstream>
 
@@ -36,8 +38,14 @@ int main(int argc, char** argv) try {
   std::vector<int> nodes;
   {
     std::stringstream ss(cfg.get("nodes", std::string("1,2,4,8,16,32,64")));
-    for (std::string tok; std::getline(ss, tok, ',');)
-      nodes.push_back(std::stoi(tok));
+    for (std::string tok; std::getline(ss, tok, ',');) {
+      char* end = nullptr;
+      const long n = std::strtol(tok.c_str(), &end, 10);
+      OCTO_CHECK_MSG(!tok.empty() && *end == '\0' && n > 0 && n <= INT_MAX,
+                     "config key 'nodes' has a token that is not a positive "
+                     "integer: '" << tok << "'");
+      nodes.push_back(static_cast<int>(n));
+    }
   }
 
   const auto topo = sc.make_topology(level);

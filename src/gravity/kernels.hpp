@@ -11,15 +11,22 @@
 /// The Multipole kernel has three cases, chosen per target node from the
 /// topology alone:
 ///   - *full* (`m2l_pack<P, true>`): interior targets keep L0..L3 for the
-///     L2L shift to their children;
+///     L2L shift to their children; the root's all-pairs M2L also runs it on
+///     k-packs of targets against one broadcast source (`m2l_pack<P, false>`
+///     when the root is itself a leaf);
 ///   - *leaf target* (`m2l_pack<P, false>`): leaf targets keep L0/L1 only,
 ///     but some source cell in the halo carries a quadrupole/octupole — a
 ///     same-level neighbor is refined;
-///   - *monopole source* (`m2l_mono_pack`): a leaf target whose existing
-///     same-level neighbors are all leaves (missing neighbors are zero-mass
-///     halo fill), so every source has q = o = 0 and only m, the centre of
-///     mass, D0 and D1 are needed.  It is bitwise identical to the leaf
-///     target case on such sources.
+///   - *mono* (fmm_solver's per-level stencil table): a leaf target whose
+///     existing same-level neighbors are all leaves (missing neighbors are
+///     zero-mass halo fill).  Every source is then a point mass at its cell
+///     centre, so D0/D1 depend only on the stencil offset and the level's
+///     cell width: the M2L becomes a convolution of m with a fixed
+///     316-entry table, 4 FMAs per offset, with no COM load, sqrt or
+///     division.
+
+#include <array>
+#include <cmath>
 
 #include "common/types.hpp"
 #include "gravity/multipole.hpp"
@@ -56,12 +63,9 @@ struct pack_derivs {
   P d3[NSYM3];
 };
 
-/// Fill \p d up to order \p Order: 1 gives D0/D1 only (the monopole-source
-/// case), 3 the full set.  D0/D1 come from the same expressions either way,
-/// so their bits do not depend on Order.
-template <int Order = 3, typename P>
+/// Fill \p d with D0..D3 of -G/|R| at R = (rx, ry, rz) (nonzero).
+template <typename P>
 inline void compute_derivs(P rx, P ry, P rz, real G, pack_derivs<P>& d) {
-  static_assert(Order == 1 || Order == 3);
   const P r[3] = {rx, ry, rz};
   const P r2 = rx * rx + ry * ry + rz * rz;
   const P rinv = P(1) / sqrt(r2);
@@ -70,27 +74,25 @@ inline void compute_derivs(P rx, P ry, P rz, real G, pack_derivs<P>& d) {
   d.d0 = P(-G) * rinv;
   const P c1 = P(G) * rinv3;
   for (int a = 0; a < 3; ++a) d.d1[a] = c1 * r[a];
-  if constexpr (Order == 3) {
-    const P rinv5 = rinv3 * rinv2;
-    const P rinv7 = rinv5 * rinv2;
-    const P c2 = P(-3 * G) * rinv5;
-    for (int a = 0; a < 3; ++a)
-      for (int b = a; b < 3; ++b) {
-        P v = c2 * r[a] * r[b];
-        if (a == b) v += c1;
-        d.d2[sym2_idx(a, b)] = v;
-      }
-    const P c3 = P(15 * G) * rinv7;
-    for (int s = 0; s < NSYM3; ++s) {
-      const int a = sym3_abc[s][0], b = sym3_abc[s][1], c = sym3_abc[s][2];
-      P v = c3 * r[a] * r[b] * r[c];
-      P corr(0);
-      if (a == b) corr += r[c];
-      if (a == c) corr += r[b];
-      if (b == c) corr += r[a];
-      v += c2 * corr;
-      d.d3[s] = v;
+  const P rinv5 = rinv3 * rinv2;
+  const P rinv7 = rinv5 * rinv2;
+  const P c2 = P(-3 * G) * rinv5;
+  for (int a = 0; a < 3; ++a)
+    for (int b = a; b < 3; ++b) {
+      P v = c2 * r[a] * r[b];
+      if (a == b) v += c1;
+      d.d2[sym2_idx(a, b)] = v;
     }
+  const P c3 = P(15 * G) * rinv7;
+  for (int s = 0; s < NSYM3; ++s) {
+    const int a = sym3_abc[s][0], b = sym3_abc[s][1], c = sym3_abc[s][2];
+    P v = c3 * r[a] * r[b] * r[c];
+    P corr(0);
+    if (a == b) corr += r[c];
+    if (a == c) corr += r[b];
+    if (b == c) corr += r[a];
+    v += c2 * corr;
+    d.d3[s] = v;
   }
 }
 
@@ -147,16 +149,29 @@ inline void m2l_pack(const pack_multipole<P>& src, const pack_derivs<P>& d,
   }
 }
 
-/// `m2l_pack<P, false>` for a source with q = o = 0; needs only D0/D1
-/// (compute_derivs<1>).  The explicit `+ 0` stands in for the vanishing
-/// quadrupole term there: it keeps `m * D` out of the accumulator add under
-/// -ffp-contract=fast, so both kernels round every contribution the same
-/// way.
-template <typename P>
-inline void m2l_mono_pack(P m, const pack_derivs<P>& d,
-                          pack_expansion<P>& acc) {
-  acc.l0 += fma(m, d.d0, P(0));
-  for (int i = 0; i < 3; ++i) acc.l1[i] += fma(m, d.d1[i], P(0));
+/// D0 and D1 of -G/|R| at one lattice vector: an entry of the mono case's
+/// per-level stencil table (fmm_solver::mono_table).
+struct lattice_deriv {
+  real d0;
+  real d1[3];
+};
+
+/// D0/D1 at the lattice vector R = -o dx (target minus source, the source o
+/// cells from the target): R is formed in `real`, as compute_derivs would
+/// get it, then D0/D1 are evaluated in long double and rounded once per
+/// component.  Negating o negates R exactly, so D0(o) = D0(-o) and
+/// D1(o) = -D1(-o) hold bitwise: the two sides of a pair see one
+/// interaction and the pair forces cancel.
+inline lattice_deriv lattice_derivs(const std::array<int, 3>& o, real dx,
+                                    real G) {
+  using ld = long double;
+  const ld r[3] = {-o[0] * dx, -o[1] * dx, -o[2] * dx};
+  const ld rinv = 1 / std::sqrt(r[0] * r[0] + r[1] * r[1] + r[2] * r[2]);
+  const ld c1 = ld(G) * rinv * rinv * rinv;
+  lattice_deriv t;
+  t.d0 = static_cast<real>(-ld(G) * rinv);
+  for (int a = 0; a < 3; ++a) t.d1[a] = static_cast<real>(c1 * r[a]);
+  return t;
 }
 
 /// Monopole-monopole near-field contribution (exact): only D0/D1 needed.

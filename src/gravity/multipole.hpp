@@ -103,7 +103,9 @@ struct deriv_tensors {
   std::array<real, NSYM3> d3{};
 };
 
-/// Compute D0..D3 at displacement \p r (must be nonzero).
+/// Compute D0..D3 at displacement \p r (must be nonzero).  This and
+/// m2l_accumulate are the scalar reference forms of the pack kernels
+/// (kernels.hpp): the solver calls neither; tests use them as the oracle.
 inline deriv_tensors derivatives(const rvec3& r, real G = units::G_code) {
   deriv_tensors d;
   const real r2 = dot(r, r);
@@ -157,30 +159,6 @@ inline void m2l_accumulate(const multipole& src, const deriv_tensors& d,
   // L2 = M D2,  L3 = M D3 (higher source moments truncated at total order 3)
   for (int s = 0; s < NSYM2; ++s) tgt.l2[s] += src.m * d.d2[s];
   for (int s = 0; s < NSYM3; ++s) tgt.l3[s] += src.m * d.d3[s];
-}
-
-/// Parity-flipped accumulate: same pair seen from the source's side
-/// (D_n(-R) = (-1)^n D_n(R)).  Evaluating both sides with the *same*
-/// tensors is what makes the pairwise force sum exactly zero.
-inline void m2l_accumulate_flipped(const multipole& src,
-                                   const deriv_tensors& d, expansion& tgt) {
-  real l0 = src.m * d.d0;
-  for (int s = 0; s < NSYM2; ++s) l0 += real(0.5) * sym2_mult[s] * src.q[s] * d.d2[s];
-  for (int s = 0; s < NSYM3; ++s)
-    l0 += (real(1) / 6) * sym3_mult[s] * src.o[s] * d.d3[s];  // sign flip
-  tgt.l0 += l0;
-  for (int i = 0; i < 3; ++i) {
-    real l1 = -src.m * d.d1[i];  // odd order: sign flip
-    for (int j = 0; j < 3; ++j)
-      for (int k = j; k < 3; ++k) {
-        const real mult = (j == k) ? 1 : 2;
-        l1 -= real(0.5) * mult * src.q[sym2_idx(j, k)] *
-              d.d3[sym3_idx(i, j, k)];
-      }
-    tgt.l1[i] += l1;
-  }
-  for (int s = 0; s < NSYM2; ++s) tgt.l2[s] += src.m * d.d2[s];
-  for (int s = 0; s < NSYM3; ++s) tgt.l3[s] -= src.m * d.d3[s];
 }
 
 /// M2M: fold child moments (about child COM) into parent moments (about the

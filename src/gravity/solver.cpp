@@ -31,6 +31,26 @@ constexpr index_t hidx(int i, int j, int k) {
 using scalar_pack = octo::simd<real, octo::simd_abi::scalar>;
 using vector_pack = octo::simd<real, octo::simd_abi::native<real>>;
 
+/// Offsets of [-3,3]^3 whose Chebyshev norm lies in [lo, hi], with their
+/// linear halo offsets.
+struct stencil_t {
+  std::vector<index_t> lin;                 ///< linear halo offset
+  std::vector<std::array<int, 3>> ijk;      ///< (oi, oj, ok)
+};
+
+stencil_t make_stencil(int lo, int hi) {
+  stencil_t st;
+  for (int a = -3; a <= 3; ++a)
+    for (int b = -3; b <= 3; ++b)
+      for (int c = -3; c <= 3; ++c) {
+        const int cheb = std::max({std::abs(a), std::abs(b), std::abs(c)});
+        if (cheb < lo || cheb > hi) continue;
+        st.lin.push_back((index_t(a) * HN + b) * HN + c);
+        st.ijk.push_back({a, b, c});
+      }
+  return st;
+}
+
 /// Same-level interaction stencil.
 ///
 /// A pair of same-level cells interacts at this level iff their *parent*
@@ -42,25 +62,18 @@ using vector_pack = octo::simd<real, octo::simd_abi::native<real>>;
 /// offsets +3 / -3 are valid only for even / odd target parity.  In the
 /// SIMD kernel the i/j components filter whole rows and the k component
 /// becomes a lane mask.
-struct stencil_t {
-  std::vector<index_t> lin;                 ///< linear halo offset
-  std::vector<std::array<int, 3>> ijk;      ///< (oi, oj, ok)
-};
-
 const stencil_t& stencil() {
   static const stencil_t s = [] {
-    stencil_t st;
-    for (int a = -3; a <= 3; ++a)
-      for (int b = -3; b <= 3; ++b)
-        for (int c = -3; c <= 3; ++c) {
-          const int cheb = std::max({std::abs(a), std::abs(b), std::abs(c)});
-          if (cheb < 2) continue;
-          st.lin.push_back((index_t(a) * HN + b) * HN + c);
-          st.ijk.push_back({a, b, c});
-        }
+    stencil_t st = make_stencil(2, 3);
     OCTO_ASSERT(st.lin.size() == 316);
     return st;
   }();
+  return s;
+}
+
+/// The 26 near-field offsets.
+const stencil_t& near_stencil() {
+  static const stencil_t s = make_stencil(1, 1);
   return s;
 }
 
@@ -69,24 +82,29 @@ constexpr bool offset_valid(int o, int q) {
   return q == 0 ? (o >= -2 && o <= 3) : (o >= -3 && o <= 2);
 }
 
-/// The 26 near-field offsets.
-struct near_stencil_t {
-  std::vector<index_t> lin;
-};
+/// Lane masks for the parity-dependent +/-3 k-offsets, built once per
+/// launch.  Lane l of the pack at k handles cell k + l, and k steps by the
+/// pack width W, so the lane parity is l & 1 for even W and k & 1 for the
+/// scalar pack: index by k & 1, which is 0 for every even W.
+template <typename P>
+struct parity_masks {
+  static_assert(P::size() == 1 || P::size() % 2 == 0);
+  P even[2], odd[2];
 
-const near_stencil_t& near_stencil() {
-  static const near_stencil_t s = [] {
-    near_stencil_t st;
-    for (int a = -1; a <= 1; ++a)
-      for (int b = -1; b <= 1; ++b)
-        for (int c = -1; c <= 1; ++c) {
-          if (a == 0 && b == 0 && c == 0) continue;
-          st.lin.push_back((index_t(a) * HN + b) * HN + c);
-        }
-    return st;
-  }();
-  return s;
-}
+  parity_masks() {
+    for (int kp = 0; kp < 2; ++kp)
+      for (int l = 0; l < P::size(); ++l) {
+        const bool e = ((kp + l) & 1) == 0;
+        even[kp].set(l, e ? real(1) : real(0));
+        odd[kp].set(l, e ? real(0) : real(1));
+      }
+  }
+
+  /// Offset +3 is valid on even lanes, -3 on odd ones.
+  const P& operator()(int ok, int k) const {
+    return ok == 3 ? even[k & 1] : odd[k & 1];
+  }
+};
 
 /// Per-thread halo scratch (one Multipole-kernel launch uses one).
 struct halo_scratch {
@@ -165,8 +183,8 @@ fmm_solver::fmm_solver(const tree::topology& topo, gravity_options opt)
   for (auto& fc : fc_) std::sort(fc.clients.begin(), fc.clients.end());
 
   // Multipole-kernel case (kernels.hpp, fixed per topology): a leaf whose
-  // existing same-level neighbors are all leaves sees only monopole sources;
-  // missing neighbors leave zero-mass halo fill, also a monopole.
+  // existing same-level neighbors are all leaves sees only point-mass
+  // sources at cell centres; missing neighbors leave zero-mass halo fill.
   m2l_case_.resize(static_cast<std::size_t>(topo.num_nodes()));
   for (index_t n = 0; n < topo.num_nodes(); ++n) {
     auto& mc = m2l_case_[static_cast<std::size_t>(n)];
@@ -181,6 +199,19 @@ fmm_solver::fmm_solver(const tree::topology& topo, gravity_options opt)
         mc = m2l_case::leaf;
     }
   }
+
+  // Mono-case tables, one per level (every level holds a node).
+  const auto offsets = mono_offsets();
+  mono_table_.resize(levels_.size());
+  for (std::size_t lvl = 0; lvl < levels_.size(); ++lvl) {
+    const real dx = topo.cell_width(levels_[lvl].front());
+    for (const auto& o : offsets)
+      mono_table_[lvl].push_back(lattice_derivs(o, dx, opt_.G));
+  }
+}
+
+std::span<const std::array<int, 3>> fmm_solver::mono_offsets() {
+  return stencil().ijk;
 }
 
 void fmm_solver::set_leaf_density(index_t node, std::span<const real> rho) {
@@ -196,6 +227,8 @@ void fmm_solver::set_leaf_density(index_t node, std::span<const real> rho) {
       for (int k = 0; k < N; ++k) {
         const index_t cell = cell_index(i, j, k);
         nd.mom[mc_m * CP + cell] = rho[static_cast<std::size_t>(cell)] * vol;
+        // A leaf's centre of mass is its cell centre: the mono-case tables
+        // (mono_table_) evaluate every leaf source at its lattice position.
         nd.mom[mc_cx * CP + cell] = c.x - half + (i + real(0.5)) * dx;
         nd.mom[mc_cy * CP + cell] = c.y - half + (j + real(0.5)) * dx;
         nd.mom[mc_cz * CP + cell] = c.z - half + (k + real(0.5)) * dx;
@@ -283,16 +316,23 @@ void fmm_solver::compute_m2m(index_t node) {
 // halo construction
 // ---------------------------------------------------------------------------
 
-void fmm_solver::build_halo(index_t node, std::vector<real>& halo,
+void fmm_solver::build_halo(index_t node, m2l_case mcase,
+                            std::vector<real>& halo,
                             std::vector<real>& nearmask) const {
+  // Only the components the case's kernels read: the mono table kernel
+  // loads m, its P2P also the centres of mass and the near-field mask;
+  // full targets load every moment and have no P2P.
+  static_assert(mc_m == 0 && mc_cx == 1 && mc_cy == 2 && mc_cz == 3);
+  const int ncomp = mcase == m2l_case::mono ? 4 : NMOM;
+  const bool near = mcase != m2l_case::full;
   // Empty cells: zero mass, far-away COM so r never vanishes.
-  for (int comp = 0; comp < NMOM; ++comp) {
+  for (int comp = 0; comp < ncomp; ++comp) {
     real fillv = 0;
     if (comp == mc_cx || comp == mc_cy || comp == mc_cz) fillv = real(1e30);
     real* h = halo.data() + comp * HP;
     std::fill(h, h + HP, fillv);
   }
-  std::fill(nearmask.begin(), nearmask.end(), real(0));
+  if (near) std::fill(nearmask.begin(), nearmask.end(), real(0));
 
   const auto copy_block = [&](index_t src_node, const ivec3& dir) {
     const auto& sm = nodes_[src_node].mom;
@@ -321,9 +361,9 @@ void fmm_solver::build_halo(index_t node, std::vector<real>& halo,
           const index_t h =
               hidx(dlo[0] + i - slo[0], dlo[1] + j - slo[1],
                    dlo[2] + k - slo[2]);
-          for (int comp = 0; comp < NMOM; ++comp)
+          for (int comp = 0; comp < ncomp; ++comp)
             halo[comp * HP + h] = sm[comp * CP + s];
-          nearmask[static_cast<std::size_t>(h)] = mask;
+          if (near) nearmask[static_cast<std::size_t>(h)] = mask;
         }
   };
 
@@ -338,13 +378,31 @@ void fmm_solver::build_halo(index_t node, std::vector<real>& halo,
 // M2L: the Multipole kernel
 // ---------------------------------------------------------------------------
 
-template <typename P, fmm_solver::m2l_case Case>
+/// Add a target pack's L0/L1 (and, for \p Full, L2/L3) into the node's
+/// expansion arrays at \p cell (exclusive rows).
+template <bool Full, typename P>
+void add_expansion(std::vector<real>& exp, index_t cell,
+                   const pack_expansion<P>& acc) {
+  const auto add = [&](int comp, const P& v) {
+    P cur;
+    cur.copy_from(exp.data() + comp * CP + cell);
+    cur += v;
+    cur.copy_to(exp.data() + comp * CP + cell);
+  };
+  add(ec_l0, acc.l0);
+  for (int a = 0; a < 3; ++a) add(ec_l1 + a, acc.l1[a]);
+  if constexpr (Full) {
+    for (int s = 0; s < NSYM2; ++s) add(ec_l2 + s, acc.l2[s]);
+    for (int s = 0; s < NSYM3; ++s) add(ec_l3 + s, acc.l3[s]);
+  }
+}
+
+template <typename P, bool Full>
 void fmm_solver::m2l_impl(index_t node, const std::vector<real>& halo,
                           int row_begin, int row_end) {
-  constexpr bool full = Case == m2l_case::full;
-  constexpr bool mono = Case == m2l_case::mono;
   auto& nd = nodes_[node];
   const auto& st = stencil();
+  const parity_masks<P> parity;
   const int W = P::size();
   const real G = opt_.G;
 
@@ -358,15 +416,6 @@ void fmm_solver::m2l_impl(index_t node, const std::vector<real>& halo,
       ty.copy_from(nd.mom.data() + mc_cy * CP + cell);
       tz.copy_from(nd.mom.data() + mc_cz * CP + cell);
 
-      // Lane masks for the parity-dependent +/-3 k-offsets: lane l handles
-      // cell k + l, so its parity is (k + l) & 1.
-      P even_mask, odd_mask;
-      for (int l = 0; l < W; ++l) {
-        const bool even = ((k + l) & 1) == 0;
-        even_mask.set(l, even ? real(1) : real(0));
-        odd_mask.set(l, even ? real(0) : real(1));
-      }
-
       pack_expansion<P> acc;
       const index_t hb = hidx(i, j, k);
       for (std::size_t s = 0; s < st.lin.size(); ++s) {
@@ -378,47 +427,57 @@ void fmm_solver::m2l_impl(index_t node, const std::vector<real>& halo,
         src.cx.copy_from(halo.data() + mc_cx * HP + h);
         src.cy.copy_from(halo.data() + mc_cy * HP + h);
         src.cz.copy_from(halo.data() + mc_cz * HP + h);
-        if constexpr (!mono) {
-          for (int q = 0; q < NSYM2; ++q)
-            src.q[q].copy_from(halo.data() + (mc_q + q) * HP + h);
-          for (int o = 0; o < NSYM3; ++o)
-            src.o[o].copy_from(halo.data() + (mc_o + o) * HP + h);
-        }
+        for (int q = 0; q < NSYM2; ++q)
+          src.q[q].copy_from(halo.data() + (mc_q + q) * HP + h);
+        for (int o = 0; o < NSYM3; ++o)
+          src.o[o].copy_from(halo.data() + (mc_o + o) * HP + h);
 
         if (ok == 3 || ok == -3) {
           // Valid only for even (+3) or odd (-3) target parity lanes:
           // zero the source moments on the other lanes.
-          const P mask = (ok == 3) ? even_mask : odd_mask;
+          const P& mask = parity(ok, k);
           src.m *= mask;
-          if constexpr (!mono) {
-            for (int q = 0; q < NSYM2; ++q) src.q[q] *= mask;
-            for (int o = 0; o < NSYM3; ++o) src.o[o] *= mask;
-          }
+          for (int q = 0; q < NSYM2; ++q) src.q[q] *= mask;
+          for (int o = 0; o < NSYM3; ++o) src.o[o] *= mask;
         }
 
         pack_derivs<P> d;
-        compute_derivs<mono ? 1 : 3>(tx - src.cx, ty - src.cy, tz - src.cz, G,
-                                     d);
-        if constexpr (mono) {
-          m2l_mono_pack(src.m, d, acc);
-        } else {
-          m2l_pack<P, full>(src, d, acc);
-        }
+        compute_derivs(tx - src.cx, ty - src.cy, tz - src.cz, G, d);
+        m2l_pack<P, Full>(src, d, acc);
       }
+      add_expansion<Full>(nd.exp, cell, acc);
+    }
+  }
+}
 
-      // Accumulate into the node's expansion arrays (exclusive rows).
-      const auto add = [&](int comp, const P& v) {
-        P cur;
-        cur.copy_from(nd.exp.data() + comp * CP + cell);
-        cur += v;
-        cur.copy_to(nd.exp.data() + comp * CP + cell);
-      };
-      add(ec_l0, acc.l0);
-      for (int a = 0; a < 3; ++a) add(ec_l1 + a, acc.l1[a]);
-      if constexpr (full) {
-        for (int s = 0; s < NSYM2; ++s) add(ec_l2 + s, acc.l2[s]);
-        for (int s = 0; s < NSYM3; ++s) add(ec_l3 + s, acc.l3[s]);
+/// The mono case: the M2L of a leaf whose sources are all point masses on
+/// the lattice, as one convolution of m with the level's table.
+template <typename P>
+void fmm_solver::mono_impl(index_t node, const std::vector<real>& halo,
+                           int row_begin, int row_end) {
+  auto& nd = nodes_[node];
+  const auto& st = stencil();
+  const auto table = mono_table(topo_.node(node).level);
+  const parity_masks<P> parity;
+  const int W = P::size();
+
+  for (int row = row_begin; row < row_end; ++row) {
+    const int i = row / N;
+    const int j = row % N;
+    for (int k = 0; k < N; k += W) {
+      pack_expansion<P> acc;
+      const index_t hb = hidx(i, j, k);
+      for (std::size_t s = 0; s < st.lin.size(); ++s) {
+        const auto [oi, oj, ok] = st.ijk[s];
+        if (!offset_valid(oi, i & 1) || !offset_valid(oj, j & 1)) continue;
+        P m;
+        m.copy_from(halo.data() + mc_m * HP + hb + st.lin[s]);
+        if (ok == 3 || ok == -3) m *= parity(ok, k);
+        const lattice_deriv& t = table[s];
+        acc.l0 = fma(m, P(t.d0), acc.l0);
+        for (int a = 0; a < 3; ++a) acc.l1[a] = fma(m, P(t.d1[a]), acc.l1[a]);
       }
+      add_expansion<false>(nd.exp, cell_index(i, j, k), acc);
     }
   }
 }
@@ -435,33 +494,91 @@ void fmm_solver::p2p_impl(index_t node, const std::vector<real>& halo,
   for (int row = row_begin; row < row_end; ++row) {
     const int i = row / N;
     const int j = row % N;
-      for (int k = 0; k < N; k += W) {
-        const index_t cell = cell_index(i, j, k);
-        P tx, ty, tz;
-        tx.copy_from(nd.mom.data() + mc_cx * CP + cell);
-        ty.copy_from(nd.mom.data() + mc_cy * CP + cell);
-        tz.copy_from(nd.mom.data() + mc_cz * CP + cell);
-        pack_expansion<P> acc;
-        const index_t hb = hidx(i, j, k);
-        for (const index_t off : st.lin) {
-          const index_t h = hb + off;
-          P m, sx, sy, sz, mask;
-          m.copy_from(halo.data() + mc_m * HP + h);
-          mask.copy_from(nearmask.data() + h);
-          sx.copy_from(halo.data() + mc_cx * HP + h);
-          sy.copy_from(halo.data() + mc_cy * HP + h);
-          sz.copy_from(halo.data() + mc_cz * HP + h);
-          p2p_pack(m * mask, tx - sx, ty - sy, tz - sz, G, acc);
-        }
-        const auto add = [&](int comp, const P& v) {
-          P cur;
-          cur.copy_from(nd.exp.data() + comp * CP + cell);
-          cur += v;
-          cur.copy_to(nd.exp.data() + comp * CP + cell);
-        };
-        add(ec_l0, acc.l0);
-        for (int a = 0; a < 3; ++a) add(ec_l1 + a, acc.l1[a]);
+    for (int k = 0; k < N; k += W) {
+      const index_t cell = cell_index(i, j, k);
+      P tx, ty, tz;
+      tx.copy_from(nd.mom.data() + mc_cx * CP + cell);
+      ty.copy_from(nd.mom.data() + mc_cy * CP + cell);
+      tz.copy_from(nd.mom.data() + mc_cz * CP + cell);
+      pack_expansion<P> acc;
+      const index_t hb = hidx(i, j, k);
+      for (const index_t off : st.lin) {
+        const index_t h = hb + off;
+        P m, sx, sy, sz, mask;
+        m.copy_from(halo.data() + mc_m * HP + h);
+        mask.copy_from(nearmask.data() + h);
+        sx.copy_from(halo.data() + mc_cx * HP + h);
+        sy.copy_from(halo.data() + mc_cy * HP + h);
+        sz.copy_from(halo.data() + mc_cz * HP + h);
+        p2p_pack(m * mask, tx - sx, ty - sy, tz - sz, G, acc);
       }
+      add_expansion<false>(nd.exp, cell, acc);
+    }
+  }
+}
+
+/// The root has no parent to inherit far-field interactions from, so its
+/// cell pairs interact over the full [-7,7] offset range: Chebyshev >= 2
+/// when its nearer pairs are deferred to its children, >= 1 (exact monopole
+/// pairs, its sources having q = o = 0) when the root is itself a leaf.
+/// Each k-pack of targets meets one broadcast source at a time; lanes whose
+/// pair is too near get zero moments and a far-away COM, so r never
+/// vanishes.  Rows [row_begin, row_end) of targets only: row tasks write
+/// disjoint cells.
+template <typename P, bool Full>
+void fmm_solver::m2l_root_impl(int row_begin, int row_end) {
+  auto& nd = nodes_[topo_.root()];
+  const int W = P::size();
+  const real G = opt_.G;
+  const int min_cheb = Full ? 2 : 1;
+  P lane;
+  for (int l = 0; l < W; ++l) lane.set(l, real(l));
+  const auto src_comp = [&](int comp, index_t s) {
+    return P(nd.mom[static_cast<std::size_t>(comp * CP + s)]);
+  };
+
+  for (int row = row_begin; row < row_end; ++row) {
+    const int ti = row / N;
+    const int tj = row % N;
+    for (int tk = 0; tk < N; tk += W) {
+      const index_t t = cell_index(ti, tj, tk);
+      P tx, ty, tz;
+      tx.copy_from(nd.mom.data() + mc_cx * CP + t);
+      ty.copy_from(nd.mom.data() + mc_cy * CP + t);
+      tz.copy_from(nd.mom.data() + mc_cz * CP + t);
+      pack_expansion<P> acc;
+      for (int si = 0; si < N; ++si)
+        for (int sj = 0; sj < N; ++sj)
+          for (int sk = 0; sk < N; ++sk) {
+            // Lane l is the pair (tk + l, sk): only its k distance varies.
+            typename P::mask_type far(true);
+            if (std::max(std::abs(si - ti), std::abs(sj - tj)) < min_cheb) {
+              far = abs(P(real(sk - tk)) - lane) >= P(real(min_cheb));
+              if (none_of(far)) continue;
+            }
+            const index_t s = cell_index(si, sj, sk);
+            pack_multipole<P> src;
+            src.m = src_comp(mc_m, s);
+            src.cx = src_comp(mc_cx, s);
+            src.cy = src_comp(mc_cy, s);
+            src.cz = src_comp(mc_cz, s);
+            for (int q = 0; q < NSYM2; ++q) src.q[q] = src_comp(mc_q + q, s);
+            for (int o = 0; o < NSYM3; ++o) src.o[o] = src_comp(mc_o + o, s);
+            if (!all_of(far)) {
+              const P zero(0), away(real(1e30));
+              src.m = select(far, src.m, zero);
+              src.cx = select(far, src.cx, away);
+              src.cy = select(far, src.cy, away);
+              src.cz = select(far, src.cz, away);
+              for (auto& q : src.q) q = select(far, q, zero);
+              for (auto& o : src.o) o = select(far, o, zero);
+            }
+            pack_derivs<P> d;
+            compute_derivs(tx - src.cx, ty - src.cy, tz - src.cz, G, d);
+            m2l_pack<P, Full>(src, d, acc);
+          }
+      add_expansion<Full>(nd.exp, t, acc);
+    }
   }
 }
 
@@ -469,90 +586,40 @@ void fmm_solver::compute_m2l(index_t node, int chunk, int nchunks) {
   const int rows = N * N;
   const int rb = rows * chunk / nchunks;
   const int re = rows * (chunk + 1) / nchunks;
-  const bool leaf = topo_.node(node).leaf;
-  auto& scratch = tls_scratch();
-  // The root's all-pairs M2L reads its moments directly; its halo only
-  // feeds the P2P of a root that is itself a leaf.
-  if (node != topo_.root() || leaf)
-    build_halo(node, scratch.halo, scratch.nearmask);
   const auto launch = [&](auto pack) {
     using P = decltype(pack);
-    switch (m2l_case_[static_cast<std::size_t>(node)]) {
+    if (node == topo_.root()) {
+      // The root's all-pairs M2L reads its own moments; no halo.
+      if (topo_.node(node).leaf) {
+        m2l_root_impl<P, false>(rb, re);
+      } else {
+        m2l_root_impl<P, true>(rb, re);
+      }
+      return;
+    }
+    const m2l_case mcase = m2l_case_[static_cast<std::size_t>(node)];
+    auto& scratch = tls_scratch();
+    build_halo(node, mcase, scratch.halo, scratch.nearmask);
+    switch (mcase) {
       case m2l_case::full:
-        m2l_impl<P, m2l_case::full>(node, scratch.halo, rb, re);
+        m2l_impl<P, true>(node, scratch.halo, rb, re);
         break;
       case m2l_case::leaf:
-        m2l_impl<P, m2l_case::leaf>(node, scratch.halo, rb, re);
+        m2l_impl<P, false>(node, scratch.halo, rb, re);
         break;
       case m2l_case::mono:
-        m2l_impl<P, m2l_case::mono>(node, scratch.halo, rb, re);
+        mono_impl<P>(node, scratch.halo, rb, re);
         break;
     }
+    // Near field on leaves, over the same (disjoint) row range so chunked
+    // launches never race on the expansion arrays.
+    if (mcase != m2l_case::full)
+      p2p_impl<P>(node, scratch.halo, scratch.nearmask, rb, re);
   };
-  if (node == topo_.root()) {
-    compute_m2l_root(rb, re);
-  } else if (opt_.use_simd) {
+  if (opt_.use_simd) {
     launch(vector_pack{});
   } else {
     launch(scalar_pack{});
-  }
-  // Near field on leaves, over the same (disjoint) row range so chunked
-  // launches never race on the expansion arrays.
-  if (leaf) {
-    if (opt_.use_simd) {
-      p2p_impl<vector_pack>(node, scratch.halo, scratch.nearmask, rb, re);
-    } else {
-      p2p_impl<scalar_pack>(node, scratch.halo, scratch.nearmask, rb, re);
-    }
-  }
-}
-
-/// The root has no parent to inherit far-field interactions from, so its
-/// cell pairs interact over the full [-7,7] offset range (Chebyshev >= 2;
-/// nearer pairs are either deferred to children or, when the root is a
-/// leaf, handled by its own P2P pass).  Rows [row_begin, row_end) of
-/// targets only: row tasks write disjoint cells.
-void fmm_solver::compute_m2l_root(int row_begin, int row_end) {
-  const index_t node = topo_.root();
-  auto& nd = nodes_[node];
-  const bool full = !topo_.node(node).leaf;
-  const real G = opt_.G;
-
-  for (int row = row_begin; row < row_end; ++row) {
-    const int ti = row / N;
-    const int tj = row % N;
-    for (int tk = 0; tk < N; ++tk) {
-      const index_t t = cell_index(ti, tj, tk);
-      const rvec3 xt{nd.mom[mc_cx * CP + t], nd.mom[mc_cy * CP + t],
-                     nd.mom[mc_cz * CP + t]};
-      expansion acc;
-      for (int si = 0; si < N; ++si)
-        for (int sj = 0; sj < N; ++sj)
-          for (int sk = 0; sk < N; ++sk) {
-            const int cheb = std::max(
-                {std::abs(si - ti), std::abs(sj - tj), std::abs(sk - tk)});
-            if (cheb < 2) continue;
-            const index_t s = cell_index(si, sj, sk);
-            multipole src;
-            src.m = nd.mom[mc_m * CP + s];
-            src.com = rvec3{nd.mom[mc_cx * CP + s], nd.mom[mc_cy * CP + s],
-                            nd.mom[mc_cz * CP + s]};
-            for (int q = 0; q < NSYM2; ++q)
-              src.q[q] = nd.mom[(mc_q + q) * CP + s];
-            for (int o = 0; o < NSYM3; ++o)
-              src.o[o] = nd.mom[(mc_o + o) * CP + s];
-            const deriv_tensors d = derivatives(xt - src.com, G);
-            m2l_accumulate(src, d, acc);
-          }
-      nd.exp[ec_l0 * CP + t] += acc.l0;
-      for (int a = 0; a < 3; ++a) nd.exp[(ec_l1 + a) * CP + t] += acc.l1[a];
-      if (full) {
-        for (int s2 = 0; s2 < NSYM2; ++s2)
-          nd.exp[(ec_l2 + s2) * CP + t] += acc.l2[s2];
-        for (int s3 = 0; s3 < NSYM3; ++s3)
-          nd.exp[(ec_l3 + s3) * CP + t] += acc.l3[s3];
-      }
-    }
   }
 }
 
@@ -793,7 +860,7 @@ fmm_solver::solve_graph fmm_solver::build_solve(
 
   // M2L per (node, chunk), leaf P2P fused over the same disjoint rows —
   // ready once the node is zeroed and the node's + same-level neighbors'
-  // moments are set.  The root's all-pairs kernel (compute_m2l_root) is
+  // moments are set.  The root's all-pairs kernel (m2l_root_impl) is
   // split into at least N row tasks so it does not serialize the solve.
   std::vector<std::vector<sf>> m2l(nn);
   for (index_t n = 0; n < topo_.num_nodes(); ++n) {

@@ -19,6 +19,7 @@
 /// precision.
 
 #include <algorithm>
+#include <array>
 #include <memory>
 #include <span>
 #include <vector>
@@ -122,8 +123,17 @@ class fmm_solver {
   real total_mass() const;
 
   const tree::topology& topo() const { return topo_; }
+  /// Fixed at construction: the mono-case tables are built from G.
   const gravity_options& options() const { return opt_; }
-  gravity_options& options() { return opt_; }
+
+  /// The 316 M2L stencil offsets (Chebyshev distance 2..3) in table order.
+  static std::span<const std::array<int, 3>> mono_offsets();
+
+  /// Tree level \p level's mono-case table: D0/D1 at R = -o dx for each
+  /// mono_offsets() entry o, dx the level's cell width.
+  std::span<const lattice_deriv> mono_table(int level) const {
+    return mono_table_[static_cast<std::size_t>(level)];
+  }
 
   /// Raw moment array of a node (NMOM components x CP stride) — exposed for
   /// tests and diagnostics.
@@ -171,7 +181,7 @@ class fmm_solver {
   enum class m2l_case { full, leaf, mono };
 
   /// M2L tasks per solve for \p node: m2l_chunks, but at least N row tasks
-  /// for the root, whose scalar all-pairs kernel is the longest launch.
+  /// for the root, whose all-pairs kernel is the longest launch.
   int m2l_tasks(index_t node) const {
     const int nc = std::max(opt_.m2l_chunks, 1);
     return node == topo_.root() ? std::max(nc, N) : nc;
@@ -179,7 +189,6 @@ class fmm_solver {
 
   void compute_m2m(index_t node);
   void compute_m2l(index_t node, int chunk, int nchunks);
-  void compute_m2l_root(int row_begin, int row_end);
   void compute_fine_coarse_pairs(index_t node);
   void apply_fine_coarse(index_t node);
   void compute_l2l(index_t node);
@@ -189,15 +198,20 @@ class fmm_solver {
     return !fc.hosts.empty() || !fc.clients.empty();
   }
 
-  template <typename P, m2l_case Case>
+  template <typename P, bool Full>
   void m2l_impl(index_t node, const std::vector<real>& halo, int row_begin,
                 int row_end);
+  template <typename P>
+  void mono_impl(index_t node, const std::vector<real>& halo, int row_begin,
+                 int row_end);
+  template <typename P, bool Full>
+  void m2l_root_impl(int row_begin, int row_end);
   template <typename P>
   void p2p_impl(index_t node, const std::vector<real>& halo,
                 const std::vector<real>& nearmask, int row_begin,
                 int row_end);
 
-  void build_halo(index_t node, std::vector<real>& halo,
+  void build_halo(index_t node, m2l_case mcase, std::vector<real>& halo,
                   std::vector<real>& nearmask) const;
 
   const tree::topology& topo_;
@@ -205,6 +219,10 @@ class fmm_solver {
   std::vector<node_data> nodes_;
   std::vector<fc_data> fc_;                   ///< per node
   std::vector<m2l_case> m2l_case_;            ///< per node
+  /// Per level, one lattice_deriv per mono_offsets() entry.  Valid because
+  /// a leaf's centre of mass is its cell centre (set_leaf_density), so every
+  /// source of a mono target is a point mass on the lattice.
+  std::vector<std::vector<lattice_deriv>> mono_table_;
   std::vector<std::vector<index_t>> levels_;  ///< node indices per level
 };
 

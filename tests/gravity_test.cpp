@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <utility>
@@ -300,14 +303,14 @@ class ChunkCountBitwise : public testing::Test {
 
 TEST_F(ChunkCountBitwise, UniformTreeMonopoleLeavesAndSplitRoot) {
   // Every leaf's same-level neighbors are leaves: all leaves take the
-  // monopole-source kernel, and the interior root is split into row tasks.
+  // mono-case table kernel, and the interior root is split into row tasks.
   tree::topology topo(1.0, 2, uniform_to(2));
   expect_chunk_counts_bitwise(topo);
 }
 
 TEST_F(ChunkCountBitwise, AmrTreeKeepsGeneralLeafKernel) {
   // The unrefined x > 0 leaves border refined same-level nodes and keep the
-  // general leaf-target kernel; the refined x < 0 leaves are monopole-only.
+  // general leaf-target kernel; the refined x < 0 leaves take the mono case.
   const auto refine = [](int lvl, const rvec3& c, real) {
     return lvl < 1 || (lvl < 2 && c.x < 0);
   };
@@ -315,68 +318,263 @@ TEST_F(ChunkCountBitwise, AmrTreeKeepsGeneralLeafKernel) {
   expect_chunk_counts_bitwise(topo);
 }
 
-/// The monopole-source kernel against the general leaf-target kernel with
-/// q = o = 0, over a run of offsets accumulated into one pack accumulator:
-/// the L0/L1 bits must match exactly.
-template <typename P>
-void expect_mono_matches_general(std::uint64_t seed) {
-  constexpr int W = P::size();
-  const real G = gravity_options{}.G;
-  xoshiro256 rng(seed);
-  const auto random_pack = [&](real lo, real hi) {
-    P p;
-    for (int l = 0; l < W; ++l) p.set(l, rng.uniform(lo, hi));
-    return p;
-  };
-  P even_mask, odd_mask;
-  for (int l = 0; l < W; ++l) {
-    even_mask.set(l, (l & 1) == 0 ? real(1) : real(0));
-    odd_mask.set(l, (l & 1) == 0 ? real(0) : real(1));
-  }
-  const P tx = random_pack(-1, 1), ty = random_pack(-1, 1),
-          tz = random_pack(-1, 1);
-  pack_expansion<P> general, mono;
-  for (int s = 0; s < 96; ++s) {
-    pack_multipole<P> src;
-    src.m = random_pack(0, 2);
-    if (s % 5 == 0) src.m.set(s % W, 0);  // empty cells
-    src.cx = random_pack(2, 4);
-    src.cy = random_pack(-4, -2);
-    src.cz = random_pack(-3, 3);
-    if (s == 95) {  // halo fill of a missing neighbor
-      src.m = P(0);
-      src.cx = src.cy = src.cz = P(real(1e30));
-    }
-    for (auto& q : src.q) q = P(0);
-    for (auto& o : src.o) o = P(0);
-    if (s % 3 == 1) src.m *= even_mask;  // +3 offsets
-    if (s % 3 == 2) src.m *= odd_mask;   // -3 offsets
-    pack_derivs<P> d, d01;
-    compute_derivs(tx - src.cx, ty - src.cy, tz - src.cz, G, d);
-    compute_derivs<1>(tx - src.cx, ty - src.cy, tz - src.cz, G, d01);
-    m2l_pack<P, false>(src, d, general);
-    m2l_mono_pack(src.m, d01, mono);
-  }
-  const auto lanes = [](const P& p) {
-    std::vector<real> v(W);
-    p.copy_to(v.data());
-    return v;
-  };
-  const auto same_bits = [&](const P& a, const P& b) {
-    const auto va = lanes(a), vb = lanes(b);
-    return std::memcmp(va.data(), vb.data(), W * sizeof(real)) == 0;
-  };
-  EXPECT_TRUE(same_bits(general.l0, mono.l0)) << "L0, width " << W;
-  for (int i = 0; i < 3; ++i)
-    EXPECT_TRUE(same_bits(general.l1[i], mono.l1[i]))
-        << "L1[" << i << "], width " << W;
+/// Distance in units in the last place between two finite doubles of the
+/// same sign.
+std::int64_t ulps_apart(real a, real b) {
+  static_assert(sizeof(real) == sizeof(std::int64_t));
+  std::int64_t ia, ib;
+  std::memcpy(&ia, &a, sizeof(a));
+  std::memcpy(&ib, &b, sizeof(b));
+  return ia > ib ? ia - ib : ib - ia;
 }
 
-TEST_F(GravityEnv, MonopoleSourceKernelMatchesGeneralBitwise) {
-  for (const std::uint64_t seed : {1u, 2u, 3u}) {
-    expect_mono_matches_general<simd<real, simd_abi::scalar>>(seed);
-    expect_mono_matches_general<simd<real, simd_abi::native<real>>>(seed);
+TEST_F(GravityEnv, MonoTableWithinFourUlpsOfComputeDerivs) {
+  // Every entry of every level's table against compute_derivs on the same
+  // lattice vector R = -o dx; a power-of-two and a general cell width.
+  using P = simd<real, simd_abi::scalar>;
+  const auto offsets = fmm_solver::mono_offsets();
+  ASSERT_EQ(offsets.size(), 316u);
+  for (const real half_width : {1.0, 0.7}) {
+    tree::topology topo(half_width, 2, uniform_to(2));
+    fmm_solver fmm(topo);
+    const real G = fmm.options().G;
+    std::int64_t worst = 0;
+    for (int level = 0; level <= 2; ++level) {
+      const real dx = topo.cell_width(topo.leaves().front()) *
+                      real(1 << (2 - level));
+      const auto table = fmm.mono_table(level);
+      ASSERT_EQ(table.size(), offsets.size());
+      for (std::size_t s = 0; s < offsets.size(); ++s) {
+        const auto& o = offsets[s];
+        pack_derivs<P> d;
+        compute_derivs(P(-o[0] * dx), P(-o[1] * dx), P(-o[2] * dx), G, d);
+        worst = std::max(worst, ulps_apart(table[s].d0, d.d0[0]));
+        for (int a = 0; a < 3; ++a) {
+          if (o[a] == 0) {
+            EXPECT_EQ(table[s].d1[a], 0) << "level " << level << ", " << s;
+            continue;
+          }
+          worst = std::max(worst, ulps_apart(table[s].d1[a], d.d1[a][0]));
+        }
+        // The mirrored offset sees the same pair: D0 even, D1 odd, bitwise.
+        const auto& m = table[offsets.size() - 1 - s];
+        ASSERT_EQ(offsets[offsets.size() - 1 - s][0], -o[0]);
+        EXPECT_EQ(m.d0, table[s].d0);
+        for (int a = 0; a < 3; ++a) EXPECT_EQ(m.d1[a], -table[s].d1[a]);
+      }
+    }
+    std::printf("mono table, half width %.1f: worst %lld ulps\n", half_width,
+                static_cast<long long>(worst));
+    EXPECT_LE(worst, 4);
   }
+}
+
+/// Test-local FMM oracle in the scalar multipole.hpp operators: the
+/// solver's moments (raw_moments, the same input every kernel reads) through
+/// `derivatives` + `m2l_accumulate` over every same-level stencil pair, the
+/// near-field pairs of leaves, the root's all-pairs range and the exact
+/// fine-coarse monopole pairs, then `l2l_shift` down the tree.  It is the
+/// solve the kernels made before the mono-case table and the packed root.
+class fmm_oracle {
+ public:
+  explicit fmm_oracle(const fmm_solver& fmm)
+      : fmm_(fmm), topo_(fmm.topo()), G_(fmm.options().G) {
+    const auto nn = static_cast<std::size_t>(topo_.num_nodes());
+    exp_.assign(nn, std::vector<expansion>(512));
+    for (index_t n = 0; n < topo_.num_nodes(); ++n) {
+      const int lvl = topo_.node(n).level;
+      if (static_cast<std::size_t>(lvl) >= cells_.size())
+        cells_.resize(static_cast<std::size_t>(lvl) + 1);
+      auto& grid = cells_[static_cast<std::size_t>(lvl)];
+      grid.resize(static_cast<std::size_t>(extent(lvl)) * extent(lvl) *
+                      extent(lvl),
+                  {-1, -1});
+      for (int c = 0; c < 512; ++c)
+        grid[global_index(n, c)] = {n, c};
+    }
+    for (index_t n = 0; n < topo_.num_nodes(); ++n) same_level(n);
+    for (const index_t l : topo_.leaves()) fine_coarse(l);
+    for (int lvl = 1; lvl < static_cast<int>(cells_.size()); ++lvl)
+      for (index_t n = 0; n < topo_.num_nodes(); ++n)
+        if (topo_.node(n).level == lvl) l2l(n);
+  }
+
+  /// phi (0) or g_x/g_y/g_z (1..3) at leaf \p n, cell \p c.
+  real out(index_t n, int c, int comp) const {
+    const auto& e = exp_[static_cast<std::size_t>(n)][c];
+    return comp == 0 ? e.l0 : -e.l1[comp - 1];
+  }
+
+ private:
+  static constexpr int N = 8;
+  static int extent(int lvl) { return N << lvl; }
+
+  ivec3 global_cell(index_t n, int c) const {
+    const ivec3 code = tree::code_coords(topo_.node(n).code);
+    return ivec3{code.x * N + c / 64, code.y * N + (c / 8) % 8,
+                 code.z * N + c % 8};
+  }
+  std::size_t global_index(index_t n, int c) const {
+    const ivec3 g = global_cell(n, c);
+    const int e = extent(topo_.node(n).level);
+    return (static_cast<std::size_t>(g.x) * e + g.y) * e + g.z;
+  }
+  /// (node, cell) at level \p lvl, global cell \p g; node -1 if none.
+  std::pair<index_t, int> at(int lvl, ivec3 g) const {
+    const int e = extent(lvl);
+    if (g.x < 0 || g.y < 0 || g.z < 0 || g.x >= e || g.y >= e || g.z >= e)
+      return {-1, -1};
+    return cells_[static_cast<std::size_t>(lvl)]
+                 [(static_cast<std::size_t>(g.x) * e + g.y) * e + g.z];
+  }
+  multipole moments(index_t n, int c) const {
+    const auto mom = fmm_.raw_moments(n);
+    const auto get = [&](int comp) {
+      return mom[static_cast<std::size_t>(comp * fmm_solver::CP + c)];
+    };
+    multipole m;
+    m.m = get(mc_m);
+    m.com = rvec3{get(mc_cx), get(mc_cy), get(mc_cz)};
+    for (int s = 0; s < NSYM2; ++s) m.q[s] = get(mc_q + s);
+    for (int s = 0; s < NSYM3; ++s) m.o[s] = get(mc_o + s);
+    return m;
+  }
+  static multipole monopole_of(const multipole& src) {
+    multipole m;
+    m.m = src.m;
+    m.com = src.com;
+    return m;
+  }
+
+  /// Same-level M2L (and leaf near field) into node n's cells.
+  void same_level(index_t n) {
+    const tree::tnode& tn = topo_.node(n);
+    const bool root = tn.parent == tree::invalid_node;
+    const int reach = root ? N - 1 : 3;
+    // Parent adjacency of offset o for target parity q (the root has no
+    // parent and takes every pair).
+    const auto valid = [](int o, index_t q) {
+      return (q & 1) == 0 ? (o >= -2 && o <= 3) : (o >= -3 && o <= 2);
+    };
+    for (int c = 0; c < 512; ++c) {
+      const ivec3 g = global_cell(n, c);
+      const multipole tgt = moments(n, c);
+      auto& acc = exp_[static_cast<std::size_t>(n)][c];
+      for (int a = -reach; a <= reach; ++a)
+        for (int b = -reach; b <= reach; ++b)
+          for (int d = -reach; d <= reach; ++d) {
+            const int cheb = std::max({std::abs(a), std::abs(b), std::abs(d)});
+            if (cheb == 0) continue;
+            const auto [sn, sc] = at(tn.level, g + ivec3{a, b, d});
+            if (sn < 0) continue;
+            const multipole src = moments(sn, sc);
+            const deriv_tensors dt = derivatives(tgt.com - src.com, G_);
+            if (cheb == 1) {
+              // Near field: leaf targets, leaf sources, monopole only.
+              if (tn.leaf && topo_.node(sn).leaf)
+                m2l_accumulate(monopole_of(src), dt, acc);
+              continue;
+            }
+            if (!root && !(valid(a, g.x) && valid(b, g.y) && valid(d, g.z)))
+              continue;
+            m2l_accumulate(src, dt, acc);
+          }
+    }
+  }
+
+  /// Mutual monopole pairs of fine leaf l with its coarser leaf hosts.
+  void fine_coarse(index_t l) {
+    const tree::tnode& tn = topo_.node(l);
+    std::vector<index_t> hosts;
+    for (int d = 0; d < NNEIGHBOR; ++d) {
+      if (tn.neighbors[d] != tree::invalid_node) continue;
+      const index_t h = topo_.neighbor_or_coarser(l, d);
+      if (h != tree::invalid_node &&
+          std::find(hosts.begin(), hosts.end(), h) == hosts.end())
+        hosts.push_back(h);
+    }
+    for (const index_t h : hosts)
+      for (int c = 0; c < 512; ++c) {
+        const ivec3 g = global_cell(l, c);
+        const ivec3 gp{g.x / 2, g.y / 2, g.z / 2};
+        const multipole mf = moments(l, c);
+        for (int hc = 0; hc < 512; ++hc) {
+          const ivec3 gc = global_cell(h, hc);
+          if (std::max({std::abs(gc.x - gp.x), std::abs(gc.y - gp.y),
+                        std::abs(gc.z - gp.z)}) > 1)
+            continue;
+          const multipole mc = moments(h, hc);
+          m2l_accumulate(monopole_of(mc), derivatives(mf.com - mc.com, G_),
+                         exp_[static_cast<std::size_t>(l)][c]);
+          m2l_accumulate(monopole_of(mf), derivatives(mc.com - mf.com, G_),
+                         exp_[static_cast<std::size_t>(h)][hc]);
+        }
+      }
+  }
+
+  void l2l(index_t n) {
+    const index_t par = topo_.node(n).parent;
+    for (int c = 0; c < 512; ++c) {
+      const ivec3 g = global_cell(n, c);
+      const auto [pn, pc] =
+          at(topo_.node(par).level, ivec3{g.x / 2, g.y / 2, g.z / 2});
+      ASSERT_EQ(pn, par);
+      l2l_shift(exp_[static_cast<std::size_t>(par)][pc],
+                moments(n, c).com - moments(par, pc).com,
+                exp_[static_cast<std::size_t>(n)][c]);
+    }
+  }
+
+  const fmm_solver& fmm_;
+  const tree::topology& topo_;
+  real G_;
+  std::vector<std::vector<expansion>> exp_;                  // per node
+  std::vector<std::vector<std::pair<index_t, int>>> cells_;  // per level
+};
+
+/// Solves \p topo with the kernels and the oracle and returns, per output
+/// (phi, gx, gy, gz), the largest |kernel - oracle| over every leaf cell
+/// relative to the largest |oracle| of that output.
+std::array<real, 4> kernel_vs_oracle(const tree::topology& topo,
+                                     const char* name) {
+  fmm_solver fmm(topo);
+  for (const index_t leaf : topo.leaves())
+    fmm.set_leaf_density(leaf, blob_density(topo, leaf, 19));
+  fmm.solve();
+  const fmm_oracle oracle(fmm);
+  using output = std::span<const real> (fmm_solver::*)(index_t) const;
+  const output outputs[] = {&fmm_solver::phi, &fmm_solver::gx,
+                            &fmm_solver::gy, &fmm_solver::gz};
+  std::array<real, 4> rel{};
+  for (int comp = 0; comp < 4; ++comp) {
+    real diff = 0, scale = 0;
+    for (const index_t leaf : topo.leaves()) {
+      const auto got = (fmm.*outputs[comp])(leaf);
+      for (int c = 0; c < 512; ++c) {
+        const real want = oracle.out(leaf, c, comp);
+        diff = std::max(diff, std::abs(got[c] - want));
+        scale = std::max(scale, std::abs(want));
+      }
+    }
+    rel[static_cast<std::size_t>(comp)] = diff / scale;
+  }
+  std::printf("%s: max rel diff vs scalar oracle  phi %.3e  gx %.3e  "
+              "gy %.3e  gz %.3e\n",
+              name, rel[0], rel[1], rel[2], rel[3]);
+  return rel;
+}
+
+TEST_F(GravityEnv, KernelsMatchScalarOracle) {
+  const auto amr = [](int lvl, const rvec3& c, real) {
+    return lvl < 1 || (lvl < 2 && c.x < 0);
+  };
+  const std::pair<const char*, tree::topology> trees[] = {
+      {"root is a leaf (level 0)", tree::topology(1.0, 0, uniform_to(0))},
+      {"uniform level 2", tree::topology(1.0, 2, uniform_to(2))},
+      {"AMR level 2 where x < 0", tree::topology(1.0, 2, amr)}};
+  for (const auto& [name, topo] : trees)
+    for (const real r : kernel_vs_oracle(topo, name))
+      EXPECT_LT(r, 1e-13) << name;
 }
 
 TEST_F(GravityEnv, UniformSphereInteriorField) {
