@@ -51,10 +51,12 @@ void hydro_flux_kernel(benchmark::State& state) {
 
 void gravity_solve(benchmark::State& state) {
   // Full FMM; per-sub-grid cost = time / nodes.  Arg "tree": 0 = the root
-  // plus 8 leaves; 1 = uniform level 2, every leaf on the mono-case table
+  // plus 8 leaves (mono-case table kernel); 1 = uniform level 2, 8 interior
+  // level-1 nodes on the full case, every leaf on the mono-case table
   // kernel and the packed root M2L split into row tasks; 2 = AMR (level 2
   // where x < 0), whose unrefined leaves border refined nodes and keep the
-  // general leaf M2L.
+  // general leaf M2L.  Outside the root every M2L runs parity-class packs
+  // (kernels.hpp).
   const bool simd = state.range(0) != 0;
   const auto shape = state.range(1);
   amt::runtime rt(2);

@@ -243,11 +243,18 @@ class parser {
             s_[pos_] == '+' || s_[pos_] == '-'))
       ++pos_;
     if (pos_ == start) fail("expected number");
+    // The scan takes any run of number characters; the token is a number
+    // only if stod consumes all of it ("1.2.3", "1-2", "1e5e3" are not).
+    const std::string token = s_.substr(start, pos_ - start);
+    std::size_t used = 0;
+    double v = 0;
     try {
-      return value(std::stod(s_.substr(start, pos_ - start)));
+      v = std::stod(token, &used);
     } catch (const std::exception&) {
       fail("bad number");
     }
+    if (used != token.size()) fail("bad number");
+    return value(v);
   }
 
   const std::string& s_;

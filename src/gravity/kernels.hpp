@@ -6,7 +6,7 @@
 /// (same-level cell-to-cell M2L over the 316-offset stencil, split into
 /// multiple HPX tasks in Fig. 9) and the *Monopole/P2P kernel* (near-field
 /// direct sums on leaves).  Both are templated on the SIMD pack and
-/// vectorize over the contiguous k index of the sub-grid.
+/// vectorize over the k index of the sub-grid.
 ///
 /// The Multipole kernel has three cases, chosen per target node from the
 /// topology alone:
@@ -24,6 +24,15 @@
 ///     cell width: the M2L becomes a convolution of m with a fixed
 ///     316-entry table, 4 FMAs per offset, with no COM load, sqrt or
 ///     division.
+///
+/// Outside the root, a pack holds targets of one *parity class*: one (i, j)
+/// row and every second k, so all its lanes share (i & 1, j & 1, k & 1).
+/// Which stencil offsets are parent-adjacent depends only on that class
+/// (189 of the 316), so no lane is masked, and the halo stores each row's
+/// even-k cells before its odd-k cells, which keeps every offset's sources
+/// contiguous.  A class holds N/2 targets per row, so the pack is at most
+/// N/2 lanes wide.  The full and leaf cases and the P2P also skip a pack
+/// whose sources all lie in same-level neighbors that do not exist.
 
 #include <array>
 #include <cmath>

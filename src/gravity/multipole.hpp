@@ -14,9 +14,10 @@
 ///     center.
 ///
 /// Because M2M and L2L are exact polynomial identities and every M2L pair is
-/// evaluated from both sides with shared derivative tensors, the total force
-/// sums to zero and linear momentum is conserved to machine precision — the
-/// property §IV-C highlights.  Keeping the octupole term is what makes the
+/// evaluated from both sides, each side computing its own derivative
+/// tensors at R and -R, which are exact mirrors (D0/D2 even and D1/D3 odd
+/// in R, bit for bit), the total force sums to zero and linear momentum is
+/// conserved to machine precision — the property §IV-C highlights.  Keeping the octupole term is what makes the
 /// angular-momentum error small enough for the paper's coupled
 /// energy-conserving scheme.
 

@@ -19,34 +19,36 @@ constexpr index_t C3 = fmm_solver::C3;
 constexpr index_t CP = fmm_solver::CP;
 
 /// Halo: the node's 8^3 cells plus a 3-deep shell from same-level neighbors
-/// (the Multipole-kernel stencil reaches 3 cells).
-constexpr int HN = N + 6;
-constexpr index_t HS = index_t(HN) * HN * HN;
-constexpr index_t HP = HS + 8;
+/// (the Multipole-kernel stencil reaches 3 cells), k-deinterleaved: each
+/// (i, j) row holds its even-k cells, then its odd-k cells, HK/2 slots per
+/// parity, slot kk of parity p holding k = 2 kk - 4 + p (the slots of
+/// k = -4 and k = N + 3 are never read).  A parity-class target pack then
+/// meets, for every stencil offset, a contiguous run of sources.
+constexpr int HN = N + 6;  ///< halo rows per axis: i, j in [-3, N + 3)
+constexpr int HK = N + 8;  ///< slots per halo row
+constexpr index_t HP = index_t(HN) * HN * HK;  ///< slots per component
 
 constexpr index_t hidx(int i, int j, int k) {
-  return (index_t(i + 3) * HN + (j + 3)) * HN + (k + 3);
+  const int p = k & 1;
+  return (index_t(i + 3) * HN + (j + 3)) * HK + p * (HK / 2) + (k + 4 - p) / 2;
 }
 
 using scalar_pack = octo::simd<real, octo::simd_abi::scalar>;
+/// The root's pack: consecutive k.
 using vector_pack = octo::simd<real, octo::simd_abi::native<real>>;
+/// The halo kernels' pack: one parity class holds N/2 targets per row.
+using parity_pack =
+    octo::simd<real, octo::simd_abi::fixed<std::min(vector_pack::size(),
+                                                    N / 2)>>;
 
-/// Offsets of [-3,3]^3 whose Chebyshev norm lies in [lo, hi], with their
-/// linear halo offsets.
-struct stencil_t {
-  std::vector<index_t> lin;                 ///< linear halo offset
-  std::vector<std::array<int, 3>> ijk;      ///< (oi, oj, ok)
-};
-
-stencil_t make_stencil(int lo, int hi) {
-  stencil_t st;
+/// Offsets of [-3,3]^3 whose Chebyshev norm lies in [lo, hi].
+std::vector<std::array<int, 3>> make_stencil(int lo, int hi) {
+  std::vector<std::array<int, 3>> st;
   for (int a = -3; a <= 3; ++a)
     for (int b = -3; b <= 3; ++b)
       for (int c = -3; c <= 3; ++c) {
         const int cheb = std::max({std::abs(a), std::abs(b), std::abs(c)});
-        if (cheb < lo || cheb > hi) continue;
-        st.lin.push_back((index_t(a) * HN + b) * HN + c);
-        st.ijk.push_back({a, b, c});
+        if (cheb >= lo && cheb <= hi) st.push_back({a, b, c});
       }
   return st;
 }
@@ -59,21 +61,15 @@ stencil_t make_stencil(int lo, int hi) {
 /// on the target cell's parity q per axis: offset o is parent-adjacent iff
 ///   q == 0:  o in [-2, 3]        q == 1:  o in [-3, 2].
 /// So the union stencil is [-3,3]^3 with Chebyshev >= 2, and the extreme
-/// offsets +3 / -3 are valid only for even / odd target parity.  In the
-/// SIMD kernel the i/j components filter whole rows and the k component
-/// becomes a lane mask.
-const stencil_t& stencil() {
-  static const stencil_t s = [] {
-    stencil_t st = make_stencil(2, 3);
-    OCTO_ASSERT(st.lin.size() == 316);
+/// offsets +3 / -3 are valid only for even / odd target parity.  The SIMD
+/// kernels run one target parity class per pack, each over the 189 offsets
+/// valid for its class (class_stencils).
+const std::vector<std::array<int, 3>>& stencil() {
+  static const auto s = [] {
+    auto st = make_stencil(2, 3);
+    OCTO_ASSERT(st.size() == 316);
     return st;
   }();
-  return s;
-}
-
-/// The 26 near-field offsets.
-const stencil_t& near_stencil() {
-  static const stencil_t s = make_stencil(1, 1);
   return s;
 }
 
@@ -82,34 +78,76 @@ constexpr bool offset_valid(int o, int q) {
   return q == 0 ? (o >= -2 && o <= 3) : (o >= -3 && o <= 2);
 }
 
-/// Lane masks for the parity-dependent +/-3 k-offsets, built once per
-/// launch.  Lane l of the pack at k handles cell k + l, and k steps by the
-/// pack width W, so the lane parity is l & 1 for even W and k & 1 for the
-/// scalar pack: index by k & 1, which is 0 for every even W.
-template <typename P>
-struct parity_masks {
-  static_assert(P::size() == 1 || P::size() % 2 == 0);
-  P even[2], odd[2];
-
-  parity_masks() {
-    for (int kp = 0; kp < 2; ++kp)
-      for (int l = 0; l < P::size(); ++l) {
-        const bool e = ((kp + l) & 1) == 0;
-        even[kp].set(l, e ? real(1) : real(0));
-        odd[kp].set(l, e ? real(0) : real(1));
-      }
-  }
-
-  /// Offset +3 is valid on even lanes, -3 on odd ones.
-  const P& operator()(int ok, int k) const {
-    return ok == 3 ? even[k & 1] : odd[k & 1];
-  }
+/// A stencil offset as a parity-class pack reads it: the linear halo
+/// offset from the pack's first target to its first source, and the
+/// offset's stencil() (mono table) index.
+struct class_offset {
+  index_t lin;
+  int s;
 };
+
+/// Target parity class of cell (i, j, k), indexing class_stencils::far.
+constexpr int parity_class(int i, int j, int k) {
+  return 4 * (i & 1) + 2 * (j & 1) + (k & 1);
+}
+
+/// Per target parity class, the parent-adjacent stencil offsets in stencil
+/// order (189 each); per k parity, the 26 near-field offsets.
+struct class_stencils {
+  std::array<std::vector<class_offset>, 8> far;
+  std::array<std::vector<index_t>, 2> near;
+};
+
+const class_stencils& class_stencil() {
+  static const class_stencils cs = [] {
+    class_stencils c;
+    const auto& st = stencil();
+    for (int cls = 0; cls < 8; ++cls) {
+      const int pi = cls >> 2, pj = (cls >> 1) & 1, pk = cls & 1;
+      for (std::size_t s = 0; s < st.size(); ++s) {
+        const auto [oi, oj, ok] = st[s];
+        if (offset_valid(oi, pi) && offset_valid(oj, pj) &&
+            offset_valid(ok, pk))
+          c.far[static_cast<std::size_t>(cls)].push_back(
+              {hidx(oi, oj, pk + ok) - hidx(0, 0, pk), static_cast<int>(s)});
+      }
+      OCTO_ASSERT(c.far[static_cast<std::size_t>(cls)].size() == 189);
+    }
+    for (int pk = 0; pk < 2; ++pk)
+      for (const auto& [oi, oj, ok] : make_stencil(1, 1))
+        c.near[static_cast<std::size_t>(pk)].push_back(hidx(oi, oj, pk + ok) -
+                                                       hidx(0, 0, pk));
+    return c;
+  }();
+  return cs;
+}
+
+/// Visit the parity-class packs of W targets in rows [row_begin, row_end):
+/// f(i, j, k), k the pack's first target, its lanes k, k + 2, ...
+template <int W, typename F>
+void for_each_pack(int row_begin, int row_end, F&& f) {
+  static_assert((N / 2) % W == 0);
+  for (int row = row_begin; row < row_end; ++row)
+    for (int pk = 0; pk < 2; ++pk)
+      for (int k = pk; k < N; k += 2 * W) f(row / N, row % N, k);
+}
+
+/// Does any of the W halo slots from \p p hold a cell of the node or of an
+/// existing same-level neighbor?  (Slots of a missing neighbor hold zero
+/// moments, whose interactions add exact zeros.)
+template <int W>
+bool any_present(const std::uint8_t* p) {
+  static_assert(W <= 4);
+  std::uint32_t v = 0;
+  std::memcpy(&v, p, W);
+  return v != 0;
+}
 
 /// Per-thread halo scratch (one Multipole-kernel launch uses one).
 struct halo_scratch {
-  std::vector<real> halo;      // NMOM x HP
-  std::vector<real> nearmask;  // HP
+  std::vector<real> halo;              // NMOM x HP
+  std::vector<real> nearmask;          // HP
+  std::vector<std::uint8_t> present;   // HP
 };
 
 halo_scratch& tls_scratch() {
@@ -117,6 +155,7 @@ halo_scratch& tls_scratch() {
   if (s.halo.empty()) {
     s.halo.assign(static_cast<std::size_t>(NMOM) * HP, 0);
     s.nearmask.assign(static_cast<std::size_t>(HP), 0);
+    s.present.assign(static_cast<std::size_t>(HP), 0);
   }
   return s;
 }
@@ -211,7 +250,7 @@ fmm_solver::fmm_solver(const tree::topology& topo, gravity_options opt)
 }
 
 std::span<const std::array<int, 3>> fmm_solver::mono_offsets() {
-  return stencil().ijk;
+  return stencil();
 }
 
 void fmm_solver::set_leaf_density(index_t node, std::span<const real> rho) {
@@ -318,7 +357,8 @@ void fmm_solver::compute_m2m(index_t node) {
 
 void fmm_solver::build_halo(index_t node, m2l_case mcase,
                             std::vector<real>& halo,
-                            std::vector<real>& nearmask) const {
+                            std::vector<real>& nearmask,
+                            std::vector<std::uint8_t>& present) const {
   // Only the components the case's kernels read: the mono table kernel
   // loads m, its P2P also the centres of mass and the near-field mask;
   // full targets load every moment and have no P2P.
@@ -333,6 +373,7 @@ void fmm_solver::build_halo(index_t node, m2l_case mcase,
     std::fill(h, h + HP, fillv);
   }
   if (near) std::fill(nearmask.begin(), nearmask.end(), real(0));
+  std::fill(present.begin(), present.end(), std::uint8_t(0));
 
   const auto copy_block = [&](index_t src_node, const ivec3& dir) {
     const auto& sm = nodes_[src_node].mom;
@@ -364,6 +405,7 @@ void fmm_solver::build_halo(index_t node, m2l_case mcase,
           for (int comp = 0; comp < ncomp; ++comp)
             halo[comp * HP + h] = sm[comp * CP + s];
           if (near) nearmask[static_cast<std::size_t>(h)] = mask;
+          present[static_cast<std::size_t>(h)] = 1;
         }
   };
 
@@ -379,15 +421,14 @@ void fmm_solver::build_halo(index_t node, m2l_case mcase,
 // ---------------------------------------------------------------------------
 
 /// Add a target pack's L0/L1 (and, for \p Full, L2/L3) into the node's
-/// expansion arrays at \p cell (exclusive rows).
-template <bool Full, typename P>
+/// expansion arrays at \p cell, lane l at cell + Stride * l (exclusive
+/// rows).
+template <int Stride, bool Full, typename P>
 void add_expansion(std::vector<real>& exp, index_t cell,
                    const pack_expansion<P>& acc) {
   const auto add = [&](int comp, const P& v) {
-    P cur;
-    cur.copy_from(exp.data() + comp * CP + cell);
-    cur += v;
-    cur.copy_to(exp.data() + comp * CP + cell);
+    real* e = exp.data() + comp * CP + cell;
+    for (int l = 0; l < P::size(); ++l) e[Stride * l] += v[l];
   };
   add(ec_l0, acc.l0);
   for (int a = 0; a < 3; ++a) add(ec_l1 + a, acc.l1[a]);
@@ -399,122 +440,96 @@ void add_expansion(std::vector<real>& exp, index_t cell,
 
 template <typename P, bool Full>
 void fmm_solver::m2l_impl(index_t node, const std::vector<real>& halo,
+                          const std::vector<std::uint8_t>& present,
                           int row_begin, int row_end) {
   auto& nd = nodes_[node];
-  const auto& st = stencil();
-  const parity_masks<P> parity;
-  const int W = P::size();
+  const auto& cs = class_stencil();
   const real G = opt_.G;
+  const auto load = [&](P& v, int comp, index_t h) {
+    v.copy_from(halo.data() + comp * HP + h);
+  };
 
-  for (int row = row_begin; row < row_end; ++row) {
-    const int i = row / N;
-    const int j = row % N;
-    for (int k = 0; k < N; k += W) {
-      const index_t cell = cell_index(i, j, k);
-      P tx, ty, tz;
-      tx.copy_from(nd.mom.data() + mc_cx * CP + cell);
-      ty.copy_from(nd.mom.data() + mc_cy * CP + cell);
-      tz.copy_from(nd.mom.data() + mc_cz * CP + cell);
-
-      pack_expansion<P> acc;
-      const index_t hb = hidx(i, j, k);
-      for (std::size_t s = 0; s < st.lin.size(); ++s) {
-        const auto [oi, oj, ok] = st.ijk[s];
-        if (!offset_valid(oi, i & 1) || !offset_valid(oj, j & 1)) continue;
-        const index_t h = hb + st.lin[s];
-        pack_multipole<P> src;
-        src.m.copy_from(halo.data() + mc_m * HP + h);
-        src.cx.copy_from(halo.data() + mc_cx * HP + h);
-        src.cy.copy_from(halo.data() + mc_cy * HP + h);
-        src.cz.copy_from(halo.data() + mc_cz * HP + h);
-        for (int q = 0; q < NSYM2; ++q)
-          src.q[q].copy_from(halo.data() + (mc_q + q) * HP + h);
-        for (int o = 0; o < NSYM3; ++o)
-          src.o[o].copy_from(halo.data() + (mc_o + o) * HP + h);
-
-        if (ok == 3 || ok == -3) {
-          // Valid only for even (+3) or odd (-3) target parity lanes:
-          // zero the source moments on the other lanes.
-          const P& mask = parity(ok, k);
-          src.m *= mask;
-          for (int q = 0; q < NSYM2; ++q) src.q[q] *= mask;
-          for (int o = 0; o < NSYM3; ++o) src.o[o] *= mask;
-        }
-
-        pack_derivs<P> d;
-        compute_derivs(tx - src.cx, ty - src.cy, tz - src.cz, G, d);
-        m2l_pack<P, Full>(src, d, acc);
-      }
-      add_expansion<Full>(nd.exp, cell, acc);
+  for_each_pack<P::size()>(row_begin, row_end, [&](int i, int j, int k) {
+    const index_t hb = hidx(i, j, k);
+    P tx, ty, tz;
+    load(tx, mc_cx, hb);
+    load(ty, mc_cy, hb);
+    load(tz, mc_cz, hb);
+    pack_expansion<P> acc;
+    for (const class_offset& e : cs.far[parity_class(i, j, k)]) {
+      const index_t h = hb + e.lin;
+      if (!any_present<P::size()>(present.data() + h)) continue;
+      pack_multipole<P> src;
+      load(src.m, mc_m, h);
+      load(src.cx, mc_cx, h);
+      load(src.cy, mc_cy, h);
+      load(src.cz, mc_cz, h);
+      for (int q = 0; q < NSYM2; ++q) load(src.q[q], mc_q + q, h);
+      for (int o = 0; o < NSYM3; ++o) load(src.o[o], mc_o + o, h);
+      pack_derivs<P> d;
+      compute_derivs(tx - src.cx, ty - src.cy, tz - src.cz, G, d);
+      m2l_pack<P, Full>(src, d, acc);
     }
-  }
+    add_expansion<2, Full>(nd.exp, cell_index(i, j, k), acc);
+  });
 }
 
 /// The mono case: the M2L of a leaf whose sources are all point masses on
-/// the lattice, as one convolution of m with the level's table.
+/// the lattice, as one convolution of m with the level's table.  No pack is
+/// skipped: against 4 FMAs per offset, the presence test measured no gain.
 template <typename P>
 void fmm_solver::mono_impl(index_t node, const std::vector<real>& halo,
                            int row_begin, int row_end) {
   auto& nd = nodes_[node];
-  const auto& st = stencil();
+  const auto& cs = class_stencil();
   const auto table = mono_table(topo_.node(node).level);
-  const parity_masks<P> parity;
-  const int W = P::size();
 
-  for (int row = row_begin; row < row_end; ++row) {
-    const int i = row / N;
-    const int j = row % N;
-    for (int k = 0; k < N; k += W) {
-      pack_expansion<P> acc;
-      const index_t hb = hidx(i, j, k);
-      for (std::size_t s = 0; s < st.lin.size(); ++s) {
-        const auto [oi, oj, ok] = st.ijk[s];
-        if (!offset_valid(oi, i & 1) || !offset_valid(oj, j & 1)) continue;
-        P m;
-        m.copy_from(halo.data() + mc_m * HP + hb + st.lin[s]);
-        if (ok == 3 || ok == -3) m *= parity(ok, k);
-        const lattice_deriv& t = table[s];
-        acc.l0 = fma(m, P(t.d0), acc.l0);
-        for (int a = 0; a < 3; ++a) acc.l1[a] = fma(m, P(t.d1[a]), acc.l1[a]);
-      }
-      add_expansion<false>(nd.exp, cell_index(i, j, k), acc);
+  for_each_pack<P::size()>(row_begin, row_end, [&](int i, int j, int k) {
+    const index_t hb = hidx(i, j, k);
+    pack_expansion<P> acc;
+    for (const class_offset& e : cs.far[parity_class(i, j, k)]) {
+      P m;
+      m.copy_from(halo.data() + mc_m * HP + hb + e.lin);
+      const lattice_deriv& t = table[static_cast<std::size_t>(e.s)];
+      acc.l0 = fma(m, P(t.d0), acc.l0);
+      for (int a = 0; a < 3; ++a) acc.l1[a] = fma(m, P(t.d1[a]), acc.l1[a]);
     }
-  }
+    add_expansion<2, false>(nd.exp, cell_index(i, j, k), acc);
+  });
 }
 
 template <typename P>
 void fmm_solver::p2p_impl(index_t node, const std::vector<real>& halo,
-                          const std::vector<real>& nearmask, int row_begin,
-                          int row_end) {
+                          const std::vector<real>& nearmask,
+                          const std::vector<std::uint8_t>& present,
+                          int row_begin, int row_end) {
   auto& nd = nodes_[node];
-  const auto& st = near_stencil();
-  const int W = P::size();
+  const auto& cs = class_stencil();
   const real G = opt_.G;
+  const auto load = [&](P& v, int comp, index_t h) {
+    v.copy_from(halo.data() + comp * HP + h);
+  };
 
-  for (int row = row_begin; row < row_end; ++row) {
-    const int i = row / N;
-    const int j = row % N;
-    for (int k = 0; k < N; k += W) {
-      const index_t cell = cell_index(i, j, k);
-      P tx, ty, tz;
-      tx.copy_from(nd.mom.data() + mc_cx * CP + cell);
-      ty.copy_from(nd.mom.data() + mc_cy * CP + cell);
-      tz.copy_from(nd.mom.data() + mc_cz * CP + cell);
-      pack_expansion<P> acc;
-      const index_t hb = hidx(i, j, k);
-      for (const index_t off : st.lin) {
-        const index_t h = hb + off;
-        P m, sx, sy, sz, mask;
-        m.copy_from(halo.data() + mc_m * HP + h);
-        mask.copy_from(nearmask.data() + h);
-        sx.copy_from(halo.data() + mc_cx * HP + h);
-        sy.copy_from(halo.data() + mc_cy * HP + h);
-        sz.copy_from(halo.data() + mc_cz * HP + h);
-        p2p_pack(m * mask, tx - sx, ty - sy, tz - sz, G, acc);
-      }
-      add_expansion<false>(nd.exp, cell, acc);
+  for_each_pack<P::size()>(row_begin, row_end, [&](int i, int j, int k) {
+    const index_t hb = hidx(i, j, k);
+    P tx, ty, tz;
+    load(tx, mc_cx, hb);
+    load(ty, mc_cy, hb);
+    load(tz, mc_cz, hb);
+    pack_expansion<P> acc;
+    for (const index_t off : cs.near[static_cast<std::size_t>(k & 1)]) {
+      const index_t h = hb + off;
+      if (!any_present<P::size()>(present.data() + h)) continue;
+      P m, sx, sy, sz, mask;
+      load(m, mc_m, h);
+      mask.copy_from(nearmask.data() + h);
+      load(sx, mc_cx, h);
+      load(sy, mc_cy, h);
+      load(sz, mc_cz, h);
+      p2p_pack(m * mask, tx - sx, ty - sy, tz - sz, G, acc);
     }
-  }
+    add_expansion<2, false>(nd.exp, cell_index(i, j, k), acc);
+  });
 }
 
 /// The root has no parent to inherit far-field interactions from, so its
@@ -577,7 +592,7 @@ void fmm_solver::m2l_root_impl(int row_begin, int row_end) {
             compute_derivs(tx - src.cx, ty - src.cy, tz - src.cz, G, d);
             m2l_pack<P, Full>(src, d, acc);
           }
-      add_expansion<Full>(nd.exp, t, acc);
+      add_expansion<1, Full>(nd.exp, t, acc);
     }
   }
 }
@@ -586,40 +601,41 @@ void fmm_solver::compute_m2l(index_t node, int chunk, int nchunks) {
   const int rows = N * N;
   const int rb = rows * chunk / nchunks;
   const int re = rows * (chunk + 1) / nchunks;
-  const auto launch = [&](auto pack) {
-    using P = decltype(pack);
+  const auto launch = [&](auto root_pack, auto halo_pack) {
+    using R = decltype(root_pack);
+    using P = decltype(halo_pack);
     if (node == topo_.root()) {
       // The root's all-pairs M2L reads its own moments; no halo.
       if (topo_.node(node).leaf) {
-        m2l_root_impl<P, false>(rb, re);
+        m2l_root_impl<R, false>(rb, re);
       } else {
-        m2l_root_impl<P, true>(rb, re);
+        m2l_root_impl<R, true>(rb, re);
       }
       return;
     }
     const m2l_case mcase = m2l_case_[static_cast<std::size_t>(node)];
-    auto& scratch = tls_scratch();
-    build_halo(node, mcase, scratch.halo, scratch.nearmask);
+    auto& hs = tls_scratch();
+    build_halo(node, mcase, hs.halo, hs.nearmask, hs.present);
     switch (mcase) {
       case m2l_case::full:
-        m2l_impl<P, true>(node, scratch.halo, rb, re);
+        m2l_impl<P, true>(node, hs.halo, hs.present, rb, re);
         break;
       case m2l_case::leaf:
-        m2l_impl<P, false>(node, scratch.halo, rb, re);
+        m2l_impl<P, false>(node, hs.halo, hs.present, rb, re);
         break;
       case m2l_case::mono:
-        mono_impl<P>(node, scratch.halo, rb, re);
+        mono_impl<P>(node, hs.halo, rb, re);
         break;
     }
     // Near field on leaves, over the same (disjoint) row range so chunked
     // launches never race on the expansion arrays.
     if (mcase != m2l_case::full)
-      p2p_impl<P>(node, scratch.halo, scratch.nearmask, rb, re);
+      p2p_impl<P>(node, hs.halo, hs.nearmask, hs.present, rb, re);
   };
   if (opt_.use_simd) {
-    launch(vector_pack{});
+    launch(vector_pack{}, parity_pack{});
   } else {
-    launch(scalar_pack{});
+    launch(scalar_pack{}, scalar_pack{});
   }
 }
 

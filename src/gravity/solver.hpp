@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -140,10 +141,6 @@ class fmm_solver {
   std::span<const real> raw_moments(index_t node) const {
     return nodes_[node].mom;
   }
-  /// Raw expansion array of a node (NEXP components x CP stride).
-  std::span<const real> raw_expansions(index_t node) const {
-    return nodes_[node].exp;
-  }
 
   /// CRC-32 chained over every node's moment array — the SDC auditor's
   /// moment seal, taken after a solve and re-verified before the moments
@@ -199,7 +196,8 @@ class fmm_solver {
   }
 
   template <typename P, bool Full>
-  void m2l_impl(index_t node, const std::vector<real>& halo, int row_begin,
+  void m2l_impl(index_t node, const std::vector<real>& halo,
+                const std::vector<std::uint8_t>& present, int row_begin,
                 int row_end);
   template <typename P>
   void mono_impl(index_t node, const std::vector<real>& halo, int row_begin,
@@ -208,11 +206,13 @@ class fmm_solver {
   void m2l_root_impl(int row_begin, int row_end);
   template <typename P>
   void p2p_impl(index_t node, const std::vector<real>& halo,
-                const std::vector<real>& nearmask, int row_begin,
+                const std::vector<real>& nearmask,
+                const std::vector<std::uint8_t>& present, int row_begin,
                 int row_end);
 
   void build_halo(index_t node, m2l_case mcase, std::vector<real>& halo,
-                  std::vector<real>& nearmask) const;
+                  std::vector<real>& nearmask,
+                  std::vector<std::uint8_t>& present) const;
 
   const tree::topology& topo_;
   gravity_options opt_;

@@ -5,6 +5,7 @@
 
 #include "common/config.hpp"
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "common/math.hpp"
 #include "common/random.hpp"
 #include "common/table.hpp"
@@ -145,6 +146,25 @@ TEST(Error, CheckMacros) {
   } catch (const error& e) {
     EXPECT_NE(std::string(e.what()).find("context 42"), std::string::npos);
   }
+}
+
+TEST(Json, NumberMustBeOneWholeToken) {
+  // The scanner takes any run of number characters; stod must consume all
+  // of it, or the parse fails naming a bad number.
+  for (const char* bad : {"[1.2.3]", "[1-2]", "[1e5e3]"}) {
+    try {
+      json::parse(bad);
+      FAIL() << bad << " parsed";
+    } catch (const error& e) {
+      EXPECT_NE(std::string(e.what()).find("bad number"), std::string::npos)
+          << bad << ": " << e.what();
+    }
+  }
+  const json::value v = json::parse("[-0.5, 1e-3, 2E+10]");
+  ASSERT_EQ(v.as_array().size(), 3u);
+  EXPECT_EQ(v.as_array()[0].as_number(), -0.5);
+  EXPECT_EQ(v.as_array()[1].as_number(), 1e-3);
+  EXPECT_EQ(v.as_array()[2].as_number(), 2e10);
 }
 
 TEST(Units, TimeScaleSolar) {

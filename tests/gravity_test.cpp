@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -575,6 +576,497 @@ TEST_F(GravityEnv, KernelsMatchScalarOracle) {
   for (const auto& [name, topo] : trees)
     for (const real r : kernel_vs_oracle(topo, name))
       EXPECT_LT(r, 1e-13) << name;
+}
+
+/// Test-local copy of the masked-lane Multipole kernel that the
+/// parity-class packs replaced, for a bitwise guard: the halo in natural k
+/// order, consecutive-k target packs of the native width, the +/-3
+/// k-offsets masked per lane (`parity_masks`, `m *= mask`) and every pack
+/// evaluated whether or not its sources exist; then copies of the solver's
+/// fine-coarse pairs and applies, L2L and leaf evaluation in the solver's
+/// accumulation order.  Every dropped
+/// evaluation added an exact zero, so its phi/g equal the solver's bit for
+/// bit.
+template <typename P>
+class masked_lane_fmm {
+ public:
+  explicit masked_lane_fmm(const fmm_solver& fmm)
+      : fmm_(fmm), topo_(fmm.topo()), G_(fmm.options().G) {
+    for (int a = -3; a <= 3; ++a)
+      for (int b = -3; b <= 3; ++b)
+        for (int c = -3; c <= 3; ++c) {
+          const int cheb = std::max({std::abs(a), std::abs(b), std::abs(c)});
+          const index_t lin = (index_t(a) * HN + b) * HN + c;
+          if (cheb >= 2) far_.push_back({lin, {a, b, c}});
+          if (cheb == 1) near_.push_back(lin);
+        }
+    const auto nn = static_cast<std::size_t>(topo_.num_nodes());
+    exp_.assign(nn, std::vector<real>(static_cast<std::size_t>(NEXP) * CP));
+    for (index_t n = 0; n < topo_.num_nodes(); ++n) m2l(n);
+    fine_coarse();
+    for (int lvl = 1; lvl <= topo_.max_depth(); ++lvl)
+      for (index_t n = 0; n < topo_.num_nodes(); ++n)
+        if (topo_.node(n).level == lvl) l2l(n);
+  }
+
+  /// phi (0) or g_x/g_y/g_z (1..3) at leaf \p n, cell \p c.
+  real out(index_t n, index_t c, int comp) const {
+    const auto& e = exp_[static_cast<std::size_t>(n)];
+    return comp == 0 ? e[static_cast<std::size_t>(ec_l0 * CP + c)]
+                     : -e[static_cast<std::size_t>((ec_l1 + comp - 1) * CP +
+                                                   c)];
+  }
+
+ private:
+  static constexpr int N = fmm_solver::N;
+  static constexpr index_t C3 = fmm_solver::C3;
+  static constexpr index_t CP = fmm_solver::CP;
+  static constexpr int HN = N + 6;
+  static constexpr index_t HP = index_t(HN) * HN * HN + 8;
+  static constexpr int W = P::size();
+
+  static constexpr index_t hidx(int i, int j, int k) {
+    return (index_t(i + 3) * HN + (j + 3)) * HN + (k + 3);
+  }
+  static constexpr bool offset_valid(int o, int q) {
+    return q == 0 ? (o >= -2 && o <= 3) : (o >= -3 && o <= 2);
+  }
+  static index_t cell_index(int i, int j, int k) {
+    return fmm_solver::cell_index(i, j, k);
+  }
+
+  /// Lane masks of the +/-3 k-offsets, indexed by k & 1.
+  struct parity_masks {
+    P even[2], odd[2];
+    parity_masks() {
+      for (int kp = 0; kp < 2; ++kp)
+        for (int l = 0; l < W; ++l) {
+          const bool e = ((kp + l) & 1) == 0;
+          even[kp].set(l, e ? real(1) : real(0));
+          odd[kp].set(l, e ? real(0) : real(1));
+        }
+    }
+    const P& operator()(int ok, int k) const {
+      return ok == 3 ? even[k & 1] : odd[k & 1];
+    }
+  };
+
+  real mom(index_t n, int comp, index_t c) const {
+    return fmm_.raw_moments(n)[static_cast<std::size_t>(comp * CP + c)];
+  }
+  P mom_pack(index_t n, int comp, index_t c) const {
+    P v;
+    v.copy_from(fmm_.raw_moments(n).data() + comp * CP + c);
+    return v;
+  }
+
+  template <bool Full>
+  void add(index_t n, index_t cell, const pack_expansion<P>& acc) {
+    auto& exp = exp_[static_cast<std::size_t>(n)];
+    const auto add1 = [&](int comp, const P& v) {
+      P cur;
+      cur.copy_from(exp.data() + comp * CP + cell);
+      cur += v;
+      cur.copy_to(exp.data() + comp * CP + cell);
+    };
+    add1(ec_l0, acc.l0);
+    for (int a = 0; a < 3; ++a) add1(ec_l1 + a, acc.l1[a]);
+    if constexpr (Full) {
+      for (int s = 0; s < NSYM2; ++s) add1(ec_l2 + s, acc.l2[s]);
+      for (int s = 0; s < NSYM3; ++s) add1(ec_l3 + s, acc.l3[s]);
+    }
+  }
+
+  void m2l(index_t n) {
+    const tree::tnode& tn = topo_.node(n);
+    if (n == topo_.root()) {
+      if (tn.leaf) {
+        root<false>(n);
+      } else {
+        root<true>(n);
+      }
+      return;
+    }
+    enum { full, leaf, mono } mcase = full;
+    if (tn.leaf) {
+      mcase = mono;
+      for (int d = 0; d < NNEIGHBOR; ++d) {
+        const index_t nb = topo_.neighbor(n, d);
+        if (nb != tree::invalid_node && !topo_.node(nb).leaf) mcase = leaf;
+      }
+    }
+    std::vector<real> halo(static_cast<std::size_t>(NMOM) * HP);
+    std::vector<real> nearmask(static_cast<std::size_t>(HP), 0);
+    for (int comp = 0; comp < NMOM; ++comp) {
+      const bool com = comp == mc_cx || comp == mc_cy || comp == mc_cz;
+      std::fill(halo.begin() + comp * HP, halo.begin() + (comp + 1) * HP,
+                com ? real(1e30) : real(0));
+    }
+    const auto copy_block = [&](index_t src, const ivec3& dir) {
+      int slo[3], shi[3], dlo[3];
+      for (int a = 0; a < 3; ++a) {
+        const auto dc = dir[a];
+        slo[a] = dc < 0 ? N - 3 : 0;
+        shi[a] = dc > 0 ? 3 : N;
+        dlo[a] = dc > 0 ? N : (dc < 0 ? -3 : 0);
+      }
+      for (int i = slo[0]; i < shi[0]; ++i)
+        for (int j = slo[1]; j < shi[1]; ++j)
+          for (int k = slo[2]; k < shi[2]; ++k) {
+            const index_t h = hidx(dlo[0] + i - slo[0], dlo[1] + j - slo[1],
+                                   dlo[2] + k - slo[2]);
+            for (int comp = 0; comp < NMOM; ++comp)
+              halo[static_cast<std::size_t>(comp * HP + h)] =
+                  mom(src, comp, cell_index(i, j, k));
+            nearmask[static_cast<std::size_t>(h)] =
+                topo_.node(src).leaf ? real(1) : real(0);
+          }
+    };
+    copy_block(n, ivec3{0, 0, 0});
+    for (int d = 0; d < NNEIGHBOR; ++d) {
+      const index_t nb = topo_.neighbor(n, d);
+      if (nb != tree::invalid_node) copy_block(nb, tree::directions()[d]);
+    }
+    const auto load = [&](int comp, index_t h) {
+      P v;
+      v.copy_from(halo.data() + comp * HP + h);
+      return v;
+    };
+
+    const parity_masks parity;
+    const auto table = fmm_.mono_table(tn.level);
+    for (int i = 0; i < N; ++i)
+      for (int j = 0; j < N; ++j)
+        for (int k = 0; k < N; k += W) {
+          const index_t cell = cell_index(i, j, k);
+          const P tx = mom_pack(n, mc_cx, cell), ty = mom_pack(n, mc_cy, cell),
+                  tz = mom_pack(n, mc_cz, cell);
+          const index_t hb = hidx(i, j, k);
+          pack_expansion<P> acc;
+          for (std::size_t s = 0; s < far_.size(); ++s) {
+            const auto& [lin, o] = far_[s];
+            if (!offset_valid(o[0], i & 1) || !offset_valid(o[1], j & 1))
+              continue;
+            const index_t h = hb + lin;
+            const bool edge = o[2] == 3 || o[2] == -3;
+            if (mcase == mono) {
+              P m = load(mc_m, h);
+              if (edge) m *= parity(o[2], k);
+              acc.l0 = fma(m, P(table[s].d0), acc.l0);
+              for (int a = 0; a < 3; ++a)
+                acc.l1[a] = fma(m, P(table[s].d1[a]), acc.l1[a]);
+              continue;
+            }
+            pack_multipole<P> src;
+            src.m = load(mc_m, h);
+            src.cx = load(mc_cx, h);
+            src.cy = load(mc_cy, h);
+            src.cz = load(mc_cz, h);
+            for (int q = 0; q < NSYM2; ++q) src.q[q] = load(mc_q + q, h);
+            for (int q = 0; q < NSYM3; ++q) src.o[q] = load(mc_o + q, h);
+            if (edge) {
+              const P& mask = parity(o[2], k);
+              src.m *= mask;
+              for (auto& q : src.q) q *= mask;
+              for (auto& q : src.o) q *= mask;
+            }
+            pack_derivs<P> d;
+            compute_derivs(tx - src.cx, ty - src.cy, tz - src.cz, G_, d);
+            if (mcase == full) {
+              m2l_pack<P, true>(src, d, acc);
+            } else {
+              m2l_pack<P, false>(src, d, acc);
+            }
+          }
+          if (mcase == full) {
+            add<true>(n, cell, acc);
+          } else {
+            add<false>(n, cell, acc);
+          }
+        }
+    if (mcase == full) return;
+    for (int i = 0; i < N; ++i)
+      for (int j = 0; j < N; ++j)
+        for (int k = 0; k < N; k += W) {
+          const index_t cell = cell_index(i, j, k);
+          const P tx = mom_pack(n, mc_cx, cell), ty = mom_pack(n, mc_cy, cell),
+                  tz = mom_pack(n, mc_cz, cell);
+          pack_expansion<P> acc;
+          for (const index_t lin : near_) {
+            const index_t h = hidx(i, j, k) + lin;
+            P mask;
+            mask.copy_from(nearmask.data() + h);
+            p2p_pack(load(mc_m, h) * mask, tx - load(mc_cx, h),
+                     ty - load(mc_cy, h), tz - load(mc_cz, h), G_, acc);
+          }
+          add<false>(n, cell, acc);
+        }
+  }
+
+  template <bool Full>
+  void root(index_t n) {
+    const int min_cheb = Full ? 2 : 1;
+    P lane;
+    for (int l = 0; l < W; ++l) lane.set(l, real(l));
+    for (int ti = 0; ti < N; ++ti)
+      for (int tj = 0; tj < N; ++tj)
+        for (int tk = 0; tk < N; tk += W) {
+          const index_t t = cell_index(ti, tj, tk);
+          const P tx = mom_pack(n, mc_cx, t), ty = mom_pack(n, mc_cy, t),
+                  tz = mom_pack(n, mc_cz, t);
+          pack_expansion<P> acc;
+          for (int si = 0; si < N; ++si)
+            for (int sj = 0; sj < N; ++sj)
+              for (int sk = 0; sk < N; ++sk) {
+                typename P::mask_type far(true);
+                if (std::max(std::abs(si - ti), std::abs(sj - tj)) < min_cheb) {
+                  far = abs(P(real(sk - tk)) - lane) >= P(real(min_cheb));
+                  if (none_of(far)) continue;
+                }
+                const index_t s = cell_index(si, sj, sk);
+                pack_multipole<P> src;
+                src.m = P(mom(n, mc_m, s));
+                src.cx = P(mom(n, mc_cx, s));
+                src.cy = P(mom(n, mc_cy, s));
+                src.cz = P(mom(n, mc_cz, s));
+                for (int q = 0; q < NSYM2; ++q) src.q[q] = P(mom(n, mc_q + q, s));
+                for (int q = 0; q < NSYM3; ++q) src.o[q] = P(mom(n, mc_o + q, s));
+                if (!all_of(far)) {
+                  const P zero(0), away(real(1e30));
+                  src.m = select(far, src.m, zero);
+                  src.cx = select(far, src.cx, away);
+                  src.cy = select(far, src.cy, away);
+                  src.cz = select(far, src.cz, away);
+                  for (auto& q : src.q) q = select(far, q, zero);
+                  for (auto& q : src.o) q = select(far, q, zero);
+                }
+                pack_derivs<P> d;
+                compute_derivs(tx - src.cx, ty - src.cy, tz - src.cz, G_, d);
+                m2l_pack<P, Full>(src, d, acc);
+              }
+          add<Full>(n, t, acc);
+        }
+  }
+
+  /// The solver's fine-coarse pass: per fine leaf, monopole pairs with each
+  /// coarser host into private 4 x C3 buffers; then per node its own buffer
+  /// and its clients' host buffers (ascending client index).
+  void fine_coarse() {
+    const auto nn = static_cast<std::size_t>(topo_.num_nodes());
+    std::vector<std::vector<index_t>> hosts(nn), clients(nn);
+    std::vector<std::vector<real>> self(nn);
+    std::vector<std::vector<std::vector<real>>> host_acc(nn);
+    for (const index_t l : topo_.leaves()) {
+      const tree::tnode& tn = topo_.node(l);
+      auto& hs = hosts[static_cast<std::size_t>(l)];
+      for (int d = 0; d < NNEIGHBOR; ++d) {
+        if (tn.neighbors[d] != tree::invalid_node) continue;
+        const index_t h = topo_.neighbor_or_coarser(l, d);
+        if (h != tree::invalid_node &&
+            std::find(hs.begin(), hs.end(), h) == hs.end())
+          hs.push_back(h);
+      }
+      if (hs.empty()) continue;
+      auto& facc = self[static_cast<std::size_t>(l)];
+      facc.assign(static_cast<std::size_t>(4 * C3), 0);
+      const ivec3 fc = tree::code_coords(tn.code);
+      for (const index_t cn : hs) {
+        clients[static_cast<std::size_t>(cn)].push_back(l);
+        auto& cacc = host_acc[static_cast<std::size_t>(l)].emplace_back(
+            static_cast<std::size_t>(4 * C3), real(0));
+        const ivec3 cc = tree::code_coords(topo_.node(cn).code);
+        for (int i = 0; i < N; ++i)
+          for (int j = 0; j < N; ++j)
+            for (int k = 0; k < N; ++k) {
+              const index_t fcell = cell_index(i, j, k);
+              const real mf = mom(l, mc_m, fcell);
+              const rvec3 xf{mom(l, mc_cx, fcell), mom(l, mc_cy, fcell),
+                             mom(l, mc_cz, fcell)};
+              const index_t gp[3] = {(fc.x * N + i) / 2, (fc.y * N + j) / 2,
+                                     (fc.z * N + k) / 2};
+              const index_t base[3] = {cc.x * N, cc.y * N, cc.z * N};
+              int lo[3], hi[3];
+              bool any = true;
+              for (int a = 0; a < 3; ++a) {
+                lo[a] = static_cast<int>(
+                    std::max<index_t>(gp[a] - 1 - base[a], 0));
+                hi[a] = static_cast<int>(
+                    std::min<index_t>(gp[a] + 1 - base[a], N - 1));
+                if (lo[a] > hi[a]) any = false;
+              }
+              if (!any) continue;
+              for (int ci = lo[0]; ci <= hi[0]; ++ci)
+                for (int cj = lo[1]; cj <= hi[1]; ++cj)
+                  for (int ck = lo[2]; ck <= hi[2]; ++ck) {
+                    const index_t ccell = cell_index(ci, cj, ck);
+                    const real mc = mom(cn, mc_m, ccell);
+                    const rvec3 xc{mom(cn, mc_cx, ccell),
+                                   mom(cn, mc_cy, ccell),
+                                   mom(cn, mc_cz, ccell)};
+                    const rvec3 r = xf - xc;
+                    const real rinv = real(1) / std::sqrt(dot(r, r));
+                    const real rinv3 = rinv * rinv * rinv;
+                    facc[0 * C3 + fcell] += -G_ * mc * rinv;
+                    facc[1 * C3 + fcell] += G_ * mc * rinv3 * r.x;
+                    facc[2 * C3 + fcell] += G_ * mc * rinv3 * r.y;
+                    facc[3 * C3 + fcell] += G_ * mc * rinv3 * r.z;
+                    cacc[0 * C3 + ccell] += -G_ * mf * rinv;
+                    cacc[1 * C3 + ccell] -= G_ * mf * rinv3 * r.x;
+                    cacc[2 * C3 + ccell] -= G_ * mf * rinv3 * r.y;
+                    cacc[3 * C3 + ccell] -= G_ * mf * rinv3 * r.z;
+                  }
+            }
+      }
+    }
+    for (std::size_t n = 0; n < nn; ++n) {
+      auto& exp = exp_[n];
+      const auto add4 = [&](const std::vector<real>& acc) {
+        for (index_t c = 0; c < C3; ++c)
+          for (int a = 0; a < 4; ++a)
+            exp[static_cast<std::size_t>((ec_l0 + a) * CP + c)] +=
+                acc[static_cast<std::size_t>(a * C3 + c)];
+      };
+      if (!hosts[n].empty()) add4(self[n]);
+      std::sort(clients[n].begin(), clients[n].end());
+      for (const index_t f : clients[n]) {
+        const auto& fh = hosts[static_cast<std::size_t>(f)];
+        const auto it = std::find(fh.begin(), fh.end(), index_t(n));
+        add4(host_acc[static_cast<std::size_t>(f)]
+                     [static_cast<std::size_t>(it - fh.begin())]);
+      }
+    }
+  }
+
+  void l2l(index_t n) {
+    const index_t par = topo_.node(n).parent;
+    const ivec3 nc = tree::code_coords(topo_.node(n).code);
+    const ivec3 pc = tree::code_coords(topo_.node(par).code);
+    const auto& pe = exp_[static_cast<std::size_t>(par)];
+    auto& ne = exp_[static_cast<std::size_t>(n)];
+    for (int i = 0; i < N; ++i)
+      for (int j = 0; j < N; ++j)
+        for (int k = 0; k < N; ++k) {
+          const index_t cell = cell_index(i, j, k);
+          const index_t pcell = cell_index(
+              static_cast<int>((nc.x * N + i) / 2 - pc.x * N),
+              static_cast<int>((nc.y * N + j) / 2 - pc.y * N),
+              static_cast<int>((nc.z * N + k) / 2 - pc.z * N));
+          const auto e = [&](int comp) {
+            return pe[static_cast<std::size_t>(comp * CP + pcell)];
+          };
+          expansion pin;
+          pin.l0 = e(ec_l0);
+          for (int a = 0; a < 3; ++a) pin.l1[a] = e(ec_l1 + a);
+          for (int s = 0; s < NSYM2; ++s) pin.l2[s] = e(ec_l2 + s);
+          for (int s = 0; s < NSYM3; ++s) pin.l3[s] = e(ec_l3 + s);
+          const rvec3 child{mom(n, mc_cx, cell), mom(n, mc_cy, cell),
+                            mom(n, mc_cz, cell)};
+          const rvec3 parent{mom(par, mc_cx, pcell), mom(par, mc_cy, pcell),
+                             mom(par, mc_cz, pcell)};
+          expansion sh;
+          l2l_shift(pin, child - parent, sh);
+          const auto put = [&](int comp, real v) {
+            ne[static_cast<std::size_t>(comp * CP + cell)] += v;
+          };
+          put(ec_l0, sh.l0);
+          for (int a = 0; a < 3; ++a) put(ec_l1 + a, sh.l1[a]);
+          for (int s = 0; s < NSYM2; ++s) put(ec_l2 + s, sh.l2[s]);
+          for (int s = 0; s < NSYM3; ++s) put(ec_l3 + s, sh.l3[s]);
+        }
+  }
+
+  struct far_offset {
+    index_t lin;
+    std::array<int, 3> o;
+  };
+
+  const fmm_solver& fmm_;
+  const tree::topology& topo_;
+  real G_;
+  std::vector<far_offset> far_;
+  std::vector<index_t> near_;
+  std::vector<std::vector<real>> exp_;  // NEXP x CP per node
+};
+
+/// Solves \p topo with m2l_chunks = \p chunks and requires phi/gx/gy/gz to
+/// equal the masked-lane reference bit for bit.
+template <typename P>
+void expect_masked_lane_bitwise(const tree::topology& topo, bool simd,
+                                int chunks, const char* name) {
+  gravity_options opt;
+  opt.use_simd = simd;
+  opt.m2l_chunks = chunks;
+  fmm_solver fmm(topo, opt);
+  for (const index_t leaf : topo.leaves())
+    fmm.set_leaf_density(leaf, blob_density(topo, leaf, 29));
+  fmm.solve();
+  const masked_lane_fmm<P> ref(fmm);
+  using output = std::span<const real> (fmm_solver::*)(index_t) const;
+  const output outputs[] = {&fmm_solver::phi, &fmm_solver::gx,
+                            &fmm_solver::gy, &fmm_solver::gz};
+  for (const index_t leaf : topo.leaves())
+    for (int comp = 0; comp < 4; ++comp) {
+      const auto got = (fmm.*outputs[comp])(leaf);
+      for (index_t c = 0; c < fmm_solver::C3; ++c)
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got[static_cast<std::size_t>(c)]),
+                  std::bit_cast<std::uint64_t>(ref.out(leaf, c, comp)))
+            << name << ", chunks " << chunks << ", leaf " << leaf
+            << ", output " << comp << ", cell " << c;
+    }
+}
+
+TEST_F(GravityEnv, ParityClassPacksMatchMaskedLaneKernelBitwise) {
+  using native = simd<real, simd_abi::native<real>>;
+  using scalar = simd<real, simd_abi::scalar>;
+  const auto amr = [](int lvl, const rvec3& c, real) {
+    return lvl < 1 || (lvl < 2 && c.x < 0);
+  };
+  const std::pair<const char*, tree::topology> trees[] = {
+      {"uniform level 2", tree::topology(1.0, 2, uniform_to(2))},
+      {"AMR level 2 where x < 0", tree::topology(1.0, 2, amr)},
+      {"uniform level 1", tree::topology(1.0, 1, uniform_to(1))}};
+  for (const auto& [name, topo] : trees)
+    for (const int chunks : {1, 4}) {
+      expect_masked_lane_bitwise<native>(topo, true, chunks, name);
+      if (HasFatalFailure()) return;
+    }
+  expect_masked_lane_bitwise<scalar>(trees[1].second, false, 1,
+                                     "AMR, scalar packs");
+}
+
+/// compute_derivs at -R is the exact mirror of R: D0 and D2 equal, D1 and
+/// D3 negated, bit for bit — each side of an M2L pair computes its own
+/// tensors, and the pair forces cancel because these mirror exactly.
+template <typename P>
+void expect_mirror_derivs() {
+  xoshiro256 rng(41);
+  const real G = gravity_options{}.G;
+  const auto bits = [](real v) { return std::bit_cast<std::uint64_t>(v); };
+  for (int t = 0; t < 400; ++t) {
+    // Every fourth R is a target against the 1e30 COM of the halo fill.
+    const real away = t % 4 == 3 ? real(1e30) : real(0);
+    P r[3];
+    for (auto& c : r)
+      for (int l = 0; l < P::size(); ++l)
+        c.set(l, rng.uniform(-1.5, 1.5) - away);
+    pack_derivs<P> dp, dm;
+    compute_derivs(r[0], r[1], r[2], G, dp);
+    compute_derivs(-r[0], -r[1], -r[2], G, dm);
+    for (int l = 0; l < P::size(); ++l) {
+      ASSERT_EQ(bits(dm.d0[l]), bits(dp.d0[l])) << t;
+      for (int a = 0; a < 3; ++a)
+        ASSERT_EQ(bits(dm.d1[a][l]), bits(-dp.d1[a][l])) << t;
+      for (int s = 0; s < NSYM2; ++s)
+        ASSERT_EQ(bits(dm.d2[s][l]), bits(dp.d2[s][l])) << t;
+      for (int s = 0; s < NSYM3; ++s)
+        ASSERT_EQ(bits(dm.d3[s][l]), bits(-dp.d3[s][l])) << t;
+    }
+  }
+}
+
+TEST(GravityKernels, DerivativesAtMinusRMirrorBitwise) {
+  expect_mirror_derivs<simd<real, simd_abi::scalar>>();
+  expect_mirror_derivs<simd<real, simd_abi::native<real>>>();
 }
 
 TEST_F(GravityEnv, UniformSphereInteriorField) {
