@@ -642,20 +642,6 @@ auto dataflow(const char* name, F&& f, std::vector<shared_future<void>> deps,
                                std::move(deps), rt);
 }
 
-/// Footprint-annotated dataflow: like the named overload, but attaches the
-/// task's declared read/write regions to the recorded dag node so
-/// apex/race_audit.hpp can verify every conflicting pair of tasks is
-/// ordered by the graph.  The access_set builds nothing (and this costs
-/// nothing extra) unless a dag recording is active.
-template <typename F>
-auto dataflow(const char* name, apex::access_set fp, F&& f,
-              std::vector<shared_future<void>> deps,
-              runtime& rt = runtime::global())
-    -> future<std::invoke_result_t<F>> {
-  return detail::dataflow_node(name, &fp, std::forward<F>(f), std::move(deps),
-                               rt);
-}
-
 /// Unnamed dataflow: same scheduling, profiled under the generic "task"
 /// kernel class.
 template <typename F>
@@ -707,8 +693,8 @@ inline future<void> when_all(std::vector<shared_future<void>> deps,
     d.state()->add_continuation([js, dag, dag_epoch] {
       if (js->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
         // A join's result may be a pure forward edge nothing in this step
-        // awaits (the solver's free-edges feed the *next* step's zeroing),
-        // so this can run concurrently with dag_recorder::end_step();
+        // awaits, so this can run concurrently with
+        // dag_recorder::end_step();
         // revalidate the slot under the recorder's writer pin.
         auto& rec = apex::dag_recorder::instance();
         const bool pinned = dag != nullptr && rec.pin(dag_epoch);

@@ -28,6 +28,7 @@
 /// graph build + drain (the per-step structure of step_graph()).
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <mutex>
@@ -52,6 +53,8 @@ enum class rgn : std::uint8_t {
   slot,       ///< a ghost-exchange message slot; node = link ordinal
   dtred,      ///< the dt reduction; node = leaf ordinal
 };
+/// Number of region kinds (dtred is the last).
+inline constexpr std::size_t num_rgn = static_cast<std::size_t>(rgn::dtred) + 1;
 
 /// `part` value that overlaps every part of a region.
 inline constexpr std::int32_t any_part = -1;
@@ -113,9 +116,9 @@ class dag_recorder {
   /// Epoch of the recording that is (or was) open; bumped by both
   /// begin_step() and end_step().  A deferred writer — a continuation that
   /// still holds a `dag_node*` after the step's awaited futures resolved
-  /// (e.g. a pure `when_all` join whose result is only consumed by the
-  /// *next* step, like the solver's free-edges) — captures this at node
-  /// creation and revalidates with pin() before touching the slot.
+  /// (e.g. a pure `when_all` join whose result nobody in the step awaits)
+  /// — captures this at node creation and revalidates with pin() before
+  /// touching the slot.
   std::uint64_t epoch() const {
     return epoch_.load(std::memory_order_acquire);
   }

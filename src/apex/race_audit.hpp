@@ -3,29 +3,26 @@
 /// Happens-before audit of one recorded step graph (either step mode: a
 /// barrier step is ordered by its recorded phase joins).
 ///
-/// The dataflow step mode (app/step_core.cpp, dist/cluster.cpp,
-/// gravity/solver.cpp) replaced phase barriers with hand-wired per-leaf
-/// dependency edges, and its correctness rests entirely on those WAR/WAW
-/// edges being complete — the exact bug class that had to be patched by
-/// hand in `fmm_solver::build_solve` (the `solve_graph{mom_free,
-/// exp_free, leaf_out}` free-edges).  Nothing in the runtime *proves* the
-/// wiring: a missing edge produces a data race that only TSan-under-load
-/// might catch, and only if the schedule happens to interleave badly.
+/// Every task of a step graph (app/step_core.cpp, dist/cluster.cpp,
+/// gravity/solver.cpp) declares an `access_set`: the memory regions it
+/// reads and writes (region kind x tree node x optional part).  In the
+/// dataflow step mode `amt::task_graph` derives every edge from those
+/// footprints; in barrier mode the phase joins order the tasks.  This
+/// auditor checks the result independently of how it was built: after a
+/// recorded step drains (`apex::dag_recorder`), `audit_races` propagates
+/// per-node ancestor bitsets over the recorded edges — vector clocks over
+/// the DAG, computed in creation order, which is topological because a
+/// dependency always has a lower creation id — and checks that every pair
+/// of conflicting declared accesses (same region, overlapping part, at
+/// least one write) is happens-before ordered.  An unordered pair is
+/// reported with both task names, the shared region, and the missing edge.
+/// So it catches a fault in the edge derivation or a missing barrier join.
+/// It cannot catch a footprint that declares less than its kernel
+/// touches: derivation and audit read the same declaration.
 ///
-/// This auditor closes that gap.  Each named `amt::dataflow` call site
-/// attaches an `access_set` declaring the memory regions the task reads
-/// and writes (region kind x tree node x optional part).  After a recorded
-/// step drains (`apex::dag_recorder`), `audit_races` propagates per-node
-/// ancestor bitsets over the recorded edges — vector clocks over the DAG,
-/// computed in creation order, which is topological because a dependency
-/// always has a lower creation id — and checks that every pair of
-/// conflicting declared accesses (same region, overlapping part, at least
-/// one write) is happens-before ordered.  An unordered pair is reported
-/// with both task names, the shared region, and the missing edge.
-///
-/// Cost model: `access_set::r()/w()` no-op unless a dag recording is
-/// active, so annotated call sites stay on the one-relaxed-load budget of
-/// the dataflow hook when auditing is off.  The audit itself runs offline
+/// Cost model: a footprint (`amt::task_graph::footprint()`) records in a
+/// dataflow graph, which needs it for its edges, and in a barrier graph
+/// only while a dag recording is active.  The audit itself runs offline
 /// on the drained graph (O(V·E/64) bitset propagation + per-region pair
 /// checks), never inside the step.
 
@@ -45,27 +42,26 @@ namespace octo::apex {
 /// Region kind name for reports ("field", "ghost", ...).
 const char* rgn_name(rgn r);
 
-/// Fluent footprint builder attached at a dataflow call site:
+/// Fluent footprint builder attached at a task-graph call site:
 ///
-///   amt::dataflow("M2M", apex::access_set{}
-///                            .r(apex::rgn::moment, child)
-///                            .w(apex::rgn::moment, n),
-///                 fn, deps, rt);
-///
-/// Builds nothing unless a dag recording is active.
+///   g.add("M2M", g.footprint()
+///                    .r(apex::rgn::moment, child)
+///                    .w(apex::rgn::moment, n),
+///         fn);
 class access_set {
  public:
-  access_set() = default;
+  /// Records when \p record (see amt::task_graph::footprint()).
+  explicit access_set(bool record) : on_(record) {}
 
   // node/part widen from the repo's index_t; real node counts fit easily.
   access_set& r(rgn region, std::int64_t node, std::int64_t part = any_part) {
-    if (dag_recorder::enabled())
+    if (on_)
       acc_.push_back(mem_access{region, false, static_cast<std::int32_t>(node),
                                 static_cast<std::int32_t>(part)});
     return *this;
   }
   access_set& w(rgn region, std::int64_t node, std::int64_t part = any_part) {
-    if (dag_recorder::enabled())
+    if (on_)
       acc_.push_back(mem_access{region, true, static_cast<std::int32_t>(node),
                                 static_cast<std::int32_t>(part)});
     return *this;
@@ -76,6 +72,7 @@ class access_set {
   const std::vector<mem_access>& accesses() const { return acc_; }
 
  private:
+  bool on_;
   std::vector<mem_access> acc_;
 };
 

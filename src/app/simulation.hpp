@@ -22,9 +22,6 @@ class simulation : public step_core {
   index_t num_leaves() const { return topo_->num_leaves(); }
   index_t num_cells() const { return topo_->num_cells(); }
 
-  /// Gravitational acceleration/potential of the last solve.
-  const gravity::fmm_solver& gravity() const { return *grav_; }
-
   const sim_options& options() const { return opt_; }
 };
 

@@ -91,7 +91,10 @@ void step_core::initialize() {
 }
 
 void step_core::build_layout() {
-  grav_ = std::make_unique<gravity::fmm_solver>(*topo_, opt_.gravity);
+  // The FMM's moments, expansions and outputs exist only with gravity.
+  grav_.reset();
+  if (opt_.self_gravity)
+    grav_ = std::make_unique<gravity::fmm_solver>(*topo_, opt_.gravity);
   const auto& leaves = topo_->leaves();
   leaf_slot_.assign(static_cast<std::size_t>(topo_->num_nodes()), -1);
   stage0_.clear();
@@ -219,31 +222,11 @@ real step_core::signal_speed(index_t l) const {
 
 void step_core::step_graph(step_mode mode, real dt, bool advance) {
   const bool barrier = mode == step_mode::barrier;
-  const auto nn = static_cast<std::size_t>(topo_->num_nodes());
   const auto& leaves = topo_->leaves();
-  const std::size_t nlinks = leaf_links_ ? leaves.size() * NNEIGHBOR : 0;
   if (leaf_links_) open_links();
 
-  step_graph_state g(space_.runtime(), barrier);
-  amt::task_graph& tg = g.graph;
+  amt::task_graph tg(space_.runtime(), barrier);
   if (leaf_links_) tg.on_task([this](const sf& f) { watch_task(f); });
-  // Prolongation relations: fine leaf -> distinct coarser leaf hosts, and
-  // the reverse (host -> fine clients).  Fixed per topology.
-  g.phosts.resize(nn);
-  g.pclients.resize(nn);
-  for (const index_t l : leaves) {
-    const auto& nd = topo_->node(l);
-    for (int d = 0; d < NNEIGHBOR; ++d) {
-      if (nd.neighbors[d] != tree::invalid_node) continue;
-      const index_t host = topo_->neighbor_or_coarser(l, d);
-      if (host == tree::invalid_node) continue;  // domain boundary
-      auto& hs = g.phosts[static_cast<std::size_t>(l)];
-      if (std::find(hs.begin(), hs.end(), host) == hs.end()) {
-        hs.push_back(host);
-        g.pclients[static_cast<std::size_t>(host)].push_back(l);
-      }
-    }
-  }
 
   // SSP-RK3 (Shu-Osher): u1 = u0 + dt L(u0)
   //                      u2 = 3/4 u0 + 1/4 (u1 + dt L(u1))
@@ -267,181 +250,93 @@ void step_core::step_graph(step_mode mode, real dt, bool advance) {
     mark = now;
   };
 
-  // Per-stage edges of the previous RK stage (WAR/WAW hazards).
-  for (auto* v : {&g.prevH, &g.prevR, &g.prevC, &g.prevP, &g.prevD,
-                  &g.prevSend})
-    v->assign(nn, sf{});
-  g.prevUnp.assign(nlinks, sf{});
-  gravity::fmm_solver::solve_graph gprev;
-  bool have_gprev = false;
-
+  // Every task below declares the regions it reads and writes; the task
+  // graph derives the dataflow edges from those footprints in build order
+  // (amt/task_graph.hpp), across stages too.
   for (int s = 0; s < (advance ? 3 : 1); ++s) {
     const real ca = CA[s], cb = CB[s];
-    g.stage = s;
-    for (auto* v : {&g.H, &g.R, &g.C, &g.P, &g.D, &g.SEND}) v->assign(nn, sf{});
-    g.UNP.assign(nlinks, sf{});
-    // content(n): the task that produced node n's owned cells this stage.
-    const auto content = [&](index_t n) -> const sf& {
-      return topo_->node(n).leaf ? g.H[static_cast<std::size_t>(n)]
-                                 : g.R[static_cast<std::size_t>(n)];
-    };
 
-    // Hydro: each leaf fires on its *own* ghost-ready and gravity edges —
-    // interior leaves run while boundary work elsewhere is still in flight.
+    // Hydro: each leaf fires on its *own* ghosts and gravity — interior
+    // leaves run while boundary work elsewhere is still in flight.  Stage
+    // 0 reads the u0 the entry pass copied.
     for (const index_t l : hydro_leaves) {
-      const auto li = static_cast<std::size_t>(l);
-      auto deps = tg.edges();
-      if (s > 0) {  // stage 0 reads the u0 the entry pass copied: no edge
-        deps.push_back(g.prevC[li]);  // own same-level ghosts filled
-        if (g.prevP[li].valid()) deps.push_back(g.prevP[li]);  // coarse faces
-        if (opt_.self_gravity) deps.push_back(gprev.leaf_out[li]);
-        // WAR: last stage's readers of this leaf's owned cells.
-        for (int d = 0; d < NNEIGHBOR; ++d) {
-          const index_t nb = topo_->neighbor(l, d);
-          if (nb == tree::invalid_node) continue;
-          if (linked(l, nb)) {
-            // Own linked faces arrived and unpacked last stage, and a
-            // neighbor whose unpack copies straight from grids_[l] is done.
-            deps.push_back(g.prevUnp[link_of(l, d)]);
-            if (link_reads_source(l, nb))
-              deps.push_back(g.prevUnp[link_of(nb, tree::dir_opposite(d))]);
-          } else {
-            deps.push_back(g.prevC[static_cast<std::size_t>(nb)]);
-          }
-        }
-        if (g.prevSend[li].valid()) deps.push_back(g.prevSend[li]);
-        const index_t par = topo_->node(l).parent;
-        if (par != tree::invalid_node)
-          deps.push_back(g.prevR[static_cast<std::size_t>(par)]);
-        for (const index_t f : g.pclients[li])
-          deps.push_back(g.prevP[static_cast<std::size_t>(f)]);
-        if (g.prevD[li].valid()) deps.push_back(g.prevD[li]);
-      }
-      apex::access_set hfp;
-      hfp.w(apex::rgn::field, l)
+      auto fp = tg.footprint();
+      fp.w(apex::rgn::field, l)
           .r(apex::rgn::ghost, l)
           .r(apex::rgn::stage0, l);
-      if (opt_.self_gravity) hfp.r(apex::rgn::gout, l);
-      g.H[li] = tg.add("hydro-RK", std::move(hfp),
-                       [this, l, dt, ca, cb] { hydro_leaf(l, dt, ca, cb); },
-                       std::move(deps));
+      if (opt_.self_gravity) fp.r(apex::rgn::gout, l);
+      tg.add("hydro-RK", std::move(fp),
+             [this, l, dt, ca, cb] { hydro_leaf(l, dt, ca, cb); });
     }
     if (advance) {
       tg.join();
       close_phase(timers().hydro, phase_hydro_s_);
     }
 
-    // Ghost exchange, phase 1 — restriction: parent-on-children
-    // dependencies, or one join per level, deepest first.
+    // Ghost exchange, phase 1 — restriction, deepest level first (one
+    // join per level when barriered).
     for (int lvl = topo_->max_depth() - 1; lvl >= 0; --lvl) {
       for (const index_t n : topo_->nodes_at_level(lvl)) {
         if (topo_->node(n).leaf) continue;
-        const auto ni = static_cast<std::size_t>(n);
-        auto deps = tg.edges();
+        auto fp = tg.footprint();
+        fp.w(apex::rgn::field, n);
         for (int oct = 0; oct < NCHILD; ++oct)
-          deps.push_back(content(topo_->node(n).children[oct]));
-        if (s > 0) {
-          // WAR: last stage's readers of this node's owned restriction.
-          deps.push_back(g.prevC[ni]);  // own outflow fill read the interior
-          for (int d = 0; d < NNEIGHBOR; ++d) {
-            const index_t nb = topo_->neighbor(n, d);
-            if (nb != tree::invalid_node)
-              deps.push_back(g.prevC[static_cast<std::size_t>(nb)]);
-          }
-          const index_t par = topo_->node(n).parent;
-          if (par != tree::invalid_node)
-            deps.push_back(g.prevR[static_cast<std::size_t>(par)]);
-          for (const index_t f : g.pclients[ni])
-            deps.push_back(g.prevP[static_cast<std::size_t>(f)]);
-        }
-        apex::access_set rfp;
-        rfp.w(apex::rgn::field, n);
-        for (int oct = 0; oct < NCHILD; ++oct)
-          rfp.r(apex::rgn::field, topo_->node(n).children[oct]);
-        g.R[ni] = tg.add("restrict", std::move(rfp),
-                         [this, n] { restrict_node(n); }, std::move(deps));
+          fp.r(apex::rgn::field, topo_->node(n).children[oct]);
+        tg.add("restrict", std::move(fp), [this, n] { restrict_node(n); });
       }
       tg.join();
     }
 
-    // Phase 2 — same-level ghost copies + outflow fills for every node
-    // (interior sub-grids too: their restricted cells are same-level ghost
-    // sources next to refined regions), each firing when its sources are
-    // produced and its ghosts are no longer being read.  Linked leaf faces
-    // are the link tasks' job, a phase of their own.
-    for (index_t n = 0; n < topo_->num_nodes(); ++n) {
-      const auto ni = static_cast<std::size_t>(n);
-      auto deps = tg.edges();
-      for (int d = 0; d < NNEIGHBOR; ++d) {
-        const index_t nb = topo_->neighbor(n, d);
-        if (nb != tree::invalid_node && !linked(n, nb))
-          deps.push_back(content(nb));
-      }
-      if (topo_->node(n).leaf)
-        deps.push_back(g.H[ni]);  // WAR: hydro read these ghosts
-      else
-        deps.push_back(g.R[ni]);  // RAW: outflow reads the restricted interior
-      if (s > 0) {
-        if (g.prevC[ni].valid()) deps.push_back(g.prevC[ni]);  // WAW
-        for (const index_t f : g.pclients[ni])
-          deps.push_back(g.prevP[static_cast<std::size_t>(f)]);  // WAR
-      }
-      apex::access_set cfp;
+    // Phase 2 — same-level ghost copies + outflow fills, for leaves only:
+    // no task reads an interior node's ghosts (prolongation hosts are
+    // leaves under 2:1 balance).  Linked leaf faces are the link tasks'
+    // job, a phase of their own; a leaf left with no face to fill gets no
+    // task.
+    for (const index_t n : leaves) {
+      auto fp = tg.footprint();
+      bool work = false;
       for (int d = 0; d < NNEIGHBOR; ++d) {
         const index_t nb = topo_->neighbor(n, d);
         if (nb != tree::invalid_node) {
-          if (!linked(n, nb))
-            cfp.r(apex::rgn::field, nb).w(apex::rgn::ghost, n, d);
-        } else {
-          const auto ncode = tree::code_neighbor(topo_->node(n).code,
-                                                 tree::directions()[d]);
-          if (!ncode)  // outflow fill reads the node's own interior
-            cfp.r(apex::rgn::field, n).w(apex::rgn::ghost, n, d);
+          if (linked(n, nb)) continue;
+          fp.r(apex::rgn::field, nb).w(apex::rgn::ghost, n, d);
+          work = true;
+        } else if (!tree::code_neighbor(topo_->node(n).code,
+                                        tree::directions()[d])) {
+          // Outflow fill reads the node's own interior.
+          fp.r(apex::rgn::field, n).w(apex::rgn::ghost, n, d);
+          work = true;
         }
       }
-      g.C[ni] = tg.add("copy", std::move(cfp), [this, n] { copy_faces(n); },
-                       std::move(deps));
+      if (work)
+        tg.add("copy", std::move(fp), [this, n] { copy_faces(n); });
     }
     tg.join();
     if (leaf_links_) {
-      add_link_tasks(g);
+      add_link_tasks(tg);
       tg.join();
     }
 
-    // Phase 3 — coarse-to-fine prolongation: per fine leaf, gated on its
-    // hosts' complete state — owned cells, copied ghosts, linked faces and
-    // the host's own coarse faces (ascending level order makes host P
-    // edges exist; barriered, one join per level, coarsest first).
+    // Phase 3 — coarse-to-fine prolongation into the faces of each leaf
+    // whose neighbor is coarser, from the coarser host leaf's complete
+    // state: owned cells and every ghost face, copied, linked or prolonged
+    // (ascending level order, so a host's own prolongation is built first;
+    // barriered, one join per level, coarsest first).
     for (const auto& level : leaves_by_level_) {
       for (const index_t l : level) {
-        const auto li = static_cast<std::size_t>(l);
-        if (g.phosts[li].empty()) continue;
-        auto deps = tg.edges();
-        deps.push_back(g.H[li]);  // WAR: hydro read these ghost faces
-        for (const index_t h : g.phosts[li]) {
-          const auto hi = static_cast<std::size_t>(h);
-          deps.push_back(content(h));
-          deps.push_back(g.C[hi]);
-          if (g.P[hi].valid()) deps.push_back(g.P[hi]);
-          for (int d = 0; d < NNEIGHBOR; ++d) {
-            const index_t hnb = topo_->neighbor(h, d);
-            if (hnb != tree::invalid_node && linked(h, hnb))
-              deps.push_back(g.UNP[link_of(h, d)]);
-          }
-        }
-        if (s > 0)
-          for (const index_t f : g.pclients[li])
-            deps.push_back(g.prevP[static_cast<std::size_t>(f)]);  // WAR
-        apex::access_set pfp;
-        for (const index_t h : g.phosts[li])
-          pfp.r(apex::rgn::field, h).r(apex::rgn::ghost, h);
+        auto fp = tg.footprint();
+        bool work = false;
         for (int d = 0; d < NNEIGHBOR; ++d) {
           if (topo_->node(l).neighbors[d] != tree::invalid_node) continue;
-          if (topo_->neighbor_or_coarser(l, d) != tree::invalid_node)
-            pfp.w(apex::rgn::ghost, l, d);
+          const index_t h = topo_->neighbor_or_coarser(l, d);
+          if (h == tree::invalid_node) continue;  // domain boundary
+          fp.r(apex::rgn::field, h)
+              .r(apex::rgn::ghost, h)
+              .w(apex::rgn::ghost, l, d);
+          work = true;
         }
-        g.P[li] = tg.add("prolong", std::move(pfp),
-                         [this, l] { prolong_leaf(l); }, std::move(deps));
+        if (work)
+          tg.add("prolong", std::move(fp), [this, l] { prolong_leaf(l); });
       }
       tg.join();
     }
@@ -449,32 +344,16 @@ void step_core::step_graph(step_mode mode, real dt, bool advance) {
 
     // Gravity: per-leaf density refresh feeding the solver's task graph.
     if (opt_.self_gravity) {
-      std::vector<sf> mom_ready(nn);
-      for (const index_t l : leaves) {
-        const auto li = static_cast<std::size_t>(l);
-        auto deps = tg.edges();
-        deps.push_back(g.H[li]);
-        if (have_gprev) deps.push_back(gprev.mom_free[li]);
-        g.D[li] = tg.add("set-density",
-                         apex::access_set{}
-                             .r(apex::rgn::field, l)
-                             .w(apex::rgn::moment, l),
-                         [this, l] { set_density(l); }, std::move(deps));
-        mom_ready[li] = g.D[li];
-      }
+      for (const index_t l : leaves)
+        tg.add("set-density",
+               tg.footprint()
+                   .r(apex::rgn::field, l)
+                   .w(apex::rgn::moment, l),
+               [this, l] { set_density(l); });
       tg.join();
-      gprev = grav_->build_solve(tg, mom_ready, have_gprev ? &gprev : nullptr);
-      have_gprev = true;
+      grav_->build_solve(tg);
       close_phase(timers().gravity, phase_gravity_s_);
     }
-
-    g.prevH = std::move(g.H);
-    g.prevR = std::move(g.R);
-    g.prevC = std::move(g.C);
-    g.prevP = std::move(g.P);
-    g.prevD = std::move(g.D);
-    g.prevSend = std::move(g.SEND);
-    g.prevUnp = std::move(g.UNP);
   }
 
   // dt reduction: per-leaf signal speeds fire as each leaf's final state
@@ -483,23 +362,12 @@ void step_core::step_graph(step_mode mode, real dt, bool advance) {
   if (opt_.fixed_dt <= 0) {
     for (std::size_t i = 0; i < leaves.size(); ++i) {
       const index_t l = leaves[i];
-      const auto li = static_cast<std::size_t>(l);
-      auto deps = tg.edges();
-      deps.push_back(g.prevH[li]);
-      deps.push_back(g.prevC[li]);
-      if (g.prevP[li].valid()) deps.push_back(g.prevP[li]);
-      for (int d = 0; d < NNEIGHBOR; ++d) {
-        const index_t nb = topo_->neighbor(l, d);
-        if (nb != tree::invalid_node && linked(l, nb))
-          deps.push_back(g.prevUnp[link_of(l, d)]);
-      }
       tg.add("dt-reduce",
-             apex::access_set{}
+             tg.footprint()
                  .r(apex::rgn::field, l)
                  .r(apex::rgn::ghost, l)
                  .w(apex::rgn::dtred, static_cast<index_t>(i)),
-             [this, l, i, &vmax_slots] { vmax_slots[i] = signal_speed(l); },
-             std::move(deps));
+             [this, l, i, &vmax_slots] { vmax_slots[i] = signal_speed(l); });
     }
     tg.join();
   }

@@ -13,7 +13,8 @@
 /// children (used as same-level ghost sources across refinement
 /// boundaries).  Ghost exchange runs in three phases per RK stage:
 ///   1. restrict children into interior sub-grids (bottom-up),
-///   2. same-level direct copies + physical-boundary outflow fills,
+///   2. same-level direct copies + physical-boundary outflow fills into
+///      leaves (no task reads an interior node's ghosts),
 ///   3. coarse-to-fine prolongation into leaves whose neighbor is coarser
 ///      (ascending level order so prolongation sources are complete).
 /// A driver with leaf-face links delivers the leaf-to-leaf faces of phase 2
@@ -46,11 +47,12 @@ namespace octo::app {
 
 /// How a step executes its phases (the Fig. 9 ablation, kept as an A/B
 /// toggle).  Both build the same task graph (amt/task_graph.hpp):
-/// `dataflow` wires each task to the per-node edges it needs, so the only
-/// global join is the end-of-step drain; `barrier` gives every task the
-/// previous phase join as its only edge (an unpack also keeps its channel
-/// arrival) and the driving thread waits on each join before it builds
-/// the next phase.  Both produce bitwise-identical state.
+/// `dataflow` derives each task's edges from the regions the tasks declare
+/// they read and write, so the only global join is the end-of-step drain;
+/// `barrier` gives every task the previous phase join as its only edge (an
+/// unpack also keeps its channel arrival) and the driving thread waits on
+/// each join before it builds the next phase.  Both produce
+/// bitwise-identical state.
 enum class step_mode { barrier, dataflow };
 
 /// Default mode from the environment: OCTO_STEP_MODE=barrier|dataflow
@@ -171,19 +173,6 @@ class step_core {
   step_core(const scen::scenario& sc, sim_options opt, exec::amt_space space,
             bool leaf_links, bool measure_costs);
 
-  /// The step graph while step_graph() builds it: the task graph itself
-  /// and the per-node task edges of the current and previous RK stage,
-  /// read and extended by add_link_tasks().  Vectors are indexed by node,
-  /// links by leaf slot x NNEIGHBOR + direction.
-  struct step_graph_state {
-    step_graph_state(amt::runtime& rt, bool barrier) : graph(rt, barrier) {}
-    amt::task_graph graph;
-    int stage = 0;
-    std::vector<std::vector<index_t>> phosts;    ///< fine leaf -> hosts
-    std::vector<std::vector<index_t>> pclients;  ///< host -> fine leaves
-    std::vector<sf> H, R, C, P, D, SEND, UNP;
-    std::vector<sf> prevH, prevR, prevC, prevP, prevD, prevSend, prevUnp;
-  };
   // --- driver hooks (no-ops on one locality) -----------------------------
   /// initialize(): the topology and leaf slots exist, no state yet.
   virtual void on_layout() {}
@@ -209,14 +198,12 @@ class step_core {
   virtual void close_links(bool /*ok*/) {}
   /// Every task of the graph, as it is added.
   virtual void watch_task(const sf& /*f*/) {}
-  /// Add this stage's send (g.SEND) and unpack (g.UNP) tasks, between the
-  /// copy and the prolongation phases (barriered: a phase of their own).
-  virtual void add_link_tasks(step_graph_state& /*g*/) {}
-  /// Dataflow edges: does the unpack of \p nb's face from leaf \p l read
-  /// l's owned cells directly (so l's next hydro must wait for it)?
-  virtual bool link_reads_source(index_t /*l*/, index_t /*nb*/) const {
-    return false;
-  }
+  /// Add this stage's send and unpack tasks to \p g, between the copy and
+  /// the prolongation phases (barriered: a phase of their own).  Like
+  /// every task they declare their footprints — the ghost faces and owned
+  /// cells they touch, and each send the message slots of its outbound
+  /// links — and \p g derives their edges.
+  virtual void add_link_tasks(amt::task_graph& /*g*/) {}
 
   // --- shared machinery for the drivers -----------------------------------
   /// Leaf slots, stage-0 copies, per-level leaf lists, gravity solver and
@@ -237,7 +224,7 @@ class step_core {
   exec::amt_space space_;
 
   std::unique_ptr<tree::topology> topo_;
-  std::unique_ptr<gravity::fmm_solver> grav_;
+  std::unique_ptr<gravity::fmm_solver> grav_;  ///< null without self_gravity
   std::vector<grid::subgrid> grids_;       ///< one per node (all nodes)
   /// RK3 u0 copies (leaves only), also the SDC retry's restore source.
   std::vector<grid::subgrid> stage0_;

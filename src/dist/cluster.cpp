@@ -262,34 +262,37 @@ void cluster::close_links(bool ok) {
   link_step_.reset();
 }
 
-void cluster::add_link_tasks(step_graph_state& g) {
+void cluster::add_link_tasks(amt::task_graph& g) {
   auto& rt = space_.runtime();
   const auto& leaves = topo_->leaves();
 
-  // Senders: one task per leaf with leaf-leaf links.  The edge on the
-  // previous stage's send keeps every link's channel FIFO aligned with
-  // stage order — without it a fast stage-s send could pair with the
-  // receiver's stage s-1 receive.
+  // Senders: one task per leaf with leaf-leaf links.  Each send writes the
+  // message slot of every outbound link, so a leaf's stage-s send waits
+  // for its stage s-1 send: every link's channel FIFO stays in stage order
+  // — a fast stage-s send cannot pair with the receiver's stage s-1
+  // receive.
   for (const index_t l : leaves) {
-    const auto li = static_cast<std::size_t>(l);
     if (!has_leaf_links(*topo_, l)) continue;
-    auto deps = g.graph.edges();
-    deps.push_back(g.H[li]);
-    if (g.prevSend[li].valid()) deps.push_back(g.prevSend[li]);
-    g.SEND[li] = g.graph.add(
-        "send", apex::access_set{}.r(apex::rgn::field, l),
-        [this, l, ls = link_step_] { send_faces(l, ls->counts); },
-        std::move(deps));
+    auto fp = g.footprint();
+    fp.r(apex::rgn::field, l);
+    for (int d = 0; d < NNEIGHBOR; ++d) {
+      const index_t nb = topo_->neighbor(l, d);
+      if (nb != tree::invalid_node && topo_->node(nb).leaf)
+        fp.w(apex::rgn::slot,
+             static_cast<std::int64_t>(link_of(nb, tree::dir_opposite(d))));
+    }
+    g.add("send", std::move(fp),
+          [this, l, ls = link_step_] { send_faces(l, ls->counts); });
   }
 
   // Receivers: the channel arrival resolves a per-link future (stash via
   // inline continuation), and the unpack task fires on the arrival plus
-  // its WAR edges (barriered: plus the copy join) — transport acks and
+  // its derived edges (barriered: plus the copy join) — transport acks and
   // unpacks flow with no exchange barrier.  Receives are issued in stage
   // order here, matching the per-link FIFO.
-  auto slots = std::make_shared<std::vector<boundary_msg>>(g.UNP.size());
+  auto slots = std::make_shared<std::vector<boundary_msg>>(
+      leaves.size() * NNEIGHBOR);
   for (const index_t l : leaves) {
-    const auto li = static_cast<std::size_t>(l);
     for (int d = 0; d < NNEIGHBOR; ++d) {
       const index_t nb = topo_->neighbor(l, d);
       if (nb == tree::invalid_node || !topo_->node(nb).leaf) continue;
@@ -297,24 +300,18 @@ void cluster::add_link_tasks(step_graph_state& g) {
       sf arrival = channels_[link]->receive().then_inline(
           [slots, link](boundary_msg msg) { (*slots)[link] = std::move(msg); },
           rt);
-      auto deps = g.graph.edges();
-      deps.push_back(g.H[li]);  // WAR: hydro read this ghost face
-      if (g.stage > 0) {
-        if (g.prevUnp[link].valid()) deps.push_back(g.prevUnp[link]);
-        for (const index_t f : g.pclients[li])
-          deps.push_back(g.prevP[static_cast<std::size_t>(f)]);
-      }
-      // Footprint: the ghost-face write only.  A direct-token unpack also
-      // reads the neighbor's owned cells, but that read is ordered by the
-      // channel send/receive — a happens-before edge the recorded graph
-      // cannot see (the arrival resolves outside any dataflow node) — so
-      // declaring it would be a guaranteed false positive.
-      g.UNP[link] = g.graph.add(
-          "unpack", apex::access_set{}.w(apex::rgn::ghost, l, d),
-          [this, l, d, slots, link] {
-            unpack_face(l, d, std::move((*slots)[link]));
-          },
-          std::move(deps), std::move(arrival));
+      // Footprint: the ghost-face write, and for a direct token (same
+      // locality, local_optimization) the neighbor's owned cells it copies
+      // from, so nb's next hydro waits for this unpack.
+      auto fp = g.footprint();
+      fp.w(apex::rgn::ghost, l, d);
+      if (part_.owner(l) == part_.owner(nb) && dopt_.local_optimization)
+        fp.r(apex::rgn::field, nb);
+      g.add("unpack", std::move(fp),
+            [this, l, d, slots, link] {
+              unpack_face(l, d, std::move((*slots)[link]));
+            },
+            std::move(arrival));
     }
   }
 }

@@ -177,10 +177,7 @@ class cluster : public app::step_core {
   void open_links() override;
   void close_links(bool ok) override;
   void watch_task(const sf& f) override;
-  void add_link_tasks(step_graph_state& g) override;
-  bool link_reads_source(index_t l, index_t nb) const override {
-    return part_.owner(l) == part_.owner(nb) && dopt_.local_optimization;
-  }
+  void add_link_tasks(amt::task_graph& g) override;
 
   /// Send every leaf-to-leaf face of leaf \p l: a pointer token to a
   /// same-locality neighbor (with local_optimization), else a sealed,

@@ -809,264 +809,120 @@ void fmm_solver::evaluate_leaf(index_t node) {
 
 void fmm_solver::solve(const exec::amt_space& space) {
   amt::task_graph g(space.runtime(), /*barrier=*/true);
-  build_solve(g, std::vector<amt::shared_future<void>>(
-                     static_cast<std::size_t>(topo_.num_nodes())));
+  build_solve(g);
   if (auto e = g.drain()) std::rethrow_exception(e);
 }
 
-fmm_solver::solve_graph fmm_solver::build_solve(
-    amt::task_graph& g, const std::vector<amt::shared_future<void>>& mom_ready,
-    const solve_graph* prev) {
-  const auto nn = static_cast<std::size_t>(topo_.num_nodes());
-  OCTO_CHECK(mom_ready.size() == nn);
-  OCTO_CHECK(prev == nullptr ||
-             (prev->mom_free.size() == nn && prev->exp_free.size() == nn));
-
-  using sf = amt::shared_future<void>;
-  solve_graph out;
-  out.mom_free.resize(nn);
-  out.exp_free.resize(nn);
-  out.leaf_out.resize(nn);
-
-  // Zero pass: one task per node, gated on the previous solve being done
-  // with that node's expansions (WAW across RK stages).
-  std::vector<sf> zero(nn);
-  for (index_t n = 0; n < topo_.num_nodes(); ++n) {
-    auto deps = g.edges();
-    if (prev != nullptr)
-      deps.push_back(prev->exp_free[static_cast<std::size_t>(n)]);
-    zero[static_cast<std::size_t>(n)] = g.add(
-        "zero", apex::access_set{}.w(apex::rgn::expansion, n),
-        [this, n] {
-          std::fill(nodes_[n].exp.begin(), nodes_[n].exp.end(), real(0));
-        },
-        std::move(deps));
-  }
+void fmm_solver::build_solve(amt::task_graph& g) {
+  // Zero pass: one task per node.
+  for (index_t n = 0; n < topo_.num_nodes(); ++n)
+    g.add("zero", g.footprint().w(apex::rgn::expansion, n), [this, n] {
+      std::fill(nodes_[n].exp.begin(), nodes_[n].exp.end(), real(0));
+    });
   g.join();
 
-  // mom_set[n]: leaf -> the caller's set-density edge; interior -> an M2M
-  // task chained on the children's mom_set (the bottom-up traversal as
-  // parent-on-child dependencies, or one join per level when barriered).
-  std::vector<sf> mom_set(nn);
+  // M2M bottom-up: a leaf's moments are the caller's (set_leaf_density);
+  // an interior node's M2M reads its children's (one join per level when
+  // barriered).
   for (int lvl = static_cast<int>(levels_.size()) - 1; lvl >= 0; --lvl) {
     for (const index_t n : levels_[static_cast<std::size_t>(lvl)]) {
-      const auto ni = static_cast<std::size_t>(n);
-      if (topo_.node(n).leaf) {
-        mom_set[ni] = mom_ready[ni];
-        continue;
-      }
-      auto deps = g.edges();
-      apex::access_set fp;
+      if (topo_.node(n).leaf) continue;
+      auto fp = g.footprint();
       fp.w(apex::rgn::moment, n);
-      for (const index_t ch : topo_.node(n).children) {
-        deps.push_back(mom_set[static_cast<std::size_t>(ch)]);
+      for (const index_t ch : topo_.node(n).children)
         fp.r(apex::rgn::moment, ch);
-      }
-      if (prev != nullptr) deps.push_back(prev->mom_free[ni]);
-      mom_set[ni] = g.add(
-          "M2M", std::move(fp),
-          [this, n] {
-            const apex::scoped_trace_span span("gravity.m2m");
-            compute_m2m(n);
-          },
-          std::move(deps));
+      g.add("M2M", std::move(fp), [this, n] {
+        const apex::scoped_trace_span span("gravity.m2m");
+        compute_m2m(n);
+      });
     }
     g.join();
   }
 
-  // M2L per (node, chunk), leaf P2P fused over the same disjoint rows —
-  // ready once the node is zeroed and the node's + same-level neighbors'
-  // moments are set.  The root's all-pairs kernel (m2l_root_impl) is
-  // split into at least N row tasks so it does not serialize the solve.
-  std::vector<std::vector<sf>> m2l(nn);
+  // M2L per (node, chunk), leaf P2P fused over the same disjoint rows: it
+  // reads the node's and its same-level neighbors' moments (the halo).
+  // The root's all-pairs kernel (m2l_root_impl) is split into at least N
+  // row tasks so it does not serialize the solve.
   for (index_t n = 0; n < topo_.num_nodes(); ++n) {
-    const auto ni = static_cast<std::size_t>(n);
     const int nc = m2l_tasks(n);
-    auto deps = g.edges();
-    deps.push_back(zero[ni]);
-    deps.push_back(mom_set[ni]);
-    apex::access_set fp_moms;
+    auto fp_moms = g.footprint();
     fp_moms.r(apex::rgn::moment, n);
     if (n != topo_.root()) {
       for (int d = 0; d < NNEIGHBOR; ++d) {
         const index_t nb = topo_.neighbor(n, d);
-        if (nb != tree::invalid_node) {
-          deps.push_back(mom_set[static_cast<std::size_t>(nb)]);
-          fp_moms.r(apex::rgn::moment, nb);
-        }
+        if (nb != tree::invalid_node) fp_moms.r(apex::rgn::moment, nb);
       }
     }
-    m2l[ni].reserve(static_cast<std::size_t>(nc));
     for (int c = 0; c < nc; ++c) {
       // Chunked launches write disjoint expansion rows of n: part = chunk.
-      apex::access_set fp = fp_moms;
+      auto fp = fp_moms;
       fp.w(apex::rgn::expansion, n, nc == 1 ? apex::any_part : c);
-      m2l[ni].push_back(g.add(
-          "M2L", std::move(fp),
-          [this, n, c, nc] {
-            const apex::scoped_trace_span span("gravity.m2l");
-            compute_m2l(n, c, nc);
-          },
-          deps));
+      g.add("M2L", std::move(fp), [this, n, c, nc] {
+        const apex::scoped_trace_span span("gravity.m2l");
+        compute_m2l(n, c, nc);
+      });
     }
   }
   g.join();
 
-  // Fine-coarse pair tasks write private buffers; the buffers are re-read
-  // by the *previous* solve's applies, so re-filling waits for those too.
-  std::vector<sf> fcpair(nn);
+  // Fine-coarse pair tasks write each fine leaf's private buffers.
   for (const index_t l : topo_.leaves()) {
-    const auto li = static_cast<std::size_t>(l);
-    const auto& fcd = fc_[li];
+    const auto& fcd = fc_[static_cast<std::size_t>(l)];
     if (fcd.hosts.empty()) continue;
-    auto deps = g.edges();
-    apex::access_set fp;
+    auto fp = g.footprint();
     fp.r(apex::rgn::moment, l).w(apex::rgn::fcbuf, l);
-    deps.push_back(mom_set[li]);
-    for (const index_t h : fcd.hosts) {
-      deps.push_back(mom_set[static_cast<std::size_t>(h)]);
-      fp.r(apex::rgn::moment, h);
-    }
-    if (prev != nullptr) {
-      deps.push_back(prev->exp_free[li]);
-      for (const index_t h : fcd.hosts)
-        deps.push_back(prev->exp_free[static_cast<std::size_t>(h)]);
-    }
-    fcpair[li] = g.add(
-        "fc-pair", std::move(fp),
-        [this, l] {
-          const apex::scoped_trace_span span("gravity.fine_coarse");
-          compute_fine_coarse_pairs(l);
-        },
-        std::move(deps));
+    for (const index_t h : fcd.hosts) fp.r(apex::rgn::moment, h);
+    g.add("fc-pair", std::move(fp), [this, l] {
+      const apex::scoped_trace_span span("gravity.fine_coarse");
+      compute_fine_coarse_pairs(l);
+    });
   }
   g.join();
 
   // Apply tasks fold the pair buffers into the expansions after every M2L
   // chunk of the node (the same per-cell accumulation order either way).
-  std::vector<sf> fcapply(nn);
   for (index_t n = 0; n < topo_.num_nodes(); ++n) {
-    const auto ni = static_cast<std::size_t>(n);
     if (!has_fc_work(n)) continue;
-    auto deps = g.edges();
-    for (const auto& t : m2l[ni]) deps.push_back(t);
-    apex::access_set fp;
+    const auto& fcd = fc_[static_cast<std::size_t>(n)];
+    auto fp = g.footprint();
     fp.w(apex::rgn::expansion, n);
-    if (fcpair[ni].valid()) {
-      deps.push_back(fcpair[ni]);
-      fp.r(apex::rgn::fcbuf, n);
-    }
-    for (const index_t f : fc_[ni].clients) {
-      deps.push_back(fcpair[static_cast<std::size_t>(f)]);
-      fp.r(apex::rgn::fcbuf, f);
-    }
-    fcapply[ni] = g.add(
-        "fc-apply", std::move(fp),
-        [this, n] {
-          const apex::scoped_trace_span span("gravity.fine_coarse_apply");
-          apply_fine_coarse(n);
-        },
-        std::move(deps));
+    if (!fcd.hosts.empty()) fp.r(apex::rgn::fcbuf, n);
+    for (const index_t f : fcd.clients) fp.r(apex::rgn::fcbuf, f);
+    g.add("fc-apply", std::move(fp), [this, n] {
+      const apex::scoped_trace_span span("gravity.fine_coarse_apply");
+      apply_fine_coarse(n);
+    });
   }
   g.join();
 
-  // L2L child-on-parent: a node's expansions are complete (exp_done) once
-  // its M2L chunks, fine-coarse apply and own L2L shift have run; each
-  // child's L2L waits on the parent's exp_done (barriered: on the level
-  // join).
-  std::vector<sf> exp_done(nn);
-  std::vector<sf> l2l(nn);
-  for (std::size_t lvl = 0; lvl < levels_.size(); ++lvl) {
+  // L2L top-down: a child's shift reads its parent's complete expansions
+  // (one join per level when barriered).
+  for (std::size_t lvl = 1; lvl < levels_.size(); ++lvl) {
     for (const index_t n : levels_[lvl]) {
-      const auto ni = static_cast<std::size_t>(n);
-      if (n == topo_.root()) {
-        auto deps = g.edges();
-        for (const auto& t : m2l[ni]) deps.push_back(t);
-        if (fcapply[ni].valid()) deps.push_back(fcapply[ni]);
-        exp_done[ni] = g.when_all(std::move(deps));
-        continue;
-      }
       const index_t par = topo_.node(n).parent;
-      auto deps = g.edges();
-      deps.push_back(exp_done[static_cast<std::size_t>(par)]);
-      for (const auto& t : m2l[ni]) deps.push_back(t);
-      if (fcapply[ni].valid()) deps.push_back(fcapply[ni]);
-      l2l[ni] = g.add(
-          "L2L",
-          apex::access_set{}
-              .r(apex::rgn::expansion, par)
-              .r(apex::rgn::moment, n)
-              .r(apex::rgn::moment, par)
-              .w(apex::rgn::expansion, n),
-          [this, n] {
-            const apex::scoped_trace_span span("gravity.l2l");
-            compute_l2l(n);
-          },
-          std::move(deps));
-      exp_done[ni] = l2l[ni];
+      g.add("L2L",
+            g.footprint()
+                .r(apex::rgn::expansion, par)
+                .r(apex::rgn::moment, n)
+                .r(apex::rgn::moment, par)
+                .w(apex::rgn::expansion, n),
+            [this, n] {
+              const apex::scoped_trace_span span("gravity.l2l");
+              compute_l2l(n);
+            });
     }
     g.join();
   }
 
   // Leaf evaluation: phi/g out the moment the leaf's expansions settle.
-  for (const index_t l : topo_.leaves()) {
-    const auto li = static_cast<std::size_t>(l);
-    auto deps = g.edges();
-    deps.push_back(exp_done[li]);
-    out.leaf_out[li] = g.add(
-        "evaluate",
-        apex::access_set{}.r(apex::rgn::expansion, l).w(apex::rgn::gout, l),
-        [this, l] {
-          const apex::scoped_trace_span span("gravity.evaluate_leaf");
-          evaluate_leaf(l);
-        },
-        std::move(deps));
-  }
+  for (const index_t l : topo_.leaves())
+    g.add("evaluate",
+          g.footprint().r(apex::rgn::expansion, l).w(apex::rgn::gout, l),
+          [this, l] {
+            const apex::scoped_trace_span span("gravity.evaluate_leaf");
+            evaluate_leaf(l);
+          });
   g.join();
-
-  // mom_free[n]: every reader of n's moments — the parent's M2M, the M2L
-  // launches of n and its neighbors (halo), the fine-coarse pair tasks on
-  // either side, and the L2L shifts of n (own + parent COMs) and of its
-  // children (which read n's COMs).
-  for (index_t n = 0; n < topo_.num_nodes(); ++n) {
-    const auto ni = static_cast<std::size_t>(n);
-    const tree::tnode& tn = topo_.node(n);
-    auto readers = g.edges();
-    if (tn.parent != tree::invalid_node)
-      readers.push_back(mom_set[static_cast<std::size_t>(tn.parent)]);
-    for (const auto& t : m2l[ni]) readers.push_back(t);
-    for (int d = 0; d < NNEIGHBOR; ++d) {
-      const index_t nb = topo_.neighbor(n, d);
-      if (nb == tree::invalid_node) continue;
-      for (const auto& t : m2l[static_cast<std::size_t>(nb)])
-        readers.push_back(t);
-    }
-    if (fcpair[ni].valid()) readers.push_back(fcpair[ni]);
-    for (const index_t f : fc_[ni].clients)
-      readers.push_back(fcpair[static_cast<std::size_t>(f)]);
-    if (l2l[ni].valid()) readers.push_back(l2l[ni]);
-    if (!tn.leaf)
-      for (const index_t ch : tn.children)
-        readers.push_back(l2l[static_cast<std::size_t>(ch)]);
-    out.mom_free[ni] = g.when_all(std::move(readers));
-  }
-
-  // exp_free[n]: leaves are done once evaluated; interior expansions are
-  // last read by the children's L2L shifts.
-  for (index_t n = 0; n < topo_.num_nodes(); ++n) {
-    const auto ni = static_cast<std::size_t>(n);
-    const tree::tnode& tn = topo_.node(n);
-    if (tn.leaf) {
-      out.exp_free[ni] = out.leaf_out[ni];
-    } else {
-      auto readers = g.edges();
-      for (const index_t ch : tn.children)
-        readers.push_back(l2l[static_cast<std::size_t>(ch)]);
-      out.exp_free[ni] = g.when_all(std::move(readers));
-    }
-  }
-
-  return out;
 }
 
 // ---------------------------------------------------------------------------

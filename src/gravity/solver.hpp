@@ -67,39 +67,20 @@ class fmm_solver {
   /// m2l_chunks controls kernel splitting.
   void solve(const exec::amt_space& space = exec::amt_space{});
 
-  /// Per-node edges out of one build_solve() that a graph-building step
-  /// pipeline wires into the next stage's tasks.  All vectors are
-  /// node-indexed; entries that do not apply (e.g. leaf_out of an interior
-  /// node, or the pure joins of a barrier graph) are invalid
-  /// shared_futures, which `amt::dataflow` ignores.
-  struct solve_graph {
-    /// Every task of this solve that *reads* node n's moments is done —
-    /// the WAR gate before the next stage's set_leaf_density / M2M.
-    std::vector<amt::shared_future<void>> mom_free;
-    /// Node n's expansions are no longer read or written — the WAR/WAW
-    /// gate before the next solve's zeroing pass.
-    std::vector<amt::shared_future<void>> exp_free;
-    /// Leaf n's outputs (phi/g) are ready — feeds the next hydro stage.
-    std::vector<amt::shared_future<void>> leaf_out;
-  };
-
   /// Add the full FMM to \p g, phase by phase: zero -> M2M (parent on
   /// children) -> M2L per (node, chunk) -> mutual fine-coarse pair tasks +
   /// deterministic per-node applies -> L2L (child on parent) -> leaf
   /// evaluation.  The root's M2L is split into max(m2l_chunks, N) row tasks
-  /// writing disjoint expansion rows.  In a dataflow graph the phases are
-  /// per-node dependencies (the Fig. 9 split); in a barrier graph each
-  /// phase, and each M2M / L2L level, ends in a join.  \p mom_ready[n]
-  /// gates reading leaf n's moments (the caller's set_leaf_from_subgrid
-  /// task); \p prev carries the previous solve's read/write edges for
-  /// WAR/WAW hazards across RK stages (nullptr when the step entry was a
-  /// global join).  Every cell's accumulation order is zero -> M2L(+P2P)
-  /// -> fine-coarse apply -> L2L in both shapes, so both are bitwise
-  /// identical.
-  solve_graph build_solve(
-      amt::task_graph& g,
-      const std::vector<amt::shared_future<void>>& mom_ready,
-      const solve_graph* prev = nullptr);
+  /// writing disjoint expansion rows.  Each task declares what it reads and
+  /// writes (moments, expansion rows, fine-coarse buffers, leaf outputs),
+  /// and \p g derives its edges from that: in a dataflow graph a task waits
+  /// on the producers and earlier readers of exactly those regions — the
+  /// caller's set-density tasks, which write the leaf moments, and the
+  /// previous solve's readers included — and in a barrier graph each phase,
+  /// and each M2M / L2L level, ends in a join.  Every cell's accumulation
+  /// order is zero -> M2L(+P2P) -> fine-coarse apply -> L2L in both shapes,
+  /// so both are bitwise identical.
+  void build_solve(amt::task_graph& g);
 
   /// Potential at the leaf's cells (valid after solve; layout (i*N+j)*N+k,
   /// padded stride CP — use cell_index()).

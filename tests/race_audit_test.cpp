@@ -179,13 +179,13 @@ TEST_F(RaceAuditSim, RealStepGraphAuditsCleanAndDumps) {
   EXPECT_GT(res.pairs_checked, 0u);
 }
 
-TEST_F(RaceAuditSim, DroppedSolverFreeEdgeRegressionIsCaught) {
-  // The historical bug class: fmm_solver::build_solve threads mom_free /
-  // exp_free edges between RK substeps so substep s+1's moment/expansion
-  // writers wait for substep s's readers.  Re-audit a real recorded step
-  // with those edges removed from the audited view (the schedule itself is
-  // untouched) and the auditor must flag the WAR on the shared region,
-  // naming both tasks.
+TEST_F(RaceAuditSim, DroppedEvaluateZeroEdgeRegressionIsCaught) {
+  // The historical bug class: a solve's zero pass must wait for the
+  // previous RK substep's readers of the expansions.  The task graph
+  // derives that WAR edge (evaluate -> zero) from the footprints.
+  // Re-audit a real recorded step with those edges removed from the
+  // audited view (the schedule itself is untouched) and the auditor must
+  // flag the WAR on the shared region, naming both tasks.
   const std::string dump = "race_audit_dropedge_test.json";
   ::setenv("OCTO_RACE_AUDIT_DUMP", dump.c_str(), 1);
   {
@@ -209,8 +209,7 @@ TEST_F(RaceAuditSim, DroppedSolverFreeEdgeRegressionIsCaught) {
   const auto res = audit_races(og.graph, opt);
   EXPECT_GT(res.edges_dropped, 0u);
   ASSERT_FALSE(res.clean())
-      << "dropping the evaluate->zero exp_free edges must surface the "
-         "expansion WAR";
+      << "dropping the evaluate->zero edges must surface the expansion WAR";
   bool saw_expansion_pair = false;
   for (const auto& c : res.conflicts) {
     if (c.first_cls == "evaluate" && c.second_cls == "zero" &&

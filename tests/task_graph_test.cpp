@@ -1,0 +1,188 @@
+// amt::task_graph edge derivation: the recorded dependencies of small
+// hand-made graphs, in the dataflow and the barrier shape.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "amt/runtime.hpp"
+#include "amt/task_graph.hpp"
+#include "apex/dag.hpp"
+#include "common/error.hpp"
+
+using namespace octo;
+using apex::rgn;
+
+namespace {
+
+struct TaskGraph : testing::Test {
+  amt::runtime rt{2};
+  amt::scoped_global_runtime guard{rt};
+
+  /// Record the graph \p build adds (drained before the recording ends).
+  template <typename Build>
+  apex::graph_profile record(bool barrier, Build&& build) {
+    auto& rec = apex::dag_recorder::instance();
+    rec.begin_step();
+    {
+      amt::task_graph g(rt, barrier);
+      build(g);
+      EXPECT_FALSE(g.drain());
+    }
+    return rec.end_step();
+  }
+};
+
+/// Node \p id's recorded producer ids, sorted.
+std::vector<std::uint32_t> deps(const apex::graph_profile& p,
+                                std::uint32_t id) {
+  auto d = p.nodes.at(id).deps;
+  std::sort(d.begin(), d.end());
+  return d;
+}
+
+using ids = std::vector<std::uint32_t>;
+void nop() {}
+
+}  // namespace
+
+TEST_F(TaskGraph, ReadAfterWriteWriteAfterReadAndWriteAfterWriteEachGiveAnEdge) {
+  const auto p = record(false, [](amt::task_graph& g) {
+    g.add("w0", g.footprint().w(rgn::field, 0), nop);  // 0
+    g.add("raw", g.footprint().r(rgn::field, 0), nop);  // 1: RAW on 0
+    g.add("w1", g.footprint().w(rgn::field, 1), nop);  // 2: unrelated node
+    g.add("war", g.footprint().w(rgn::field, 1).r(rgn::moment, 1),
+          nop);                                          // 3: WAW on 2
+    g.add("r1", g.footprint().r(rgn::moment, 1), nop);  // 4: read-read
+    g.add("war", g.footprint().w(rgn::moment, 1), nop);  // 5: WAR on 3, 4
+  });
+  ASSERT_EQ(p.nodes.size(), 6u);
+  EXPECT_EQ(deps(p, 0), ids{});
+  EXPECT_EQ(deps(p, 1), ids{0});
+  EXPECT_EQ(deps(p, 2), ids{});
+  EXPECT_EQ(deps(p, 3), ids{2});
+  EXPECT_EQ(deps(p, 4), ids{});
+  EXPECT_EQ(deps(p, 5), (ids{3, 4}));
+}
+
+TEST_F(TaskGraph, DisjointPartWritesAreUnorderedAndReadsWaitForTheirPart) {
+  const auto p = record(false, [](amt::task_graph& g) {
+    g.add("p1", g.footprint().w(rgn::ghost, 0, 1), nop);  // 0
+    g.add("p2", g.footprint().w(rgn::ghost, 0, 2), nop);  // 1: disjoint
+    g.add("p1", g.footprint().w(rgn::ghost, 0, 1), nop);  // 2: WAW on 0
+    g.add("r2", g.footprint().r(rgn::ghost, 0, 2), nop);  // 3: RAW on 1
+    g.add("other", g.footprint().w(rgn::ghost, 1, 2), nop);  // 4: node 1
+  });
+  ASSERT_EQ(p.nodes.size(), 5u);
+  EXPECT_EQ(deps(p, 1), ids{});
+  EXPECT_EQ(deps(p, 2), ids{0});
+  EXPECT_EQ(deps(p, 3), ids{1});
+  EXPECT_EQ(deps(p, 4), ids{});
+}
+
+TEST_F(TaskGraph, AnyPartWriteOrdersAfterEveryPart) {
+  const auto p = record(false, [](amt::task_graph& g) {
+    g.add("p1", g.footprint().w(rgn::expansion, 0, 1), nop);  // 0
+    g.add("p2", g.footprint().w(rgn::expansion, 0, 2), nop);  // 1
+    g.add("r3", g.footprint().r(rgn::expansion, 0, 3), nop);  // 2: no writer
+    g.add("all", g.footprint().w(rgn::expansion, 0), nop);    // 3
+    g.add("p1", g.footprint().w(rgn::expansion, 0, 1), nop);  // 4: on 3 only
+    g.add("any", g.footprint().r(rgn::expansion, 0), nop);    // 5: on 3, 4
+  });
+  ASSERT_EQ(p.nodes.size(), 6u);
+  EXPECT_EQ(deps(p, 2), ids{});
+  EXPECT_EQ(deps(p, 3), (ids{0, 1, 2}));
+  EXPECT_EQ(deps(p, 4), ids{3});
+  EXPECT_EQ(deps(p, 5), (ids{3, 4}));
+}
+
+TEST_F(TaskGraph, WriteClearsTheReadersItWaitedFor) {
+  const auto p = record(false, [](amt::task_graph& g) {
+    g.add("w", g.footprint().w(rgn::field, 0), nop);      // 0
+    g.add("r", g.footprint().r(rgn::field, 0), nop);      // 1
+    g.add("r", g.footprint().r(rgn::field, 0), nop);      // 2
+    g.add("w", g.footprint().w(rgn::field, 0), nop);      // 3: on 0, 1, 2
+    g.add("w", g.footprint().w(rgn::field, 0), nop);      // 4: on 3 only
+    g.add("r1", g.footprint().r(rgn::ghost, 0, 1), nop);  // 5
+    g.add("rall", g.footprint().r(rgn::ghost, 0), nop);   // 6
+    g.add("w1", g.footprint().w(rgn::ghost, 0, 1), nop);  // 7: on 5, 6
+    g.add("w1", g.footprint().w(rgn::ghost, 0, 1), nop);  // 8: on 7, 6
+  });
+  ASSERT_EQ(p.nodes.size(), 9u);
+  EXPECT_EQ(deps(p, 3), (ids{0, 1, 2}));
+  EXPECT_EQ(deps(p, 4), ids{3});
+  EXPECT_EQ(deps(p, 7), (ids{5, 6}));
+  // A part write clears only that part's readers: the any_part reader 6
+  // still orders every later write of any part.
+  EXPECT_EQ(deps(p, 8), (ids{6, 7}));
+}
+
+TEST_F(TaskGraph, DuplicateEdgeIsRecordedOnce) {
+  const auto p = record(false, [](amt::task_graph& g) {
+    g.add("w", g.footprint().w(rgn::field, 0).w(rgn::moment, 0), nop);
+    g.add("r", g.footprint().r(rgn::field, 0).r(rgn::moment, 0), nop);
+  });
+  ASSERT_EQ(p.nodes.size(), 2u);
+  EXPECT_EQ(p.nodes[1].deps, ids{0});
+}
+
+TEST_F(TaskGraph, KeepEdgeComesFirst) {
+  amt::promise<void> arrival;
+  amt::shared_future<void> keep(arrival.get_future());
+  auto& rec = apex::dag_recorder::instance();
+  rec.begin_step();
+  {
+    amt::task_graph g(rt, false);
+    const auto w = g.add("w", g.footprint().w(rgn::field, 0), nop);
+    const auto r = g.add("r", g.footprint().r(rgn::field, 0), nop, keep);
+    w.wait(rt);
+    EXPECT_FALSE(r.is_ready());
+    arrival.set_value();
+    EXPECT_FALSE(g.drain());
+  }
+  const auto p = rec.end_step();
+  ASSERT_EQ(p.nodes.size(), 2u);
+  // The arrival has no recorded producer; the derived edge is still there.
+  EXPECT_EQ(p.nodes[1].deps, ids{0});
+}
+
+TEST_F(TaskGraph, BarrierGraphRecordsOnlyItsJoins) {
+  const auto p = record(true, [](amt::task_graph& g) {
+    g.add("w", g.footprint().w(rgn::field, 0), nop);  // 0
+    g.add("r", g.footprint().r(rgn::field, 0), nop);  // 1: same phase
+    g.join();                                         // 2: join of 0, 1
+    g.add("w", g.footprint().w(rgn::field, 0), nop);  // 3: on the join
+    g.join();                                         // 4
+  });
+  ASSERT_EQ(p.nodes.size(), 5u);
+  EXPECT_EQ(deps(p, 0), ids{});
+  EXPECT_EQ(deps(p, 1), ids{});
+  EXPECT_STREQ(p.nodes[2].cls, "join");
+  EXPECT_EQ(deps(p, 2), (ids{0, 1}));
+  EXPECT_EQ(deps(p, 3), ids{2});
+  // The footprint still records for the race audit.
+  EXPECT_EQ(p.nodes[3].footprint.size(), 1u);
+}
+
+TEST_F(TaskGraph, BarrierFootprintBuildsNothingWithoutARecording) {
+  amt::task_graph barrier(rt, true);
+  EXPECT_TRUE(barrier.footprint().w(rgn::field, 0).empty());
+  barrier.add("w", barrier.footprint(), nop);  // no edges to derive
+  EXPECT_FALSE(barrier.drain());
+  amt::task_graph dataflow(rt, false);
+  EXPECT_FALSE(dataflow.footprint().w(rgn::field, 0).empty());
+}
+
+TEST_F(TaskGraph, EmptyFootprintInDataflowGraphThrowsNamingTheClass) {
+  amt::task_graph g(rt, false);
+  try {
+    g.add("mystery", g.footprint(), nop);
+    FAIL() << "an empty footprint must throw";
+  } catch (const octo::error& e) {
+    EXPECT_NE(std::string(e.what()).find("mystery"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_FALSE(g.drain());
+}
