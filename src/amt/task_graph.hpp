@@ -24,7 +24,11 @@
 /// readers (with the part they read) since the write that covers them:
 ///
 ///   * a read of part p waits for the whole-region writer and the writer
-///     of part p (a read of any_part: the writers of every part) — RAW;
+///     of part p (a read of any_part: the writers of every part) — RAW.
+///     An any_part read also retires every older any_part reader entered
+///     before the newest part writer: it waits on that writer, which
+///     waited on them, so a later part write needs no edge of its own to
+///     them;
 ///   * a write of part p waits for the whole-region writer, part p's
 ///     writer (WAW) and the readers of part p or of any_part (WAR), then
 ///     becomes part p's writer and clears the part-p readers;
@@ -148,6 +152,7 @@ class task_graph {
     /// Last writer of each part since then, indexed by part (none: no
     /// write of that part).
     std::vector<std::uint32_t> part_writer;
+    std::uint32_t newest_part_writer = none;  ///< max of part_writer
     std::vector<reader> readers;  ///< readers since their write
   };
 
@@ -191,7 +196,15 @@ class task_graph {
   void publish(const std::vector<apex::mem_access>& acc, std::uint32_t t) {
     for (const auto& a : acc) {
       if (a.write) continue;
-      auto& readers = state(a).readers;
+      region_state& s = state(a);
+      auto& readers = s.readers;
+      // t waits on the newest part writer (RAW), which waited on every
+      // any_part reader entered before it (WAR): those are ordered
+      // before t, so t stands in for them.
+      if (a.part == apex::any_part && s.newest_part_writer != none)
+        std::erase_if(readers, [&](const reader& r) {
+          return r.part == apex::any_part && r.task < s.newest_part_writer;
+        });
       if (readers.empty() || readers.back().part != a.part ||
           readers.back().task != t)
         readers.push_back({a.part, t});
@@ -202,6 +215,7 @@ class task_graph {
       if (a.part == apex::any_part) {
         s.writer = t;
         s.part_writer.clear();
+        s.newest_part_writer = none;
         s.readers.clear();
         continue;
       }
@@ -210,6 +224,7 @@ class task_graph {
       const auto p = static_cast<std::size_t>(a.part);
       if (p >= s.part_writer.size()) s.part_writer.resize(p + 1, none);
       s.part_writer[p] = t;
+      s.newest_part_writer = t;
     }
   }
 

@@ -101,8 +101,20 @@ void invariant_auditor::seal_leaf(index_t node, const grid::subgrid& g) {
 
 void invariant_auditor::verify_leaf(index_t node,
                                     const grid::subgrid& g) const {
-  if (!sealed(node)) return;
-  const std::uint32_t now = leaf_crc(g);
+  if (sealed(node)) verify_crc(node, leaf_crc(g));
+}
+
+void invariant_auditor::verify_leaf(index_t node,
+                                    std::span<const real> owned) const {
+  OCTO_ASSERT(owned.size() ==
+              static_cast<std::size_t>(grid::subgrid::owned_size));
+  // The block's rows are contiguous, so one chained CRC over it equals
+  // leaf_crc's row-by-row chain.
+  if (sealed(node))
+    verify_crc(node, crc32(owned.data(), owned.size() * sizeof(real)));
+}
+
+void invariant_auditor::verify_crc(index_t node, std::uint32_t now) const {
   const std::uint32_t want = seals_[static_cast<std::size_t>(node)];
   if (now == want) return;
   std::ostringstream os;

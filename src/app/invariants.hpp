@@ -37,6 +37,7 @@
 /// `sdc_rollbacks`.
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -130,6 +131,10 @@ class invariant_auditor {
   /// to call concurrently for distinct nodes.
   void seal_leaf(index_t node, const grid::subgrid& g);
   void verify_leaf(index_t node, const grid::subgrid& g) const;
+  /// Re-verify a leaf's owned-cell block (grid::subgrid::save_owned): its
+  /// rows are leaf_crc's rows in leaf_crc's order, so an intact copy of a
+  /// sealed leaf matches the seal.
+  void verify_leaf(index_t node, std::span<const real> owned) const;
   std::uint32_t seal_of(index_t node) const {
     return seals_[static_cast<std::size_t>(node)];
   }
@@ -163,6 +168,7 @@ class invariant_auditor {
 
  private:
   [[noreturn]] static void detected(const std::string& what);
+  void verify_crc(index_t node, std::uint32_t now) const;
 
   audit_options opt_;
   std::vector<std::uint32_t> seals_;  ///< per node; valid iff sealed_[n]

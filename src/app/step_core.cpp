@@ -97,14 +97,12 @@ void step_core::build_layout() {
     grav_ = std::make_unique<gravity::fmm_solver>(*topo_, opt_.gravity);
   const auto& leaves = topo_->leaves();
   leaf_slot_.assign(static_cast<std::size_t>(topo_->num_nodes()), -1);
-  stage0_.clear();
-  stage0_.reserve(leaves.size());
-  for (std::size_t s = 0; s < leaves.size(); ++s) {
+  for (std::size_t s = 0; s < leaves.size(); ++s)
     leaf_slot_[static_cast<std::size_t>(leaves[s])] =
         static_cast<index_t>(s);
-    stage0_.emplace_back(topo_->center(leaves[s]),
-                         topo_->cell_width(leaves[s]));
-  }
+  stage0_.assign(leaves.size() *
+                     static_cast<std::size_t>(grid::subgrid::owned_size),
+                 0);
   leaves_by_level_.assign(static_cast<std::size_t>(topo_->max_depth()) + 1,
                           {});
   for (const index_t l : leaves)
@@ -166,7 +164,7 @@ void step_core::hydro_leaf(index_t l, real dt, real ca, real cb) {
     hydro::add_sources(u, opt_.hydro, nullptr, nullptr, nullptr, dudt);
   }
   hydro::apply_dudt(u, dudt, dt);
-  if (cb != 1) hydro::stage_blend(u, stage0_[leaf_slot_[l]], ca, cb);
+  if (cb != 1) hydro::stage_blend(u, stage0(l), ca, cb);
   hydro::apply_floors_and_sync_tau(u, opt_.hydro.gas);
 }
 
@@ -179,7 +177,7 @@ void step_core::restrict_node(index_t n) {
 
 void step_core::copy_faces(index_t n) {
   const apex::scoped_trace_span span("app.exchange.copy");
-  for (int d = 0; d < NNEIGHBOR; ++d) {
+  for (int d = 0; d < NFACE; ++d) {
     const index_t nb = topo_->neighbor(n, d);
     if (nb != tree::invalid_node) {
       if (!linked(n, nb)) grids_[n].copy_ghost_direct(d, grids_[nb]);
@@ -195,7 +193,7 @@ void step_core::copy_faces(index_t n) {
 void step_core::prolong_leaf(index_t l) {
   const apex::scoped_trace_span span("app.exchange.prolong");
   const auto& nd = topo_->node(l);
-  for (int d = 0; d < NNEIGHBOR; ++d) {
+  for (int d = 0; d < NFACE; ++d) {
     if (nd.neighbors[d] != tree::invalid_node) continue;
     const index_t host = topo_->neighbor_or_coarser(l, d);
     if (host == tree::invalid_node) continue;  // domain boundary
@@ -287,15 +285,16 @@ void step_core::step_graph(step_mode mode, real dt, bool advance) {
       tg.join();
     }
 
-    // Phase 2 — same-level ghost copies + outflow fills, for leaves only:
-    // no task reads an interior node's ghosts (prolongation hosts are
-    // leaves under 2:1 balance).  Linked leaf faces are the link tasks'
-    // job, a phase of their own; a leaf left with no face to fill gets no
-    // task.
+    // Phase 2 — same-level ghost copies + outflow fills into the six face
+    // ghosts of each leaf: the hydro stencil steps along one axis at a
+    // time, so no kernel reads an edge or corner ghost, and no task reads
+    // an interior node's ghosts (prolongation hosts are leaves under 2:1
+    // balance).  Linked leaf faces are the link tasks' job, a phase of
+    // their own; a leaf left with no face to fill gets no task.
     for (const index_t n : leaves) {
       auto fp = tg.footprint();
       bool work = false;
-      for (int d = 0; d < NNEIGHBOR; ++d) {
+      for (int d = 0; d < NFACE; ++d) {
         const index_t nb = topo_->neighbor(n, d);
         if (nb != tree::invalid_node) {
           if (linked(n, nb)) continue;
@@ -317,16 +316,17 @@ void step_core::step_graph(step_mode mode, real dt, bool advance) {
       tg.join();
     }
 
-    // Phase 3 — coarse-to-fine prolongation into the faces of each leaf
-    // whose neighbor is coarser, from the coarser host leaf's complete
-    // state: owned cells and every ghost face, copied, linked or prolonged
-    // (ascending level order, so a host's own prolongation is built first;
-    // barriered, one join per level, coarsest first).
+    // Phase 3 — coarse-to-fine prolongation into the face ghosts of each
+    // leaf whose face neighbor is coarser, from the coarser host leaf's
+    // owned cells and face ghosts (the slopes step one axis past the
+    // owned range), copied, linked or prolonged (ascending level order, so
+    // a host's own prolongation is built first; barriered, one join per
+    // level, coarsest first).
     for (const auto& level : leaves_by_level_) {
       for (const index_t l : level) {
         auto fp = tg.footprint();
         bool work = false;
-        for (int d = 0; d < NNEIGHBOR; ++d) {
+        for (int d = 0; d < NFACE; ++d) {
           if (topo_->node(l).neighbors[d] != tree::invalid_node) continue;
           const index_t h = topo_->neighbor_or_coarser(l, d);
           if (h == tree::invalid_node) continue;  // domain boundary
@@ -438,7 +438,7 @@ void step_core::step_attempt(real dt) {
     std::optional<apex::scoped_timer> audit_t;
     if (auditor_.enabled()) audit_t.emplace(sdc_metrics().audit_timer);
     each_leaf(space_.runtime(), leaves, [&](index_t l) {
-      stage0_[leaf_slot_[l]] = grids_[l];
+      grids_[l].save_owned(stage0(l).data());
       if (l == flip_leaf)
         apply_state_bitflip(grids_[l], flip.field, flip.cell, flip.bit);
       if (auditor_.enabled()) auditor_.verify_leaf(l, grids_[l]);
@@ -489,7 +489,7 @@ void step_core::sdc_retry(const sdc_snapshot& snap, real dt) {
     // pre-step seals (retaken only once every detector passed).  A flip
     // that landed before the copy is in them too — escalate.
     each_leaf(space_.runtime(), topo_->leaves(), [this](index_t l) {
-      auditor_.verify_leaf(l, stage0_[leaf_slot_[l]]);
+      auditor_.verify_leaf(l, stage0(l));
     });
     // Transient-error path: restore the pre-step state and re-execute.  A
     // deterministic second execution must agree bitwise (dual-execution
@@ -634,7 +634,7 @@ sdc_snapshot step_core::sdc_take_snapshot() {
 
 void step_core::sdc_restore(const sdc_snapshot& snap) {
   for (const index_t l : topo_->leaves())
-    grids_[l].raw() = stage0_[leaf_slot_[l]].raw();
+    grids_[l].load_owned(stage0(l).data());
   // restore_state re-exchanges ghosts, re-solves gravity and recomputes dt
   // from the restored fields — bitwise identical to the pre-attempt state,
   // so the clean re-execution matches the original seals exactly.

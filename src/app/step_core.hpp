@@ -11,12 +11,15 @@
 /// Like Octo-Tiger, *every* node carries a sub-grid: leaves hold the evolved
 /// state, interior nodes hold the conservative restriction of their
 /// children (used as same-level ghost sources across refinement
-/// boundaries).  Ghost exchange runs in three phases per RK stage:
+/// boundaries).  Ghost exchange runs in three phases per RK stage, over
+/// the six face ghosts of each leaf only (the hydro stencil steps along one
+/// axis at a time, so no kernel reads an edge or corner ghost):
 ///   1. restrict children into interior sub-grids (bottom-up),
 ///   2. same-level direct copies + physical-boundary outflow fills into
 ///      leaves (no task reads an interior node's ghosts),
-///   3. coarse-to-fine prolongation into leaves whose neighbor is coarser
-///      (ascending level order so prolongation sources are complete).
+///   3. coarse-to-fine prolongation into leaves whose face neighbor is
+///      coarser (ascending level order so prolongation sources are
+///      complete).
 /// A driver with leaf-face links delivers the leaf-to-leaf faces of phase 2
 /// through its own send/unpack tasks instead of the copy task; that is the
 /// only place the two drivers' step graphs differ.
@@ -28,6 +31,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "amt/task_graph.hpp"
@@ -206,7 +210,7 @@ class step_core {
   virtual void add_link_tasks(amt::task_graph& /*g*/) {}
 
   // --- shared machinery for the drivers -----------------------------------
-  /// Leaf slots, stage-0 copies, per-level leaf lists, gravity solver and
+  /// Leaf slots, stage-0 blocks, per-level leaf lists, gravity solver and
   /// cost model for the current topology.
   void build_layout();
   /// Ghosts, gravity and dt from the current leaf fields.
@@ -215,8 +219,14 @@ class step_core {
   apex::leaf_cost_model* cost_model_ptr() {
     return cost_model_.active() ? &cost_model_ : nullptr;
   }
+  /// Leaf \p leaf's u0 block in stage0_.
+  std::span<real> stage0(index_t leaf) {
+    return {stage0_.data() + leaf_slot_[leaf] * grid::subgrid::owned_size,
+            static_cast<std::size_t>(grid::subgrid::owned_size)};
+  }
+  /// Link index of leaf \p leaf's inbound face \p dir (< NFACE).
   std::size_t link_of(index_t leaf, int dir) const {
-    return static_cast<std::size_t>(leaf_slot_[leaf] * NNEIGHBOR + dir);
+    return static_cast<std::size_t>(leaf_slot_[leaf] * NFACE + dir);
   }
 
   scen::scenario scenario_;
@@ -226,8 +236,9 @@ class step_core {
   std::unique_ptr<tree::topology> topo_;
   std::unique_ptr<gravity::fmm_solver> grav_;  ///< null without self_gravity
   std::vector<grid::subgrid> grids_;       ///< one per node (all nodes)
-  /// RK3 u0 copies (leaves only), also the SDC retry's restore source.
-  std::vector<grid::subgrid> stage0_;
+  /// RK3 u0 copies, one owned-cell block (grid::subgrid::save_owned) per
+  /// leaf slot; also the SDC retry's restore source.
+  std::vector<real> stage0_;
   std::vector<index_t> leaf_slot_;         ///< node -> stage0 slot
   std::vector<std::vector<index_t>> leaves_by_level_;
 

@@ -34,4 +34,9 @@ inline constexpr int NCHILD = 8;
 /// Number of same-level neighbor directions (faces+edges+corners of a cube).
 inline constexpr int NNEIGHBOR = 26;
 
+/// Number of face directions, the first NFACE of tree::directions(): the
+/// only ghost regions the hydro stencil reads, so the only ones a step
+/// exchanges.
+inline constexpr int NFACE = 6;
+
 }  // namespace octo

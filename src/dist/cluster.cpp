@@ -49,7 +49,7 @@ void cluster::rebuild_channels() {
   for (auto& ch : channels_)
     if (ch) ch->close();
   const std::size_t nleaves = topo_->leaves().size();
-  const std::size_t n = nleaves * NNEIGHBOR;
+  const std::size_t n = nleaves * NFACE;
   channels_.clear();
   channels_.reserve(n);
   for (std::size_t i = 0; i < n; ++i)
@@ -134,9 +134,10 @@ exchange_counters& counters() {
   return c;
 }
 
-/// True when leaf \p l has at least one leaf neighbor (a link to send on).
+/// True when leaf \p l has at least one leaf face neighbor (a link to send
+/// on).
 bool has_leaf_links(const tree::topology& topo, index_t l) {
-  for (int d = 0; d < NNEIGHBOR; ++d) {
+  for (int d = 0; d < NFACE; ++d) {
     const index_t nb = topo.neighbor(l, d);
     if (nb != tree::invalid_node && topo.node(nb).leaf) return true;
   }
@@ -158,7 +159,7 @@ void cluster::send_faces(index_t l, xfer_counts& counts) {
   const apex::scoped_trace_span span("dist.exchange.send");
   const apex::cost_scope cost(cost_model_ptr(),
                               static_cast<std::size_t>(leaf_slot_[l]));
-  for (int d = 0; d < NNEIGHBOR; ++d) {
+  for (int d = 0; d < NFACE; ++d) {
     const index_t nb = topo_->neighbor(l, d);
     if (nb == tree::invalid_node || !topo_->node(nb).leaf) continue;
     // The receiver nb sees us in the opposite direction.
@@ -266,16 +267,17 @@ void cluster::add_link_tasks(amt::task_graph& g) {
   auto& rt = space_.runtime();
   const auto& leaves = topo_->leaves();
 
-  // Senders: one task per leaf with leaf-leaf links.  Each send writes the
-  // message slot of every outbound link, so a leaf's stage-s send waits
-  // for its stage s-1 send: every link's channel FIFO stays in stage order
-  // — a fast stage-s send cannot pair with the receiver's stage s-1
-  // receive.
+  // Senders: one task per leaf with leaf-leaf face links (the six face
+  // ghosts are all a step exchanges; no kernel reads an edge or corner
+  // ghost).  Each send writes the message slot of every outbound link, so
+  // a leaf's stage-s send waits for its stage s-1 send: every link's
+  // channel FIFO stays in stage order — a fast stage-s send cannot pair
+  // with the receiver's stage s-1 receive.
   for (const index_t l : leaves) {
     if (!has_leaf_links(*topo_, l)) continue;
     auto fp = g.footprint();
     fp.r(apex::rgn::field, l);
-    for (int d = 0; d < NNEIGHBOR; ++d) {
+    for (int d = 0; d < NFACE; ++d) {
       const index_t nb = topo_->neighbor(l, d);
       if (nb != tree::invalid_node && topo_->node(nb).leaf)
         fp.w(apex::rgn::slot,
@@ -285,15 +287,16 @@ void cluster::add_link_tasks(amt::task_graph& g) {
           [this, l, ls = link_step_] { send_faces(l, ls->counts); });
   }
 
-  // Receivers: the channel arrival resolves a per-link future (stash via
-  // inline continuation), and the unpack task fires on the arrival plus
-  // its derived edges (barriered: plus the copy join) — transport acks and
+  // Receivers: one unpack per (leaf, face) with a leaf neighbor.  The
+  // channel arrival resolves a per-link future (stash via inline
+  // continuation), and the unpack task fires on the arrival plus its
+  // derived edges (barriered: plus the copy join) — transport acks and
   // unpacks flow with no exchange barrier.  Receives are issued in stage
   // order here, matching the per-link FIFO.
-  auto slots = std::make_shared<std::vector<boundary_msg>>(
-      leaves.size() * NNEIGHBOR);
+  auto slots =
+      std::make_shared<std::vector<boundary_msg>>(leaves.size() * NFACE);
   for (const index_t l : leaves) {
-    for (int d = 0; d < NNEIGHBOR; ++d) {
+    for (int d = 0; d < NFACE; ++d) {
       const index_t nb = topo_->neighbor(l, d);
       if (nb == tree::invalid_node || !topo_->node(nb).leaf) continue;
       const std::size_t link = link_of(l, d);

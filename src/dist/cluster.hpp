@@ -4,12 +4,14 @@
 ///
 /// The octree's leaves are partitioned over `num_localities` HPX-style
 /// localities along the space-filling curve (tree/partition.hpp).  Leaf
-/// ghost exchange runs through per-(leaf, direction) channels, exactly like
-/// Octo-Tiger's boundary communication:
+/// ghost exchange runs through per-(leaf, face) channels, exactly like
+/// Octo-Tiger's boundary communication.  Only the six face ghosts travel:
+/// the hydro stencil steps along one axis at a time, so no kernel reads an
+/// edge or corner ghost.
 ///
 ///   * remote pairs, or any pair with `local_optimization == false`:
-///     the sender packs the 26-direction slab, *serializes* it (the HPX
-///     action path), and the receiver deserializes and unpacks;
+///     the sender packs the face slab, *serializes* it (the HPX action
+///     path), and the receiver deserializes and unpacks;
 ///   * same-locality pairs with `local_optimization == true` (§VII-B):
 ///     the sender passes a bare pointer token through the channel — the
 ///     promise/future notification that "the local values are up-to-date
@@ -198,16 +200,17 @@ class cluster : public app::step_core {
   /// Next surviving locality after \p loc on the locality ring.
   int buddy_of(int loc) const;
   /// Transport link carrying leaf slot \p s's migration payload (the range
-  /// past the nleaves x 26 boundary links).
+  /// past the nleaves x NFACE boundary links).
   int migration_link(index_t slot) const {
-    return static_cast<int>(topo_->leaves().size()) * NNEIGHBOR +
+    return static_cast<int>(topo_->leaves().size()) * NFACE +
            static_cast<int>(slot);
   }
 
   dist_options dopt_;
   tree::partition_result part_;
 
-  /// channels_[leaf_slot * 26 + dir]: inbound slab from direction dir.
+  /// channels_[leaf_slot * NFACE + face]: inbound slab from face
+  /// direction face (link_of).
   /// shared_ptr so a delayed transport frame delivering after a rebuild
   /// lands in the old, closed channel (dropped) instead of freed memory.
   std::vector<std::shared_ptr<amt::channel<boundary_msg>>> channels_;

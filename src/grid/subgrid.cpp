@@ -115,6 +115,24 @@ void subgrid::fill_ghost_outflow(int d) {
   }
 }
 
+void subgrid::save_owned(real* out) const {
+  for (int f = 0; f < NFIELD; ++f) {
+    const real* p = field_data(f);
+    for (int i = 0; i < N; ++i)
+      for (int j = 0; j < N; ++j, out += N)
+        std::memcpy(out, p + idx(i, j, 0), N * sizeof(real));
+  }
+}
+
+void subgrid::load_owned(const real* in) {
+  for (int f = 0; f < NFIELD; ++f) {
+    real* p = field_data(f);
+    for (int i = 0; i < N; ++i)
+      for (int j = 0; j < N; ++j, in += N)
+        std::memcpy(p + idx(i, j, 0), in, N * sizeof(real));
+  }
+}
+
 // ---------------------------------------------------------------------------
 // AMR operators
 // ---------------------------------------------------------------------------

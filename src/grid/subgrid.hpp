@@ -103,6 +103,15 @@ class subgrid {
   /// single-grid tests.
   void fill_ghost_periodic_self(int d) { copy_ghost_direct(d, *this); }
 
+  /// Reals in an owned-cell block: every field's N^3 owned cells in
+  /// (f, i, j, k) order, k fastest — one N-real row per (f, i, j).
+  static constexpr index_t owned_size = index_t(NFIELD) * N * N * N;
+
+  /// Copy the owned cells into / back from an owned-cell block of
+  /// owned_size reals (the ghost shell is neither read nor written).
+  void save_owned(real* out) const;
+  void load_owned(const real* in);
+
   std::vector<real>& raw() { return data_; }
   const std::vector<real>& raw() const { return data_; }
 

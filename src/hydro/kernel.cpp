@@ -343,16 +343,18 @@ void apply_dudt(subgrid& u, std::span<const real> dudt, real dt) {
   }
 }
 
-void stage_blend(subgrid& u, const subgrid& u_prev, real ca, real cb) {
+void stage_blend(subgrid& u, std::span<const real> u0, real ca, real cb) {
+  OCTO_ASSERT(u0.size() == static_cast<std::size_t>(dudt_size));
   for (int f = 0; f < NFIELD; ++f) {
     real* p = u.field_data(f);
-    const real* q = u_prev.field_data(f);
     for (int i = 0; i < N; ++i)
-      for (int j = 0; j < N; ++j)
+      for (int j = 0; j < N; ++j) {
+        const real* q = u0.data() + dudt_idx(f, i, j, 0);
         for (int k = 0; k < N; ++k) {
           const index_t c = subgrid::idx(i, j, k);
-          p[c] = ca * q[c] + cb * p[c];
+          p[c] = ca * q[k] + cb * p[c];
         }
+      }
   }
 }
 

@@ -30,10 +30,9 @@ struct hydro_options {
 };
 
 /// Number of reals in a du/dt block (owned cells only, all fields).
-inline constexpr index_t dudt_size =
-    index_t(grid::NFIELD) * SUBGRID_N * SUBGRID_N * SUBGRID_N;
+inline constexpr index_t dudt_size = grid::subgrid::owned_size;
 
-/// Index into a du/dt block.
+/// Index into a du/dt block (or any owned-cell block).
 constexpr index_t dudt_idx(int f, int i, int j, int k) {
   return ((index_t(f) * SUBGRID_N + i) * SUBGRID_N + j) * SUBGRID_N + k;
 }
@@ -69,8 +68,9 @@ real max_signal_speed(const grid::subgrid& u, const hydro_options& opt);
 /// u += dt * dudt on owned cells.
 void apply_dudt(grid::subgrid& u, std::span<const real> dudt, real dt);
 
-/// u = ca * u_prev + cb * u  on owned cells (SSP-RK3 stage combination).
-void stage_blend(grid::subgrid& u, const grid::subgrid& u_prev, real ca,
+/// u = ca * u0 + cb * u  on owned cells (SSP-RK3 stage combination); \p u0
+/// is an owned-cell block (grid::subgrid::save_owned, dudt_idx layout).
+void stage_blend(grid::subgrid& u, std::span<const real> u0, real ca,
                  real cb);
 
 /// Apply density/energy floors and re-sync tau from egas where the

@@ -138,6 +138,6 @@ inline int dir_opposite(int d) {
 }
 
 /// true for the 6 face directions (exactly one nonzero component).
-inline bool dir_is_face(int d) { return d < 6; }
+inline bool dir_is_face(int d) { return d < NFACE; }
 
 }  // namespace octo::tree

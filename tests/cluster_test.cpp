@@ -122,6 +122,28 @@ TEST_F(ClusterEnv, OptimizationStatsDirectVsSerialized) {
   EXPECT_EQ(s_on.remote_messages, s_off.remote_messages);
 }
 
+/// A step moves one slab per RK stage for every (leaf, face) pair with a
+/// leaf neighbor: faces only, no edge or corner links.
+TEST_F(ClusterEnv, OneStepMovesOneSlabPerStageAndLeafFacePair) {
+  auto sc = scen::rotating_star();
+  dist_options o;
+  o.num_localities = 4;
+  o.sim = base_opts();
+  cluster cl(sc, o);
+  cl.initialize();
+  const auto& topo = cl.topo();
+  std::uint64_t pairs = 0;
+  for (const index_t l : topo.leaves())
+    for (int d = 0; d < NFACE; ++d) {
+      const index_t nb = topo.neighbor(l, d);
+      if (nb != tree::invalid_node && topo.node(nb).leaf) ++pairs;
+    }
+  ASSERT_GT(pairs, 0u);
+  const std::uint64_t before = cl.stats().total_slabs();
+  cl.step();
+  EXPECT_EQ(cl.stats().total_slabs() - before, 3 * pairs);
+}
+
 TEST_F(ClusterEnv, SingleLocalityHasNoRemoteTraffic) {
   auto sc = scen::rotating_star();
   dist_options o;

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "app/simulation.hpp"
@@ -150,6 +151,65 @@ TEST_F(DataflowEquivalence, AmrTreeBarrierVsDataflowBitwise) {
   expect_bitwise_equal(cref, cdf);
   expect_bitwise_equal(ref, cdf);
   EXPECT_EQ(cdf.stats().total_slabs(), cref.stats().total_slabs());
+}
+
+/// Quiet NaN into the 20 edge and corner ghost regions of every leaf of
+/// \p d (directions NFACE..NNEIGHBOR-1).
+template <typename Driver>
+void poison_edges_and_corners(Driver& d) {
+  const real nan = std::numeric_limits<real>::quiet_NaN();
+  for (const index_t l : d.topo().leaves()) {
+    grid::subgrid& u = d.leaf(l);
+    for (int dir = NFACE; dir < NNEIGHBOR; ++dir) {
+      const ivec3 v = tree::directions()[dir];
+      int lo[3], hi[3];
+      for (int a = 0; a < 3; ++a)
+        grid::subgrid::ghost_range(static_cast<int>(v[a]), lo[a], hi[a]);
+      for (int f = 0; f < grid::NFIELD; ++f)
+        for (int i = lo[0]; i < hi[0]; ++i)
+          for (int j = lo[1]; j < hi[1]; ++j)
+            for (int k = lo[2]; k < hi[2]; ++k) u.at(f, i, j, k) = nan;
+    }
+  }
+}
+
+/// The step exchanges only the six face ghosts, so no task may read an edge
+/// or corner ghost.  Poisoned with NaN before every step, they must leave
+/// the owned state bitwise equal to an unpoisoned run and trip no SDC
+/// detector — in barrier and dataflow mode on the level-3 AMR star (with
+/// prolongation) and on a 4-locality dataflow cluster.
+TEST_F(DataflowEquivalence, EdgeAndCornerGhostsAreNeverRead) {
+  constexpr int kGuardSteps = 3;
+  auto sc = scen::rotating_star();
+  app::sim_options bo = sim_opts(app::step_mode::barrier);
+  bo.max_level = 3;
+  app::sim_options go = bo;
+  go.mode = app::step_mode::dataflow;
+
+  app::simulation ref(sc, bo);
+  ref.initialize();
+  for (int s = 0; s < kGuardSteps; ++s) ref.step();
+
+  const auto run_poisoned = [&](auto& d, const char* what) {
+    d.initialize();
+    for (int s = 0; s < kGuardSteps; ++s) {
+      poison_edges_and_corners(d);
+      d.step();
+    }
+    SCOPED_TRACE(what);
+    EXPECT_EQ(d.dt(), ref.dt());
+    EXPECT_EQ(d.sdc_detections(), 0u);
+    expect_bitwise_equal(ref, d);
+  };
+  app::simulation barrier(sc, bo);
+  run_poisoned(barrier, "barrier");
+  app::simulation dataflow(sc, go);
+  run_poisoned(dataflow, "dataflow");
+  dist::dist_options co;
+  co.num_localities = 4;
+  co.sim = go;
+  dist::cluster cl(sc, co);
+  run_poisoned(cl, "4-locality dataflow cluster");
 }
 
 /// The graph's arrival edges ride the reliable transport: with every slab

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "common/random.hpp"
 #include "hydro/kernel.hpp"
@@ -50,6 +52,28 @@ void fill_random_state(subgrid& u, const ideal_gas& gas, std::uint64_t seed) {
         u.at(grid::f_spc0, i, j, k) = rho * real(0.6);
         u.at(grid::f_spc1, i, j, k) = rho * real(0.4);
       }
+}
+
+/// Quiet NaN into the 20 edge and corner ghost regions of \p u (directions
+/// NFACE..NNEIGHBOR-1); the six face ghosts and the owned cells keep their
+/// values.
+void poison_edges_and_corners(subgrid& u) {
+  const real nan = std::numeric_limits<real>::quiet_NaN();
+  for (int d = NFACE; d < NNEIGHBOR; ++d) {
+    const ivec3 dir = tree::directions()[d];
+    int lo[3], hi[3];
+    for (int a = 0; a < 3; ++a)
+      subgrid::ghost_range(static_cast<int>(dir[a]), lo[a], hi[a]);
+    for (int f = 0; f < grid::NFIELD; ++f)
+      for (int i = lo[0]; i < hi[0]; ++i)
+        for (int j = lo[1]; j < hi[1]; ++j)
+          for (int k = lo[2]; k < hi[2]; ++k) u.at(f, i, j, k) = nan;
+  }
+}
+
+bool same_bits(const std::vector<real>& a, const std::vector<real>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(real)) == 0;
 }
 
 TEST(Eos, PressureAndSoundSpeed) {
@@ -146,7 +170,49 @@ TEST_P(HydroKernels, SignalSpeedMatchesPrimitives) {
   EXPECT_NEAR(max_signal_speed(u, opt), 0.3 + cs, 1e-12);
 }
 
+/// The ghost contract the step's face-only exchange rests on: no hydro
+/// kernel reads an edge or corner ghost, so poisoning them changes no bit.
+TEST_P(HydroKernels, EdgeAndCornerGhostsAreNeverRead) {
+  subgrid u(rvec3{0, 0, 0}, 0.1);
+  fill_random_state(u, opt.gas, 2024);
+  std::vector<real> clean(static_cast<std::size_t>(dudt_size), 0);
+  flux_divergence(u, opt, ws, clean);
+  const real vmax = max_signal_speed(u, opt);
+
+  poison_edges_and_corners(u);
+  std::vector<real> poisoned(static_cast<std::size_t>(dudt_size), 0);
+  flux_divergence(u, opt, ws, poisoned);
+  EXPECT_TRUE(same_bits(clean, poisoned));
+  const real vmax_poisoned = max_signal_speed(u, opt);
+  EXPECT_EQ(std::memcmp(&vmax, &vmax_poisoned, sizeof(real)), 0);
+}
+
 INSTANTIATE_TEST_SUITE_P(SimdOnOff, HydroKernels, testing::Bool());
+
+/// Prolongation into a fine leaf's face ghosts reads its coarse host's
+/// owned cells and face ghosts only: a host with poisoned edges and
+/// corners fills every face bitwise as a clean one does.
+TEST(GhostContract, CoarseFaceFillIgnoresHostEdgesAndCorners) {
+  ideal_gas gas;
+  subgrid host(rvec3{0, 0, 0}, 0.2);
+  fill_random_state(host, gas, 77);
+  subgrid poisoned_host = host;
+  poison_edges_and_corners(poisoned_host);
+  // The host's children cover sub-grid coordinates [2, 3]^3 one level down;
+  // the fine leaf sits just outside them, across face d.
+  const ivec3 host_coords{1, 1, 1};
+  for (int d = 0; d < NFACE; ++d) {
+    const ivec3 dir = tree::directions()[d];
+    ivec3 fine_coords{2, 2, 2};
+    for (int a = 0; a < 3; ++a)
+      if (dir[a] != 0) fine_coords[a] = dir[a] < 0 ? 4 : 1;
+    subgrid a(rvec3{0, 0, 0}, 0.1), b(rvec3{0, 0, 0}, 0.1);
+    grid::fill_ghost_from_coarse(a, fine_coords, d, host, host_coords);
+    grid::fill_ghost_from_coarse(b, fine_coords, d, poisoned_host,
+                                 host_coords);
+    EXPECT_TRUE(same_bits(a.raw(), b.raw())) << "face " << d;
+  }
+}
 
 TEST(HydroKernels, ScalarAndSimdAgreeBitwiseish) {
   subgrid u(rvec3{0, 0, 0}, 0.1);
@@ -313,10 +379,11 @@ TEST(HydroSources, RotatingFrameTerms) {
 }
 
 TEST(HydroStage, ApplyDudtAndBlend) {
-  subgrid u(rvec3{0, 0, 0}, 0.1), u0;
+  subgrid u(rvec3{0, 0, 0}, 0.1);
   ideal_gas gas;
   fill_uniform(u, gas, 1.0, rvec3{0, 0, 0}, 1.0);
-  u0 = u;
+  std::vector<real> u0(static_cast<std::size_t>(subgrid::owned_size));
+  u.save_owned(u0.data());
   std::vector<real> dudt(static_cast<std::size_t>(dudt_size), 2.0);
   apply_dudt(u, dudt, 0.5);
   EXPECT_NEAR(u.at(grid::f_rho, 0, 0, 0), 2.0, 1e-14);

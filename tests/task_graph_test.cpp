@@ -119,6 +119,30 @@ TEST_F(TaskGraph, WriteClearsTheReadersItWaitedFor) {
   EXPECT_EQ(deps(p, 8), (ids{6, 7}));
 }
 
+TEST_F(TaskGraph, AnyPartReadRetiresAnyPartReadersBeforeThePartWriter) {
+  const auto p = record(false, [](amt::task_graph& g) {
+    g.add("R1", g.footprint().r(rgn::ghost, 0), nop);     // 0
+    g.add("W1", g.footprint().w(rgn::ghost, 0, 0), nop);  // 1: WAR on 0
+    g.add("R2", g.footprint().r(rgn::ghost, 0), nop);     // 2: RAW on 1
+    g.add("W2", g.footprint().w(rgn::ghost, 0, 1), nop);  // 3
+  });
+  ASSERT_EQ(p.nodes.size(), 4u);
+  EXPECT_EQ(deps(p, 1), ids{0});
+  EXPECT_EQ(deps(p, 2), ids{1});
+  // R1 is ordered before W2 through W1 and R2: no edge of its own.
+  EXPECT_EQ(deps(p, 3), ids{2});
+}
+
+TEST_F(TaskGraph, AnyPartReadersWithNoPartWriteBetweenThemBothStay) {
+  const auto p = record(false, [](amt::task_graph& g) {
+    g.add("R1", g.footprint().r(rgn::ghost, 0), nop);     // 0
+    g.add("R2", g.footprint().r(rgn::ghost, 0), nop);     // 1
+    g.add("W", g.footprint().w(rgn::ghost, 0, 0), nop);   // 2: on 0, 1
+  });
+  ASSERT_EQ(p.nodes.size(), 3u);
+  EXPECT_EQ(deps(p, 2), (ids{0, 1}));
+}
+
 TEST_F(TaskGraph, DuplicateEdgeIsRecordedOnce) {
   const auto p = record(false, [](amt::task_graph& g) {
     g.add("w", g.footprint().w(rgn::field, 0).w(rgn::moment, 0), nop);
