@@ -41,7 +41,7 @@ void measured_counters() {
   }
   t.print(std::cout);
   bench::check(on_stats.local_direct > 0 && off_stats.local_direct == 0,
-               "ON passes same-locality slabs as pointer tokens");
+               "ON copies same-locality faces directly, unserialized");
   bench::check(on_stats.bytes_serialized < off_stats.bytes_serialized,
                "ON serializes fewer bytes than OFF");
   bench::apex_report("the measured cluster runs");

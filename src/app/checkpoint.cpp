@@ -20,8 +20,7 @@ namespace {
 
 constexpr char magic[8] = {'O', 'C', 'T', 'O', 'C', 'K', 'P', 'T'};
 constexpr char end_magic[8] = {'O', 'C', 'T', 'O', 'E', 'N', 'D', '.'};
-constexpr int N = grid::subgrid::N;
-constexpr std::size_t cells = std::size_t(grid::NFIELD) * N * N * N;
+constexpr auto cells = static_cast<std::size_t>(grid::subgrid::owned_size);
 
 struct ckpt_metrics {
   apex::metric_id write = apex::registry::instance().timer("ckpt.write");
@@ -151,29 +150,6 @@ class ckpt_cursor {
   const std::string& path_;
   std::size_t pos_ = 0;
 };
-
-}  // namespace
-
-std::vector<real> pack_leaf_fields(const grid::subgrid& g) {
-  std::vector<real> flat;
-  flat.reserve(cells);
-  for (int f = 0; f < grid::NFIELD; ++f)
-    for (int i = 0; i < N; ++i)
-      for (int j = 0; j < N; ++j)
-        for (int k = 0; k < N; ++k) flat.push_back(g.at(f, i, j, k));
-  return flat;
-}
-
-void unpack_leaf_fields(const std::vector<real>& flat, grid::subgrid& g) {
-  OCTO_CHECK(flat.size() == cells);
-  std::size_t c = 0;
-  for (int f = 0; f < grid::NFIELD; ++f)
-    for (int i = 0; i < N; ++i)
-      for (int j = 0; j < N; ++j)
-        for (int k = 0; k < N; ++k) g.at(f, i, j, k) = flat[c++];
-}
-
-namespace {
 
 /// Write \p data to \p path atomically (temp file + rename).  Returns
 /// bytes written.  Throws octo::error on IO failure or injected fault, in
@@ -316,7 +292,8 @@ std::size_t write_checkpoint(const step_core& core, const std::string& path,
         [&core, &data, &leaves, s] {
           const index_t l = leaves[s];
           data.leaf_codes[s] = core.topo().node(l).code;
-          data.fields[s] = pack_leaf_fields(core.leaf(l));
+          data.fields[s].resize(cells);
+          core.leaf(l).save_owned(data.fields[s].data());
         },
         rt));
   }
@@ -336,7 +313,11 @@ void restore_checkpoint(step_core& core, const checkpoint_data& data) {
     const index_t node = core.topo().find(data.leaf_codes[s]);
     OCTO_CHECK_MSG(node != tree::invalid_node && core.topo().node(node).leaf,
                    "checkpoint topology mismatch at leaf " << s);
-    unpack_leaf_fields(data.fields[s], core.leaf(node));
+    OCTO_CHECK_MSG(data.fields[s].size() == cells,
+                   "checkpoint leaf record " << s << " holds "
+                                             << data.fields[s].size()
+                                             << " reals, expected " << cells);
+    core.leaf(node).load_owned(data.fields[s].data());
   }
   core.restore_state(data.time, data.step);
 }

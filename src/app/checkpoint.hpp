@@ -52,17 +52,10 @@ struct checkpoint_data {
   /// Opaque extension words (dist::cluster stores exchange_stats here).
   std::vector<std::uint64_t> stats;
   std::vector<code_t> leaf_codes;
-  /// Owned cells per leaf, NFIELD x N^3, same order as leaf_codes.
+  /// One owned-cell block (grid::subgrid::save_owned) per leaf, same order
+  /// as leaf_codes.
   std::vector<std::vector<real>> fields;
 };
-
-/// Pack the owned cells of \p g into the flat field order used by the leaf
-/// records (fields outer, then i, j, k).  Safe to call concurrently for
-/// different leaves.
-std::vector<real> pack_leaf_fields(const grid::subgrid& g);
-
-/// Unpack a leaf record payload back into \p g's owned cells.
-void unpack_leaf_fields(const std::vector<real>& flat, grid::subgrid& g);
 
 /// Read and fully verify a checkpoint; throws octo::error naming the
 /// failing record (header / leaf record / trailer) on any corruption.

@@ -11,8 +11,7 @@ namespace octo::app {
 
 simulation::simulation(const scen::scenario& sc, sim_options opt,
                        exec::amt_space space)
-    : step_core(sc, opt, space, /*leaf_links=*/false,
-                opt.measure_leaf_costs) {}
+    : step_core(sc, opt, space, opt.measure_leaf_costs) {}
 
 bool simulation::regrid() {
   OCTO_CHECK_MSG(initialized_, "call initialize() first");

@@ -45,13 +45,8 @@ bool default_audit_races() {
 }
 
 step_core::step_core(const scen::scenario& sc, sim_options opt,
-                     exec::amt_space space, bool leaf_links,
-                     bool measure_costs)
-    : scenario_(sc),
-      opt_(opt),
-      space_(space),
-      leaf_links_(leaf_links),
-      measure_costs_(measure_costs) {}
+                     exec::amt_space space, bool measure_costs)
+    : scenario_(sc), opt_(opt), space_(space), measure_costs_(measure_costs) {}
 
 void step_core::initialize() {
   topo_ = std::make_unique<tree::topology>(scenario_.domain_half,
@@ -221,10 +216,10 @@ real step_core::signal_speed(index_t l) const {
 void step_core::step_graph(step_mode mode, real dt, bool advance) {
   const bool barrier = mode == step_mode::barrier;
   const auto& leaves = topo_->leaves();
-  if (leaf_links_) open_links();
+  open_links();
 
   amt::task_graph tg(space_.runtime(), barrier);
-  if (leaf_links_) tg.on_task([this](const sf& f) { watch_task(f); });
+  tg.on_task([this](const sf& f) { watch_task(f); });
 
   // SSP-RK3 (Shu-Osher): u1 = u0 + dt L(u0)
   //                      u2 = 3/4 u0 + 1/4 (u1 + dt L(u1))
@@ -289,8 +284,10 @@ void step_core::step_graph(step_mode mode, real dt, bool advance) {
     // ghosts of each leaf: the hydro stencil steps along one axis at a
     // time, so no kernel reads an edge or corner ghost, and no task reads
     // an interior node's ghosts (prolongation hosts are leaves under 2:1
-    // balance).  Linked leaf faces are the link tasks' job, a phase of
-    // their own; a leaf left with no face to fill gets no task.
+    // balance).  Linked faces (a remote or serialized neighbor in the
+    // cluster) are the link tasks' job, a phase of their own; a
+    // same-locality neighbor is copied here, straight from its owned
+    // cells.  A leaf left with no face to fill gets no task.
     for (const index_t n : leaves) {
       auto fp = tg.footprint();
       bool work = false;
@@ -311,10 +308,8 @@ void step_core::step_graph(step_mode mode, real dt, bool advance) {
         tg.add("copy", std::move(fp), [this, n] { copy_faces(n); });
     }
     tg.join();
-    if (leaf_links_) {
-      add_link_tasks(tg);
-      tg.join();
-    }
+    add_link_tasks(tg);
+    tg.join();
 
     // Phase 3 — coarse-to-fine prolongation into the face ghosts of each
     // leaf whose face neighbor is coarser, from the coarser host leaf's
@@ -375,7 +370,7 @@ void step_core::step_graph(step_mode mode, real dt, bool advance) {
   // The graph's final join: drain every task, then surface the first error
   // in build order (amt::task_graph::drain).
   const std::exception_ptr err = tg.drain();
-  if (leaf_links_) close_links(!err);
+  close_links(!err);
   if (err) std::rethrow_exception(err);
 
   if (opt_.fixed_dt > 0) {

@@ -20,9 +20,9 @@
 ///   3. coarse-to-fine prolongation into leaves whose face neighbor is
 ///      coarser (ascending level order so prolongation sources are
 ///      complete).
-/// A driver with leaf-face links delivers the leaf-to-leaf faces of phase 2
-/// through its own send/unpack tasks instead of the copy task; that is the
-/// only place the two drivers' step graphs differ.
+/// A face the driver reports as linked (linked(), false on one locality)
+/// is delivered by the driver's own send/unpack tasks instead of the copy
+/// task; that is the only place the two drivers' step graphs differ.
 ///
 /// One builder, step_graph(), emits every step in both step modes (see
 /// step_mode); initialize, restore, regrid, rebalance and recovery re-derive
@@ -171,11 +171,10 @@ class step_core {
  protected:
   using sf = amt::shared_future<void>;
 
-  /// \p leaf_links: leaf-to-leaf ghost faces travel through the driver's
-  /// link hooks instead of the copy task.  \p measure_costs switches on
-  /// the per-leaf cost model (EWMA weight 0.3, leaf_cost_model's default).
+  /// \p measure_costs switches on the per-leaf cost model (EWMA weight
+  /// 0.3, leaf_cost_model's default).
   step_core(const scen::scenario& sc, sim_options opt, exec::amt_space space,
-            bool leaf_links, bool measure_costs);
+            bool measure_costs);
 
   // --- driver hooks (no-ops on one locality) -----------------------------
   /// initialize(): the topology and leaf slots exist, no state yet.
@@ -196,17 +195,22 @@ class step_core {
   virtual int num_localities() const { return 1; }
   virtual int leaf_owner(index_t /*leaf*/) const { return 0; }
 
-  // --- leaf-face link hooks (called only when leaf_links) -----------------
+  // --- leaf-face link hooks (no-ops on one locality) ----------------------
+  /// True when the face of node \p n towards its same-level neighbor \p nb
+  /// is a link: the driver's send/unpack tasks fill it, the copy task
+  /// skips it.
+  virtual bool linked(index_t /*n*/, index_t /*nb*/) const { return false; }
   /// Before a graph is built / once it drained (\p ok: no task failed).
   virtual void open_links() {}
   virtual void close_links(bool /*ok*/) {}
   /// Every task of the graph, as it is added.
   virtual void watch_task(const sf& /*f*/) {}
-  /// Add this stage's send and unpack tasks to \p g, between the copy and
-  /// the prolongation phases (barriered: a phase of their own).  Like
-  /// every task they declare their footprints — the ghost faces and owned
-  /// cells they touch, and each send the message slots of its outbound
-  /// links — and \p g derives their edges.
+  /// Add this stage's send and unpack tasks for the linked faces to \p g,
+  /// between the copy and the prolongation phases (barriered: a phase of
+  /// their own, joined only when it has a task).  Like every task they
+  /// declare their footprints — the ghost faces and owned cells they
+  /// touch, and each send the message slots of its outbound links — and
+  /// \p g derives their edges.
   virtual void add_link_tasks(amt::task_graph& /*g*/) {}
 
   // --- shared machinery for the drivers -----------------------------------
@@ -251,11 +255,6 @@ class step_core {
   invariant_auditor auditor_;
 
  private:
-  /// True when the face between nodes \p n and \p nb is a leaf-face link.
-  bool linked(index_t n, index_t nb) const {
-    return leaf_links_ && topo_->node(n).leaf && topo_->node(nb).leaf;
-  }
-
   // --- per-node kernel tasks (the only copies) ---------------------------
   void hydro_leaf(index_t l, real dt, real ca, real cb);
   void restrict_node(index_t n);
@@ -290,7 +289,6 @@ class step_core {
   /// dual-execution vote's ballot.
   std::uint64_t sdc_state_signature() const;
 
-  const bool leaf_links_;
   const bool measure_costs_;
 
   apex::metrics_sink* metrics_ = nullptr;

@@ -14,7 +14,7 @@ namespace octo::dist {
 
 cluster::cluster(const scen::scenario& sc, dist_options opt,
                  exec::amt_space space)
-    : step_core(sc, opt.sim, space, /*leaf_links=*/true, opt.lb.measuring()),
+    : step_core(sc, opt.sim, space, opt.lb.measuring()),
       dopt_(std::move(opt)) {
   OCTO_CHECK(dopt_.num_localities >= 1);
 }
@@ -53,7 +53,7 @@ void cluster::rebuild_channels() {
   channels_.clear();
   channels_.reserve(n);
   for (std::size_t i = 0; i < n; ++i)
-    channels_.push_back(std::make_shared<amt::channel<boundary_msg>>());
+    channels_.push_back(std::make_shared<amt::channel<slab_bytes>>());
   if (dopt_.reliable_transport) {
     // One extra link per leaf slot past the boundary range carries that
     // leaf's migration payload during a rebalance.
@@ -93,11 +93,8 @@ void cluster::update_replicas() {
   if (!dopt_.buddy_replication) return;
   const apex::scoped_trace_span span("dist.update_replicas");
   const auto& leaves = topo_->leaves();
-  if (replicas_.empty()) {
-    replicas_.reserve(leaves.size());
-    for (const index_t l : leaves)
-      replicas_.emplace_back(topo_->center(l), topo_->cell_width(l));
-  }
+  constexpr auto block = static_cast<std::size_t>(grid::subgrid::owned_size);
+  replicas_.resize(leaves.size() * block);
   replica_holder_.assign(leaves.size(), 0);
   auto& rt = space_.runtime();
   std::vector<amt::future<void>> futs;
@@ -105,7 +102,10 @@ void cluster::update_replicas() {
   for (std::size_t s = 0; s < leaves.size(); ++s) {
     replica_holder_[s] = buddy_of(part_.owner(leaves[s]));
     futs.push_back(amt::async(
-        [this, s, l = leaves[s]] { replicas_[s] = grids_[l]; }, rt));
+        [this, s, l = leaves[s]] {
+          grids_[l].save_owned(replicas_.data() + s * block);
+        },
+        rt));
   }
   amt::get_all(futs, rt);
 }
@@ -133,16 +133,6 @@ exchange_counters& counters() {
   static exchange_counters c;
   return c;
 }
-
-/// True when leaf \p l has at least one leaf face neighbor (a link to send
-/// on).
-bool has_leaf_links(const tree::topology& topo, index_t l) {
-  for (int d = 0; d < NFACE; ++d) {
-    const index_t nb = topo.neighbor(l, d);
-    if (nb != tree::invalid_node && topo.node(nb).leaf) return true;
-  }
-  return false;
-}
 }  // namespace
 
 struct cluster::xfer_counts {
@@ -152,8 +142,13 @@ struct cluster::xfer_counts {
 struct cluster::link_step {
   xfer_counts counts;
   std::atomic<bool> failed{false};
-  std::vector<std::shared_ptr<amt::channel<boundary_msg>>> channels;
+  std::vector<std::shared_ptr<amt::channel<slab_bytes>>> channels;
 };
+
+bool cluster::linked(index_t n, index_t nb) const {
+  return topo_->node(n).leaf && topo_->node(nb).leaf &&
+         !(dopt_.local_optimization && part_.owner(n) == part_.owner(nb));
+}
 
 void cluster::send_faces(index_t l, xfer_counts& counts) {
   const apex::scoped_trace_span span("dist.exchange.send");
@@ -161,20 +156,10 @@ void cluster::send_faces(index_t l, xfer_counts& counts) {
                               static_cast<std::size_t>(leaf_slot_[l]));
   for (int d = 0; d < NFACE; ++d) {
     const index_t nb = topo_->neighbor(l, d);
-    if (nb == tree::invalid_node || !topo_->node(nb).leaf) continue;
+    if (nb == tree::invalid_node || !linked(nb, l)) continue;
     // The receiver nb sees us in the opposite direction.
     const int rd = tree::dir_opposite(d);
     const std::size_t link = link_of(nb, rd);
-    auto& ch = *channels_[link];
-    const bool same_loc = part_.owner(l) == part_.owner(nb);
-    if (same_loc && dopt_.local_optimization) {
-      boundary_msg msg;
-      msg.direct = true;
-      msg.src = &grids_[l];
-      ch.send(std::move(msg));
-      counts.ld.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
     std::vector<real> slab;
     grids_[l].pack_for_neighbor(d, slab);
     oarchive ar;
@@ -187,35 +172,28 @@ void cluster::send_faces(index_t l, xfer_counts& counts) {
     if (fault::injector::instance().ghost_slab_hook(bytes))
       apex::registry::instance().add(counters().faults);
     counts.by.fetch_add(bytes.size(), std::memory_order_relaxed);
-    (same_loc ? counts.ls : counts.rm).fetch_add(1, std::memory_order_relaxed);
+    (part_.owner(l) == part_.owner(nb) ? counts.ls : counts.rm)
+        .fetch_add(1, std::memory_order_relaxed);
     if (transport_) {
       // Reliable path: sequence/ack/retry through the lossy network;
       // blocks (helping the scheduler) until acked.
       auto sink = channels_[link];
       transport_->send(static_cast<int>(link), part_.owner(l),
                        part_.owner(nb), std::move(bytes),
-                       [sink](std::vector<std::uint8_t> payload) {
-                         boundary_msg msg;
-                         msg.bytes = std::move(payload);
-                         sink->send(std::move(msg));
+                       [sink](slab_bytes payload) {
+                         sink->send(std::move(payload));
                        });
     } else {
-      boundary_msg msg;
-      msg.bytes = std::move(bytes);
-      ch.send(std::move(msg));
+      channels_[link]->send(std::move(bytes));
     }
   }
 }
 
-void cluster::unpack_face(index_t l, int d, boundary_msg msg) {
+void cluster::unpack_face(index_t l, int d, slab_bytes bytes) {
   const apex::scoped_trace_span span("dist.exchange.unpack");
   const apex::cost_scope cost(cost_model_ptr(),
                               static_cast<std::size_t>(leaf_slot_[l]));
-  if (msg.direct) {
-    grids_[l].copy_ghost_direct(d, *msg.src);
-    return;
-  }
-  iarchive ar(std::move(msg.bytes));
+  iarchive ar(std::move(bytes));
   ar.unseal("serialized ghost slab");
   const auto rd = ar.get<std::int32_t>();
   OCTO_CHECK(rd == d);
@@ -267,50 +245,52 @@ void cluster::add_link_tasks(amt::task_graph& g) {
   auto& rt = space_.runtime();
   const auto& leaves = topo_->leaves();
 
-  // Senders: one task per leaf with leaf-leaf face links (the six face
-  // ghosts are all a step exchanges; no kernel reads an edge or corner
-  // ghost).  Each send writes the message slot of every outbound link, so
-  // a leaf's stage-s send waits for its stage s-1 send: every link's
-  // channel FIFO stays in stage order — a fast stage-s send cannot pair
-  // with the receiver's stage s-1 receive.
+  // Senders: one task per leaf with a linked face (the six face ghosts are
+  // all a step exchanges; no kernel reads an edge or corner ghost).  Each
+  // send writes the message slot of every outbound link, so a leaf's
+  // stage-s send waits for its stage s-1 send: every link's channel FIFO
+  // stays in stage order — a fast stage-s send cannot pair with the
+  // receiver's stage s-1 receive.  The leaf-leaf faces that are not
+  // linked are the copy task's (§VII-B); they count as direct slabs here.
   for (const index_t l : leaves) {
-    if (!has_leaf_links(*topo_, l)) continue;
     auto fp = g.footprint();
     fp.r(apex::rgn::field, l);
+    bool sends = false;
     for (int d = 0; d < NFACE; ++d) {
       const index_t nb = topo_->neighbor(l, d);
-      if (nb != tree::invalid_node && topo_->node(nb).leaf)
-        fp.w(apex::rgn::slot,
-             static_cast<std::int64_t>(link_of(nb, tree::dir_opposite(d))));
+      if (nb == tree::invalid_node || !topo_->node(nb).leaf) continue;
+      if (!linked(nb, l)) {
+        link_step_->counts.ld.fetch_add(1, std::memory_order_relaxed);
+        continue;
+      }
+      fp.w(apex::rgn::slot,
+           static_cast<std::int64_t>(link_of(nb, tree::dir_opposite(d))));
+      sends = true;
     }
+    if (!sends) continue;
     g.add("send", std::move(fp),
           [this, l, ls = link_step_] { send_faces(l, ls->counts); });
   }
 
-  // Receivers: one unpack per (leaf, face) with a leaf neighbor.  The
-  // channel arrival resolves a per-link future (stash via inline
-  // continuation), and the unpack task fires on the arrival plus its
-  // derived edges (barriered: plus the copy join) — transport acks and
-  // unpacks flow with no exchange barrier.  Receives are issued in stage
-  // order here, matching the per-link FIFO.
+  // Receivers: one unpack per linked (leaf, face).  The channel arrival
+  // resolves a per-link future (stash via inline continuation), and the
+  // unpack task fires on the arrival plus its derived edges (barriered:
+  // plus the copy join) — transport acks and unpacks flow with no
+  // exchange barrier.  Receives are issued in stage order here, matching
+  // the per-link FIFO.
   auto slots =
-      std::make_shared<std::vector<boundary_msg>>(leaves.size() * NFACE);
+      std::make_shared<std::vector<slab_bytes>>(leaves.size() * NFACE);
   for (const index_t l : leaves) {
     for (int d = 0; d < NFACE; ++d) {
       const index_t nb = topo_->neighbor(l, d);
-      if (nb == tree::invalid_node || !topo_->node(nb).leaf) continue;
+      if (nb == tree::invalid_node || !linked(l, nb)) continue;
       const std::size_t link = link_of(l, d);
       sf arrival = channels_[link]->receive().then_inline(
-          [slots, link](boundary_msg msg) { (*slots)[link] = std::move(msg); },
+          [slots, link](slab_bytes bytes) {
+            (*slots)[link] = std::move(bytes);
+          },
           rt);
-      // Footprint: the ghost-face write, and for a direct token (same
-      // locality, local_optimization) the neighbor's owned cells it copies
-      // from, so nb's next hydro waits for this unpack.
-      auto fp = g.footprint();
-      fp.w(apex::rgn::ghost, l, d);
-      if (part_.owner(l) == part_.owner(nb) && dopt_.local_optimization)
-        fp.r(apex::rgn::field, nb);
-      g.add("unpack", std::move(fp),
+      g.add("unpack", g.footprint().w(apex::rgn::ghost, l, d),
             [this, l, d, slots, link] {
               unpack_face(l, d, std::move((*slots)[link]));
             },

@@ -3,25 +3,25 @@
 /// In-process multi-locality execution of the simulation.
 ///
 /// The octree's leaves are partitioned over `num_localities` HPX-style
-/// localities along the space-filling curve (tree/partition.hpp).  Leaf
-/// ghost exchange runs through per-(leaf, face) channels, exactly like
-/// Octo-Tiger's boundary communication.  Only the six face ghosts travel:
-/// the hydro stencil steps along one axis at a time, so no kernel reads an
-/// edge or corner ghost.
+/// localities along the space-filling curve (tree/partition.hpp).  Only the
+/// six face ghosts of a leaf are exchanged: the hydro stencil steps along
+/// one axis at a time, so no kernel reads an edge or corner ghost.  A leaf
+/// face to a leaf neighbor takes one of two paths:
 ///
-///   * remote pairs, or any pair with `local_optimization == false`:
-///     the sender packs the face slab, *serializes* it (the HPX action
-///     path), and the receiver deserializes and unpacks;
 ///   * same-locality pairs with `local_optimization == true` (§VII-B):
-///     the sender passes a bare pointer token through the channel — the
-///     promise/future notification that "the local values are up-to-date
-///     and can be safely accessed" — and the receiver copies directly from
-///     the neighbor's memory, skipping serialization and buffers.
+///     the step core's copy task copies the face straight from the
+///     neighbor's owned cells, skipping serialization and buffers.  Its
+///     footprint-derived edge is the promise/future notification that "the
+///     local values are up-to-date and can be safely accessed";
+///   * remote pairs, or any pair with `local_optimization == false` — the
+///     faces linked() reports: the sender packs the face slab,
+///     *serializes* it (the HPX action path) into a per-(leaf, face)
+///     channel, and the receiver's unpack task deserializes and unpacks
+///     it, exactly like Octo-Tiger's boundary communication.
 ///
-/// The receive side attaches unpack work to `when_all` of its channel
-/// futures, so the exchange is barrier-free across leaves (communication/
-/// computation overlap as in the real code).  Statistics feed the DES
-/// calibration and Fig. 8's model.
+/// Each unpack fires on its own channel arrival, so the exchange is
+/// barrier-free across leaves (communication/computation overlap as in the
+/// real code).  Statistics feed the DES calibration and Fig. 8's model.
 ///
 /// Every serialized slab is sealed with a CRC-32; a slab corrupted or
 /// truncated in transit (for real, or via the fault injector in
@@ -86,7 +86,7 @@ struct dist_options {
 };
 
 struct exchange_stats {
-  std::uint64_t local_direct = 0;      ///< slabs passed as pointer tokens
+  std::uint64_t local_direct = 0;      ///< same-locality faces copied directly
   std::uint64_t local_serialized = 0;  ///< same-locality but full path
   std::uint64_t remote_messages = 0;
   std::uint64_t bytes_serialized = 0;
@@ -149,13 +149,10 @@ class cluster : public app::step_core {
   int live_localities() const;
 
  private:
-  /// One message through a boundary channel.
-  struct boundary_msg {
-    bool direct = false;              ///< token: copy straight from `src`
-    const grid::subgrid* src = nullptr;
-    std::vector<std::uint8_t> bytes;  ///< serialized slab otherwise
-  };
-  /// Slab counts of one exchange, added lock-free by the send tasks.
+  /// Sealed, serialized face slabs, one per message through a channel.
+  using slab_bytes = std::vector<std::uint8_t>;
+  /// Slab counts of one exchange, added lock-free by the send tasks (the
+  /// direct copies as the link tasks are added).
   struct xfer_counts;
   /// One step graph's link state: its slab counts and the failure latch
   /// that closes the step's channels when any task fails.
@@ -180,13 +177,15 @@ class cluster : public app::step_core {
   void close_links(bool ok) override;
   void watch_task(const sf& f) override;
   void add_link_tasks(amt::task_graph& g) override;
+  /// A leaf-leaf face, unless both leaves share a locality and
+  /// local_optimization is on (the copy task fills that one).
+  bool linked(index_t n, index_t nb) const override;
 
-  /// Send every leaf-to-leaf face of leaf \p l: a pointer token to a
-  /// same-locality neighbor (with local_optimization), else a sealed,
-  /// serialized slab through the transport.
+  /// Send every linked face of leaf \p l as a sealed, serialized slab
+  /// through the transport (or the bare channel without it).
   void send_faces(index_t l, xfer_counts& counts);
-  /// Write \p msg into leaf \p l's ghost face \p d.
-  void unpack_face(index_t l, int d, boundary_msg msg);
+  /// Unseal the slab \p bytes into leaf \p l's ghost face \p d.
+  void unpack_face(index_t l, int d, slab_bytes bytes);
   /// Fold one exchange's slab counts into stats_ and the apex counters.
   void add_counts(const xfer_counts& counts);
 
@@ -213,15 +212,15 @@ class cluster : public app::step_core {
   /// direction face (link_of).
   /// shared_ptr so a delayed transport frame delivering after a rebuild
   /// lands in the old, closed channel (dropped) instead of freed memory.
-  std::vector<std::shared_ptr<amt::channel<boundary_msg>>> channels_;
+  std::vector<std::shared_ptr<amt::channel<slab_bytes>>> channels_;
   std::unique_ptr<transport> transport_;
   std::shared_ptr<link_step> link_step_;
 
   /// Liveness and recovery state.
   std::vector<char> locality_alive_;
-  /// Buddy replicas, indexed by leaf slot: a copy of the leaf's state and
-  /// the locality "holding" it (the owner's SFC successor).
-  std::vector<grid::subgrid> replicas_;
+  /// Buddy replicas: one owned-cell block (grid::subgrid::save_owned) per
+  /// leaf slot, and the locality "holding" it (the owner's SFC successor).
+  std::vector<real> replicas_;
   std::vector<int> replica_holder_;
   /// Recovery totals folded into the next step_record.
   std::uint64_t pending_localities_lost_ = 0;

@@ -12,10 +12,11 @@
 /// `lb.min_gain` — live-migrates every leaf whose owner changes.
 ///
 /// A migration reuses machinery proven elsewhere: the payload is the
-/// checkpoint leaf record (Morton code + app::pack_leaf_fields, CRC-32
-/// sealed), it travels the reliable transport on the per-slot migration
-/// link (so drops/delays/dups injected by common/fault.hpp are absorbed or
-/// surfaced exactly like ghost slabs), the source copy is scrubbed to NaN
+/// checkpoint leaf record (Morton code + the leaf's owned-cell block,
+/// grid::subgrid::save_owned, CRC-32 sealed), it travels the reliable
+/// transport on the per-slot migration link (so drops/delays/dups
+/// injected by common/fault.hpp are absorbed or surfaced exactly like
+/// ghost slabs), the source copy is scrubbed to NaN
 /// before the send so only the migrated bytes can rebuild the leaf, and
 /// the post-migration sequence — fresh channels on a new transport epoch,
 /// re-exchanged ghosts, re-solved gravity, recomputed dt — is the same
@@ -35,7 +36,6 @@
 #include "amt/future.hpp"
 #include "apex/apex.hpp"
 #include "apex/trace.hpp"
-#include "app/checkpoint.hpp"
 #include "common/log.hpp"
 #include "dist/cluster.hpp"
 #include "dist/serialize.hpp"
@@ -113,9 +113,11 @@ bool cluster::maybe_rebalance() {
     const int dst = cand.owner(l);
     futs.push_back(amt::async(
         [this, l, src, dst] {
+          std::vector<real> block(grid::subgrid::owned_size);
+          grids_[l].save_owned(block.data());
           oarchive ar;
           ar.put(topo_->node(l).code);
-          ar.put_vector(app::pack_leaf_fields(grids_[l]));
+          ar.put_vector(block);
           ar.seal();
           std::vector<std::uint8_t> bytes = ar.take();
           grids_[l].fill_all(std::numeric_limits<real>::quiet_NaN());
@@ -125,7 +127,14 @@ bool cluster::maybe_rebalance() {
             const auto code = in.get<code_t>();
             OCTO_CHECK_MSG(code == topo_->node(l).code,
                            "migrated leaf record code mismatch");
-            app::unpack_leaf_fields(in.get_vector<real>(), grids_[l]);
+            const auto cells = in.get_vector<real>();
+            OCTO_CHECK_MSG(cells.size() == static_cast<std::size_t>(
+                                               grid::subgrid::owned_size),
+                           "migrated leaf record of leaf "
+                               << l << " holds " << cells.size()
+                               << " reals, expected "
+                               << grid::subgrid::owned_size);
+            grids_[l].load_owned(cells.data());
           };
           if (transport_)
             transport_->send(migration_link(leaf_slot_[l]), src, dst,

@@ -101,9 +101,14 @@ void cluster::recover_locality_failure(const std::vector<int>& dead,
     futs.reserve(lost.size());
     for (const index_t l : lost)
       futs.push_back(amt::async(
-          [this, l] { grids_[l] = replicas_[leaf_slot_[l]]; }, rt));
+          [this, l] {
+            grids_[l].load_owned(replicas_.data() +
+                                 leaf_slot_[l] * grid::subgrid::owned_size);
+          },
+          rt));
     amt::get_all(futs, rt);
-    // Derived state over the shrunk partition: ghosts, gravity, dt.
+    // Derived state over the shrunk partition from the restored owned
+    // cells: ghosts, gravity, dt.
     rederive_state();
     OCTO_LOG_INFO("recovery: restored " << lost.size()
                                         << " leaves from buddy replicas; "

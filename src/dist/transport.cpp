@@ -139,7 +139,8 @@ void transmit_ack(const std::shared_ptr<transport::state>& st,
   });
 }
 
-/// Deliver one frame copy to the receiver as a task (the network hop).
+/// Deliver one delayed, duplicated or reorder-released frame copy to the
+/// receiver as a task (the network hop), so it races with the exchange.
 void deliver_frame(const std::shared_ptr<transport::state>& st,
                    const message_ptr& msg, std::uint64_t delay_us) {
   st->rt->post([st, msg, delay_us] {
@@ -150,7 +151,10 @@ void deliver_frame(const std::shared_ptr<transport::state>& st,
 }
 
 /// Sender side of the network: apply drop / delay / dup / reorder faults,
-/// then hand surviving copies to delivery tasks.
+/// then deliver the frame — inline when undelayed, as transmit_ack does,
+/// so the sender's ack deadline (started after transmit returns) never
+/// covers a delivery task queued behind other work — and hand every other
+/// surviving copy to a delivery task.
 void transmit(const std::shared_ptr<transport::state>& st,
               const message_ptr& msg) {
   auto& inj = fault::injector::instance();
@@ -181,7 +185,10 @@ void transmit(const std::shared_ptr<transport::state>& st,
   }
 
   const std::uint64_t delay_us = inj.msg_delay_hook();
-  deliver_frame(st, msg, delay_us);
+  if (delay_us == 0)
+    on_frame(st, msg);
+  else
+    deliver_frame(st, msg, delay_us);
   if (inj.msg_dup_hook()) deliver_frame(st, msg, inj.msg_delay_hook());
   if (release) deliver_frame(st, release, inj.msg_delay_hook());
 }

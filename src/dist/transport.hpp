@@ -30,9 +30,11 @@
 ///     (counted in `transport.epoch_dropped`), never delivered.
 ///
 /// The "network" consults common/fault.hpp on every transit — armed by
-/// arm_msg_drop / arm_msg_delay_us / arm_msg_dup / arm_msg_reorder — and
-/// delivers frames as tasks on the cluster's runtime, so delayed and
-/// reordered arrivals genuinely race with the exchange.  Acks travel the
+/// arm_msg_drop / arm_msg_delay_us / arm_msg_dup / arm_msg_reorder.  An
+/// undelayed frame is delivered inside transmit, before the sender's ack
+/// deadline starts; delayed, duplicated and reorder-released copies are
+/// delivered as tasks on the cluster's runtime, so they genuinely race with
+/// the exchange.  Acks travel the
 /// same lossy path (a delivered-but-unacked frame forces a retransmission
 /// that the dedup filter then absorbs).
 ///
@@ -89,7 +91,8 @@ class transport {
   static constexpr std::size_t frame_header_bytes = 20;
   static constexpr std::size_t ack_header_bytes = 12;
 
-  /// \p num_links directed links; frames are delivered as tasks on \p rt.
+  /// \p num_links directed links; delayed frames are delivered as tasks on
+  /// \p rt.
   transport(int num_links, transport_options opt, amt::runtime& rt);
   ~transport();
 
@@ -101,8 +104,9 @@ class transport {
   /// the receiver acknowledges.  Retransmits on ack timeout with
   /// exponential backoff + jitter; throws transport_error after
   /// max_retries, or immediately when either locality is dead.
-  /// \p deliver runs exactly once per sequence number, on the delivery
-  /// task, no matter how many copies of the frame arrive.
+  /// \p deliver runs exactly once per sequence number — on the sending
+  /// thread for an undelayed frame, else on a delivery task — no matter
+  /// how many copies of the frame arrive.
   void send(int link, int src_loc, int dst_loc,
             std::vector<std::uint8_t> payload, deliver_fn deliver);
 

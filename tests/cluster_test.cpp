@@ -1,7 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <map>
+#include <sstream>
+#include <string>
 
+#include <unistd.h>
+
+#include "apex/race_audit.hpp"
 #include "app/simulation.hpp"
 #include "common/fault.hpp"
 #include "dist/cluster.hpp"
@@ -109,7 +118,7 @@ TEST_F(ClusterEnv, OptimizationStatsDirectVsSerialized) {
 
   const auto s_on = c_on.stats();
   const auto s_off = c_off.stats();
-  // with the optimization every same-locality slab is a direct token
+  // with the optimization every same-locality slab is a direct copy
   EXPECT_GT(s_on.local_direct, 0u);
   EXPECT_EQ(s_on.local_serialized, 0u);
   // without it nothing is direct
@@ -157,7 +166,8 @@ TEST_F(ClusterEnv, SingleLocalityHasNoRemoteTraffic) {
 }
 
 TEST_F(ClusterEnv, RepeatedStepsNoDeadlock) {
-  // The §VII-B notification protocol must never deadlock; run several
+  // A stage mixes same-locality copy tasks with send/unpack links whose
+  // arrivals resolve asynchronously; it must never deadlock.  Run several
   // steps across uneven localities to exercise racy orderings.
   auto sc = scen::rotating_star();
   dist_options o;
@@ -170,6 +180,88 @@ TEST_F(ClusterEnv, RepeatedStepsNoDeadlock) {
   EXPECT_EQ(cl.steps_taken(), 5);
   const auto lg = cl.measure();
   EXPECT_TRUE(std::isfinite(lg.mass));
+}
+
+/// Tasks per kernel class in the step graph \p core records for one step
+/// (its options must set audit_races; the race audit dumps the graph).
+std::map<std::string, int> step_task_classes(app::step_core& core) {
+  // Per process: the suite runs this binary whole (under
+  // OCTO_STEP_MODE=dataflow) beside the per-case runs.
+  const std::string dump = testing::TempDir() + "/octo_cluster_dag_" +
+                           std::to_string(::getpid()) + ".json";
+  ::setenv("OCTO_RACE_AUDIT_DUMP", dump.c_str(), 1);
+  core.step();
+  ::unsetenv("OCTO_RACE_AUDIT_DUMP");
+  std::ifstream in(dump);
+  std::ostringstream text;
+  text << in.rdbuf();
+  std::remove(dump.c_str());
+  std::map<std::string, int> classes;
+  for (const auto& n : apex::load_graph_json(text.str()).graph.nodes)
+    ++classes[n.cls];
+  return classes;
+}
+
+/// With the §VII-B optimization on one locality no face is linked: the
+/// copy task fills every leaf face, and the cluster's step graph is the
+/// single-locality simulation's, task for task.
+TEST_F(ClusterEnv, SingleLocalityStepGraphIsTheSimulations) {
+  auto sc = scen::rotating_star();
+  app::sim_options so = base_opts();
+  so.audit_races = true;
+  app::simulation ref(sc, so);
+  ref.initialize();
+  const auto want = step_task_classes(ref);
+
+  dist_options o;
+  o.num_localities = 1;
+  o.local_optimization = true;
+  o.sim = so;
+  cluster cl(sc, o);
+  cl.initialize();
+  const auto got = step_task_classes(cl);
+  EXPECT_EQ(got.count("send"), 0u);
+  EXPECT_EQ(got.count("unpack"), 0u);
+  EXPECT_EQ(got, want);
+  EXPECT_GT(cl.stats().local_direct, 0u);
+}
+
+/// On 4 localities a stage has one unpack per linked face (the serialized
+/// slabs) and one send per leaf with a linked face, with the optimization
+/// on and off.
+TEST_F(ClusterEnv, LinkTasksMatchTheLinkedFaces) {
+  auto sc = scen::rotating_star();
+  for (const bool optim : {true, false}) {
+    dist_options o;
+    o.num_localities = 4;
+    o.local_optimization = optim;
+    o.sim = base_opts();
+    o.sim.audit_races = true;
+    cluster cl(sc, o);
+    cl.initialize();
+    const auto& topo = cl.topo();
+    const auto& part = cl.partition();
+    int senders = 0;
+    for (const index_t l : topo.leaves()) {
+      bool sends = false;
+      for (int d = 0; d < NFACE; ++d) {
+        const index_t nb = topo.neighbor(l, d);
+        if (nb != tree::invalid_node && topo.node(nb).leaf &&
+            (!optim || part.owner(l) != part.owner(nb)))
+          sends = true;
+      }
+      senders += sends;
+    }
+    const exchange_stats before = cl.stats();
+    const auto classes = step_task_classes(cl);
+    const std::uint64_t serialized =
+        cl.stats().remote_messages - before.remote_messages +
+        cl.stats().local_serialized - before.local_serialized;
+    ASSERT_GT(serialized, 0u) << "optim=" << optim;
+    EXPECT_EQ(static_cast<std::uint64_t>(classes.at("unpack")), serialized)
+        << "optim=" << optim;
+    EXPECT_EQ(classes.at("send"), 3 * senders) << "optim=" << optim;
+  }
 }
 
 TEST_F(ClusterEnv, MassConservedAcrossLocalities) {

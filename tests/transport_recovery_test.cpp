@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -14,6 +15,7 @@
 #include <fstream>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <unistd.h>
@@ -59,6 +61,31 @@ TEST_F(TransportEnv, DeliversInOrderWithoutFaults) {
   EXPECT_EQ(st.frames_sent, 20u);
   EXPECT_EQ(st.header_bytes,
             20 * (transport::frame_header_bytes + transport::ack_header_bytes));
+}
+
+/// An undelayed frame is delivered before the sender's ack deadline starts:
+/// a slow receiver (here 3x the deadline per delivery) must never cost a
+/// timeout or a retransmission on a fault-free network.
+TEST_F(TransportEnv, SlowUndelayedDeliveryNeverTimesOut) {
+  amt::runtime two(2);
+  transport_options opt;
+  opt.ack_timeout_ms = 5;
+  transport tp(1, opt, two);
+  const auto slow = std::chrono::duration<double, std::milli>(
+      3 * opt.ack_timeout_ms);
+  std::atomic<int> delivered{0};
+  for (std::uint8_t i = 0; i < 20; ++i) {
+    tp.send(0, 0, 1, {i}, [&](std::vector<std::uint8_t>) {
+      std::this_thread::sleep_for(slow);
+      ++delivered;
+    });
+  }
+  EXPECT_EQ(delivered.load(), 20);
+  const auto st = tp.stats();
+  EXPECT_EQ(st.messages, 20u);
+  EXPECT_EQ(st.timeouts, 0u);
+  EXPECT_EQ(st.retries, 0u);
+  EXPECT_EQ(st.frames_sent, 20u);
 }
 
 TEST_F(TransportEnv, ExactlyOnceUnderDropDelayDupReorder) {
