@@ -49,10 +49,11 @@ void measured_counters() {
 
 /// Transport-overhead column: what the reliability layer (sequencing, acks,
 /// retry bookkeeping — dist/transport.hpp) costs on a fault-free network
-/// versus the seed's bare channels, with every slab on the serialized path.
+/// versus bare delivery (each slab stored straight into its receiver's
+/// slot), with every slab on the serialized path.
 void transport_overhead() {
   using namespace octo;
-  std::printf("\nreliable-transport overhead vs bare channels (level 2, "
+  std::printf("\nreliable-transport overhead vs bare delivery (level 2, "
               "4 localities, serialized path, 1 step, no faults):\n");
   table t({"transport", "step s", "messages", "frames", "hdr bytes",
            "hdr/payload %"});

@@ -1,12 +1,11 @@
 /// Overheads of the AMT runtime primitives: task spawn/execute round trips,
-/// future continuation chains, channels and work stealing.  These are the
+/// future continuation chains, fan-in joins and work stealing.  These are the
 /// costs the paper's fine-grained kernel strategy (§IV-B) must amortize.
 
 #include <benchmark/benchmark.h>
 
 #include <atomic>
 
-#include "amt/channel.hpp"
 #include "amt/future.hpp"
 #include "amt/sync.hpp"
 
@@ -55,15 +54,6 @@ void when_all_fanin(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 64);
 }
 
-void channel_ping(benchmark::State& state) {
-  amt::runtime rt(2);
-  amt::channel<int> ch;
-  for (auto _ : state) {
-    ch.send(1);
-    benchmark::DoNotOptimize(ch.receive().get(rt));
-  }
-}
-
 void ws_deque_push_pop(benchmark::State& state) {
   amt::ws_deque<int> dq;
   int item = 7;
@@ -80,7 +70,6 @@ BENCHMARK(task_spawn_execute);
 BENCHMARK(async_get_roundtrip);
 BENCHMARK(future_then_chain);
 BENCHMARK(when_all_fanin);
-BENCHMARK(channel_ping);
 BENCHMARK(ws_deque_push_pop);
 
 BENCHMARK_MAIN();

@@ -468,8 +468,8 @@ future<void> when_all(std::vector<future<T>> futures,
 /// exception any of them holds, so a task failure is never silently
 /// dropped — fault-detection paths (e.g. ghost-slab checksum mismatches)
 /// rely on this to fail the whole exchange loudly.  All futures are drained
-/// before the rethrow, so channels and other shared structures are left in
-/// a consistent state for a post-rollback retry.
+/// before the rethrow, so shared structures are left in a consistent
+/// state for a post-rollback retry.
 template <typename T>
 void get_all(std::vector<future<T>>& futures,
              runtime& rt = runtime::global()) {

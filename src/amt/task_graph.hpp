@@ -14,10 +14,9 @@
 ///     tasks added since the last join and joins them with one `when_all`
 ///     before it builds the next phase.
 ///
-/// Either shape keeps the caller's `keep` edge (an unpack's channel
-/// arrival).  The caller builds the same phases in the same order either
-/// way and calls join() at each phase boundary, so a barrier schedule is
-/// the dataflow graph with its derived edges replaced by phase joins.
+/// The caller builds the same phases in the same order either way and
+/// calls join() at each phase boundary, so a barrier schedule is the
+/// dataflow graph with its derived edges replaced by phase joins.
 ///
 /// Edge rules.  Per (region kind, node) the dataflow graph keeps the last
 /// whole-region writer, the last writer of each part since then, and the
@@ -42,12 +41,10 @@
 #include <array>
 #include <cstdint>
 #include <exception>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "amt/channel.hpp"
 #include "amt/future.hpp"
 #include "apex/race_audit.hpp"
 #include "apex/trace.hpp"
@@ -69,19 +66,14 @@ class task_graph {
     return apex::access_set(!barrier_ || apex::dag_recorder::enabled());
   }
 
-  /// Hand every task to \p fn as it is added (e.g. a failure latch).
-  void on_task(std::function<void(const edge&)> fn) { watch_ = std::move(fn); }
-
   /// Add a task with its footprint \p fp (from footprint()).  It waits on
-  /// \p keep (when valid) and then on the edges derived from \p fp in
-  /// dataflow mode, or on the previous join in barrier mode.  Throws
-  /// octo::error in dataflow mode when \p fp is empty: such a task would
-  /// be ordered against nothing.
+  /// the edges derived from \p fp in dataflow mode, or on the previous
+  /// join in barrier mode.  Throws octo::error in dataflow mode when \p fp
+  /// is empty: such a task would be ordered against nothing.
   template <typename F>
-  edge add(const char* name, apex::access_set fp, F&& f, edge keep = {}) {
+  edge add(const char* name, apex::access_set fp, F&& f) {
     const auto id = static_cast<std::uint32_t>(tasks_.size());
     std::vector<edge> in;
-    if (keep.valid()) in.push_back(std::move(keep));
     if (barrier_) {
       in.push_back(join_);
     } else {
@@ -94,7 +86,6 @@ class task_graph {
     }
     edge t = detail::dataflow_node(name, &fp, std::forward<F>(f),
                                    std::move(in), *rt_);
-    if (watch_) watch_(t);
     tasks_.push_back(t);
     return t;
   }
@@ -118,24 +109,14 @@ class task_graph {
   /// the first); consecutive stamps bound the barrier phases.
   std::uint64_t last_join_ns() const { return join_ns_; }
 
-  /// Wait for every task, then return the first error in build order —
-  /// preferring a real failure over the broken_channel cascade a failed
-  /// exchange leaves behind — or nullptr.
+  /// Wait for every task, then return the first error in build order, or
+  /// nullptr.  A task that inherits an error from its edges comes after
+  /// the task that raised it, so this names the cause.
   std::exception_ptr drain() const {
     for (const auto& t : tasks_) t.wait(*rt_);
-    std::exception_ptr first;
-    for (const auto& t : tasks_) {
-      auto e = detail::stored_exception(t.state());
-      if (!e) continue;
-      if (!first) first = e;
-      try {
-        std::rethrow_exception(e);
-      } catch (const broken_channel&) {
-      } catch (...) {
-        return e;
-      }
-    }
-    return first;
+    for (const auto& t : tasks_)
+      if (auto e = detail::stored_exception(t.state())) return e;
+    return nullptr;
   }
 
  private:
@@ -230,7 +211,6 @@ class task_graph {
 
   runtime* rt_;
   bool barrier_;
-  std::function<void(const edge&)> watch_;
   std::vector<edge> tasks_;    ///< every task in build order
   std::size_t phase_begin_ = 0;  ///< first task after the last join
   edge join_;                  ///< the last join (invalid before the first)

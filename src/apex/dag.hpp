@@ -107,9 +107,10 @@ class dag_recorder {
 
   /// Register a node.  \p out_state identifies the node's result
   /// (shared-state address) so later nodes can resolve their edges;
-  /// \p dep_states are the dependencies' shared-state addresses (unknown
-  /// producers — channel arrivals, joins — are skipped).  Returns the
-  /// node's stable slot, or nullptr when recording is off.
+  /// \p dep_states are the dependencies' shared-state addresses (producers
+  /// the recording did not create, such as a promise's future or an
+  /// earlier recording's join, are skipped).  Returns the node's stable
+  /// slot, or nullptr when recording is off.
   dag_node* on_create(const char* cls, const void* out_state,
                       const void* const* dep_states, std::size_t ndeps);
 

@@ -219,7 +219,6 @@ void step_core::step_graph(step_mode mode, real dt, bool advance) {
   open_links();
 
   amt::task_graph tg(space_.runtime(), barrier);
-  tg.on_task([this](const sf& f) { watch_task(f); });
 
   // SSP-RK3 (Shu-Osher): u1 = u0 + dt L(u0)
   //                      u2 = 3/4 u0 + 1/4 (u1 + dt L(u1))

@@ -53,10 +53,9 @@ namespace octo::app {
 /// toggle).  Both build the same task graph (amt/task_graph.hpp):
 /// `dataflow` derives each task's edges from the regions the tasks declare
 /// they read and write, so the only global join is the end-of-step drain;
-/// `barrier` gives every task the previous phase join as its only edge (an
-/// unpack also keeps its channel arrival) and the driving thread waits on
-/// each join before it builds the next phase.  Both produce
-/// bitwise-identical state.
+/// `barrier` gives every task the previous phase join as its only edge and
+/// the driving thread waits on each join before it builds the next phase.
+/// Both produce bitwise-identical state.
 enum class step_mode { barrier, dataflow };
 
 /// Default mode from the environment: OCTO_STEP_MODE=barrier|dataflow
@@ -169,8 +168,6 @@ class step_core {
   std::uint64_t sdc_rollbacks() const { return sdc_rollbacks_; }
 
  protected:
-  using sf = amt::shared_future<void>;
-
   /// \p measure_costs switches on the per-leaf cost model (EWMA weight
   /// 0.3, leaf_cost_model's default).
   step_core(const scen::scenario& sc, sim_options opt, exec::amt_space space,
@@ -203,14 +200,12 @@ class step_core {
   /// Before a graph is built / once it drained (\p ok: no task failed).
   virtual void open_links() {}
   virtual void close_links(bool /*ok*/) {}
-  /// Every task of the graph, as it is added.
-  virtual void watch_task(const sf& /*f*/) {}
   /// Add this stage's send and unpack tasks for the linked faces to \p g,
-  /// between the copy and the prolongation phases (barriered: a phase of
-  /// their own, joined only when it has a task).  Like every task they
-  /// declare their footprints — the ghost faces and owned cells they
-  /// touch, and each send the message slots of its outbound links — and
-  /// \p g derives their edges.
+  /// between the copy and the prolongation phases (barriered: the sends a
+  /// phase, the unpacks the next, each joined only when it has a task).
+  /// Like every task they declare their footprints — the owned cells and
+  /// ghost faces they touch, a send the message slots of its outbound
+  /// links, an unpack its own link's slot — and \p g derives their edges.
   virtual void add_link_tasks(amt::task_graph& /*g*/) {}
 
   // --- shared machinery for the drivers -----------------------------------

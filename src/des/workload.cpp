@@ -162,18 +162,14 @@ graph build_step_graph(const tree::topology& topo,
         // Per-direction halo relays: one message per neighbor pair.
         std::int32_t halo[NNEIGHBOR];
         int nhalo = 0;
-        std::int32_t halo_dirs[NNEIGHBOR];
         for (int d = 0; d < NNEIGHBOR; ++d) {
           const index_t nb = topo.neighbor(n, d);
           if (nb == tree::invalid_node) continue;
           const bool remote = part.owner(nb) != own;
           const std::int32_t r = g.add_task(0, own);
           g.add_edge(mom_task[nb], r, remote ? mom_bytes[d] : real(0));
-          halo[nhalo] = r;
-          halo_dirs[nhalo] = d;
-          ++nhalo;
+          halo[nhalo++] = r;
         }
-        (void)halo_dirs;
 
         m2l_first[n] = static_cast<std::int32_t>(g.tasks.size());
         for (int c = 0; c < chunks; ++c) {

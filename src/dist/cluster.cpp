@@ -30,7 +30,7 @@ void cluster::on_layout() {
   locality_alive_.assign(static_cast<std::size_t>(dopt_.num_localities), 1);
   rebalance_count_ = 0;
   rebalances_skipped_ = 0;
-  rebuild_channels();
+  reset_links();
   pending_localities_lost_ = 0;
   pending_leaves_migrated_ = 0;
   // The transport survives re-initialize() (only its epoch advances), so
@@ -43,23 +43,14 @@ void cluster::on_layout() {
 
 void cluster::on_initialized() { update_replicas(); }
 
-void cluster::rebuild_channels() {
-  // Break stragglers first: pending receives fail with broken_channel,
-  // delayed in-flight frames deliver into a closed channel and drop.
-  for (auto& ch : channels_)
-    if (ch) ch->close();
-  const std::size_t nleaves = topo_->leaves().size();
-  const std::size_t n = nleaves * NFACE;
-  channels_.clear();
-  channels_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    channels_.push_back(std::make_shared<amt::channel<slab_bytes>>());
+void cluster::reset_links() {
   if (dopt_.reliable_transport) {
-    // One extra link per leaf slot past the boundary range carries that
-    // leaf's migration payload during a rebalance.
+    // One extra link per leaf slot past the nleaves x NFACE boundary range
+    // carries that leaf's migration payload during a rebalance.
     if (!transport_)
       transport_ = std::make_unique<transport>(
-          static_cast<int>(n + nleaves), dopt_.transport, space_.runtime());
+          static_cast<int>(topo_->leaves().size() * (NFACE + 1)),
+          dopt_.transport, space_.runtime());
     else
       // Keep the transport (and its monotonic statistics — recreating it
       // here made the per-step stats deltas wrap after a rebuild) and open
@@ -111,7 +102,7 @@ void cluster::update_replicas() {
 }
 
 // ---------------------------------------------------------------------------
-// Leaf-face links: channels, serialization, transport
+// Leaf-face links: message slots, serialization, transport
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -135,14 +126,10 @@ exchange_counters& counters() {
 }
 }  // namespace
 
-struct cluster::xfer_counts {
-  std::atomic<std::uint64_t> ld{0}, ls{0}, rm{0}, by{0};
-};
-
 struct cluster::link_step {
-  xfer_counts counts;
-  std::atomic<bool> failed{false};
-  std::vector<std::shared_ptr<amt::channel<slab_bytes>>> channels;
+  std::atomic<std::uint64_t> local_direct{0}, local_serialized{0},
+      remote{0}, bytes{0};
+  std::vector<slab_bytes> slots;
 };
 
 bool cluster::linked(index_t n, index_t nb) const {
@@ -150,7 +137,7 @@ bool cluster::linked(index_t n, index_t nb) const {
          !(dopt_.local_optimization && part_.owner(n) == part_.owner(nb));
 }
 
-void cluster::send_faces(index_t l, xfer_counts& counts) {
+void cluster::send_faces(index_t l, const std::shared_ptr<link_step>& ls) {
   const apex::scoped_trace_span span("dist.exchange.send");
   const apex::cost_scope cost(cost_model_ptr(),
                               static_cast<std::size_t>(leaf_slot_[l]));
@@ -171,20 +158,20 @@ void cluster::send_faces(index_t l, xfer_counts& counts) {
     // the receiver's unseal() must catch it.
     if (fault::injector::instance().ghost_slab_hook(bytes))
       apex::registry::instance().add(counters().faults);
-    counts.by.fetch_add(bytes.size(), std::memory_order_relaxed);
-    (part_.owner(l) == part_.owner(nb) ? counts.ls : counts.rm)
+    ls->bytes.fetch_add(bytes.size(), std::memory_order_relaxed);
+    (part_.owner(l) == part_.owner(nb) ? ls->local_serialized : ls->remote)
         .fetch_add(1, std::memory_order_relaxed);
     if (transport_) {
       // Reliable path: sequence/ack/retry through the lossy network;
-      // blocks (helping the scheduler) until acked.
-      auto sink = channels_[link];
+      // blocks (helping the scheduler) until the delivery has stored the
+      // slab and been acked.
       transport_->send(static_cast<int>(link), part_.owner(l),
                        part_.owner(nb), std::move(bytes),
-                       [sink](slab_bytes payload) {
-                         sink->send(std::move(payload));
+                       [ls, link](slab_bytes payload) {
+                         ls->slots[link] = std::move(payload);
                        });
     } else {
-      channels_[link]->send(std::move(bytes));
+      ls->slots[link] = std::move(bytes);
     }
   }
 }
@@ -202,55 +189,41 @@ void cluster::unpack_face(index_t l, int d, slab_bytes bytes) {
                                  static_cast<index_t>(slab.size()));
 }
 
-void cluster::add_counts(const xfer_counts& counts) {
-  stats_.local_direct += counts.ld.load();
-  stats_.local_serialized += counts.ls.load();
-  stats_.remote_messages += counts.rm.load();
-  stats_.bytes_serialized += counts.by.load();
+void cluster::add_counts(const link_step& ls) {
+  stats_.local_direct += ls.local_direct.load();
+  stats_.local_serialized += ls.local_serialized.load();
+  stats_.remote_messages += ls.remote.load();
+  stats_.bytes_serialized += ls.bytes.load();
   // Mirror this exchange's deltas into apex counters so the Fig. 8
   // traffic split is visible in any registry report.
   auto& reg = apex::registry::instance();
-  reg.add(counters().local_direct, counts.ld.load());
-  reg.add(counters().local_serialized, counts.ls.load());
-  reg.add(counters().remote, counts.rm.load());
-  reg.add(counters().bytes, counts.by.load());
+  reg.add(counters().local_direct, ls.local_direct.load());
+  reg.add(counters().local_serialized, ls.local_serialized.load());
+  reg.add(counters().remote, ls.remote.load());
+  reg.add(counters().bytes, ls.bytes.load());
 }
 
 void cluster::open_links() {
   link_step_ = std::make_shared<link_step>();
-  link_step_->channels = channels_;
-}
-
-void cluster::watch_task(const sf& f) {
-  // Failure latch: the first task that resolves with an exception closes
-  // every channel, so arrival futures whose message will now never be sent
-  // resolve (with broken_channel) and the drain cannot hang.  The latch
-  // holds its own shared_ptr copies so a late close hits live channel
-  // objects even after rebuild_channels().
-  f.state()->add_continuation([ls = link_step_, st = f.state()] {
-    if (st->has_exception() && !ls->failed.exchange(true))
-      for (const auto& ch : ls->channels) ch->close();
-  });
+  link_step_->slots.resize(topo_->leaves().size() * NFACE);
 }
 
 void cluster::close_links(bool ok) {
   if (ok)
-    add_counts(link_step_->counts);
+    add_counts(*link_step_);
   else
-    rebuild_channels();
+    reset_links();
   link_step_.reset();
 }
 
 void cluster::add_link_tasks(amt::task_graph& g) {
-  auto& rt = space_.runtime();
   const auto& leaves = topo_->leaves();
 
   // Senders: one task per leaf with a linked face (the six face ghosts are
   // all a step exchanges; no kernel reads an edge or corner ghost).  Each
-  // send writes the message slot of every outbound link, so a leaf's
-  // stage-s send waits for its stage s-1 send: every link's channel FIFO
-  // stays in stage order — a fast stage-s send cannot pair with the
-  // receiver's stage s-1 receive.  The leaf-leaf faces that are not
+  // send writes the message slot of every outbound link, so a stage-s send
+  // waits for the stage s-1 unpack of each of those links (WAR): a slot
+  // holds one stage's slab at a time.  The leaf-leaf faces that are not
   // linked are the copy task's (§VII-B); they count as direct slabs here.
   for (const index_t l : leaves) {
     auto fp = g.footprint();
@@ -260,7 +233,7 @@ void cluster::add_link_tasks(amt::task_graph& g) {
       const index_t nb = topo_->neighbor(l, d);
       if (nb == tree::invalid_node || !topo_->node(nb).leaf) continue;
       if (!linked(nb, l)) {
-        link_step_->counts.ld.fetch_add(1, std::memory_order_relaxed);
+        link_step_->local_direct.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
       fp.w(apex::rgn::slot,
@@ -269,32 +242,27 @@ void cluster::add_link_tasks(amt::task_graph& g) {
     }
     if (!sends) continue;
     g.add("send", std::move(fp),
-          [this, l, ls = link_step_] { send_faces(l, ls->counts); });
+          [this, l, ls = link_step_] { send_faces(l, ls); });
   }
+  g.join();
 
-  // Receivers: one unpack per linked (leaf, face).  The channel arrival
-  // resolves a per-link future (stash via inline continuation), and the
-  // unpack task fires on the arrival plus its derived edges (barriered:
-  // plus the copy join) — transport acks and unpacks flow with no
-  // exchange barrier.  Receives are issued in stage order here, matching
-  // the per-link FIFO.
-  auto slots =
-      std::make_shared<std::vector<slab_bytes>>(leaves.size() * NFACE);
+  // Receivers: one unpack per linked (leaf, face).  It reads the slot its
+  // sender wrote, so it fires once that send has returned — after the
+  // slab was stored (transport::send returns only after the delivery) —
+  // with no exchange barrier in dataflow mode (barriered: on the join of
+  // the sends).  A failed send fails its unpacks through the same edge.
   for (const index_t l : leaves) {
     for (int d = 0; d < NFACE; ++d) {
       const index_t nb = topo_->neighbor(l, d);
       if (nb == tree::invalid_node || !linked(l, nb)) continue;
       const std::size_t link = link_of(l, d);
-      sf arrival = channels_[link]->receive().then_inline(
-          [slots, link](slab_bytes bytes) {
-            (*slots)[link] = std::move(bytes);
-          },
-          rt);
-      g.add("unpack", g.footprint().w(apex::rgn::ghost, l, d),
-            [this, l, d, slots, link] {
-              unpack_face(l, d, std::move((*slots)[link]));
-            },
-            std::move(arrival));
+      g.add("unpack",
+            g.footprint()
+                .r(apex::rgn::slot, static_cast<std::int64_t>(link))
+                .w(apex::rgn::ghost, l, d),
+            [this, l, d, link, ls = link_step_] {
+              unpack_face(l, d, std::move(ls->slots[link]));
+            });
     }
   }
 }

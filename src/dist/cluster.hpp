@@ -14,14 +14,18 @@
 ///     footprint-derived edge is the promise/future notification that "the
 ///     local values are up-to-date and can be safely accessed";
 ///   * remote pairs, or any pair with `local_optimization == false` — the
-///     faces linked() reports: the sender packs the face slab,
-///     *serializes* it (the HPX action path) into a per-(leaf, face)
-///     channel, and the receiver's unpack task deserializes and unpacks
-///     it, exactly like Octo-Tiger's boundary communication.
+///     faces linked() reports: the sender's task packs the face slab and
+///     *serializes* it (the HPX action path) into the receiving face's
+///     message slot, and the receiver's unpack task deserializes and
+///     unpacks it, exactly like Octo-Tiger's boundary communication.
 ///
-/// Each unpack fires on its own channel arrival, so the exchange is
-/// barrier-free across leaves (communication/computation overlap as in the
-/// real code).  Statistics feed the DES calibration and Fig. 8's model.
+/// Like every task of the step graph, the link tasks declare footprints:
+/// a send writes the slots of its outbound faces, an unpack reads its
+/// face's slot and writes the ghost face.  So each unpack is ordered
+/// after the send that filled its slot, and the next stage's send after
+/// the unpack that emptied it, by derived edges alone; the exchange stays
+/// barrier-free across leaves (communication/computation overlap as in
+/// the real code).  Statistics feed the DES calibration and Fig. 8's model.
 ///
 /// Every serialized slab is sealed with a CRC-32; a slab corrupted or
 /// truncated in transit (for real, or via the fault injector in
@@ -45,7 +49,6 @@
 #include <memory>
 #include <vector>
 
-#include "amt/channel.hpp"
 #include "app/step_core.hpp"
 #include "dist/recovery.hpp"
 #include "dist/transport.hpp"
@@ -73,8 +76,9 @@ struct dist_options {
   /// The paper's §VII-B same-locality direct-access optimization.
   bool local_optimization = true;
   /// Route every serialized slab through the reliable transport layer
-  /// (sequencing/ack/retry).  Off = the seed's bare-channel path, kept as
-  /// the baseline for measuring the robustness tax (bench_fig8).
+  /// (sequencing/ack/retry).  Off = a send stores each slab straight into
+  /// the receiving face's slot, kept as the baseline for measuring the
+  /// robustness tax (bench_fig8).
   bool reliable_transport = true;
   transport_options transport{};
   /// Keep an in-memory buddy replica of every leaf's state on the next
@@ -113,8 +117,8 @@ class cluster : public app::step_core {
   /// \p dead localities dead, shrink the partition over the survivors,
   /// restore the lost leaves from buddy replicas — or roll the whole
   /// cluster back to the newest valid checkpoint in \p ckpt_dir when a
-  /// replica is unavailable — rebuild channels and transport, and
-  /// re-derive ghosts, gravity and dt.  Throws octo::error when neither
+  /// replica is unavailable — open a fresh transport epoch, and re-derive
+  /// ghosts, gravity and dt.  Throws octo::error when neither
   /// recovery source exists.
   void recover_locality_failure(const std::vector<int>& dead,
                                 const std::string& ckpt_dir = {});
@@ -123,9 +127,9 @@ class cluster : public app::step_core {
   /// recompute the SFC partition over the live localities from the cost
   /// model's EWMA, and — only when the measured max/mean imbalance exceeds
   /// the projection by `lb.min_gain` — live-migrate every leaf whose owner
-  /// changes (checkpoint-format pack, reliable transport, unpack), rebuild
-  /// channels on a fresh transport epoch, and re-derive ghosts/gravity/dt
-  /// exactly as recovery does.  Returns true when a rebalance was applied.
+  /// changes (checkpoint-format pack, reliable transport, unpack), open a
+  /// fresh transport epoch, and re-derive ghosts/gravity/dt exactly as
+  /// recovery does.  Returns true when a rebalance was applied.
   /// Physics-transparent: the continued run is bitwise identical to one
   /// that never rebalanced.  No-op without measurements.
   bool maybe_rebalance();
@@ -149,13 +153,11 @@ class cluster : public app::step_core {
   int live_localities() const;
 
  private:
-  /// Sealed, serialized face slabs, one per message through a channel.
+  /// A sealed, serialized face slab: one message.
   using slab_bytes = std::vector<std::uint8_t>;
-  /// Slab counts of one exchange, added lock-free by the send tasks (the
-  /// direct copies as the link tasks are added).
-  struct xfer_counts;
-  /// One step graph's link state: its slab counts and the failure latch
-  /// that closes the step's channels when any task fails.
+  /// One step graph's link state: its slab counts (added lock-free by the
+  /// send tasks; the direct copies as the link tasks are added) and its
+  /// message slots, one per link (link_of).
   struct link_step;
 
   // --- step-core hooks ---------------------------------------------------
@@ -175,24 +177,24 @@ class cluster : public app::step_core {
   int leaf_owner(index_t leaf) const override { return part_.owner(leaf); }
   void open_links() override;
   void close_links(bool ok) override;
-  void watch_task(const sf& f) override;
   void add_link_tasks(amt::task_graph& g) override;
   /// A leaf-leaf face, unless both leaves share a locality and
   /// local_optimization is on (the copy task fills that one).
   bool linked(index_t n, index_t nb) const override;
 
-  /// Send every linked face of leaf \p l as a sealed, serialized slab
-  /// through the transport (or the bare channel without it).
-  void send_faces(index_t l, xfer_counts& counts);
+  /// Send every linked face of leaf \p l as a sealed, serialized slab into
+  /// its receiver's slot of \p ls: through the transport, whose delivery
+  /// stores it, or straight without the transport.
+  void send_faces(index_t l, const std::shared_ptr<link_step>& ls);
   /// Unseal the slab \p bytes into leaf \p l's ghost face \p d.
   void unpack_face(index_t l, int d, slab_bytes bytes);
   /// Fold one exchange's slab counts into stats_ and the apex counters.
-  void add_counts(const xfer_counts& counts);
+  void add_counts(const link_step& ls);
 
-  /// Fresh boundary channels and a fresh transport epoch; old channels are
-  /// closed first so stragglers (pending receives, delayed in-flight
-  /// frames) fail or drop instead of corrupting the next exchange.
-  void rebuild_channels();
+  /// A fresh transport epoch (the transport is made on first use): every
+  /// link's sequence numbers restart, and frames still in flight from
+  /// before are dropped instead of delivered into the next exchange.
+  void reset_links();
   /// Refresh the buddy replicas (leaf state copied to the next surviving
   /// locality along the SFC) after a completed step.
   void update_replicas();
@@ -208,12 +210,10 @@ class cluster : public app::step_core {
   dist_options dopt_;
   tree::partition_result part_;
 
-  /// channels_[leaf_slot * NFACE + face]: inbound slab from face
-  /// direction face (link_of).
-  /// shared_ptr so a delayed transport frame delivering after a rebuild
-  /// lands in the old, closed channel (dropped) instead of freed memory.
-  std::vector<std::shared_ptr<amt::channel<slab_bytes>>> channels_;
   std::unique_ptr<transport> transport_;
+  /// The current graph's link state.  Shared with its send tasks and
+  /// their deliveries, so a frame delivered after its graph ended (a send
+  /// that gave up) lands in that graph's slots, not in freed memory.
   std::shared_ptr<link_step> link_step_;
 
   /// Liveness and recovery state.

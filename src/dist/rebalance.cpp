@@ -18,8 +18,7 @@
 /// injected by common/fault.hpp are absorbed or surfaced exactly like
 /// ghost slabs), the source copy is scrubbed to NaN
 /// before the send so only the migrated bytes can rebuild the leaf, and
-/// the post-migration sequence — fresh channels on a new transport epoch,
-/// re-exchanged ghosts, re-solved gravity, recomputed dt — is the same
+/// the post-migration sequence — a new transport epoch, re-exchanged ghosts, re-solved gravity, recomputed dt — is the same
 /// one recover_locality_failure and restore_state run, which the
 /// checkpoint tests prove bitwise identical to an uninterrupted run.
 /// Rebalancing is therefore physics-transparent: the fields after a
@@ -82,7 +81,7 @@ bool cluster::maybe_rebalance() {
           ? tree::partition_sfc(*topo_, dopt_.num_localities, cost)
           : tree::partition_shrink(*topo_, part_, dead_all, cost);
 
-  // Hysteresis: migrating churns caches, channels and replicas, so apply
+  // Hysteresis: migrating churns caches, links and replicas, so apply
   // only when the measured imbalance beats the projection by min_gain.
   const real cur = tree::cost_max_over_mean(*topo_, part_, cost);
   const real proj = tree::cost_max_over_mean(*topo_, cand, cost);
@@ -103,8 +102,8 @@ bool cluster::maybe_rebalance() {
   // record on the source, scrub the source copy (only the migrated bytes
   // may rebuild the leaf — the same proof obligation as the locality-kill
   // scrub), ship it over the slot's migration link, unpack on the
-  // destination.  The reliable send blocks until the unpack is acked, so
-  // after get_all every moved leaf is whole again.
+  // destination.  The reliable send returns only once the unpack has run
+  // (transport::send), so after get_all every moved leaf is whole again.
   auto& rt = space_.runtime();
   std::vector<amt::future<void>> futs;
   futs.reserve(moved.size());
@@ -148,13 +147,12 @@ bool cluster::maybe_rebalance() {
 
   part_ = std::move(cand);
 
-  // Post-migration sequence, exactly as recovery/restore run it: every
-  // boundary channel is rebuilt on a fresh transport epoch (delayed
-  // pre-rebalance frames drop instead of colliding with the new
-  // generation), and the derived state — ghosts, gravity, dt — is
-  // re-derived from the unchanged fields, which keeps the run bitwise
-  // identical to one that never rebalanced.
-  rebuild_channels();
+  // Post-migration sequence, exactly as recovery/restore run it: a fresh
+  // transport epoch (delayed pre-rebalance frames drop instead of
+  // colliding with the new generation), and the derived state — ghosts,
+  // gravity, dt — re-derived from the unchanged fields, which keeps the
+  // run bitwise identical to one that never rebalanced.
+  reset_links();
   rederive_state();
   update_replicas();
 

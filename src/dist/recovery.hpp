@@ -16,9 +16,8 @@
 ///     the partition over the survivors (tree::partition_shrink), restores
 ///     the dead localities' leaves from the in-memory buddy replica kept on
 ///     the SFC-neighbor locality — or, when a replica is unavailable, rolls
-///     the whole cluster back to the newest valid checkpoint — rebuilds
-///     every boundary channel and the transport layer, then re-derives
-///     ghosts/gravity/dt so the run continues with correct physics;
+///     the whole cluster back to the newest valid checkpoint — opens a
+///     fresh transport epoch, then re-derives ghosts/gravity/dt so the run continues with correct physics;
 ///   * `run_with_recovery` — the driver: step to target, recover in place
 ///     on every locality_failure, give up after 4 recoveries.
 ///

@@ -63,6 +63,8 @@ struct message {
   transport::deliver_fn deliver;
   amt::promise<void> ack_promise;
   std::atomic<bool> acked{false};
+  /// Set once `deliver` has returned: only then may any copy be acked.
+  std::atomic<bool> delivered{false};
 
   void complete_ack() {
     if (!acked.exchange(true, std::memory_order_acq_rel))
@@ -92,7 +94,7 @@ struct transport::state {
   std::mutex reorder_m;
   std::optional<message_ptr> stashed;
 
-  /// Current link generation; bumped by advance_epoch() on every channel
+  /// Current link generation; bumped by advance_epoch() on every link
   /// rebuild.  Frames stamped with an older value are dropped on receive.
   std::atomic<std::uint32_t> epoch{0};
 
@@ -220,11 +222,17 @@ void on_frame(const std::shared_ptr<transport::state>& st,
   }
   if (fresh) {
     msg->deliver(std::move(msg->payload));
+    msg->delivered = true;
   } else {
     st->dups_dropped.fetch_add(1, std::memory_order_relaxed);
     apex::registry::instance().add(counters().dups);
+    // A copy that overtakes a delivery still running must not ack: the
+    // sender would return before the payload has landed.  The delivering
+    // copy acks itself once deliver returns.
+    if (!msg->delivered) return;
   }
-  // Acknowledge every copy — the sender may have missed the first ack.
+  // Acknowledge the delivering copy and every later one — the sender may
+  // have missed the first ack.
   st->acks.fetch_add(1, std::memory_order_relaxed);
   apex::registry::instance().add(counters().acks);
   transmit_ack(st, msg);

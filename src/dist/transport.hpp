@@ -2,15 +2,15 @@
 /// \file transport.hpp
 /// Reliable delivery over an unreliable in-process "network".
 ///
-/// The seed cluster assumed every `channel::send` arrives exactly once: a
-/// single lost slab deadlocked the receive side forever.  At Fugaku scale
+/// An unreliable network loses, delays, duplicates and reorders frames; a
+/// single lost ghost slab would leave its receiver unfilled.  At Fugaku scale
 /// the HPX parcelport absorbs message loss, delay, duplication and
 /// reordering; this layer reproduces that contract for every *serialized*
 /// boundary slab (remote pairs, and same-locality pairs with the §VII-B
 /// optimization off):
 ///
 ///   * per-link monotonic sequence numbers — a link is one directed
-///     (receiving leaf, direction) channel;
+///     (receiving leaf, direction) face, or one leaf's migration;
 ///   * receiver acknowledgements, with a configurable ack deadline
 ///     (amt::future::wait_until under the hood, helping the scheduler);
 ///   * bounded retransmission with exponential backoff and deterministic
@@ -18,9 +18,10 @@
 ///     rollback and recovery drivers catch it) once retries are exhausted
 ///     or the destination locality is dead;
 ///   * duplicate suppression on the receive side: a late or duplicated
-///     frame is acknowledged but never unpacked twice, so the ghost
-///     exchange stays idempotent and bitwise identical to a fault-free run;
-///   * a per-link *generation epoch* in the frame header: channel rebuilds
+///     frame is acknowledged (once the first copy's delivery has returned)
+///     but never delivered twice, so the ghost exchange stays idempotent
+///     and bitwise identical to a fault-free run;
+///   * a per-link *generation epoch* in the frame header: link rebuilds
 ///     (after a migration, a recovery, or a failed exchange) advance the
 ///     epoch and reset every link's sequence numbers and dedup window.
 ///     Link state keyed by (link) alone is not enough — a delayed
@@ -82,7 +83,8 @@ struct transport_stats {
 
 class transport {
  public:
-  /// Receiver-side payload sink for one message (typically channel::send).
+  /// Receiver-side payload sink for one message (e.g. a store into the
+  /// receiving face's message slot, or a migrated leaf's unpack).
   using deliver_fn = std::function<void(std::vector<std::uint8_t>)>;
 
   /// Per-frame wire overhead the reliability adds: seq (8) + link id (4) +
@@ -106,11 +108,14 @@ class transport {
   /// max_retries, or immediately when either locality is dead.
   /// \p deliver runs exactly once per sequence number — on the sending
   /// thread for an undelayed frame, else on a delivery task — no matter
-  /// how many copies of the frame arrive.
+  /// how many copies of the frame arrive.  A copy is acknowledged only
+  /// after that one delivery has returned, so send() returns only once
+  /// \p deliver has run to completion, and what it wrote happens-before
+  /// the return: a caller may read the delivered data right after it.
   void send(int link, int src_loc, int dst_loc,
             std::vector<std::uint8_t> payload, deliver_fn deliver);
 
-  /// Open the next link generation (a channel rebuild): every link's
+  /// Open the next link generation (a link rebuild): every link's
   /// sequence numbering restarts at 0 with a cleared dedup window, and any
   /// frame of an older generation still in flight is dropped at the
   /// receiver instead of delivered or matched against the fresh window.

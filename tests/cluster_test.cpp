@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -182,9 +183,9 @@ TEST_F(ClusterEnv, RepeatedStepsNoDeadlock) {
   EXPECT_TRUE(std::isfinite(lg.mass));
 }
 
-/// Tasks per kernel class in the step graph \p core records for one step
-/// (its options must set audit_races; the race audit dumps the graph).
-std::map<std::string, int> step_task_classes(app::step_core& core) {
+/// The step graph \p core records for one step (its options must set
+/// audit_races; the race audit dumps the graph).
+apex::owned_graph recorded_step(app::step_core& core) {
   // Per process: the suite runs this binary whole (under
   // OCTO_STEP_MODE=dataflow) beside the per-case runs.
   const std::string dump = testing::TempDir() + "/octo_cluster_dag_" +
@@ -196,9 +197,13 @@ std::map<std::string, int> step_task_classes(app::step_core& core) {
   std::ostringstream text;
   text << in.rdbuf();
   std::remove(dump.c_str());
+  return apex::load_graph_json(text.str());
+}
+
+/// Tasks per kernel class in the step graph \p core records for one step.
+std::map<std::string, int> step_task_classes(app::step_core& core) {
   std::map<std::string, int> classes;
-  for (const auto& n : apex::load_graph_json(text.str()).graph.nodes)
-    ++classes[n.cls];
+  for (const auto& n : recorded_step(core).graph.nodes) ++classes[n.cls];
   return classes;
 }
 
@@ -261,6 +266,64 @@ TEST_F(ClusterEnv, LinkTasksMatchTheLinkedFaces) {
     EXPECT_EQ(static_cast<std::uint64_t>(classes.at("unpack")), serialized)
         << "optim=" << optim;
     EXPECT_EQ(classes.at("send"), 3 * senders) << "optim=" << optim;
+  }
+}
+
+/// Each unpack is ordered after the same stage's send of the leaf across
+/// its face by a recorded edge: in dataflow mode a direct one, derived
+/// from the slot the send writes and the unpack reads; in barrier mode
+/// through the join that closes the sends' phase.
+TEST_F(ClusterEnv, EveryUnpackWaitsOnItsSendInTheRecordedGraph) {
+  auto sc = scen::rotating_star();
+  for (const auto mode : {app::step_mode::dataflow, app::step_mode::barrier}) {
+    const bool barrier = mode == app::step_mode::barrier;
+    dist_options o;
+    o.num_localities = 4;
+    o.sim = base_opts();
+    o.sim.mode = mode;
+    o.sim.audit_races = true;
+    cluster cl(sc, o);
+    cl.initialize();
+    const auto& topo = cl.topo();
+    const auto rec = recorded_step(cl);
+    const auto& nodes = rec.graph.nodes;
+    // The latest send of each leaf so far in build order (leaf -> node id):
+    // a send reads its own leaf's cells.
+    std::map<std::int32_t, std::uint32_t> send_of;
+    const auto has_dep = [&](const apex::dag_node& n, std::uint32_t id) {
+      return std::find(n.deps.begin(), n.deps.end(), id) != n.deps.end();
+    };
+    int unpacks = 0;
+    for (const auto& n : nodes) {
+      const std::string cls = n.cls;
+      if (cls == "send") {
+        for (const auto& a : n.footprint)
+          if (a.region == apex::rgn::field && !a.write) send_of[a.node] = n.id;
+        continue;
+      }
+      if (cls != "unpack") continue;
+      ++unpacks;
+      const apex::mem_access* face = nullptr;
+      for (const auto& a : n.footprint)
+        if (a.region == apex::rgn::ghost && a.write) face = &a;
+      ASSERT_NE(face, nullptr) << "unpack " << n.id;
+      const index_t nb = topo.neighbor(face->node, face->part);
+      ASSERT_EQ(send_of.count(nb), 1u) << "unpack " << n.id;
+      const std::uint32_t send = send_of.at(nb);
+      if (!barrier) {
+        EXPECT_TRUE(has_dep(n, send))
+            << "dataflow unpack " << n.id << " of leaf " << face->node
+            << " face " << face->part << " does not wait on send " << send;
+        continue;
+      }
+      ASSERT_EQ(n.deps.size(), 1u) << "barrier unpack " << n.id;
+      const auto& join = nodes.at(n.deps.front());
+      EXPECT_STREQ(join.cls, "join") << "barrier unpack " << n.id;
+      EXPECT_TRUE(has_dep(join, send))
+          << "barrier unpack " << n.id << ": its join " << join.id
+          << " does not close send " << send;
+    }
+    EXPECT_GT(unpacks, 0) << "barrier=" << barrier;
   }
 }
 

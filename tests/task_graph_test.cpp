@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -152,26 +153,6 @@ TEST_F(TaskGraph, DuplicateEdgeIsRecordedOnce) {
   EXPECT_EQ(p.nodes[1].deps, ids{0});
 }
 
-TEST_F(TaskGraph, KeepEdgeComesFirst) {
-  amt::promise<void> arrival;
-  amt::shared_future<void> keep(arrival.get_future());
-  auto& rec = apex::dag_recorder::instance();
-  rec.begin_step();
-  {
-    amt::task_graph g(rt, false);
-    const auto w = g.add("w", g.footprint().w(rgn::field, 0), nop);
-    const auto r = g.add("r", g.footprint().r(rgn::field, 0), nop, keep);
-    w.wait(rt);
-    EXPECT_FALSE(r.is_ready());
-    arrival.set_value();
-    EXPECT_FALSE(g.drain());
-  }
-  const auto p = rec.end_step();
-  ASSERT_EQ(p.nodes.size(), 2u);
-  // The arrival has no recorded producer; the derived edge is still there.
-  EXPECT_EQ(p.nodes[1].deps, ids{0});
-}
-
 TEST_F(TaskGraph, BarrierGraphRecordsOnlyItsJoins) {
   const auto p = record(true, [](amt::task_graph& g) {
     g.add("w", g.footprint().w(rgn::field, 0), nop);  // 0
@@ -209,4 +190,28 @@ TEST_F(TaskGraph, EmptyFootprintInDataflowGraphThrowsNamingTheClass) {
         << e.what();
   }
   EXPECT_FALSE(g.drain());
+}
+
+/// A failed task passes its error to the tasks ordered after it, which do
+/// not run, and drain() returns the error of the task that raised it.
+TEST_F(TaskGraph, FailureFlowsAlongTheEdgesAndDrainNamesItsOrigin) {
+  for (const bool barrier : {false, true}) {
+    amt::task_graph g(rt, barrier);
+    bool ran = false;
+    g.add("w", g.footprint().w(rgn::slot, 0),
+          [] { throw octo::error("origin"); });
+    g.join();
+    const auto r = g.add("r", g.footprint().r(rgn::slot, 0),
+                         [&ran] { ran = true; });
+    g.join();
+    const std::exception_ptr e = g.drain();
+    ASSERT_TRUE(e) << "barrier=" << barrier;
+    EXPECT_FALSE(ran) << "barrier=" << barrier;
+    EXPECT_TRUE(r.state()->has_exception()) << "barrier=" << barrier;
+    try {
+      std::rethrow_exception(e);
+    } catch (const octo::error& err) {
+      EXPECT_STREQ(err.what(), "origin") << "barrier=" << barrier;
+    }
+  }
 }

@@ -88,6 +88,31 @@ TEST_F(TransportEnv, SlowUndelayedDeliveryNeverTimesOut) {
   EXPECT_EQ(st.frames_sent, 20u);
 }
 
+/// send() returns only after the one delivery of its message has run to
+/// completion: a duplicate copy that reaches the receiver while the first
+/// copy's (slow) delivery is still running must not acknowledge the
+/// message early.  The cluster relies on this: its unpack task reads the
+/// message slot the delivery wrote as soon as the send task returns.
+TEST_F(TransportEnv, SendReturnsOnlyAfterDeliveryCompleted) {
+  auto& inj = fault::injector::instance();
+  inj.arm_msg_dup(1);
+  inj.arm_msg_delay_us(2000);
+  std::atomic<bool> landed{false};  // outlives the workers' late copies
+  amt::runtime four(4);
+  transport tp(1, {}, four);
+  int early = 0;
+  for (std::uint8_t i = 0; i < 20; ++i) {
+    landed = false;
+    tp.send(0, 0, 1, {i}, [&](std::vector<std::uint8_t>) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(30));
+      landed = true;
+    });
+    early += !landed.load();
+  }
+  EXPECT_EQ(early, 0) << "send() returned before its delivery finished";
+  EXPECT_EQ(tp.stats().messages, 20u);
+}
+
 TEST_F(TransportEnv, ExactlyOnceUnderDropDelayDupReorder) {
   auto& inj = fault::injector::instance();
   inj.arm_msg_drop(0.2);
