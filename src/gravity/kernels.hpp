@@ -33,6 +33,16 @@
 /// contiguous.  A class holds N/2 targets per row, so the pack is at most
 /// N/2 lanes wide.  The full and leaf cases and the P2P also skip a pack
 /// whose sources all lie in same-level neighbors that do not exist.
+///
+/// Rounding contract: the kernels here are straight-line code (every
+/// fixed-trip loop is unrolled, so table indices, multiplicities and the
+/// branches on them are constants) compiled with floating-point contraction
+/// off (OCTO_NO_CONTRACT_BEGIN).  Every fused multiply-add is an explicit
+/// `fma` and every other product and sum is rounded on its own, so the
+/// result is fixed by the source: it does not depend on the contraction
+/// mode, the optimization level or the unrolling heuristics of the file that
+/// includes this header.  The fused points are the ones GCC 12 chose at -O2
+/// for the earlier loop forms, so the pinned kernels kept those bits.
 
 #include <array>
 #include <cmath>
@@ -72,39 +82,6 @@ struct pack_derivs {
   P d3[NSYM3];
 };
 
-/// Fill \p d with D0..D3 of -G/|R| at R = (rx, ry, rz) (nonzero).
-template <typename P>
-inline void compute_derivs(P rx, P ry, P rz, real G, pack_derivs<P>& d) {
-  const P r[3] = {rx, ry, rz};
-  const P r2 = rx * rx + ry * ry + rz * rz;
-  const P rinv = P(1) / sqrt(r2);
-  const P rinv2 = rinv * rinv;
-  const P rinv3 = rinv * rinv2;
-  d.d0 = P(-G) * rinv;
-  const P c1 = P(G) * rinv3;
-  for (int a = 0; a < 3; ++a) d.d1[a] = c1 * r[a];
-  const P rinv5 = rinv3 * rinv2;
-  const P rinv7 = rinv5 * rinv2;
-  const P c2 = P(-3 * G) * rinv5;
-  for (int a = 0; a < 3; ++a)
-    for (int b = a; b < 3; ++b) {
-      P v = c2 * r[a] * r[b];
-      if (a == b) v += c1;
-      d.d2[sym2_idx(a, b)] = v;
-    }
-  const P c3 = P(15 * G) * rinv7;
-  for (int s = 0; s < NSYM3; ++s) {
-    const int a = sym3_abc[s][0], b = sym3_abc[s][1], c = sym3_abc[s][2];
-    P v = c3 * r[a] * r[b] * r[c];
-    P corr(0);
-    if (a == b) corr += r[c];
-    if (a == c) corr += r[b];
-    if (b == c) corr += r[a];
-    v += c2 * corr;
-    d.d3[s] = v;
-  }
-}
-
 /// Pack accumulator for a target cell row.
 template <typename P>
 struct pack_expansion {
@@ -124,39 +101,82 @@ struct pack_multipole {
   P o[NSYM3];
 };
 
+OCTO_NO_CONTRACT_BEGIN
+
+/// Fill \p d with D0..D3 of -G/|R| at R = (rx, ry, rz) (nonzero).  Fused:
+/// r2's two sums, and each D3 slot's correction c2 * corr; the D2 diagonal
+/// adds c1 on its own.  corr starts from 0 (0 + x maps -0 to +0).
+template <typename P>
+inline void compute_derivs(P rx, P ry, P rz, real G, pack_derivs<P>& d) {
+  const P r[3] = {rx, ry, rz};
+  const P r2 = fma(rz, rz, fma(ry, ry, rx * rx));
+  const P rinv = P(1) / sqrt(r2);
+  const P rinv2 = rinv * rinv;
+  const P rinv3 = rinv * rinv2;
+  d.d0 = P(-G) * rinv;
+  const P c1 = P(G) * rinv3;
+  OCTO_UNROLL
+  for (int a = 0; a < 3; ++a) d.d1[a] = c1 * r[a];
+  const P rinv5 = rinv3 * rinv2;
+  const P rinv7 = rinv5 * rinv2;
+  const P c2 = P(-3 * G) * rinv5;
+  OCTO_UNROLL
+  for (int s = 0; s < NSYM2; ++s) {
+    const int a = sym2_ab[s][0], b = sym2_ab[s][1];
+    const P v = c2 * r[a] * r[b];
+    d.d2[s] = a == b ? v + c1 : v;
+  }
+  const P c3 = P(15 * G) * rinv7;
+  OCTO_UNROLL
+  for (int s = 0; s < NSYM3; ++s) {
+    const int a = sym3_abc[s][0], b = sym3_abc[s][1], c = sym3_abc[s][2];
+    P corr(0);
+    if (a == b) corr += r[c];
+    if (a == c) corr += r[b];
+    if (b == c) corr += r[a];
+    d.d3[s] = fma(corr, c2, c3 * r[a] * r[b] * r[c]);
+  }
+}
+
 /// Accumulate M2L into the target accumulator.  When \p Full is false the
 /// target keeps only L0/L1 (leaf cells are monopoles: their L2/L3 would
-/// multiply vanishing internal moments).
+/// multiply vanishing internal moments).  Each term is one fma of the
+/// coefficient-scaled moment with its derivative, in slot order.
 template <typename P, bool Full>
 inline void m2l_pack(const pack_multipole<P>& src, const pack_derivs<P>& d,
                      pack_expansion<P>& acc) {
   // L0 = M D0 + 1/2 Q:D2 - 1/6 O:D3
   P l0 = src.m * d.d0;
+  OCTO_UNROLL
   for (int s = 0; s < NSYM2; ++s)
     l0 = fma(P(real(0.5) * sym2_mult[s]) * src.q[s], d.d2[s], l0);
+  OCTO_UNROLL
   for (int s = 0; s < NSYM3; ++s)
     l0 = fma(P(-(real(1) / 6) * sym3_mult[s]) * src.o[s], d.d3[s], l0);
   acc.l0 += l0;
 
   // L1_i = M D1_i + 1/2 Q_jk D3_ijk
+  OCTO_UNROLL
   for (int i = 0; i < 3; ++i) {
     P l1 = src.m * d.d1[i];
-    for (int j = 0; j < 3; ++j)
-      for (int k = j; k < 3; ++k) {
-        const real mult = (j == k) ? real(0.5) : real(1);
-        l1 = fma(P(mult) * src.q[sym2_idx(j, k)], d.d3[sym3_idx(i, j, k)],
-                 l1);
-      }
+    OCTO_UNROLL
+    for (int s = 0; s < NSYM2; ++s)
+      l1 = fma(P(real(0.5) * sym2_mult[s]) * src.q[s],
+               d.d3[sym3_idx(i, sym2_ab[s][0], sym2_ab[s][1])], l1);
     acc.l1[i] += l1;
   }
 
   if constexpr (Full) {
+    OCTO_UNROLL
     for (int s = 0; s < NSYM2; ++s)
       acc.l2[s] = fma(src.m, d.d2[s], acc.l2[s]);
+    OCTO_UNROLL
     for (int s = 0; s < NSYM3; ++s)
       acc.l3[s] = fma(src.m, d.d3[s], acc.l3[s]);
   }
 }
+
+OCTO_NO_CONTRACT_END
 
 /// D0 and D1 of -G/|R| at one lattice vector: an entry of the mono case's
 /// per-level stencil table (fmm_solver::mono_table).
@@ -183,11 +203,13 @@ inline lattice_deriv lattice_derivs(const std::array<int, 3>& o, real dx,
   return t;
 }
 
+OCTO_NO_CONTRACT_BEGIN
+
 /// Monopole-monopole near-field contribution (exact): only D0/D1 needed.
 template <typename P>
 inline void p2p_pack(P src_m, P rx, P ry, P rz, real G,
                      pack_expansion<P>& acc) {
-  const P r2 = rx * rx + ry * ry + rz * rz;
+  const P r2 = fma(rz, rz, fma(ry, ry, rx * rx));
   const P rinv = P(1) / sqrt(r2);
   const P rinv3 = rinv * rinv * rinv;
   acc.l0 = fma(P(-G) * src_m, rinv, acc.l0);
@@ -196,5 +218,7 @@ inline void p2p_pack(P src_m, P rx, P ry, P rz, real G,
   acc.l1[1] = fma(c1, ry, acc.l1[1]);
   acc.l1[2] = fma(c1, rz, acc.l1[2]);
 }
+
+OCTO_NO_CONTRACT_END
 
 }  // namespace octo::gravity

@@ -20,6 +20,13 @@
 /// conserved to machine precision — the property §IV-C highlights.  Keeping the octupole term is what makes the
 /// angular-momentum error small enough for the paper's coupled
 /// energy-conserving scheme.
+///
+/// Rounding contract of the shift kernels (m2m_accumulate, l2l_shift): they
+/// are straight-line code compiled with floating-point contraction off
+/// (OCTO_NO_CONTRACT_BEGIN), every fused multiply-add written out as a
+/// std::fma, so the compiler contracts nothing there and their bits do not
+/// depend on the flags of the file that includes this header.  The fused
+/// points are the ones GCC 12 chose at -O2 for the earlier loop forms.
 
 #include <array>
 #include <cmath>
@@ -27,6 +34,7 @@
 #include "common/types.hpp"
 #include "common/vec3.hpp"
 #include "common/units.hpp"
+#include "simd/simd.hpp"
 
 namespace octo::gravity {
 
@@ -41,6 +49,11 @@ constexpr int sym2_idx(int a, int b) {
   constexpr int map[3][3] = {{0, 1, 2}, {1, 3, 4}, {2, 4, 5}};
   return map[a][b];
 }
+
+/// The (a, b) pair of each sym2 slot (a <= b).
+inline constexpr std::array<std::array<int, 2>, NSYM2> sym2_ab = {{
+    {0, 0}, {0, 1}, {0, 2}, {1, 1}, {1, 2}, {2, 2},
+}};
 
 /// Multiplicity of each sym2 component in a full contraction.
 inline constexpr std::array<real, NSYM2> sym2_mult = {1, 2, 2, 1, 2, 1};
@@ -162,63 +175,81 @@ inline void m2l_accumulate(const multipole& src, const deriv_tensors& d,
   for (int s = 0; s < NSYM3; ++s) tgt.l3[s] += src.m * d.d3[s];
 }
 
+OCTO_NO_CONTRACT_BEGIN
+
 /// M2M: fold child moments (about child COM) into parent moments (about the
 /// already-computed parent COM).  Call once per child after setting
-/// parent.m and parent.com.
+/// parent.m and parent.com.  Each slot's sum of shifted terms is one fma
+/// chain in source order, added to the parent's slot once.
 inline void m2m_accumulate(const multipole& child, multipole& parent) {
   const rvec3 dv = child.com - parent.com;
   const real d[3] = {dv.x, dv.y, dv.z};
   // O first (uses child's Q before it is folded)
+  OCTO_UNROLL
   for (int s = 0; s < NSYM3; ++s) {
     const int a = sym3_abc[s][0], b = sym3_abc[s][1], c = sym3_abc[s][2];
-    parent.o[s] += child.o[s] + child.q[sym2_idx(a, b)] * d[c] +
-                   child.q[sym2_idx(b, c)] * d[a] +
-                   child.q[sym2_idx(a, c)] * d[b] +
-                   child.m * d[a] * d[b] * d[c];
+    real o = std::fma(child.q[sym2_idx(a, b)], d[c], child.o[s]);
+    o = std::fma(child.q[sym2_idx(b, c)], d[a], o);
+    o = std::fma(child.q[sym2_idx(a, c)], d[b], o);
+    parent.o[s] += std::fma(child.m * d[a] * d[b], d[c], o);
   }
-  for (int a = 0; a < 3; ++a)
-    for (int b = a; b < 3; ++b)
-      parent.q[sym2_idx(a, b)] += child.q[sym2_idx(a, b)] +
-                                  child.m * d[a] * d[b];
+  OCTO_UNROLL
+  for (int s = 0; s < NSYM2; ++s) {
+    const int a = sym2_ab[s][0], b = sym2_ab[s][1];
+    parent.q[s] += std::fma(child.m * d[a], d[b], child.q[s]);
+  }
 }
 
 /// L2L: shift a parent expansion (about parent COM) to a child expansion
 /// point displaced by h = child_com - parent_com; accumulates into \p out.
+/// Every Taylor term is one fma of its product (less the last h factor)
+/// with that factor, in slot order.
 inline void l2l_shift(const expansion& in, const rvec3& hv, expansion& out) {
   const real h[3] = {hv.x, hv.y, hv.z};
   // L0
   real l0 = in.l0;
-  for (int i = 0; i < 3; ++i) l0 += in.l1[i] * h[i];
-  for (int a = 0; a < 3; ++a)
-    for (int b = a; b < 3; ++b) {
-      const real mult = (a == b) ? 1 : 2;
-      l0 += real(0.5) * mult * in.l2[sym2_idx(a, b)] * h[a] * h[b];
-    }
+  OCTO_UNROLL
+  for (int i = 0; i < 3; ++i) l0 = std::fma(in.l1[i], h[i], l0);
+  OCTO_UNROLL
+  for (int s = 0; s < NSYM2; ++s) {
+    const int a = sym2_ab[s][0], b = sym2_ab[s][1];
+    l0 = std::fma(real(0.5) * sym2_mult[s] * in.l2[s] * h[a], h[b], l0);
+  }
+  OCTO_UNROLL
   for (int s = 0; s < NSYM3; ++s) {
     const int a = sym3_abc[s][0], b = sym3_abc[s][1], c = sym3_abc[s][2];
-    l0 += (real(1) / 6) * sym3_mult[s] * in.l3[s] * h[a] * h[b] * h[c];
+    l0 = std::fma((real(1) / 6) * sym3_mult[s] * in.l3[s] * h[a] * h[b], h[c],
+                  l0);
   }
   out.l0 += l0;
   // L1
+  OCTO_UNROLL
   for (int i = 0; i < 3; ++i) {
     real l1 = in.l1[i];
-    for (int j = 0; j < 3; ++j) l1 += in.l2[sym2_idx(i, j)] * h[j];
-    for (int j = 0; j < 3; ++j)
-      for (int k = j; k < 3; ++k) {
-        const real mult = (j == k) ? 1 : 2;
-        l1 += real(0.5) * mult * in.l3[sym3_idx(i, j, k)] * h[j] * h[k];
-      }
+    OCTO_UNROLL
+    for (int j = 0; j < 3; ++j) l1 = std::fma(in.l2[sym2_idx(i, j)], h[j], l1);
+    OCTO_UNROLL
+    for (int s = 0; s < NSYM2; ++s) {
+      const int j = sym2_ab[s][0], k = sym2_ab[s][1];
+      l1 = std::fma(real(0.5) * sym2_mult[s] * in.l3[sym3_idx(i, j, k)] * h[j],
+                    h[k], l1);
+    }
     out.l1[i] += l1;
   }
   // L2
-  for (int a = 0; a < 3; ++a)
-    for (int b = a; b < 3; ++b) {
-      real l2 = in.l2[sym2_idx(a, b)];
-      for (int k = 0; k < 3; ++k) l2 += in.l3[sym3_idx(a, b, k)] * h[k];
-      out.l2[sym2_idx(a, b)] += l2;
-    }
+  OCTO_UNROLL
+  for (int s = 0; s < NSYM2; ++s) {
+    const int a = sym2_ab[s][0], b = sym2_ab[s][1];
+    real l2 = in.l2[s];
+    OCTO_UNROLL
+    for (int k = 0; k < 3; ++k) l2 = std::fma(in.l3[sym3_idx(a, b, k)], h[k], l2);
+    out.l2[s] += l2;
+  }
   // L3
+  OCTO_UNROLL
   for (int s = 0; s < NSYM3; ++s) out.l3[s] += in.l3[s];
 }
+
+OCTO_NO_CONTRACT_END
 
 }  // namespace octo::gravity

@@ -253,9 +253,9 @@ std::span<const std::array<int, 3>> fmm_solver::mono_offsets() {
   return stencil();
 }
 
-void fmm_solver::set_leaf_density(index_t node, std::span<const real> rho) {
+template <typename Rho>
+void fmm_solver::set_leaf_moments(index_t node, const Rho& rho) {
   OCTO_CHECK(topo_.node(node).leaf);
-  OCTO_CHECK(rho.size() == static_cast<std::size_t>(C3));
   auto& nd = nodes_[node];
   const real dx = topo_.cell_width(node);
   const real vol = dx * dx * dx;
@@ -265,7 +265,7 @@ void fmm_solver::set_leaf_density(index_t node, std::span<const real> rho) {
     for (int j = 0; j < N; ++j)
       for (int k = 0; k < N; ++k) {
         const index_t cell = cell_index(i, j, k);
-        nd.mom[mc_m * CP + cell] = rho[static_cast<std::size_t>(cell)] * vol;
+        nd.mom[mc_m * CP + cell] = rho(i, j, k) * vol;
         // A leaf's centre of mass is its cell centre: the mono-case tables
         // (mono_table_) evaluate every leaf source at its lattice position.
         nd.mom[mc_cx * CP + cell] = c.x - half + (i + real(0.5)) * dx;
@@ -276,14 +276,17 @@ void fmm_solver::set_leaf_density(index_t node, std::span<const real> rho) {
       }
 }
 
+void fmm_solver::set_leaf_density(index_t node, std::span<const real> rho) {
+  OCTO_CHECK(rho.size() == static_cast<std::size_t>(C3));
+  set_leaf_moments(node, [&](int i, int j, int k) {
+    return rho[static_cast<std::size_t>(cell_index(i, j, k))];
+  });
+}
+
 void fmm_solver::set_leaf_from_subgrid(index_t node, const grid::subgrid& u) {
-  std::vector<real> rho(static_cast<std::size_t>(C3));
-  for (int i = 0; i < N; ++i)
-    for (int j = 0; j < N; ++j)
-      for (int k = 0; k < N; ++k)
-        rho[static_cast<std::size_t>(cell_index(i, j, k))] =
-            u.at(grid::f_rho, i, j, k);
-  set_leaf_density(node, rho);
+  set_leaf_moments(node, [&](int i, int j, int k) {
+    return u.at(grid::f_rho, i, j, k);
+  });
 }
 
 // ---------------------------------------------------------------------------

@@ -36,9 +36,8 @@
 namespace octo::gravity {
 
 struct gravity_options {
-  /// A runtime value on purpose: a compile-time G = 1 could let the
-  /// compiler re-contract the M2L FMAs and change bits.
-  // option kept: bitwise M2L contract (gravity_test ChunkCountBitwise.*)
+  /// Gravitational constant in code units.
+  // option kept: GravityEnv.KernelsMatchScalarOracle (reads options().G)
   real G = units::G_code;
   /// Select the vector-ABI kernels (paper's SVE toggle, Fig. 7).
   bool use_simd = true;
@@ -164,6 +163,11 @@ class fmm_solver {
     const int nc = std::max(opt_.m2l_chunks, 1);
     return node == topo_.root() ? std::max(nc, N) : nc;
   }
+
+  /// Write a leaf's moments from its cell densities rho(i, j, k): the one
+  /// loop behind set_leaf_density and set_leaf_from_subgrid.
+  template <typename Rho>
+  void set_leaf_moments(index_t node, const Rho& rho);
 
   void compute_m2m(index_t node);
   void compute_m2l(index_t node, int chunk, int nchunks);

@@ -16,6 +16,13 @@
 /// `simd<T>` defaults to the widest ABI the target supports, and defining
 /// OCTO_SIMD_FORCE_SCALAR rebinds the default to scalar — this is the switch
 /// the paper flips for Fig. 7.
+///
+/// `fma(a, b, c)` is one fused multiply-add, a * b + c rounded once, on every
+/// ABI and every target: the packed instruction where the target has one,
+/// std::fma per lane otherwise.  It never depends on whether the compiler
+/// contracts a * b + c, so a kernel that spells out its fused operations and
+/// switches contraction off (OCTO_NO_CONTRACT_BEGIN / _END) rounds the same
+/// way whatever the flags of the file that includes it.
 
 #include <algorithm>
 #include <cmath>
@@ -25,6 +32,35 @@
 
 #if defined(__SSE2__)
 #include <immintrin.h>
+#endif
+
+/// Bracket function definitions whose rounding is fixed in the source: no
+/// floating-point contraction happens between the two, so every fused
+/// multiply-add there is an explicit `fma` and every other product is
+/// rounded on its own.  GCC contracts inlined code under the caller's mode,
+/// so it never inlines a function defined here into a caller outside such a
+/// region (it runs as a call there); into a caller inside one it does.
+#if defined(__clang__)
+#define OCTO_NO_CONTRACT_BEGIN \
+  _Pragma("float_control(push)") _Pragma("clang fp contract(off)")
+#define OCTO_NO_CONTRACT_END _Pragma("float_control(pop)")
+#elif defined(__GNUC__)
+#define OCTO_NO_CONTRACT_BEGIN \
+  _Pragma("GCC push_options") _Pragma("GCC optimize(\"fp-contract=off\")")
+#define OCTO_NO_CONTRACT_END _Pragma("GCC pop_options")
+#else
+#define OCTO_NO_CONTRACT_BEGIN
+#define OCTO_NO_CONTRACT_END
+#endif
+
+/// Unroll the fixed-trip loop that follows completely (trip counts up to
+/// 16), so indices into constant tables become constants.
+#if defined(__clang__)
+#define OCTO_UNROLL _Pragma("unroll")
+#elif defined(__GNUC__)
+#define OCTO_UNROLL _Pragma("GCC unroll 16")
+#else
+#define OCTO_UNROLL
 #endif
 
 namespace octo {
@@ -323,15 +359,17 @@ class simd<T, simd_abi::fixed<N>> {
     return s;
   }
 
-  // Lanewise math.  At -O2 -march=native -mno-avx512f, abs (vandpd),
-  // min/max (vminpd/vmaxpd) and fma (vfmadd) already compile to single
-  // vector instructions, and copysign to three vector bit operations.
-  // A std::sqrt lane loop does not: with math-errno on, GCC emits one scalar
-  // vsqrtsd per lane plus a libm call for the errno path.  sqrt therefore
-  // uses the packed intrinsic for the native 16- and 32-byte widths; the
-  // lane loop is the fallback for other widths (fixed<8> of double under
-  // AVX2) and non-x86 targets.  IEEE sqrt is correctly rounded, so both
-  // forms give bitwise identical results.
+  // Lanewise math.  At -O2 -march=native -mno-avx512f, abs (vandpd) and
+  // min/max (vminpd/vmaxpd) already compile to single vector instructions,
+  // and copysign to three vector bit operations.  A std::sqrt lane loop does
+  // not: with math-errno on, GCC emits one scalar vsqrtsd per lane plus a
+  // libm call for the errno path.  sqrt therefore uses the packed intrinsic
+  // for the native 16- and 32-byte widths; the lane loop is the fallback for
+  // other widths (fixed<8> of double under AVX2) and non-x86 targets.  IEEE
+  // sqrt is correctly rounded, so both forms give bitwise identical results.
+  // fma takes the same shape: the packed vfmadd on FMA targets, std::fma per
+  // lane elsewhere, both rounding once (a * b + c would fuse only where the
+  // compiler contracts).
   friend simd sqrt(simd a) {
 #if defined(__AVX__)
     if constexpr (sizeof(vec_t) == 32 && std::is_same_v<T, double>)
@@ -356,7 +394,21 @@ class simd<T, simd_abi::fixed<N>> {
   }
   friend simd min(simd a, simd b) { return select(a < b, a, b); }
   friend simd max(simd a, simd b) { return select(a > b, a, b); }
-  friend simd fma(simd a, simd b, simd c) { return simd(a.v_ * b.v_ + c.v_); }
+  friend simd fma(simd a, simd b, simd c) {
+#if defined(__FMA__)
+    if constexpr (sizeof(vec_t) == 32 && std::is_same_v<T, double>)
+      return simd(_mm256_fmadd_pd(a.v_, b.v_, c.v_));
+    if constexpr (sizeof(vec_t) == 32 && std::is_same_v<T, float>)
+      return simd(_mm256_fmadd_ps(a.v_, b.v_, c.v_));
+    if constexpr (sizeof(vec_t) == 16 && std::is_same_v<T, double>)
+      return simd(_mm_fmadd_pd(a.v_, b.v_, c.v_));
+    if constexpr (sizeof(vec_t) == 16 && std::is_same_v<T, float>)
+      return simd(_mm_fmadd_ps(a.v_, b.v_, c.v_));
+#endif
+    simd r;
+    for (int i = 0; i < N; ++i) r.v_[i] = std::fma(a.v_[i], b.v_[i], c.v_[i]);
+    return r;
+  }
   friend simd copysign(simd a, simd b) {
     simd r;
     for (int i = 0; i < N; ++i) r.v_[i] = std::copysign(a.v_[i], b.v_[i]);

@@ -227,11 +227,19 @@ TEST_F(GravityEnv, ScalarAndSimdKernelsAgree) {
   }
   f1.solve();
   f2.solve();
-  for (const index_t leaf : topo.leaves()) {
-    auto a = f1.phi(leaf), b = f2.phi(leaf);
-    for (int c = 0; c < 512; ++c)
-      ASSERT_NEAR(a[c], b[c], 1e-11 * std::abs(a[c]));
-  }
+  // The Fig. 7 toggle is answer-neutral: both pack widths run the same
+  // pinned kernels lane by lane, so phi and g agree bit for bit.
+  using output = std::span<const real> (fmm_solver::*)(index_t) const;
+  const std::pair<const char*, output> outputs[] = {{"phi", &fmm_solver::phi},
+                                                    {"gx", &fmm_solver::gx},
+                                                    {"gy", &fmm_solver::gy},
+                                                    {"gz", &fmm_solver::gz}};
+  for (const index_t leaf : topo.leaves())
+    for (const auto& [name, out] : outputs) {
+      const auto a = (f1.*out)(leaf), b = (f2.*out)(leaf);
+      EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size_bytes()), 0)
+          << name << ", leaf " << leaf;
+    }
 }
 
 class ChunkInvariance : public testing::TestWithParam<int> {
@@ -1067,6 +1075,29 @@ void expect_mirror_derivs() {
 TEST(GravityKernels, DerivativesAtMinusRMirrorBitwise) {
   expect_mirror_derivs<simd<real, simd_abi::scalar>>();
   expect_mirror_derivs<simd<real, simd_abi::native<real>>>();
+}
+
+}  // namespace
+
+// gravity_kernel_digest.cpp, compiled with -ffp-contract=fast and =off.
+std::uint64_t kernel_digest_contract_fast(std::uint64_t seed);
+std::uint64_t kernel_digest_contract_off(std::uint64_t seed);
+
+namespace {
+
+/// The kernels' rounding is fixed in the source: compute_derivs, m2l_pack
+/// (full and leaf), p2p_pack on the scalar and native packs, l2l_shift and
+/// m2m_accumulate hash to the same bits whether the including file contracts
+/// or not, and to the bits of the loop forms they replaced (the constant, on
+/// targets with a 4-lane native double pack).
+TEST(GravityKernels, RoundingIsPinned) {
+  const std::uint64_t fast = kernel_digest_contract_fast(2024);
+  const std::uint64_t off = kernel_digest_contract_off(2024);
+  EXPECT_EQ(fast, off) << "kernel bits depend on the caller's contraction";
+  if constexpr (simd<real, simd_abi::native<real>>::size() == 4) {
+    EXPECT_EQ(fast, 0x85073f713641fafeull)
+        << "kernel bits differ from the loop forms' (GCC 12, -O2)";
+  }
 }
 
 TEST_F(GravityEnv, UniformSphereInteriorField) {
