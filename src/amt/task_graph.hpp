@@ -9,14 +9,30 @@
 ///   * dataflow: every task's edges are derived from the footprints of the
 ///     tasks added before it, in build order (rules below), and join()
 ///     does nothing — the graph's only join is drain().
-///   * barrier: every task's only edge is the previous phase join, and
-///     join() closes the phase: the calling thread waits, helping, for the
-///     tasks added since the last join and joins them with one `when_all`
-///     before it builds the next phase.
+///   * barrier: a task has no edges and runs as soon as it is added, and
+///     join() closes the phase: the calling thread waits, helping, until
+///     every task added so far has finished before it builds the next
+///     phase.
 ///
 /// The caller builds the same phases in the same order either way and
 /// calls join() at each phase boundary, so a barrier schedule is the
 /// dataflow graph with its derived edges replaced by phase joins.
+///
+/// The graph owns its tasks.  Each holds its body, a count of unfinished
+/// producers, its successors and a failed flag.  An edge to a producer that
+/// has already finished is not counted; a finishing task decrements its
+/// successors' counts and posts each one that reaches zero.  Tasks run
+/// while the graph is still being built, so a producer's successor list is
+/// appended to under its lock, against its finishing at the same moment.
+/// A task whose producer failed — or, in barrier mode, that follows a
+/// failed phase — does not run and is marked failed; only a task whose
+/// body threw stores an exception, and drain() returns the first in build
+/// order, which is therefore the cause.
+///
+/// While a DAG recording is active (apex/dag.hpp) every task is recorded
+/// with its class, producer ids, footprint and ready/start/end times, and
+/// every barrier join as a zero-duration "join" node that the next phase's
+/// tasks depend on.
 ///
 /// Edge rules.  Per (region kind, node) the dataflow graph keeps the last
 /// whole-region writer, the last writer of each part since then, and the
@@ -39,13 +55,19 @@
 /// active, so the barrier path derives and stores no edges at all.
 
 #include <array>
+#include <atomic>
 #include <cstdint>
+#include <deque>
 #include <exception>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
-#include "amt/future.hpp"
+#include "amt/runtime.hpp"
+#include "amt/unique_function.hpp"
+#include "apex/dag.hpp"
 #include "apex/race_audit.hpp"
 #include "apex/trace.hpp"
 #include "common/error.hpp"
@@ -54,10 +76,14 @@ namespace octo::amt {
 
 class task_graph {
  public:
-  using edge = shared_future<void>;
-
   task_graph(runtime& rt, bool barrier)
       : rt_(&rt), barrier_(barrier), join_ns_(apex::trace::now_ns()) {}
+
+  /// Waits, helping, for every task: they point into the graph.
+  ~task_graph() { wait_all(); }
+
+  task_graph(const task_graph&) = delete;
+  task_graph& operator=(const task_graph&) = delete;
 
   /// An empty footprint for add(): it records in a dataflow graph, which
   /// derives its edges from it, and in a barrier graph only while a DAG
@@ -67,41 +93,53 @@ class task_graph {
   }
 
   /// Add a task with its footprint \p fp (from footprint()).  It waits on
-  /// the edges derived from \p fp in dataflow mode, or on the previous
-  /// join in barrier mode.  Throws octo::error in dataflow mode when \p fp
-  /// is empty: such a task would be ordered against nothing.
+  /// the edges derived from \p fp in dataflow mode, or runs at once in
+  /// barrier mode.  Throws octo::error in dataflow mode when \p fp is
+  /// empty: such a task would be ordered against nothing.
   template <typename F>
-  edge add(const char* name, apex::access_set fp, F&& f) {
+  void add(const char* name, apex::access_set fp, F&& f) {
     const auto id = static_cast<std::uint32_t>(tasks_.size());
-    std::vector<edge> in;
-    if (barrier_) {
-      in.push_back(join_);
-    } else {
+    if (!barrier_) {
       if (fp.empty())
         throw error(std::string("task_graph: task '") + name +
                     "' declares no footprint in a dataflow graph");
       derive(fp.accesses(), id);
-      for (const std::uint32_t d : deps_) in.push_back(tasks_[d]);
-      publish(fp.accesses(), id);  // id is the slot tasks_ gives it below
     }
-    edge t = detail::dataflow_node(name, &fp, std::forward<F>(f),
-                                   std::move(in), *rt_);
-    tasks_.push_back(t);
-    return t;
+    task& t = tasks_.emplace_back(std::forward<F>(f));
+    unfinished_.fetch_add(1, std::memory_order_relaxed);
+    if (barrier_) {
+      if (phase_failed_) t.failed.store(true, std::memory_order_relaxed);
+    } else {
+      for (const std::uint32_t d : deps_) link(tasks_[d], t);
+      publish(fp.accesses(), id);
+    }
+    if (apex::dag_recorder::enabled()) record(name, fp.take(), t);
+    release(t);  // the creation token
   }
 
   /// Barrier mode: wait (helping) for the tasks added since the last join,
-  /// then join them and stamp the join on the trace clock.  Joining
-  /// resolved tasks resolves inline, with no continuation parked on each.
-  /// No-op in dataflow mode and for an empty phase.
+  /// then stamp the join on the trace clock.  No-op in dataflow mode and
+  /// for an empty phase.
   void join() {
     if (!barrier_ || phase_begin_ == tasks_.size()) return;
-    std::vector<edge> phase(
-        tasks_.begin() + static_cast<std::ptrdiff_t>(phase_begin_),
-        tasks_.end());
-    for (const auto& t : phase) t.wait(*rt_);
-    join_ = amt::when_all(std::move(phase), *rt_);
+    wait_all();
     join_ns_ = apex::trace::now_ns();
+    const bool recording = apex::dag_recorder::enabled();
+    rec_deps_.clear();
+    bool failed = false;
+    for (std::size_t i = phase_begin_; i < tasks_.size(); ++i) {
+      failed = failed || tasks_[i].failed.load(std::memory_order_relaxed);
+      if (recording && tasks_[i].dag != nullptr)
+        rec_deps_.push_back(tasks_[i].dag->id);
+    }
+    phase_failed_ = phase_failed_ || failed;
+    join_dag_ = recording ? apex::dag_recorder::instance().on_create(
+                                "join", rec_deps_, {})
+                          : nullptr;
+    if (join_dag_ != nullptr) {
+      join_dag_->ready_ns = join_dag_->start_ns = join_dag_->end_ns = join_ns_;
+      join_dag_->failed = failed;
+    }
     phase_begin_ = tasks_.size();
   }
 
@@ -113,16 +151,33 @@ class task_graph {
   /// nullptr.  A task that inherits an error from its edges comes after
   /// the task that raised it, so this names the cause.
   std::exception_ptr drain() const {
-    for (const auto& t : tasks_) t.wait(*rt_);
-    for (const auto& t : tasks_)
-      if (auto e = detail::stored_exception(t.state())) return e;
+    wait_all();
+    for (const task& t : tasks_)
+      if (t.error) return t.error;
     return nullptr;
   }
 
  private:
   static constexpr std::uint32_t none = ~std::uint32_t{0};
+
+  /// One task.  The builder writes it until add() releases the creation
+  /// token; workers reach it only through a post or a successor list, so
+  /// tasks_ (a deque: elements never move) is the builder's alone.
+  struct task {
+    explicit task(unique_function<void()> f) : body(std::move(f)) {}
+    unique_function<void()> body;
+    /// Unfinished counted producers, plus the creation token add() holds.
+    std::atomic<std::uint32_t> pending{1};
+    /// Set by a failed producer before its decrement, or by the body.
+    std::atomic<bool> failed{false};
+    std::exception_ptr error;  ///< what the body threw (written by run())
+    std::mutex m;              ///< guards done and successors
+    bool done = false;
+    std::vector<task*> successors;
+    apex::dag_node* dag = nullptr;  ///< recorded slot, or null
+  };
+
   /// A reader (its index in tasks_) with the part of the region it read.
-  /// Tasks are indices, not futures: the table costs no reference counts.
   struct reader {
     std::int32_t part;
     std::uint32_t task;
@@ -136,6 +191,79 @@ class task_graph {
     std::uint32_t newest_part_writer = none;  ///< max of part_writer
     std::vector<reader> readers;  ///< readers since their write
   };
+
+  /// Edge p -> c, counted only while p has not finished; a finished p
+  /// passes on its failure at once.
+  static void link(task& p, task& c) {
+    const std::lock_guard<std::mutex> lock(p.m);
+    if (p.done) {
+      if (p.failed.load(std::memory_order_relaxed))
+        c.failed.store(true, std::memory_order_relaxed);
+      return;
+    }
+    c.pending.fetch_add(1, std::memory_order_relaxed);
+    p.successors.push_back(&c);
+  }
+
+  /// Drop one of \p t's pending counts; the last one posts it.
+  void release(task& t) {
+    if (t.pending.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
+    if (t.dag != nullptr) t.dag->ready_ns = apex::trace::now_ns();
+    rt_->post([this, &t] { run(t); });
+  }
+
+  /// Run \p t's body unless it inherited a failure, then finish it: mark
+  /// it done, release its successors and, last, leave the graph's count.
+  void run(task& t) {
+    apex::dag_node* const dag = t.dag;
+    if (dag != nullptr) {
+      dag->start_ns = apex::trace::now_ns();
+      dag->worker = rt_->worker_index();
+    }
+    const bool inherited = t.failed.load(std::memory_order_relaxed);
+    if (!inherited) {
+      try {
+        t.body();
+      } catch (...) {
+        t.error = std::current_exception();
+        t.failed.store(true, std::memory_order_relaxed);
+      }
+    }
+    const bool failed = inherited || t.error != nullptr;
+    if (dag != nullptr) {
+      dag->end_ns = inherited ? dag->start_ns : apex::trace::now_ns();
+      dag->failed = failed;
+    }
+    std::vector<task*> successors;
+    {
+      const std::lock_guard<std::mutex> lock(t.m);
+      t.done = true;
+      successors.swap(t.successors);
+    }
+    for (task* s : successors) {
+      if (failed) s->failed.store(true, std::memory_order_relaxed);
+      release(*s);
+    }
+    unfinished_.fetch_sub(1, std::memory_order_release);  // last touch
+  }
+
+  void record(const char* name, std::vector<apex::mem_access> fp, task& t) {
+    rec_deps_.clear();
+    if (barrier_) {
+      if (join_dag_ != nullptr) rec_deps_.push_back(join_dag_->id);
+    } else {
+      for (const std::uint32_t d : deps_)
+        if (tasks_[d].dag != nullptr) rec_deps_.push_back(tasks_[d].dag->id);
+    }
+    t.dag = apex::dag_recorder::instance().on_create(name, rec_deps_,
+                                                     std::move(fp));
+  }
+
+  /// Wait, helping, until every task added so far has finished.
+  void wait_all() const {
+    while (unfinished_.load(std::memory_order_acquire) != 0)
+      if (!rt_->try_run_one()) std::this_thread::yield();
+  }
 
   region_state& state(const apex::mem_access& a) {
     auto& v = table_[static_cast<std::size_t>(a.region)];
@@ -211,10 +339,13 @@ class task_graph {
 
   runtime* rt_;
   bool barrier_;
-  std::vector<edge> tasks_;    ///< every task in build order
+  std::deque<task> tasks_;     ///< every task in build order
+  std::atomic<std::size_t> unfinished_{0};  ///< tasks added, not finished
   std::size_t phase_begin_ = 0;  ///< first task after the last join
-  edge join_;                  ///< the last join (invalid before the first)
+  bool phase_failed_ = false;    ///< barrier: a joined phase had a failure
+  apex::dag_node* join_dag_ = nullptr;  ///< the last join's record, or null
   std::uint64_t join_ns_;
+  std::vector<std::uint32_t> rec_deps_;  ///< recorded producer ids, reused
   /// Dataflow edge table, per region kind, indexed by node.
   std::array<std::vector<region_state>, apex::num_rgn> table_;
   std::vector<std::uint32_t> deps_;  ///< derive()'s result, reused

@@ -15,8 +15,6 @@ namespace octo::apex {
 // parse this table textually.  Names ending in '*' are dynamic prefixes.
 const std::vector<metric_name_info>& metric_registry() {
   static const std::vector<metric_name_info> table = {
-      {"amt.tasks_deferred", "dataflow tasks whose deps were not all ready"},
-      {"amt.continuations_inline", "continuations run inline (deps ready)"},
       {"amt.tasks_executed", "tasks run by the worker pool"},
       {"amt.steals", "successful work steals"},
       {"amt.failed_steals", "steal attempts that found nothing"},

@@ -1,6 +1,6 @@
 #include "apex/dag.hpp"
 
-#include <thread>
+#include <utility>
 
 namespace octo::apex {
 
@@ -16,59 +16,30 @@ dag_recorder& dag_recorder::instance() {
 
 void dag_recorder::begin_step() {
   const std::lock_guard<std::mutex> lock(mutex_);
-  epoch_.fetch_add(1, std::memory_order_acq_rel);  // invalidate stale pins
   nodes_.clear();
-  state_index_.clear();
   enabled_flag().store(true, std::memory_order_relaxed);
 }
 
 graph_profile dag_recorder::end_step() {
   enabled_flag().store(false, std::memory_order_relaxed);
-  // Close the epoch, then wait out deferred writers that pinned before the
-  // bump: after this loop no continuation can touch a node slot (new pins
-  // see the stale epoch and fail), so freeing the deque is safe.
-  epoch_.fetch_add(1, std::memory_order_acq_rel);
-  while (pinned_.load(std::memory_order_acquire) != 0)
-    std::this_thread::yield();
   const std::lock_guard<std::mutex> lock(mutex_);
   graph_profile g;
   g.nodes.assign(nodes_.begin(), nodes_.end());
   nodes_.clear();
-  state_index_.clear();
   return g;
 }
 
-bool dag_recorder::pin(std::uint64_t epoch) {
-  pinned_.fetch_add(1, std::memory_order_acq_rel);
-  if (epoch_.load(std::memory_order_acquire) != epoch) {
-    pinned_.fetch_sub(1, std::memory_order_release);
-    return false;
-  }
-  return true;
-}
-
-void dag_recorder::unpin() {
-  pinned_.fetch_sub(1, std::memory_order_release);
-}
-
-dag_node* dag_recorder::on_create(const char* cls, const void* out_state,
-                                  const void* const* dep_states,
-                                  std::size_t ndeps) {
+dag_node* dag_recorder::on_create(const char* cls,
+                                  const std::vector<std::uint32_t>& deps,
+                                  std::vector<mem_access> fp) {
   if (!enabled()) return nullptr;
   const std::lock_guard<std::mutex> lock(mutex_);
-  dag_node node;
+  dag_node& node = nodes_.emplace_back();
   node.cls = cls != nullptr ? cls : "task";
-  node.id = static_cast<std::uint32_t>(nodes_.size());
-  node.deps.reserve(ndeps);
-  for (std::size_t i = 0; i < ndeps; ++i) {
-    const auto it = state_index_.find(dep_states[i]);
-    if (it != state_index_.end()) node.deps.push_back(it->second);
-  }
-  nodes_.push_back(std::move(node));
-  // Later registration wins on address reuse: a freed state's slot can be
-  // recycled by the allocator mid-step once no edge references it.
-  state_index_[out_state] = nodes_.back().id;
-  return &nodes_.back();
+  node.id = static_cast<std::uint32_t>(nodes_.size() - 1);
+  node.deps = deps;
+  node.footprint = std::move(fp);
+  return &node;
 }
 
 }  // namespace octo::apex

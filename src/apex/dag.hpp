@@ -1,38 +1,39 @@
 #pragma once
 /// \file dag.hpp
-/// Task-graph profiling: per-node timing and dependency edges of one
-/// dependency-driven step (`amt::dataflow` graph), recorded live.
+/// Task-graph profiling: per-node timing and dependency edges of one step's
+/// task graph (`amt::task_graph`), recorded live.
 ///
 /// The paper's APEX layer measures tasks *individually*; the AMT follow-up
 /// work (Daiß et al.) argues the hard scaling questions — where does the
 /// critical path live, who stalls whom — need the *graph*.  This recorder
-/// captures exactly that: every `amt::dataflow` node created while a step
+/// captures exactly that: every task a `task_graph` adds while a step
 /// recording is active contributes
 ///
 ///   * its kernel class (the static name given at the call site:
 ///     "hydro-RK", "M2L", "unpack", "send", ...),
-///   * dependency edges, resolved producer-side by shared-state identity,
+///   * its producers' node ids, which the graph already knows,
+///   * its declared footprint,
 ///   * ready (all inputs resolved) / start (body begins on a worker) /
 ///     end timestamps on the shared trace clock, and
 ///   * the executing worker index,
 ///
-/// into a `graph_profile` that `apex/critical_path.hpp` walks offline.
+/// into a `graph_profile` that `apex/critical_path.hpp` walks offline.  A
+/// barrier join is a zero-duration "join" node.
 ///
-/// Cost model: when no recording is active the hook in `amt::dataflow` is
-/// one relaxed atomic load (the <2% bench_micro_amt budget); when active,
-/// node creation takes a mutex (graph build is cheap relative to the
-/// kernels) and the timing writes are plain stores into that node's slot,
-/// ordered by the scheduler's own happens-before edges.
+/// Cost model: when no recording is active the hook in `task_graph::add`
+/// is one relaxed atomic load; when active, node creation takes a mutex
+/// (graph build is cheap relative to the kernels) and the timing writes
+/// are plain stores into that node's slot, ordered by the scheduler's own
+/// happens-before edges.
 ///
-/// One recording at a time: `begin_step()` / `end_step()` bracket a single
-/// graph build + drain (the per-step structure of step_graph()).
+/// One recording at a time: `begin_step()` / `end_step()` bracket whole
+/// graphs (build + drain, the per-step structure of step_graph()).
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 namespace octo::apex {
@@ -67,7 +68,7 @@ struct mem_access {
   std::int32_t part = any_part;
 };
 
-/// One recorded dataflow task node.
+/// One recorded task node.
 struct dag_node {
   const char* cls = "task";   ///< kernel class (static-duration string)
   std::uint32_t id = 0;       ///< creation order; deps always have lower ids
@@ -75,10 +76,10 @@ struct dag_node {
   std::uint64_t start_ns = 0; ///< body began executing
   std::uint64_t end_ns = 0;   ///< body finished (== start_ns if not run)
   std::int32_t worker = -1;   ///< executing worker index (-1: external)
-  bool failed = false;        ///< resolved with an exception
+  bool failed = false;        ///< raised or inherited an error
   std::vector<std::uint32_t> deps;  ///< producer node ids
-  /// Declared read/write footprint (empty unless the call site attached an
-  /// access_set; consumed by apex/race_audit.hpp).
+  /// Declared read/write footprint (empty for a join; consumed by
+  /// apex/race_audit.hpp).
   std::vector<mem_access> footprint;
 };
 
@@ -88,12 +89,12 @@ struct graph_profile {
   bool empty() const { return nodes.empty(); }
 };
 
-/// Process-wide recorder, driven by amt::dataflow.
+/// Process-wide recorder, driven by amt::task_graph.
 class dag_recorder {
  public:
   static dag_recorder& instance();
 
-  /// Fast path for the dataflow hook.
+  /// Fast path for the task graph's hook.
   static bool enabled() {
     return enabled_flag().load(std::memory_order_relaxed);
   }
@@ -101,46 +102,23 @@ class dag_recorder {
   /// Start recording a fresh graph (drops any unfinished recording).
   void begin_step();
 
-  /// Stop recording and move the captured graph out.  Call only after the
-  /// graph has drained — node slots are written until their tasks finish.
+  /// Stop recording and move the captured graph out.  Call only after
+  /// every graph that recorded has drained — node slots are written until
+  /// their tasks finish.
   graph_profile end_step();
 
-  /// Register a node.  \p out_state identifies the node's result
-  /// (shared-state address) so later nodes can resolve their edges;
-  /// \p dep_states are the dependencies' shared-state addresses (producers
-  /// the recording did not create, such as a promise's future or an
-  /// earlier recording's join, are skipped).  Returns the node's stable
-  /// slot, or nullptr when recording is off.
-  dag_node* on_create(const char* cls, const void* out_state,
-                      const void* const* dep_states, std::size_t ndeps);
-
-  /// Epoch of the recording that is (or was) open; bumped by both
-  /// begin_step() and end_step().  A deferred writer — a continuation that
-  /// still holds a `dag_node*` after the step's awaited futures resolved
-  /// (e.g. a pure `when_all` join whose result nobody in the step awaits)
-  /// — captures this at node creation and revalidates with pin() before
-  /// touching the slot.
-  std::uint64_t epoch() const {
-    return epoch_.load(std::memory_order_acquire);
-  }
-
-  /// Writer guard for continuation-context slot writes.  Returns true and
-  /// holds the slot alive iff \p epoch's recording is still open; the
-  /// caller must unpin() after its plain stores.  end_step() bumps the
-  /// epoch first and then drains pinned writers before freeing slots, so
-  /// a successful pin means the write cannot race the free.
-  bool pin(std::uint64_t epoch);
-  void unpin();
+  /// Register a node of class \p cls whose producers are the nodes \p deps
+  /// (ids this recording returned) and whose declared footprint is \p fp.
+  /// Returns the node's stable slot, or nullptr when recording is off.
+  dag_node* on_create(const char* cls, const std::vector<std::uint32_t>& deps,
+                      std::vector<mem_access> fp);
 
  private:
   dag_recorder() = default;
   static std::atomic<bool>& enabled_flag();
 
-  std::mutex mutex_;  ///< guards nodes_ growth and the state index
+  std::mutex mutex_;  ///< guards nodes_ growth
   std::deque<dag_node> nodes_;  ///< deque: slots never move
-  std::unordered_map<const void*, std::uint32_t> state_index_;
-  std::atomic<std::uint64_t> epoch_{0};
-  std::atomic<std::uint32_t> pinned_{0};  ///< in-flight deferred writers
 };
 
 }  // namespace octo::apex

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <optional>
 
+#include "amt/future.hpp"
 #include "apex/apex.hpp"
 #include "apex/dag.hpp"
 #include "apex/race_audit.hpp"

@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "amt/future.hpp"
 #include "apex/apex.hpp"
 #include "apex/trace.hpp"
 #include "common/log.hpp"

@@ -245,7 +245,7 @@ fmm_solver::fmm_solver(const tree::topology& topo, gravity_options opt)
   for (std::size_t lvl = 0; lvl < levels_.size(); ++lvl) {
     const real dx = topo.cell_width(levels_[lvl].front());
     for (const auto& o : offsets)
-      mono_table_[lvl].push_back(lattice_derivs(o, dx, opt_.G));
+      mono_table_[lvl].push_back(lattice_derivs(o, dx, units::G_code));
   }
 }
 
@@ -447,7 +447,7 @@ void fmm_solver::m2l_impl(index_t node, const std::vector<real>& halo,
                           int row_begin, int row_end) {
   auto& nd = nodes_[node];
   const auto& cs = class_stencil();
-  const real G = opt_.G;
+  const real G = units::G_code;
   const auto load = [&](P& v, int comp, index_t h) {
     v.copy_from(halo.data() + comp * HP + h);
   };
@@ -508,7 +508,7 @@ void fmm_solver::p2p_impl(index_t node, const std::vector<real>& halo,
                           int row_begin, int row_end) {
   auto& nd = nodes_[node];
   const auto& cs = class_stencil();
-  const real G = opt_.G;
+  const real G = units::G_code;
   const auto load = [&](P& v, int comp, index_t h) {
     v.copy_from(halo.data() + comp * HP + h);
   };
@@ -547,7 +547,7 @@ template <typename P, bool Full>
 void fmm_solver::m2l_root_impl(int row_begin, int row_end) {
   auto& nd = nodes_[topo_.root()];
   const int W = P::size();
-  const real G = opt_.G;
+  const real G = units::G_code;
   const int min_cheb = Full ? 2 : 1;
   P lane;
   for (int l = 0; l < W; ++l) lane.set(l, real(l));
@@ -658,7 +658,7 @@ void fmm_solver::compute_fine_coarse_pairs(index_t node) {
 
   auto& fd = nodes_[node];
   const ivec3 fc = tree::code_coords(tn.code);
-  const real G = opt_.G;
+  const real G = units::G_code;
 
   std::vector<real>& facc = fcd.self_acc;
   std::fill(facc.begin(), facc.end(), real(0));

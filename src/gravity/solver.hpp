@@ -36,9 +36,6 @@
 namespace octo::gravity {
 
 struct gravity_options {
-  /// Gravitational constant in code units.
-  // option kept: GravityEnv.KernelsMatchScalarOracle (reads options().G)
-  real G = units::G_code;
   /// Select the vector-ABI kernels (paper's SVE toggle, Fig. 7).
   bool use_simd = true;
   /// Tasks per Multipole-kernel launch (paper's Fig. 9: 1 vs 16).  The

@@ -1,18 +1,19 @@
 /// Critical-path extraction over recorded task graphs (apex/dag.hpp +
 /// apex/critical_path.hpp): hand-built DAGs with known longest chains,
 /// tie-breaking determinism, exception-carrying nodes, and a live
-/// recording of a real amt::dataflow graph.
+/// recording of a real amt::task_graph.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
 
-#include "amt/future.hpp"
 #include "amt/runtime.hpp"
+#include "amt/task_graph.hpp"
 #include "apex/critical_path.hpp"
 #include "apex/dag.hpp"
 
@@ -146,28 +147,31 @@ TEST(CriticalPath, CountersAndReportDoNotThrow) {
 TEST(CriticalPath, LiveDataflowRecording) {
   amt::runtime rt(4);
   amt::scoped_global_runtime guard(rt);
-  using sf = amt::shared_future<void>;
+  using apex::rgn;
 
   auto& rec = apex::dag_recorder::instance();
   rec.begin_step();
   ASSERT_TRUE(apex::dag_recorder::enabled());
 
-  // A diamond with a serial tail: a -> {b, c} -> join -> d.
+  // A diamond with a serial tail: a -> {b, c} -> d, from footprints.
   std::atomic<int> ran{0};
-  auto a = sf(amt::dataflow("seed", [&] { ++ran; }, {}, rt));
-  auto b = sf(amt::dataflow("left", [&] { ++ran; }, {a}, rt));
-  auto c = sf(amt::dataflow("right", [&] { ++ran; }, {a}, rt));
-  auto d = sf(amt::dataflow("tail", [&] { ++ran; }, {b, c}, rt));
-  std::vector<sf> all{a, b, c, d};
-  amt::get_all(all, rt);
+  {
+    amt::task_graph tg(rt, /*barrier=*/false);
+    const auto count = [&] { ++ran; };
+    tg.add("seed", tg.footprint().w(rgn::field, 0), count);
+    tg.add("left", tg.footprint().r(rgn::field, 0).w(rgn::field, 1), count);
+    tg.add("right", tg.footprint().r(rgn::field, 0).w(rgn::field, 2), count);
+    tg.add("tail", tg.footprint().r(rgn::field, 1).r(rgn::field, 2), count);
+    EXPECT_FALSE(tg.drain());
+  }
 
   const auto g = rec.end_step();
   EXPECT_FALSE(apex::dag_recorder::enabled());
   ASSERT_EQ(g.nodes.size(), 4u);
   EXPECT_EQ(ran.load(), 4);
 
-  // Edges resolved by shared-state identity: b and c depend on a (id 0),
-  // d on both b and c.
+  // Edges derived from the footprints: b and c depend on a (id 0), d on
+  // both b and c.
   EXPECT_EQ(g.nodes[1].deps, (std::vector<std::uint32_t>{0}));
   EXPECT_EQ(g.nodes[2].deps, (std::vector<std::uint32_t>{0}));
   EXPECT_EQ(g.nodes[3].deps, (std::vector<std::uint32_t>{1, 2}));
@@ -195,17 +199,19 @@ TEST(CriticalPath, LiveDataflowRecording) {
 TEST(CriticalPath, FailedTaskRecordedAndFlagged) {
   amt::runtime rt(2);
   amt::scoped_global_runtime guard(rt);
-  using sf = amt::shared_future<void>;
+  using apex::rgn;
 
   auto& rec = apex::dag_recorder::instance();
   rec.begin_step();
-  auto a = sf(amt::dataflow("ok", [] {}, {}, rt));
-  auto b = sf(amt::dataflow("throws",
-                            [] { throw std::runtime_error("boom"); }, {a},
-                            rt));
-  auto c = sf(amt::dataflow("downstream", [] {}, {b}, rt));
-  std::vector<sf> all{a, b, c};
-  EXPECT_THROW(amt::get_all(all, rt), std::runtime_error);
+  {
+    amt::task_graph tg(rt, /*barrier=*/false);
+    tg.add("ok", tg.footprint().w(rgn::field, 0), [] {});
+    tg.add("throws", tg.footprint().r(rgn::field, 0).w(rgn::field, 1),
+           [] { throw std::runtime_error("boom"); });
+    tg.add("downstream", tg.footprint().r(rgn::field, 1), [] {});
+    const std::exception_ptr e = tg.drain();
+    EXPECT_THROW(std::rethrow_exception(e), std::runtime_error);
+  }
 
   const auto g = rec.end_step();
   ASSERT_EQ(g.nodes.size(), 3u);
@@ -223,10 +229,11 @@ TEST(CriticalPath, RecorderOffIsInvisible) {
   amt::runtime rt(2);
   amt::scoped_global_runtime guard(rt);
   EXPECT_FALSE(apex::dag_recorder::enabled());
-  using sf = amt::shared_future<void>;
-  auto a = sf(amt::dataflow("x", [] {}, {}, rt));
-  std::vector<sf> all{a};
-  amt::get_all(all, rt);
+  {
+    amt::task_graph tg(rt, /*barrier=*/false);
+    tg.add("x", tg.footprint().w(apex::rgn::field, 0), [] {});
+    EXPECT_FALSE(tg.drain());
+  }
   // A begin/end bracket with no tasks in between stays empty.
   apex::dag_recorder::instance().begin_step();
   const auto g = apex::dag_recorder::instance().end_step();

@@ -346,7 +346,7 @@ TEST_F(GravityEnv, MonoTableWithinFourUlpsOfComputeDerivs) {
   for (const real half_width : {1.0, 0.7}) {
     tree::topology topo(half_width, 2, uniform_to(2));
     fmm_solver fmm(topo);
-    const real G = fmm.options().G;
+    const real G = units::G_code;
     std::int64_t worst = 0;
     for (int level = 0; level <= 2; ++level) {
       const real dx = topo.cell_width(topo.leaves().front()) *
@@ -387,7 +387,7 @@ TEST_F(GravityEnv, MonoTableWithinFourUlpsOfComputeDerivs) {
 class fmm_oracle {
  public:
   explicit fmm_oracle(const fmm_solver& fmm)
-      : fmm_(fmm), topo_(fmm.topo()), G_(fmm.options().G) {
+      : fmm_(fmm), topo_(fmm.topo()), G_(units::G_code) {
     const auto nn = static_cast<std::size_t>(topo_.num_nodes());
     exp_.assign(nn, std::vector<expansion>(512));
     for (index_t n = 0; n < topo_.num_nodes(); ++n) {
@@ -599,7 +599,7 @@ template <typename P>
 class masked_lane_fmm {
  public:
   explicit masked_lane_fmm(const fmm_solver& fmm)
-      : fmm_(fmm), topo_(fmm.topo()), G_(fmm.options().G) {
+      : fmm_(fmm), topo_(fmm.topo()), G_(units::G_code) {
     for (int a = -3; a <= 3; ++a)
       for (int b = -3; b <= 3; ++b)
         for (int c = -3; c <= 3; ++c) {
@@ -1048,7 +1048,7 @@ TEST_F(GravityEnv, ParityClassPacksMatchMaskedLaneKernelBitwise) {
 template <typename P>
 void expect_mirror_derivs() {
   xoshiro256 rng(41);
-  const real G = gravity_options{}.G;
+  const real G = units::G_code;
   const auto bits = [](real v) { return std::bit_cast<std::uint64_t>(v); };
   for (int t = 0; t < 400; ++t) {
     // Every fourth R is a target against the 1e30 COM of the halo fill.

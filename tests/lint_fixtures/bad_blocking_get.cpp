@@ -1,16 +1,15 @@
-// Fixture: a blocking .get() inside a dataflow task body — the worker
+// Fixture: a blocking .get() inside a task_graph task body — the worker
 // executing the task would block instead of helping, the exact deadlock
-// the dataflow dependency lists exist to avoid.  Never compiled.
+// the graph's derived edges exist to avoid.  Never compiled.
 #include "amt/future.hpp"
+#include "amt/task_graph.hpp"
 
 void bad_blocking_get(octo::amt::runtime& rt,
                       octo::amt::future<int> input) {
-  std::vector<octo::amt::future<void>> deps;
-  auto f = octo::amt::dataflow(
-      "bad",
-      [&input, &rt] {
-        (void)input.get(rt);  // blocks a worker mid-task
-      },
-      deps, rt);
-  f.wait(rt);
+  octo::amt::task_graph g(rt, false);
+  g.add("bad", g.footprint().w(octo::apex::rgn::field, 0),
+        [&input, &rt] {
+          (void)input.get(rt);  // blocks a worker mid-task
+        });
+  input.wait(rt);  // outside the add call extent: allowed
 }

@@ -1,6 +1,6 @@
 // Fixture: obeys every octo_lint rule — registered env var, registered
-// metric, dataflow body that never blocks.  Never compiled.
-#include "amt/future.hpp"
+// metric, task_graph body that never blocks.  Never compiled.
+#include "amt/task_graph.hpp"
 #include "apex/apex.hpp"
 #include "common/config.hpp"
 
@@ -9,7 +9,7 @@ void clean_fixture(octo::amt::runtime& rt) {
   (void)mode;
   const auto id = octo::apex::registry::instance().counter("app.steps");
   (void)id;
-  std::vector<octo::amt::future<void>> deps;
-  auto f = octo::amt::dataflow("ok", [] {}, deps, rt);
-  f.wait(rt);  // outside the dataflow call extent: allowed
+  octo::amt::task_graph g(rt, false);
+  g.add("ok", g.footprint().w(octo::apex::rgn::field, 0), [] {});
+  (void)g.drain();  // outside the add call extent: allowed
 }

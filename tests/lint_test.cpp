@@ -69,7 +69,7 @@ TEST(Lint, BlockingGetInTaskBodyFixtureIsDetected) {
   lint_cpp_text("bad_blocking_get.cpp", fixture("bad_blocking_get.cpp"),
                 repo_registries(), false, fs);
   ASSERT_TRUE(has_rule(fs, "blocking-get"));
-  // Exactly one: the f.wait() *after* the dataflow call is fine.
+  // Exactly one: the input.wait() *after* the add call is fine.
   EXPECT_EQ(std::count_if(
                 fs.begin(), fs.end(),
                 [](const finding& f) { return f.rule == "blocking-get"; }),

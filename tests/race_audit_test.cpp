@@ -84,7 +84,7 @@ TEST(RaceAudit, DisjointPartsDoNotConflictButAnyPartDoes) {
 
 TEST(RaceAudit, TransitiveOrderingThroughJoinNodeCounts) {
   // w -> join -> r: no direct edge, but the path orders the pair (this is
-  // how when_all joins appear in recorded graphs).
+  // how a barrier graph's phase joins appear in recorded graphs).
   graph_profile g;
   g.nodes.push_back(make_node("w", 0, {}, {wr(rgn::ghost, 2, 4)}));
   g.nodes.push_back(make_node("join", 1, {0}, {}));

@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <exception>
 #include <string>
 #include <vector>
 
 #include "amt/runtime.hpp"
+#include "amt/sync.hpp"
 #include "amt/task_graph.hpp"
 #include "apex/dag.hpp"
 #include "common/error.hpp"
@@ -196,22 +198,119 @@ TEST_F(TaskGraph, EmptyFootprintInDataflowGraphThrowsNamingTheClass) {
 /// not run, and drain() returns the error of the task that raised it.
 TEST_F(TaskGraph, FailureFlowsAlongTheEdgesAndDrainNamesItsOrigin) {
   for (const bool barrier : {false, true}) {
-    amt::task_graph g(rt, barrier);
+    auto& rec = apex::dag_recorder::instance();
+    rec.begin_step();
     bool ran = false;
-    g.add("w", g.footprint().w(rgn::slot, 0),
-          [] { throw octo::error("origin"); });
-    g.join();
-    const auto r = g.add("r", g.footprint().r(rgn::slot, 0),
-                         [&ran] { ran = true; });
-    g.join();
-    const std::exception_ptr e = g.drain();
+    std::exception_ptr e;
+    {
+      amt::task_graph g(rt, barrier);
+      g.add("w", g.footprint().w(rgn::slot, 0),
+            [] { throw octo::error("origin"); });
+      g.join();
+      g.add("r", g.footprint().r(rgn::slot, 0), [&ran] { ran = true; });
+      g.join();
+      e = g.drain();
+    }
+    const auto p = rec.end_step();
     ASSERT_TRUE(e) << "barrier=" << barrier;
     EXPECT_FALSE(ran) << "barrier=" << barrier;
-    EXPECT_TRUE(r.state()->has_exception()) << "barrier=" << barrier;
+    // The downstream task inherited the error: its recorded node failed.
+    const auto r = std::find_if(p.nodes.begin(), p.nodes.end(),
+                                [](const apex::dag_node& n) {
+                                  return std::string(n.cls) == "r";
+                                });
+    ASSERT_NE(r, p.nodes.end()) << "barrier=" << barrier;
+    EXPECT_TRUE(r->failed) << "barrier=" << barrier;
     try {
       std::rethrow_exception(e);
     } catch (const octo::error& err) {
       EXPECT_STREQ(err.what(), "origin") << "barrier=" << barrier;
     }
+  }
+}
+
+/// A producer that failed and finished before its consumer is added still
+/// stops it: the edge is not counted, but the failure passes on at once.
+/// Once the producer is drained, so certainly finished; once only known to
+/// have reached its throw (an event its body sets), so it may be finishing
+/// while the consumer links to it.
+TEST_F(TaskGraph, FailedProducerFinishedBeforeTheConsumerIsAdded) {
+  for (const bool drained : {true, false}) {
+    amt::task_graph g(rt, false);
+    amt::event thrown;
+    g.add("w", g.footprint().w(rgn::field, 0), [&thrown] {
+      thrown.set();
+      throw octo::error("producer");
+    });
+    thrown.wait(rt);
+    if (drained) {
+      EXPECT_TRUE(g.drain());
+    }
+    bool ran = false;
+    g.add("r", g.footprint().r(rgn::field, 0), [&ran] { ran = true; });
+    const std::exception_ptr e = g.drain();
+    EXPECT_FALSE(ran) << "drained=" << drained;
+    ASSERT_TRUE(e) << "drained=" << drained;
+    try {
+      std::rethrow_exception(e);
+    } catch (const octo::error& err) {
+      EXPECT_STREQ(err.what(), "producer") << "drained=" << drained;
+    }
+  }
+}
+
+/// A 16-wide, 64-layer lattice on 4 workers, each task writing its own
+/// node and reading the 3 neighbouring nodes of the previous layer: tasks
+/// finish while their successors are still being added, so successor
+/// appends race producers finishing.  Every task must run once, after its
+/// producers, and every recorded edge must point to a lower id.
+TEST_F(TaskGraph, LatticeStress) {
+  constexpr int width = 16;
+  constexpr int layers = 64;
+  amt::runtime stress_rt{4};
+  for (const bool barrier : {false, true}) {
+    std::vector<std::atomic<bool>> done(width * layers);
+    std::atomic<int> executed{0};
+    std::atomic<int> early{0};  // ran before one of its producers finished
+    auto& rec = apex::dag_recorder::instance();
+    rec.begin_step();
+    {
+      amt::task_graph g(stress_rt, barrier);
+      for (int layer = 0; layer < layers; ++layer) {
+        for (int c = 0; c < width; ++c) {
+          const int i = layer * width + c;
+          auto fp = g.footprint();
+          fp.w(rgn::field, i);
+          std::vector<int> in;
+          if (layer > 0)
+            for (const int dc : {width - 1, 0, 1}) {
+              in.push_back((layer - 1) * width + (c + dc) % width);
+              fp.r(rgn::field, in.back());
+            }
+          g.add("node", std::move(fp), [&, i, in] {
+            for (const int p : in)
+              if (!done[static_cast<std::size_t>(p)].load()) ++early;
+            done[static_cast<std::size_t>(i)].store(true);
+            ++executed;
+          });
+        }
+        g.join();
+      }
+      EXPECT_FALSE(g.drain());
+    }
+    const auto p = rec.end_step();
+    EXPECT_EQ(executed.load(), width * layers) << "barrier=" << barrier;
+    EXPECT_EQ(early.load(), 0) << "barrier=" << barrier;
+    // Barrier mode adds one "join" node per layer.
+    EXPECT_EQ(p.nodes.size(),
+              static_cast<std::size_t>(width * layers + (barrier ? layers : 0)))
+        << "barrier=" << barrier;
+    std::size_t edges = 0;
+    for (const auto& n : p.nodes)
+      for (const std::uint32_t d : n.deps) {
+        EXPECT_LT(d, n.id) << "barrier=" << barrier;
+        ++edges;
+      }
+    EXPECT_GT(edges, 0u) << "barrier=" << barrier;
   }
 }

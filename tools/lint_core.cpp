@@ -238,9 +238,13 @@ void check_metric_names(const std::string& path, const std::string& text,
 
 void check_blocking_get(const std::string& path, const std::string& text,
                         const std::string& code, std::vector<finding>& out) {
-  for (std::size_t p = find_call(code, "dataflow(", 0);
-       p != std::string::npos; p = find_call(code, "dataflow(", p + 1)) {
-    const std::size_t open = p + 8;
+  // A task_graph::add call: `.add(` whose first argument is the class
+  // name literal (the blanked code keeps the quotes).
+  for (std::size_t p = code.find(".add(", 0); p != std::string::npos;
+       p = code.find(".add(", p + 1)) {
+    const std::size_t open = p + 4;
+    const std::size_t name = code.find_first_not_of(" \t\n", open + 1);
+    if (name == std::string::npos || code[name] != '"') continue;
     const std::size_t close = paren_extent(code, open);
     for (const char* blocker : {".get(", ".wait("}) {
       for (std::size_t b = code.find(blocker, open);
@@ -249,9 +253,9 @@ void check_blocking_get(const std::string& path, const std::string& text,
         if (allowed(text, b, "blocking-get")) continue;
         out.push_back(finding{path, line_of(text, b), "blocking-get",
                               std::string("blocking '") + blocker +
-                                  ")' inside a dataflow task body — "
-                                  "express the dependency as a dataflow "
-                                  "dep instead of blocking a worker"});
+                                  ")' inside a task_graph::add task body — "
+                                  "declare what it reads in its footprint "
+                                  "instead of blocking a worker"});
       }
     }
   }
