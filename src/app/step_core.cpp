@@ -206,6 +206,7 @@ void step_core::set_density(index_t l) {
 }
 
 real step_core::signal_speed(index_t l) const {
+  const apex::scoped_trace_span span("app.dt.leaf");
   return hydro::max_signal_speed(grids_[l], opt_.hydro) /
          topo_->cell_width(l);
 }
@@ -433,6 +434,7 @@ void step_core::step_attempt(real dt) {
     std::optional<apex::scoped_timer> audit_t;
     if (auditor_.enabled()) audit_t.emplace(sdc_metrics().audit_timer);
     each_leaf(space_.runtime(), leaves, [&](index_t l) {
+      const apex::scoped_trace_span span("app.entry.leaf");
       grids_[l].save_owned(stage0(l).data());
       if (l == flip_leaf)
         apply_state_bitflip(grids_[l], flip.field, flip.cell, flip.bit);

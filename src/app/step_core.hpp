@@ -223,10 +223,6 @@ class step_core {
     return {stage0_.data() + leaf_slot_[leaf] * grid::subgrid::owned_size,
             static_cast<std::size_t>(grid::subgrid::owned_size)};
   }
-  /// Link index of leaf \p leaf's inbound face \p dir (< NFACE).
-  std::size_t link_of(index_t leaf, int dir) const {
-    return static_cast<std::size_t>(leaf_slot_[leaf] * NFACE + dir);
-  }
 
   scen::scenario scenario_;
   sim_options opt_;

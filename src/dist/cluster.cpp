@@ -1,6 +1,8 @@
 #include "dist/cluster.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <numeric>
 #include <utility>
 
 #include "amt/future.hpp"
@@ -17,6 +19,9 @@ cluster::cluster(const scen::scenario& sc, dist_options opt,
     : step_core(sc, opt.sim, space, opt.lb.measuring()),
       dopt_(std::move(opt)) {
   OCTO_CHECK(dopt_.num_localities >= 1);
+  if (dopt_.reliable_transport)
+    transport_ = std::make_unique<transport>(
+        dopt_.num_localities, dopt_.transport, space_.runtime());
 }
 
 void cluster::on_layout() {
@@ -44,21 +49,28 @@ void cluster::on_layout() {
 void cluster::on_initialized() { update_replicas(); }
 
 void cluster::reset_links() {
-  if (dopt_.reliable_transport) {
-    // One extra link per leaf slot past the nleaves x NFACE boundary range
-    // carries that leaf's migration payload during a rebalance.
-    if (!transport_)
-      transport_ = std::make_unique<transport>(
-          static_cast<int>(topo_->leaves().size() * (NFACE + 1)),
-          dopt_.transport, space_.runtime());
-    else
-      // Keep the transport (and its monotonic statistics — recreating it
-      // here made the per-step stats deltas wrap after a rebuild) and open
-      // a fresh link generation instead: sequence numbers restart at 0 and
-      // any delayed pre-rebuild frame is dropped by its stale epoch rather
-      // than colliding with the new generation's seq 0.
-      transport_->advance_epoch();
-  }
+  // Links by sender (leaf order, faces ascending) are the send tasks and
+  // their slot writes; inbound_ orders the unpacks by receiver the same way
+  // (leaves() ascends by node index).
+  links_.clear();
+  direct_faces_ = 0;
+  for (const index_t l : topo_->leaves())
+    for (int d = 0; d < NFACE; ++d) {
+      const index_t nb = topo_->neighbor(l, d);
+      if (nb == tree::invalid_node || !topo_->node(nb).leaf) continue;
+      if (linked(nb, l))
+        links_.push_back({nb, tree::dir_opposite(d), l});
+      else
+        ++direct_faces_;
+    }
+  inbound_.resize(links_.size());
+  std::iota(inbound_.begin(), inbound_.end(), 0);
+  std::sort(inbound_.begin(), inbound_.end(), [this](auto a, auto b) {
+    return std::pair(links_[a].leaf, links_[a].dir) <
+           std::pair(links_[b].leaf, links_[b].dir);
+  });
+
+  if (transport_) transport_->advance_epoch();
 }
 
 transport_stats cluster::transport_statistics() const {
@@ -127,8 +139,8 @@ exchange_counters& counters() {
 }  // namespace
 
 struct cluster::link_step {
-  std::atomic<std::uint64_t> local_direct{0}, local_serialized{0},
-      remote{0}, bytes{0};
+  std::uint64_t local_direct = 0;
+  std::atomic<std::uint64_t> local_serialized{0}, remote{0}, bytes{0};
   std::vector<slab_bytes> slots;
 };
 
@@ -137,18 +149,17 @@ bool cluster::linked(index_t n, index_t nb) const {
          !(dopt_.local_optimization && part_.owner(n) == part_.owner(nb));
 }
 
-void cluster::send_faces(index_t l, const std::shared_ptr<link_step>& ls) {
+void cluster::send_faces(std::size_t begin, std::size_t end,
+                         const std::shared_ptr<link_step>& ls) {
   const apex::scoped_trace_span span("dist.exchange.send");
+  const index_t l = links_[begin].from;
   const apex::cost_scope cost(cost_model_ptr(),
                               static_cast<std::size_t>(leaf_slot_[l]));
-  for (int d = 0; d < NFACE; ++d) {
-    const index_t nb = topo_->neighbor(l, d);
-    if (nb == tree::invalid_node || !linked(nb, l)) continue;
-    // The receiver nb sees us in the opposite direction.
-    const int rd = tree::dir_opposite(d);
-    const std::size_t link = link_of(nb, rd);
+  for (std::size_t k = begin; k < end; ++k) {
+    // The receiver nb sees us in the opposite direction rd.
+    const auto [nb, rd, from] = links_[k];
     std::vector<real> slab;
-    grids_[l].pack_for_neighbor(d, slab);
+    grids_[l].pack_for_neighbor(tree::dir_opposite(rd), slab);
     oarchive ar;
     ar.put(static_cast<std::int32_t>(rd));
     ar.put_vector(slab);
@@ -165,13 +176,12 @@ void cluster::send_faces(index_t l, const std::shared_ptr<link_step>& ls) {
       // Reliable path: sequence/ack/retry through the lossy network;
       // blocks (helping the scheduler) until the delivery has stored the
       // slab and been acked.
-      transport_->send(static_cast<int>(link), part_.owner(l),
-                       part_.owner(nb), std::move(bytes),
-                       [ls, link](slab_bytes payload) {
-                         ls->slots[link] = std::move(payload);
+      transport_->send(static_cast<int>(k), part_.owner(l), part_.owner(nb),
+                       std::move(bytes), [ls, k](slab_bytes payload) {
+                         ls->slots[k] = std::move(payload);
                        });
     } else {
-      ls->slots[link] = std::move(bytes);
+      ls->slots[k] = std::move(bytes);
     }
   }
 }
@@ -190,14 +200,14 @@ void cluster::unpack_face(index_t l, int d, slab_bytes bytes) {
 }
 
 void cluster::add_counts(const link_step& ls) {
-  stats_.local_direct += ls.local_direct.load();
+  stats_.local_direct += ls.local_direct;
   stats_.local_serialized += ls.local_serialized.load();
   stats_.remote_messages += ls.remote.load();
   stats_.bytes_serialized += ls.bytes.load();
   // Mirror this exchange's deltas into apex counters so the Fig. 8
   // traffic split is visible in any registry report.
   auto& reg = apex::registry::instance();
-  reg.add(counters().local_direct, ls.local_direct.load());
+  reg.add(counters().local_direct, ls.local_direct);
   reg.add(counters().local_serialized, ls.local_serialized.load());
   reg.add(counters().remote, ls.remote.load());
   reg.add(counters().bytes, ls.bytes.load());
@@ -205,7 +215,7 @@ void cluster::add_counts(const link_step& ls) {
 
 void cluster::open_links() {
   link_step_ = std::make_shared<link_step>();
-  link_step_->slots.resize(topo_->leaves().size() * NFACE);
+  link_step_->slots.resize(links_.size());
 }
 
 void cluster::close_links(bool ok) {
@@ -217,53 +227,35 @@ void cluster::close_links(bool ok) {
 }
 
 void cluster::add_link_tasks(amt::task_graph& g) {
-  const auto& leaves = topo_->leaves();
+  link_step_->local_direct += direct_faces_;
 
-  // Senders: one task per leaf with a linked face (the six face ghosts are
-  // all a step exchanges; no kernel reads an edge or corner ghost).  Each
-  // send writes the message slot of every outbound link, so a stage-s send
-  // waits for the stage s-1 unpack of each of those links (WAR): a slot
-  // holds one stage's slab at a time.  The leaf-leaf faces that are not
-  // linked are the copy task's (§VII-B); they count as direct slabs here.
-  for (const index_t l : leaves) {
+  // Senders: one task per leaf with a linked face.  It writes the slot of
+  // each outbound link, so a stage-s send waits for the stage s-1 unpack of
+  // each of those links (WAR): a slot holds one stage's slab at a time.
+  for (std::size_t b = 0, e = 0; b < links_.size(); b = e) {
+    const index_t l = links_[b].from;
     auto fp = g.footprint();
     fp.r(apex::rgn::field, l);
-    bool sends = false;
-    for (int d = 0; d < NFACE; ++d) {
-      const index_t nb = topo_->neighbor(l, d);
-      if (nb == tree::invalid_node || !topo_->node(nb).leaf) continue;
-      if (!linked(nb, l)) {
-        link_step_->local_direct.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      fp.w(apex::rgn::slot,
-           static_cast<std::int64_t>(link_of(nb, tree::dir_opposite(d))));
-      sends = true;
-    }
-    if (!sends) continue;
+    for (e = b; e < links_.size() && links_[e].from == l; ++e)
+      fp.w(apex::rgn::slot, static_cast<std::int64_t>(e));
     g.add("send", std::move(fp),
-          [this, l, ls = link_step_] { send_faces(l, ls); });
+          [this, b, e, ls = link_step_] { send_faces(b, e, ls); });
   }
   g.join();
 
-  // Receivers: one unpack per linked (leaf, face).  It reads the slot its
-  // sender wrote, so it fires once that send has returned — after the
-  // slab was stored (transport::send returns only after the delivery) —
-  // with no exchange barrier in dataflow mode (barriered: on the join of
-  // the sends).  A failed send fails its unpacks through the same edge.
-  for (const index_t l : leaves) {
-    for (int d = 0; d < NFACE; ++d) {
-      const index_t nb = topo_->neighbor(l, d);
-      if (nb == tree::invalid_node || !linked(l, nb)) continue;
-      const std::size_t link = link_of(l, d);
-      g.add("unpack",
-            g.footprint()
-                .r(apex::rgn::slot, static_cast<std::int64_t>(link))
-                .w(apex::rgn::ghost, l, d),
-            [this, l, d, link, ls = link_step_] {
-              unpack_face(l, d, std::move(ls->slots[link]));
-            });
-    }
+  // Receivers: one unpack per linked face, reading the slot its send
+  // filled (transport::send returns only after the delivery), with no
+  // exchange barrier in dataflow mode.  A failed send fails its unpacks
+  // through the same edge.
+  for (const std::size_t k : inbound_) {
+    const auto [l, d, from] = links_[k];
+    g.add("unpack",
+          g.footprint()
+              .r(apex::rgn::slot, static_cast<std::int64_t>(k))
+              .w(apex::rgn::ghost, l, d),
+          [this, l, d, k, ls = link_step_] {
+            unpack_face(l, d, std::move(ls->slots[k]));
+          });
   }
 }
 

@@ -20,8 +20,8 @@
 ///     unpacks it, exactly like Octo-Tiger's boundary communication.
 ///
 /// Like every task of the step graph, the link tasks declare footprints:
-/// a send writes the slots of its outbound faces, an unpack reads its
-/// face's slot and writes the ghost face.  So each unpack is ordered
+/// a send writes the slots of its outbound links, an unpack reads its
+/// link's slot and writes the ghost face.  So each unpack is ordered
 /// after the send that filled its slot, and the next stage's send after
 /// the unpack that emptied it, by derived edges alone; the exchange stays
 /// barrier-free across leaves (communication/computation overlap as in
@@ -155,9 +155,15 @@ class cluster : public app::step_core {
  private:
   /// A sealed, serialized face slab: one message.
   using slab_bytes = std::vector<std::uint8_t>;
+  /// Leaf \c leaf's ghost face \c dir, filled from neighbor \c from.
+  struct face_link {
+    index_t leaf;
+    int dir;
+    index_t from;
+  };
   /// One step graph's link state: its slab counts (added lock-free by the
   /// send tasks; the direct copies as the link tasks are added) and its
-  /// message slots, one per link (link_of).
+  /// message slots, one per link.
   struct link_step;
 
   // --- step-core hooks ---------------------------------------------------
@@ -182,34 +188,37 @@ class cluster : public app::step_core {
   /// local_optimization is on (the copy task fills that one).
   bool linked(index_t n, index_t nb) const override;
 
-  /// Send every linked face of leaf \p l as a sealed, serialized slab into
-  /// its receiver's slot of \p ls: through the transport, whose delivery
-  /// stores it, or straight without the transport.
-  void send_faces(index_t l, const std::shared_ptr<link_step>& ls);
+  /// Send links [\p begin, \p end), all from one leaf, as sealed,
+  /// serialized slabs into their slots of \p ls: through the transport,
+  /// whose delivery stores each, or straight without the transport.
+  void send_faces(std::size_t begin, std::size_t end,
+                  const std::shared_ptr<link_step>& ls);
   /// Unseal the slab \p bytes into leaf \p l's ghost face \p d.
   void unpack_face(index_t l, int d, slab_bytes bytes);
   /// Fold one exchange's slab counts into stats_ and the apex counters.
   void add_counts(const link_step& ls);
 
-  /// A fresh transport epoch (the transport is made on first use): every
-  /// link's sequence numbers restart, and frames still in flight from
-  /// before are dropped instead of delivered into the next exchange.
+  /// On every partition change and failed exchange: renumber the links and
+  /// open a fresh transport epoch, so frames still in flight are dropped,
+  /// not delivered into an exchange.
   void reset_links();
   /// Refresh the buddy replicas (leaf state copied to the next surviving
   /// locality along the SFC) after a completed step.
   void update_replicas();
   /// Next surviving locality after \p loc on the locality ring.
   int buddy_of(int loc) const;
-  /// Transport link carrying leaf slot \p s's migration payload (the range
-  /// past the nleaves x NFACE boundary links).
-  int migration_link(index_t slot) const {
-    return static_cast<int>(topo_->leaves().size()) * NFACE +
-           static_cast<int>(slot);
-  }
 
   dist_options dopt_;
   tree::partition_result part_;
 
+  /// The linked faces by sender (a link's id is its index here), their ids
+  /// by receiver, and the leaf-leaf faces the copy task fills (§VII-B).
+  std::vector<face_link> links_;
+  std::vector<std::size_t> inbound_;
+  std::uint64_t direct_faces_ = 0;
+
+  /// Made once, by locality count: it keeps its monotonic statistics
+  /// across re-initialize(), rebalances and recoveries.
   std::unique_ptr<transport> transport_;
   /// The current graph's link state.  Shared with its send tasks and
   /// their deliveries, so a frame delivered after its graph ended (a send

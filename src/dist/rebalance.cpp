@@ -14,13 +14,14 @@
 /// A migration reuses machinery proven elsewhere: the payload is the
 /// checkpoint leaf record (Morton code + the leaf's owned-cell block,
 /// grid::subgrid::save_owned, CRC-32 sealed), it travels the reliable
-/// transport on the per-slot migration link (so drops/delays/dups
-/// injected by common/fault.hpp are absorbed or surfaced exactly like
-/// ghost slabs), the source copy is scrubbed to NaN
+/// transport, labelled with its leaf slot (so drops/delays/dups injected
+/// by common/fault.hpp are absorbed or surfaced exactly like ghost
+/// slabs), the source copy is scrubbed to NaN
 /// before the send so only the migrated bytes can rebuild the leaf, and
-/// the post-migration sequence — a new transport epoch, re-exchanged ghosts, re-solved gravity, recomputed dt — is the same
-/// one recover_locality_failure and restore_state run, which the
-/// checkpoint tests prove bitwise identical to an uninterrupted run.
+/// the post-migration sequence — a new transport epoch, re-exchanged
+/// ghosts, re-solved gravity, recomputed dt — is the one
+/// recover_locality_failure and restore_state run, which the checkpoint
+/// tests prove bitwise identical to an uninterrupted run.
 /// Rebalancing is therefore physics-transparent: the fields after a
 /// rebalanced step match a never-rebalanced run bit for bit.
 ///
@@ -101,8 +102,8 @@ bool cluster::maybe_rebalance() {
   // Live migration, one task per moving leaf: pack the checkpoint leaf
   // record on the source, scrub the source copy (only the migrated bytes
   // may rebuild the leaf — the same proof obligation as the locality-kill
-  // scrub), ship it over the slot's migration link, unpack on the
-  // destination.  The reliable send returns only once the unpack has run
+  // scrub), send it from the old owner to the new one, unpack on the
+  // destination.  A send returns only once its unpack has run
   // (transport::send), so after get_all every moved leaf is whole again.
   auto& rt = space_.runtime();
   std::vector<amt::future<void>> futs;
@@ -136,7 +137,7 @@ bool cluster::maybe_rebalance() {
             grids_[l].load_owned(cells.data());
           };
           if (transport_)
-            transport_->send(migration_link(leaf_slot_[l]), src, dst,
+            transport_->send(static_cast<int>(leaf_slot_[l]), src, dst,
                              std::move(bytes), unpack);
           else
             unpack(std::move(bytes));
@@ -147,11 +148,11 @@ bool cluster::maybe_rebalance() {
 
   part_ = std::move(cand);
 
-  // Post-migration sequence, exactly as recovery/restore run it: a fresh
-  // transport epoch (delayed pre-rebalance frames drop instead of
-  // colliding with the new generation), and the derived state — ghosts,
-  // gravity, dt — re-derived from the unchanged fields, which keeps the
-  // run bitwise identical to one that never rebalanced.
+  // Post-migration sequence, exactly as recovery/restore run it: links
+  // renumbered under a fresh transport epoch (delayed pre-rebalance frames
+  // drop instead of colliding with the new generation), and the derived
+  // state — ghosts, gravity, dt — re-derived from the unchanged fields,
+  // which keeps the run bitwise identical to one that never rebalanced.
   reset_links();
   rederive_state();
   update_replicas();

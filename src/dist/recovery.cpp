@@ -75,8 +75,8 @@ void cluster::recover_locality_failure(const std::vector<int>& dead,
   part_ = tree::partition_shrink(*topo_, part_, dead_all,
                                  current_leaf_costs());
 
-  // 3. A fresh transport epoch: no frame still in flight to or from the
-  // dead localities may land in a later exchange.
+  // 3. Renumbered links, a fresh transport epoch: no frame still in flight
+  // to or from the dead localities may land in a later exchange.
   reset_links();
 
   // 4. Restore the lost leaf state.  Preferred source: the in-memory buddy

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <chrono>
 #include <mutex>
-#include <optional>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -54,9 +53,8 @@ std::uint64_t splitmix64(std::uint64_t& s) {
 /// every (possibly delayed) network delivery task, so a frame arriving
 /// after the sender gave up still finds valid state.
 struct message {
-  int link = 0;
   std::uint64_t seq = 0;
-  std::uint32_t epoch = 0;  ///< link generation the frame belongs to
+  std::uint32_t epoch = 0;  ///< generation the frame belongs to
   int src_loc = 0;
   int dst_loc = 0;
   std::vector<std::uint8_t> payload;
@@ -75,27 +73,35 @@ struct message {
 using message_ptr = std::shared_ptr<message>;
 
 struct transport::state {
-  struct link_state {
+  /// One directed (source, destination) locality pair.  Its sends run
+  /// concurrently, so the duplicate filter is exact: every seq below
+  /// `below` was delivered, `above` holds the delivered ones past it.  A
+  /// failed send's seq stays a gap until advance_epoch.
+  struct pair_state {
     std::mutex m;
     std::uint64_t next_seq = 0;
-    /// Sequence numbers already delivered to the application.  Pruned to a
-    /// trailing window: the sender blocks per link, so anything older than
-    /// the window can only be a long-dead duplicate.
-    std::set<std::uint64_t> delivered;
+    std::uint64_t below = 0;
+    std::set<std::uint64_t> above;
   };
 
   transport_options opt;
   amt::runtime* rt = nullptr;
-  std::vector<link_state> links;
+  int num_localities = 0;
+  std::vector<pair_state> pairs;  ///< src * num_localities + dst
+
+  pair_state& pair(const message& msg) {
+    return pairs[static_cast<std::size_t>(msg.src_loc * num_localities +
+                                          msg.dst_loc)];
+  }
 
   /// Reorder stash: a held-back frame that is released behind the next
-  /// frame that transits (any link — reordering across links is what an
+  /// frame that transits (any pair — reordering across routes is what an
   /// adaptive-routed torus does).
   std::mutex reorder_m;
-  std::optional<message_ptr> stashed;
+  message_ptr stashed;
 
-  /// Current link generation; bumped by advance_epoch() on every link
-  /// rebuild.  Frames stamped with an older value are dropped on receive.
+  /// Current generation; bumped by advance_epoch() on every route rebuild.
+  /// Frames stamped with an older value are dropped on receive.
   std::atomic<std::uint32_t> epoch{0};
 
   std::atomic<std::uint64_t> messages{0};
@@ -178,8 +184,7 @@ void transmit(const std::shared_ptr<transport::state>& st,
   {
     const std::lock_guard<std::mutex> lock(st->reorder_m);
     if (st->stashed) {
-      release = *st->stashed;
-      st->stashed.reset();
+      release = std::move(st->stashed);
     } else if (inj.msg_reorder_hook()) {
       st->stashed = msg;
       return;
@@ -197,28 +202,24 @@ void transmit(const std::shared_ptr<transport::state>& st,
 
 void on_frame(const std::shared_ptr<transport::state>& st,
               const message_ptr& msg) {
-  // Stale generation: the link was rebuilt while this frame (or a delayed
-  // duplicate of it) was in transit.  Its sequence number is meaningless
-  // against the fresh window — seq 0 of the old generation would collide
-  // with seq 0 of the new one — so the frame is dropped, never delivered
-  // and never acknowledged (its sender, if any still waits, belongs to the
-  // old generation and must fail, not succeed against rebuilt state).
+  // Stale generation: the routes were rebuilt while this frame (or a
+  // delayed copy of it) was in transit, so its seq means nothing against
+  // the fresh filter.  Drop it unacknowledged: a sender still waiting on it
+  // belongs to the old generation and must fail.
   if (msg->epoch != st->epoch.load(std::memory_order_acquire)) {
     st->epoch_dropped.fetch_add(1, std::memory_order_relaxed);
     apex::registry::instance().add(counters().epoch_dropped);
     return;
   }
-  auto& link = st->links[static_cast<std::size_t>(msg->link)];
   bool fresh = false;
   {
-    const std::lock_guard<std::mutex> lock(link.m);
-    if (link.delivered.insert(msg->seq).second) {
-      fresh = true;
-      // Prune far-behind history; per-link sends are serialized on the
-      // ack, so only a bounded trailing window can still see duplicates.
-      while (link.delivered.size() > 64)
-        link.delivered.erase(link.delivered.begin());
-    }
+    auto& pair = st->pair(*msg);
+    const std::lock_guard<std::mutex> lock(pair.m);
+    fresh = msg->seq >= pair.below && pair.above.insert(msg->seq).second;
+    for (auto it = pair.above.begin();
+         it != pair.above.end() && *it == pair.below;
+         it = pair.above.erase(it))
+      ++pair.below;
   }
   if (fresh) {
     msg->deliver(std::move(msg->payload));
@@ -240,14 +241,16 @@ void on_frame(const std::shared_ptr<transport::state>& st,
 
 }  // namespace
 
-transport::transport(int num_links, transport_options opt, amt::runtime& rt)
+transport::transport(int num_localities, transport_options opt,
+                     amt::runtime& rt)
     : state_(std::make_shared<state>()) {
-  OCTO_CHECK(num_links >= 0);
+  OCTO_CHECK(num_localities >= 1);
   OCTO_CHECK(opt.ack_timeout_ms > 0 && opt.max_retries >= 0);
   state_->opt = opt;
   state_->rt = &rt;
-  state_->links = std::vector<state::link_state>(
-      static_cast<std::size_t>(num_links));
+  state_->num_localities = num_localities;
+  state_->pairs = std::vector<state::pair_state>(
+      static_cast<std::size_t>(num_localities * num_localities));
 }
 
 transport::~transport() = default;
@@ -256,20 +259,19 @@ void transport::send(int link, int src_loc, int dst_loc,
                      std::vector<std::uint8_t> payload, deliver_fn deliver) {
   const apex::scoped_trace_span span("transport.send");
   auto st = state_;
-  OCTO_ASSERT(link >= 0 &&
-              static_cast<std::size_t>(link) < st->links.size());
+  OCTO_ASSERT(src_loc >= 0 && src_loc < st->num_localities);
+  OCTO_ASSERT(dst_loc >= 0 && dst_loc < st->num_localities);
 
   auto msg = std::make_shared<message>();
-  msg->link = link;
   msg->src_loc = src_loc;
   msg->dst_loc = dst_loc;
   msg->payload = std::move(payload);
   msg->deliver = std::move(deliver);
   msg->epoch = st->epoch.load(std::memory_order_acquire);
   {
-    auto& ls = st->links[static_cast<std::size_t>(link)];
-    const std::lock_guard<std::mutex> lock(ls.m);
-    msg->seq = ls.next_seq++;
+    auto& pair = st->pair(*msg);
+    const std::lock_guard<std::mutex> lock(pair.m);
+    msg->seq = pair.next_seq++;
   }
 
   auto ack = msg->ack_promise.get_future();
@@ -313,12 +315,12 @@ void transport::send(int link, int src_loc, int dst_loc,
 void transport::advance_epoch() {
   state_->epoch.fetch_add(1, std::memory_order_acq_rel);
   // The epoch check already quarantines every in-flight frame of the old
-  // generation, so the per-link windows can restart clean: seq from 0, no
-  // dedup history to collide with.
-  for (auto& ls : state_->links) {
-    const std::lock_guard<std::mutex> lock(ls.m);
-    ls.next_seq = 0;
-    ls.delivered.clear();
+  // generation, so the pairs can restart clean: seq from 0, no delivered
+  // history to collide with.
+  for (auto& pair : state_->pairs) {
+    const std::lock_guard<std::mutex> lock(pair.m);
+    pair.next_seq = pair.below = 0;
+    pair.above.clear();
   }
   // Drop a reorder-stashed frame too: releasing it into the new
   // generation would be exactly the cross-epoch delivery this prevents.

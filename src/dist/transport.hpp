@@ -3,41 +3,38 @@
 /// Reliable delivery over an unreliable in-process "network".
 ///
 /// An unreliable network loses, delays, duplicates and reorders frames; a
-/// single lost ghost slab would leave its receiver unfilled.  At Fugaku scale
+/// single lost message would leave its receiver unfilled.  At Fugaku scale
 /// the HPX parcelport absorbs message loss, delay, duplication and
 /// reordering; this layer reproduces that contract for every *serialized*
-/// boundary slab (remote pairs, and same-locality pairs with the §VII-B
-/// optimization off):
+/// message from one locality to another (or to itself):
 ///
-///   * per-link monotonic sequence numbers — a link is one directed
-///     (receiving leaf, direction) face, or one leaf's migration;
+///   * monotonic sequence numbers per directed (source, destination)
+///     locality pair; the caller's link id only labels the frame;
 ///   * receiver acknowledgements, with a configurable ack deadline
 ///     (amt::future::wait_until under the hood, helping the scheduler);
 ///   * bounded retransmission with exponential backoff and deterministic
 ///     jitter; `transport_error` (an octo::error, so the checkpoint
 ///     rollback and recovery drivers catch it) once retries are exhausted
 ///     or the destination locality is dead;
-///   * duplicate suppression on the receive side: a late or duplicated
-///     frame is acknowledged (once the first copy's delivery has returned)
-///     but never delivered twice, so the ghost exchange stays idempotent
-///     and bitwise identical to a fault-free run;
-///   * a per-link *generation epoch* in the frame header: link rebuilds
-///     (after a migration, a recovery, or a failed exchange) advance the
-///     epoch and reset every link's sequence numbers and dedup window.
-///     Link state keyed by (link) alone is not enough — a delayed
-///     pre-rebuild duplicate of (link, seq 0) would collide with the fresh
-///     generation's first slab on the same link, either masquerading as it
-///     or suppressing it.  Cross-epoch frames are dropped at the receiver
-///     (counted in `transport.epoch_dropped`), never delivered.
+///   * exact duplicate suppression per pair on the receive side: a late or
+///     duplicated frame is acknowledged (once the first copy's delivery has
+///     returned) but never delivered twice, so the exchange stays
+///     idempotent and bitwise identical to a fault-free run;
+///   * a *generation epoch* in the frame header: route rebuilds (after a
+///     migration, a recovery, or a failed exchange) advance it and reset
+///     every pair's sequence numbers and duplicate filter; frames of an
+///     older epoch are dropped at the receiver (`transport.epoch_dropped`),
+///     never delivered — else a delayed pre-rebuild (pair, seq 0) would
+///     pass for, or suppress, the fresh generation's first frame.
 ///
 /// The "network" consults common/fault.hpp on every transit — armed by
 /// arm_msg_drop / arm_msg_delay_us / arm_msg_dup / arm_msg_reorder.  An
 /// undelayed frame is delivered inside transmit, before the sender's ack
 /// deadline starts; delayed, duplicated and reorder-released copies are
-/// delivered as tasks on the cluster's runtime, so they genuinely race with
-/// the exchange.  Acks travel the
-/// same lossy path (a delivered-but-unacked frame forces a retransmission
-/// that the dedup filter then absorbs).
+/// delivered as tasks on the transport's runtime, so they genuinely race
+/// with the sender's other work.  Acks travel the same lossy path (a
+/// delivered-but-unacked frame forces a retransmission that the duplicate
+/// filter then absorbs).
 ///
 /// Observability: apex counters `transport.messages`, `transport.retries`,
 /// `transport.timeouts`, `transport.dups_dropped`, `transport.acks` and
@@ -83,8 +80,7 @@ struct transport_stats {
 
 class transport {
  public:
-  /// Receiver-side payload sink for one message (e.g. a store into the
-  /// receiving face's message slot, or a migrated leaf's unpack).
+  /// Receiver-side payload sink for one message.
   using deliver_fn = std::function<void(std::vector<std::uint8_t>)>;
 
   /// Per-frame wire overhead the reliability adds: seq (8) + link id (4) +
@@ -93,19 +89,20 @@ class transport {
   static constexpr std::size_t frame_header_bytes = 20;
   static constexpr std::size_t ack_header_bytes = 12;
 
-  /// \p num_links directed links; delayed frames are delivered as tasks on
-  /// \p rt.
-  transport(int num_links, transport_options opt, amt::runtime& rt);
+  /// One state per directed pair of \p num_localities localities,
+  /// self-pairs included; delayed frames are delivered as tasks on \p rt.
+  transport(int num_localities, transport_options opt, amt::runtime& rt);
   ~transport();
 
   transport(const transport&) = delete;
   transport& operator=(const transport&) = delete;
 
-  /// Reliable delivery of \p payload over \p link: assign the link's next
-  /// sequence number, transmit, and block (helping the scheduler) until
-  /// the receiver acknowledges.  Retransmits on ack timeout with
-  /// exponential backoff + jitter; throws transport_error after
-  /// max_retries, or immediately when either locality is dead.
+  /// Reliable delivery of \p payload from locality \p src_loc to
+  /// \p dst_loc, labelled \p link: assign the pair's next sequence number,
+  /// transmit, and block (helping the scheduler) until the receiver
+  /// acknowledges.  Sends on one pair may run concurrently.  Retransmits on
+  /// ack timeout with exponential backoff + jitter; throws transport_error
+  /// after max_retries, or immediately when either locality is dead.
   /// \p deliver runs exactly once per sequence number — on the sending
   /// thread for an undelayed frame, else on a delivery task — no matter
   /// how many copies of the frame arrive.  A copy is acknowledged only
@@ -115,10 +112,10 @@ class transport {
   void send(int link, int src_loc, int dst_loc,
             std::vector<std::uint8_t> payload, deliver_fn deliver);
 
-  /// Open the next link generation (a link rebuild): every link's
-  /// sequence numbering restarts at 0 with a cleared dedup window, and any
+  /// Open the next generation (a route rebuild): every pair's sequence
+  /// numbering restarts at 0 with a cleared duplicate filter, and any
   /// frame of an older generation still in flight is dropped at the
-  /// receiver instead of delivered or matched against the fresh window.
+  /// receiver instead of delivered or matched against the fresh filter.
   void advance_epoch();
 
   /// Current generation (starts at 0; tests).

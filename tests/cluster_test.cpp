@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -266,6 +267,35 @@ TEST_F(ClusterEnv, LinkTasksMatchTheLinkedFaces) {
     EXPECT_EQ(static_cast<std::uint64_t>(classes.at("unpack")), serialized)
         << "optim=" << optim;
     EXPECT_EQ(classes.at("send"), 3 * senders) << "optim=" << optim;
+  }
+}
+
+/// Link ids are dense over the linked faces: the message slots a step's
+/// send and unpack tasks declare are exactly {0, ..., L-1}, L the unpacks
+/// per stage, with the optimization on and off.
+TEST_F(ClusterEnv, LinkSlotsAreDenseOverTheLinkedFaces) {
+  auto sc = scen::rotating_star();
+  for (const bool optim : {true, false}) {
+    dist_options o;
+    o.num_localities = 4;
+    o.local_optimization = optim;
+    o.sim = base_opts();
+    o.sim.audit_races = true;
+    cluster cl(sc, o);
+    cl.initialize();
+    std::set<std::int64_t> slots;
+    int unpacks = 0;
+    for (const auto& n : recorded_step(cl).graph.nodes) {
+      unpacks += std::string(n.cls) == "unpack";
+      for (const auto& a : n.footprint)
+        if (a.region == apex::rgn::slot) slots.insert(a.node);
+    }
+    ASSERT_EQ(unpacks % 3, 0) << "optim=" << optim;
+    const int per_stage = unpacks / 3;
+    ASSERT_GT(per_stage, 0) << "optim=" << optim;
+    std::set<std::int64_t> dense;
+    for (int k = 0; k < per_stage; ++k) dense.insert(k);
+    EXPECT_EQ(slots, dense) << "optim=" << optim;
   }
 }
 

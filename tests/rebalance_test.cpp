@@ -93,9 +93,10 @@ TEST(LeafCostModel, ResetDiscardsHistory) {
 }
 
 // ---------------------------------------------------------------------------
-// Transport generation epoch (dist/transport.hpp): link state keyed by
-// (link) alone let a delayed pre-rebuild duplicate of (link, seq 0)
-// collide with the fresh generation's first frame on the same link.
+// Transport generation epoch (dist/transport.hpp): sequence state keyed by
+// locality pair alone would let a delayed pre-rebuild duplicate of
+// (pair, seq 0) collide with the fresh generation's first frame on the
+// same pair.
 
 struct TransportEnv : testing::Test {
   amt::runtime rt{3};
@@ -113,7 +114,7 @@ TEST_F(TransportEnv, AdvanceEpochDropsStashedFrameAndRestartsSequencing) {
   transport_options opt;
   opt.ack_timeout_ms = 1;
   opt.max_retries = 0;
-  transport tp(1, opt, rt);
+  transport tp(2, opt, rt);
   EXPECT_EQ(tp.epoch(), 0u);
 
   EXPECT_THROW(tp.send(0, 0, 1, {1},
@@ -154,7 +155,7 @@ TEST_F(TransportEnv, DelayedStaleFrameDroppedNotDeliveredAcrossRebuild) {
   transport_options opt;
   opt.ack_timeout_ms = 5;
   opt.max_retries = 0;
-  transport tp(1, opt, rt);
+  transport tp(2, opt, rt);
 
   std::mutex m;
   std::vector<std::uint8_t> got;
@@ -422,10 +423,11 @@ TEST_F(RebalanceEnv, ComposesWithLocalityFailureRecovery) {
   expect_bitwise_equal(ref, cl);
 }
 
-/// Composition with an actively lossy network: migration payloads and the
-/// per-step channel rebuilds (each opening a new transport epoch while
-/// delayed/duplicated frames are still in flight) ride the same reliable
-/// transport, and the run stays bitwise identical to a clean reference.
+/// Composition with an actively lossy network: migration payloads ride
+/// the same reliable transport as the ghost slabs, and each rebalance's
+/// link renumbering opens a new transport epoch while delayed/duplicated
+/// frames are still in flight; the run stays bitwise identical to a clean
+/// reference.
 TEST_F(RebalanceEnv, ComposesWithLossyNetworkAndEpochRebuilds) {
   auto sc = scen::rotating_star();
   auto base = base_opts(3, 1);
