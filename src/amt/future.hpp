@@ -1,26 +1,23 @@
 #pragma once
 /// \file future.hpp
-/// One-shot futures and promises for the runtime's fork-join helpers.
+/// One-shot futures and promises: a value channel between two tasks.
 ///
-/// A step's task graph is `amt::task_graph`, which owns its tasks and
-/// needs none of this.  What remains is the plain value channel that the
-/// transport's acks, `each_leaf`, the checkpoint writer, recovery and
-/// rebalance use:
+/// A batch of tasks is an `amt::task_graph` (or its fork-join form,
+/// `amt::run_each`), which owns its tasks and needs none of this.  What
+/// remains is the transport's ack promise, and the spawn-and-get probe of
+/// the benchmark drivers and runtime tests:
 ///   * `async(f)` posts `f` as a task and returns the future of its result;
-///   * `get()`/`wait()` called from a worker thread help-execute pending
-///     tasks instead of blocking, so nested waits cannot starve the pool;
-///   * `wait_until()` is the same wait with a deadline;
-///   * `get_all()` drains a vector of futures and rethrows the first error.
+///   * `get()`/`wait()` help-execute pending tasks instead of blocking, so
+///     nested waits cannot starve the pool;
+///   * `wait_until()` is the same wait with a deadline.
 
 #include <chrono>
 #include <exception>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <thread>
 #include <type_traits>
 #include <utility>
-#include <vector>
 
 #include "amt/runtime.hpp"
 #include "common/error.hpp"
@@ -60,34 +57,20 @@ class shared_state {
     eptr_ = std::move(e);
   }
 
-  /// Block until ready, helping the runtime if called from a worker thread.
-  void wait(runtime* rt) {
-    if (ready()) return;
-    if (rt != nullptr && rt->on_worker_thread()) {
-      while (!ready()) {
-        if (!rt->try_run_one()) std::this_thread::yield();
-      }
-      return;
-    }
-    // External thread: also try to help the global pool rather than spin.
-    runtime* helper = rt;
-    while (!ready()) {
-      if (helper == nullptr || !helper->try_run_one())
-        std::this_thread::yield();
-    }
+  /// Block until ready, helping \p rt (runtime::help_until).
+  void wait(runtime& rt) {
+    rt.help_until([this] { return ready(); });
   }
 
   /// Like wait(), but gives up at \p deadline.  Returns true when the state
-  /// became ready, false on timeout.  Helping semantics match wait(): a
-  /// worker thread executes pending tasks while it waits, so a timed wait
-  /// cannot starve the pool either.
-  bool wait_until(runtime* rt,
+  /// became ready, false on timeout.  Helping semantics match wait(), so a
+  /// timed wait cannot starve the pool either.
+  bool wait_until(runtime& rt,
                   std::chrono::steady_clock::time_point deadline) {
-    while (!ready()) {
-      if (std::chrono::steady_clock::now() >= deadline) return ready();
-      if (rt == nullptr || !rt->try_run_one()) std::this_thread::yield();
-    }
-    return true;
+    rt.help_until([&] {
+      return ready() || std::chrono::steady_clock::now() >= deadline;
+    });
+    return ready();
   }
 
   /// Move the value out (call once, after wait()).
@@ -156,7 +139,7 @@ class future {
 
   void wait(runtime& rt = runtime::global()) const {
     OCTO_ASSERT(valid());
-    state_->wait(&rt);
+    state_->wait(rt);
   }
 
   /// Wait until \p deadline; true when the future became ready (the value
@@ -166,13 +149,13 @@ class future {
   bool wait_until(std::chrono::steady_clock::time_point deadline,
                   runtime& rt = runtime::global()) const {
     OCTO_ASSERT(valid());
-    return state_->wait_until(&rt, deadline);
+    return state_->wait_until(rt, deadline);
   }
 
   /// Wait and retrieve; consumes the future's value.
   T get(runtime& rt = runtime::global()) {
     OCTO_ASSERT(valid());
-    state_->wait(&rt);
+    state_->wait(rt);
     auto s = std::move(state_);
     if constexpr (std::is_void_v<T>) {
       s->take();
@@ -211,27 +194,6 @@ auto async(F&& f, runtime& rt = runtime::global())
     }
   });
   return result;
-}
-
-/// Wait for every future (helping the scheduler), then rethrow the first
-/// exception any of them holds, so a task failure is never silently
-/// dropped — fault-detection paths (e.g. ghost-slab checksum mismatches)
-/// rely on this to fail the whole exchange loudly.  All futures are drained
-/// before the rethrow, so shared structures are left in a consistent
-/// state for a post-rollback retry.
-template <typename T>
-void get_all(std::vector<future<T>>& futures,
-             runtime& rt = runtime::global()) {
-  for (auto& f : futures) f.wait(rt);
-  std::exception_ptr first;
-  for (auto& f : futures) {
-    try {
-      f.get(rt);
-    } catch (...) {
-      if (!first) first = std::current_exception();
-    }
-  }
-  if (first) std::rethrow_exception(first);
 }
 
 }  // namespace octo::amt

@@ -65,6 +65,15 @@ class runtime {
   /// Used by helping waits.  Returns false when nothing was found.
   bool try_run_one();
 
+  /// The helping wait: run pending tasks on the calling thread, yielding
+  /// when none is found, until \p pred() holds.  Every blocking wait in
+  /// amt/ is this loop, so a wait never parks a thread the pool needs.
+  template <typename Pred>
+  void help_until(Pred&& pred) {
+    while (!pred())
+      if (!try_run_one()) std::this_thread::yield();
+  }
+
   runtime_stats stats() const;
 
   /// Publish the stats delta since the last export as apex counters

@@ -5,7 +5,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <thread>
 
 #include "amt/runtime.hpp"
 
@@ -23,9 +22,7 @@ class latch {
   bool ready() const { return count_.load(std::memory_order_acquire) <= 0; }
 
   void wait(runtime& rt = runtime::global()) const {
-    while (!ready()) {
-      if (!rt.try_run_one()) std::this_thread::yield();
-    }
+    rt.help_until([this] { return ready(); });
   }
 
  private:
@@ -39,9 +36,7 @@ class event {
   bool is_set() const { return flag_.load(std::memory_order_acquire); }
 
   void wait(runtime& rt = runtime::global()) const {
-    while (!is_set()) {
-      if (!rt.try_run_one()) std::this_thread::yield();
-    }
+    rt.help_until([this] { return is_set(); });
   }
 
  private:

@@ -29,10 +29,12 @@
 /// body threw stores an exception, and drain() returns the first in build
 /// order, which is therefore the cause.
 ///
-/// While a DAG recording is active (apex/dag.hpp) every task is recorded
-/// with its class, producer ids, footprint and ready/start/end times, and
-/// every barrier join as a zero-duration "join" node that the next phase's
-/// tasks depend on.
+/// A graph built with `record` keeps its own record (apex/dag.hpp): one
+/// node per task with its class, producer ids, footprint, ready/start/end
+/// times, worker and failed flag, and per barrier join a zero-duration
+/// "join" node that the next phase's tasks depend on.  take_record() moves
+/// the nodes out once the graph has drained.  A graph built without it
+/// records nothing, whatever other graphs in the process do.
 ///
 /// Edge rules.  Per (region kind, node) the dataflow graph keeps the last
 /// whole-region writer, the last writer of each part since then, and the
@@ -51,17 +53,21 @@
 ///     becomes the whole-region writer and clears the entry.
 ///
 /// A task's edges are deduplicated, in the order first seen.  Cost: the
-/// footprint builds nothing in a barrier graph unless a DAG recording is
-/// active, so the barrier path derives and stores no edges at all.
+/// footprint builds nothing in a barrier graph that does not record, so
+/// that path derives and stores no edges at all.
+///
+/// run_each() is the fork-join over an index range: a barrier graph of n
+/// tasks of one class, drained, its first failure rethrown.
 
 #include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <exception>
+#include <iterator>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -76,8 +82,13 @@ namespace octo::amt {
 
 class task_graph {
  public:
-  task_graph(runtime& rt, bool barrier)
-      : rt_(&rt), barrier_(barrier), join_ns_(apex::trace::now_ns()) {}
+  /// A graph on \p rt in the barrier or the dataflow shape; with
+  /// \p record it keeps a node per task and per join for take_record().
+  task_graph(runtime& rt, bool barrier, bool record = false)
+      : rt_(&rt),
+        barrier_(barrier),
+        record_(record),
+        join_ns_(apex::trace::now_ns()) {}
 
   /// Waits, helping, for every task: they point into the graph.
   ~task_graph() { wait_all(); }
@@ -86,10 +97,10 @@ class task_graph {
   task_graph& operator=(const task_graph&) = delete;
 
   /// An empty footprint for add(): it records in a dataflow graph, which
-  /// derives its edges from it, and in a barrier graph only while a DAG
-  /// recording (the race audit) is active.
+  /// derives its edges from it, and in a barrier graph only when the graph
+  /// records (for the race audit).
   apex::access_set footprint() const {
-    return apex::access_set(!barrier_ || apex::dag_recorder::enabled());
+    return apex::access_set(!barrier_ || record_);
   }
 
   /// Add a task with its footprint \p fp (from footprint()).  It waits on
@@ -113,7 +124,7 @@ class task_graph {
       for (const std::uint32_t d : deps_) link(tasks_[d], t);
       publish(fp.accesses(), id);
     }
-    if (apex::dag_recorder::enabled()) record(name, fp.take(), t);
+    if (record_) record(name, fp.take(), t);
     release(t);  // the creation token
   }
 
@@ -124,19 +135,15 @@ class task_graph {
     if (!barrier_ || phase_begin_ == tasks_.size()) return;
     wait_all();
     join_ns_ = apex::trace::now_ns();
-    const bool recording = apex::dag_recorder::enabled();
     rec_deps_.clear();
     bool failed = false;
     for (std::size_t i = phase_begin_; i < tasks_.size(); ++i) {
       failed = failed || tasks_[i].failed.load(std::memory_order_relaxed);
-      if (recording && tasks_[i].dag != nullptr)
-        rec_deps_.push_back(tasks_[i].dag->id);
+      if (record_) rec_deps_.push_back(tasks_[i].dag->id);
     }
     phase_failed_ = phase_failed_ || failed;
-    join_dag_ = recording ? apex::dag_recorder::instance().on_create(
-                                "join", rec_deps_, {})
-                          : nullptr;
-    if (join_dag_ != nullptr) {
+    if (record_) {
+      join_dag_ = &new_node("join", {});
       join_dag_->ready_ns = join_dag_->start_ns = join_dag_->end_ns = join_ns_;
       join_dag_->failed = failed;
     }
@@ -157,6 +164,22 @@ class task_graph {
     return nullptr;
   }
 
+  /// Wait for every task, then move the record out (nodes in creation
+  /// order, which is topological); empty for a graph built without
+  /// `record`.  The recording ends here: tasks added later are not
+  /// recorded.
+  apex::graph_profile take_record() {
+    wait_all();
+    apex::graph_profile p;
+    p.nodes.assign(std::make_move_iterator(nodes_.begin()),
+                   std::make_move_iterator(nodes_.end()));
+    nodes_.clear();
+    record_ = false;
+    join_dag_ = nullptr;
+    for (task& t : tasks_) t.dag = nullptr;
+    return p;
+  }
+
  private:
   static constexpr std::uint32_t none = ~std::uint32_t{0};
 
@@ -174,7 +197,7 @@ class task_graph {
     std::mutex m;              ///< guards done and successors
     bool done = false;
     std::vector<task*> successors;
-    apex::dag_node* dag = nullptr;  ///< recorded slot, or null
+    apex::dag_node* dag = nullptr;  ///< its node in nodes_, or null
   };
 
   /// A reader (its index in tasks_) with the part of the region it read.
@@ -247,6 +270,17 @@ class task_graph {
     unfinished_.fetch_sub(1, std::memory_order_release);  // last touch
   }
 
+  /// Append a node of class \p cls with footprint \p fp; its producers
+  /// are rec_deps_.
+  apex::dag_node& new_node(const char* cls, std::vector<apex::mem_access> fp) {
+    apex::dag_node& n = nodes_.emplace_back();
+    n.cls = cls != nullptr ? cls : "task";
+    n.id = static_cast<std::uint32_t>(nodes_.size() - 1);
+    n.deps = rec_deps_;
+    n.footprint = std::move(fp);
+    return n;
+  }
+
   void record(const char* name, std::vector<apex::mem_access> fp, task& t) {
     rec_deps_.clear();
     if (barrier_) {
@@ -255,14 +289,14 @@ class task_graph {
       for (const std::uint32_t d : deps_)
         if (tasks_[d].dag != nullptr) rec_deps_.push_back(tasks_[d].dag->id);
     }
-    t.dag = apex::dag_recorder::instance().on_create(name, rec_deps_,
-                                                     std::move(fp));
+    t.dag = &new_node(name, std::move(fp));
   }
 
   /// Wait, helping, until every task added so far has finished.
   void wait_all() const {
-    while (unfinished_.load(std::memory_order_acquire) != 0)
-      if (!rt_->try_run_one()) std::this_thread::yield();
+    rt_->help_until([this] {
+      return unfinished_.load(std::memory_order_acquire) == 0;
+    });
   }
 
   region_state& state(const apex::mem_access& a) {
@@ -339,7 +373,11 @@ class task_graph {
 
   runtime* rt_;
   bool barrier_;
+  bool record_;                ///< keep nodes_ (until take_record())
   std::deque<task> tasks_;     ///< every task in build order
+  /// The record, one node per task and per join (a deque: a task's node
+  /// never moves while workers stamp it).
+  std::deque<apex::dag_node> nodes_;
   std::atomic<std::size_t> unfinished_{0};  ///< tasks added, not finished
   std::size_t phase_begin_ = 0;  ///< first task after the last join
   bool phase_failed_ = false;    ///< barrier: a joined phase had a failure
@@ -352,5 +390,17 @@ class task_graph {
   /// Per task: the last task whose deps_ took it (O(1) deduplication).
   std::vector<std::uint32_t> dep_of_;
 };
+
+/// Run \p fn(i) for every i in [0, \p n) as n tasks of class \p cls on
+/// \p rt, and wait for all of them: a barrier graph that records nothing.
+/// A failure does not stop the other tasks; once every one has run, the
+/// first failure in index order is rethrown.
+template <typename F>
+void run_each(runtime& rt, const char* cls, std::size_t n, F&& fn) {
+  task_graph g(rt, /*barrier=*/true);
+  for (std::size_t i = 0; i < n; ++i)
+    g.add(cls, g.footprint(), [&fn, i] { fn(i); });
+  if (const std::exception_ptr e = g.drain()) std::rethrow_exception(e);
+}
 
 }  // namespace octo::amt

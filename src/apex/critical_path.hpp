@@ -1,7 +1,8 @@
 #pragma once
 /// \file critical_path.hpp
-/// Offline analysis of a recorded dataflow step graph (apex/dag.hpp):
-/// critical path, per-kernel-class contribution, per-worker slack.
+/// Offline analysis of a step graph's own record (apex/dag.hpp, moved out
+/// by `amt::task_graph::take_record`): critical path, per-kernel-class
+/// contribution, per-worker slack.
 ///
 /// The critical path answers the question the barrier-vs-dataflow idle
 /// numbers cannot: *which chain of tasks bounds the step*, and which kernel

@@ -5,9 +5,8 @@
 ///
 /// The paper's APEX layer measures tasks *individually*; the AMT follow-up
 /// work (Daiß et al.) argues the hard scaling questions — where does the
-/// critical path live, who stalls whom — need the *graph*.  This recorder
-/// captures exactly that: every task a `task_graph` adds while a step
-/// recording is active contributes
+/// critical path live, who stalls whom — need the *graph*.  A task graph
+/// built with `record` keeps exactly that, one node per task:
 ///
 ///   * its kernel class (the static name given at the call site:
 ///     "hydro-RK", "M2L", "unpack", "send", ...),
@@ -17,23 +16,18 @@
 ///     end timestamps on the shared trace clock, and
 ///   * the executing worker index,
 ///
-/// into a `graph_profile` that `apex/critical_path.hpp` walks offline.  A
-/// barrier join is a zero-duration "join" node.
+/// and `task_graph::take_record()` moves them into a `graph_profile` that
+/// `apex/critical_path.hpp` walks offline.  A barrier join is a
+/// zero-duration "join" node.
 ///
-/// Cost model: when no recording is active the hook in `task_graph::add`
-/// is one relaxed atomic load; when active, node creation takes a mutex
-/// (graph build is cheap relative to the kernels) and the timing writes
-/// are plain stores into that node's slot, ordered by the scheduler's own
-/// happens-before edges.
-///
-/// One recording at a time: `begin_step()` / `end_step()` bracket whole
-/// graphs (build + drain, the per-step structure of step_graph()).
+/// Cost model: a graph that does not record pays one branch per task;
+/// one that does appends its nodes to its own deque on the building
+/// thread (no lock: the record is the graph's, not the process's), and
+/// the timing writes are plain stores into that node's slot, ordered by
+/// the scheduler's own happens-before edges.
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <mutex>
 #include <vector>
 
 namespace octo::apex {
@@ -83,42 +77,10 @@ struct dag_node {
   std::vector<mem_access> footprint;
 };
 
-/// A drained step's task graph (nodes in creation = topological order).
+/// A drained task graph's record (nodes in creation = topological order).
 struct graph_profile {
   std::vector<dag_node> nodes;
   bool empty() const { return nodes.empty(); }
-};
-
-/// Process-wide recorder, driven by amt::task_graph.
-class dag_recorder {
- public:
-  static dag_recorder& instance();
-
-  /// Fast path for the task graph's hook.
-  static bool enabled() {
-    return enabled_flag().load(std::memory_order_relaxed);
-  }
-
-  /// Start recording a fresh graph (drops any unfinished recording).
-  void begin_step();
-
-  /// Stop recording and move the captured graph out.  Call only after
-  /// every graph that recorded has drained — node slots are written until
-  /// their tasks finish.
-  graph_profile end_step();
-
-  /// Register a node of class \p cls whose producers are the nodes \p deps
-  /// (ids this recording returned) and whose declared footprint is \p fp.
-  /// Returns the node's stable slot, or nullptr when recording is off.
-  dag_node* on_create(const char* cls, const std::vector<std::uint32_t>& deps,
-                      std::vector<mem_access> fp);
-
- private:
-  dag_recorder() = default;
-  static std::atomic<bool>& enabled_flag();
-
-  std::mutex mutex_;  ///< guards nodes_ growth
-  std::deque<dag_node> nodes_;  ///< deque: slots never move
 };
 
 }  // namespace octo::apex

@@ -9,22 +9,23 @@
 /// dataflow step mode `amt::task_graph` derives every edge from those
 /// footprints; in barrier mode the phase joins order the tasks.  This
 /// auditor checks the result independently of how it was built: after a
-/// recorded step drains (`apex::dag_recorder`), `audit_races` propagates
-/// per-node ancestor bitsets over the recorded edges — vector clocks over
-/// the DAG, computed in creation order, which is topological because a
-/// dependency always has a lower creation id — and checks that every pair
-/// of conflicting declared accesses (same region, overlapping part, at
-/// least one write) is happens-before ordered.  An unordered pair is
-/// reported with both task names, the shared region, and the missing edge.
+/// recorded step drains (`amt::task_graph::take_record`), `audit_races`
+/// propagates per-node ancestor bitsets over the recorded edges — vector
+/// clocks over the DAG, computed in creation order, which is topological
+/// because a dependency always has a lower creation id — and checks that
+/// every pair of conflicting declared accesses (same region, overlapping
+/// part, at least one write) is happens-before ordered.  An unordered pair
+/// is reported with both task names, the shared region, and the missing
+/// edge.
 /// So it catches a fault in the edge derivation or a missing barrier join.
 /// It cannot catch a footprint that declares less than its kernel
 /// touches: derivation and audit read the same declaration.
 ///
 /// Cost model: a footprint (`amt::task_graph::footprint()`) records in a
 /// dataflow graph, which needs it for its edges, and in a barrier graph
-/// only while a dag recording is active.  The audit itself runs offline
-/// on the drained graph (O(V·E/64) bitset propagation + per-region pair
-/// checks), never inside the step.
+/// only when that graph records.  The audit itself runs offline on the
+/// drained graph (O(V·E/64) bitset propagation + per-region pair checks),
+/// never inside the step.
 
 #include <cstdint>
 #include <iosfwd>
@@ -113,7 +114,7 @@ struct race_audit_result {
 };
 
 /// Audit one drained step graph.  Nodes must be in creation order with
-/// deps referring to lower ids (the dag_recorder invariant).
+/// deps referring to lower ids (as amt::task_graph records them).
 race_audit_result audit_races(const graph_profile& g,
                               const race_audit_options& opt = {});
 

@@ -66,12 +66,16 @@ std::string json_escape(const std::string& s) {
 /// One thread's event log.  The owning thread appends and publishes with a
 /// release store of head_; readers take a consistent prefix with acquire.
 /// Fixed capacity, drop-new on overflow: a published slot is never
-/// rewritten, which keeps concurrent dump race-free.
+/// rewritten, which keeps concurrent dump race-free.  The events are
+/// default-initialized (trace_event has no member initializers), so a
+/// fresh buffer touches no page until push() writes it: a large capacity
+/// costs address space, not a zero-fill inside the first traced span.
 struct thread_buffer {
   explicit thread_buffer(std::size_t cap, int tid_)
-      : events(cap), tid(tid_) {}
+      : events(new trace_event[cap]), capacity(cap), tid(tid_) {}
 
-  std::vector<trace_event> events;
+  std::unique_ptr<trace_event[]> events;
+  std::size_t capacity;
   std::atomic<std::size_t> head{0};
   std::atomic<std::uint64_t> dropped{0};
   std::string name;  ///< guarded by impl::mutex
@@ -79,7 +83,7 @@ struct thread_buffer {
 
   void push(const trace_event& ev) {
     const std::size_t h = head.load(std::memory_order_relaxed);
-    if (h >= events.size()) {
+    if (h >= capacity) {
       dropped.fetch_add(1, std::memory_order_relaxed);
       return;
     }

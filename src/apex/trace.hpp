@@ -34,10 +34,10 @@ namespace octo::apex {
 
 /// One completed span or instant event on a thread's timeline.
 struct trace_event {
-  const char* name = nullptr;  ///< static-duration string
-  std::uint64_t ts_ns = 0;     ///< start, ns since trace epoch
-  std::uint64_t dur_ns = 0;    ///< 0 for instant events
-  enum class kind : std::uint8_t { span, instant } type = kind::span;
+  const char* name;      ///< static-duration string
+  std::uint64_t ts_ns;   ///< start, ns since trace epoch
+  std::uint64_t dur_ns;  ///< 0 for instant events
+  enum class kind : std::uint8_t { span, instant } type;
 };
 
 class trace {

@@ -7,7 +7,7 @@
 #include <iterator>
 #include <utility>
 
-#include "amt/future.hpp"
+#include "amt/task_graph.hpp"
 #include "apex/apex.hpp"
 #include "apex/trace.hpp"
 #include "common/crc32.hpp"
@@ -284,20 +284,13 @@ std::size_t write_checkpoint(const step_core& core, const std::string& path,
   const auto& leaves = core.topo().leaves();
   data.leaf_codes.resize(leaves.size());
   data.fields.resize(leaves.size());
-  auto& rt = core.space().runtime();
-  std::vector<amt::future<void>> futs;
-  futs.reserve(leaves.size());
-  for (std::size_t s = 0; s < leaves.size(); ++s) {
-    futs.push_back(amt::async(
-        [&core, &data, &leaves, s] {
-          const index_t l = leaves[s];
-          data.leaf_codes[s] = core.topo().node(l).code;
-          data.fields[s].resize(cells);
-          core.leaf(l).save_owned(data.fields[s].data());
-        },
-        rt));
-  }
-  amt::get_all(futs, rt);
+  amt::run_each(core.space().runtime(), "checkpoint-pack", leaves.size(),
+                [&](std::size_t s) {
+                  const index_t l = leaves[s];
+                  data.leaf_codes[s] = core.topo().node(l).code;
+                  data.fields[s].resize(cells);
+                  core.leaf(l).save_owned(data.fields[s].data());
+                });
   const std::size_t bytes = write_checkpoint_file(data, path);
   apex::registry::instance().add(metrics().written);
   return bytes;

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <optional>
 
-#include "amt/future.hpp"
 #include "apex/apex.hpp"
 #include "apex/dag.hpp"
 #include "apex/race_audit.hpp"
@@ -19,19 +18,6 @@
 namespace octo::app {
 
 using grid::subgrid;
-
-namespace {
-/// Run \p fn(l) as one task per leaf and wait for all of them; the first
-/// failure is rethrown (get_all), so a seal mismatch surfaces as
-/// sdc_detected.
-template <typename F>
-void each_leaf(amt::runtime& rt, const std::vector<index_t>& leaves, F&& fn) {
-  std::vector<amt::future<void>> futs;
-  for (const index_t l : leaves)
-    futs.push_back(amt::async([&fn, l] { fn(l); }, rt));
-  amt::get_all(futs, rt);
-}
-}  // namespace
 
 step_mode default_step_mode() {
   const auto v = config::env("OCTO_STEP_MODE");
@@ -65,8 +51,9 @@ void step_core::initialize() {
   if (scenario_.prepare) scenario_.prepare();
 
   // Initial data (parallel over leaves; the scenario init may be costly).
-  each_leaf(space_.runtime(), topo_->leaves(),
-            [this](index_t l) { scenario_.init(grids_[l]); });
+  const auto& leaves = topo_->leaves();
+  amt::run_each(space_.runtime(), "init", leaves.size(),
+                [&](std::size_t i) { scenario_.init(grids_[leaves[i]]); });
 
   // Reset the integration clock: re-initialize() is the from-scratch
   // restart path (run_with_checkpoints when no valid checkpoint exists).
@@ -215,12 +202,13 @@ real step_core::signal_speed(index_t l) const {
 // The step graph (both modes)
 // ---------------------------------------------------------------------------
 
-void step_core::step_graph(step_mode mode, real dt, bool advance) {
+void step_core::step_graph(step_mode mode, real dt, bool advance,
+                           apex::graph_profile* record) {
   const bool barrier = mode == step_mode::barrier;
   const auto& leaves = topo_->leaves();
   open_links();
 
-  amt::task_graph tg(space_.runtime(), barrier);
+  amt::task_graph tg(space_.runtime(), barrier, record != nullptr);
 
   // SSP-RK3 (Shu-Osher): u1 = u0 + dt L(u0)
   //                      u2 = 3/4 u0 + 1/4 (u1 + dt L(u1))
@@ -369,10 +357,12 @@ void step_core::step_graph(step_mode mode, real dt, bool advance) {
   }
 
   // The graph's final join: drain every task, then surface the first error
-  // in build order (amt::task_graph::drain).
+  // in build order (amt::task_graph::drain).  A failed graph's record goes
+  // with it.
   const std::exception_ptr err = tg.drain();
   close_links(!err);
   if (err) std::rethrow_exception(err);
+  if (record != nullptr) *record = tg.take_record();
 
   if (opt_.fixed_dt > 0) {
     dt_ = opt_.fixed_dt;
@@ -433,34 +423,28 @@ void step_core::step_attempt(real dt) {
   {
     std::optional<apex::scoped_timer> audit_t;
     if (auditor_.enabled()) audit_t.emplace(sdc_metrics().audit_timer);
-    each_leaf(space_.runtime(), leaves, [&](index_t l) {
-      const apex::scoped_trace_span span("app.entry.leaf");
-      grids_[l].save_owned(stage0(l).data());
-      if (l == flip_leaf)
-        apply_state_bitflip(grids_[l], flip.field, flip.cell, flip.bit);
-      if (auditor_.enabled()) auditor_.verify_leaf(l, grids_[l]);
-    });
+    amt::run_each(
+        space_.runtime(), "entry", leaves.size(), [&](std::size_t i) {
+          const index_t l = leaves[i];
+          const apex::scoped_trace_span span("app.entry.leaf");
+          grids_[l].save_owned(stage0(l).data());
+          if (l == flip_leaf)
+            apply_state_bitflip(grids_[l], flip.field, flip.cell, flip.bit);
+          if (auditor_.enabled()) auditor_.verify_leaf(l, grids_[l]);
+        });
     if (opt_.self_gravity && auditor_.moments_sealed())
       auditor_.verify_moments(grav_->moments_crc());
   }
 
-  // Record the step's task graph only when someone is observing (a trace
-  // sink, a metrics sink, or the race auditor): the hot path stays one
-  // relaxed load otherwise.  A barrier step records its joins as "join"
-  // nodes, so the audit and the critical path cover both modes.
+  // The step's task graph records itself only when someone is observing (a
+  // trace sink, a metrics sink, or the race auditor); a graph that does
+  // not record pays one branch per task.  A barrier step records its joins
+  // as "join" nodes, so the audit and the critical path cover both modes.
   const bool record_dag =
       apex::trace::enabled() || metrics_ != nullptr || opt_.audit_races;
-  if (record_dag) apex::dag_recorder::instance().begin_step();
-  try {
-    step_graph(opt_.mode, dt, /*advance=*/true);
-  } catch (...) {
-    // step_graph drained the graph before rethrowing; the partial
-    // recording is worthless — discard it.
-    if (record_dag) (void)apex::dag_recorder::instance().end_step();
-    throw;
-  }
+  apex::graph_profile graph;
+  step_graph(opt_.mode, dt, /*advance=*/true, record_dag ? &graph : nullptr);
   if (record_dag) {
-    const apex::graph_profile graph = apex::dag_recorder::instance().end_step();
     if (opt_.audit_races) apex::audit_step_or_throw(graph);
     last_crit_ = apex::analyze_critical_path(graph);
     apex::export_critical_path_counters(last_crit_);
@@ -485,9 +469,11 @@ void step_core::sdc_retry(const sdc_snapshot& snap, real dt) {
     // The u0 copies are the retry's source: they must still match the
     // pre-step seals (retaken only once every detector passed).  A flip
     // that landed before the copy is in them too — escalate.
-    each_leaf(space_.runtime(), topo_->leaves(), [this](index_t l) {
-      auditor_.verify_leaf(l, stage0(l));
-    });
+    const auto& leaves = topo_->leaves();
+    amt::run_each(space_.runtime(), "u0-verify", leaves.size(),
+                  [&](std::size_t i) {
+                    auditor_.verify_leaf(leaves[i], stage0(leaves[i]));
+                  });
     // Transient-error path: restore the pre-step state and re-execute.  A
     // deterministic second execution must agree bitwise (dual-execution
     // compare-vote) before the retry is trusted.
@@ -614,8 +600,10 @@ ledger step_core::measure() const {
 // ---------------------------------------------------------------------------
 
 void step_core::sdc_seal_all() {
-  each_leaf(space_.runtime(), topo_->leaves(),
-            [this](index_t l) { auditor_.seal_leaf(l, grids_[l]); });
+  const auto& leaves = topo_->leaves();
+  amt::run_each(space_.runtime(), "seal", leaves.size(), [&](std::size_t i) {
+    auditor_.seal_leaf(leaves[i], grids_[leaves[i]]);
+  });
   if (opt_.self_gravity) auditor_.seal_moments(grav_->moments_crc());
 }
 
@@ -662,8 +650,11 @@ void step_core::sdc_audit_and_seal(real dt_next, std::int64_t step) {
   // cadence; the seals are retaken every step (a stale seal cannot verify
   // legitimately evolved state).
   if (auditor_.invariants_due(step)) {
-    each_leaf(space_.runtime(), topo_->leaves(),
-              [this](index_t l) { auditor_.audit_leaf(l, grids_[l]); });
+    const auto& leaves = topo_->leaves();
+    amt::run_each(space_.runtime(), "invariants", leaves.size(),
+                  [&](std::size_t i) {
+                    auditor_.audit_leaf(leaves[i], grids_[leaves[i]]);
+                  });
     auditor_.audit_step(measure(), dt_next, step);
   }
   sdc_seal_all();

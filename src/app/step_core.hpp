@@ -260,8 +260,10 @@ class step_core {
   /// one hydro-less stage; each stage is hydro -> restrict -> copy -> links
   /// -> prolong -> set-density + FMM (build_solve), then the dt reduction
   /// and one deterministic drain.  Sets dt_; barrier mode also adds the
-  /// phase wall times.
-  void step_graph(step_mode mode, real dt, bool advance);
+  /// phase wall times.  With \p record the graph records itself and, once
+  /// it drained without a failure, its record is moved into *record.
+  void step_graph(step_mode mode, real dt, bool advance,
+                  apex::graph_profile* record = nullptr);
 
   // --- SDC containment (see app/invariants.hpp) --------------------------
   /// One execution attempt of the step: the entry pass (per leaf: u0 copy,

@@ -75,12 +75,6 @@ graph build_step_graph(const tree::topology& topo,
   std::vector<std::int32_t> m2l_first(nn, -1);      // chunk task range start
   std::vector<std::int32_t> l2l_task(nn, -1);
 
-  // Nodes by level for the tree traversals.
-  std::vector<std::vector<index_t>> by_level(
-      static_cast<std::size_t>(topo.max_depth()) + 1);
-  for (index_t n = 0; n < nn; ++n)
-    by_level[static_cast<std::size_t>(topo.node(n).level)].push_back(n);
-
   for (int s = 0; s < rk_stages; ++s) {
     // ---- hydro kernels -------------------------------------------------
     for (const index_t leaf : topo.leaves()) {
@@ -127,9 +121,8 @@ graph build_step_graph(const tree::topology& topo,
 
     if (opt.gravity) {
       // ---- M2M bottom-up ------------------------------------------------
-      for (int lvl = static_cast<int>(by_level.size()) - 1; lvl >= 0;
-           --lvl) {
-        for (const index_t n : by_level[static_cast<std::size_t>(lvl)]) {
+      for (int lvl = topo.max_depth(); lvl >= 0; --lvl) {
+        for (const index_t n : topo.nodes_at_level(lvl)) {
           const auto& nd = topo.node(n);
           if (nd.leaf) {
             mom_task[n] = h_cur[n];  // P2M folded into the hydro task
@@ -188,8 +181,8 @@ graph build_step_graph(const tree::topology& topo,
       }
 
       // ---- L2L top-down ---------------------------------------------------
-      for (std::size_t lvl = 1; lvl < by_level.size(); ++lvl) {
-        for (const index_t n : by_level[lvl]) {
+      for (int lvl = 1; lvl <= topo.max_depth(); ++lvl) {
+        for (const index_t n : topo.nodes_at_level(lvl)) {
           const index_t p = topo.node(n).parent;
           const int own = part.owner(n);
           const std::int32_t t = g.add_task(cpu_cost(w.l2l_flops), own);

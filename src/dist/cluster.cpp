@@ -5,7 +5,7 @@
 #include <numeric>
 #include <utility>
 
-#include "amt/future.hpp"
+#include "amt/task_graph.hpp"
 #include "apex/apex.hpp"
 #include "apex/trace.hpp"
 #include "common/error.hpp"
@@ -99,18 +99,12 @@ void cluster::update_replicas() {
   constexpr auto block = static_cast<std::size_t>(grid::subgrid::owned_size);
   replicas_.resize(leaves.size() * block);
   replica_holder_.assign(leaves.size(), 0);
-  auto& rt = space_.runtime();
-  std::vector<amt::future<void>> futs;
-  futs.reserve(leaves.size());
-  for (std::size_t s = 0; s < leaves.size(); ++s) {
+  for (std::size_t s = 0; s < leaves.size(); ++s)
     replica_holder_[s] = buddy_of(part_.owner(leaves[s]));
-    futs.push_back(amt::async(
-        [this, s, l = leaves[s]] {
-          grids_[l].save_owned(replicas_.data() + s * block);
-        },
-        rt));
-  }
-  amt::get_all(futs, rt);
+  amt::run_each(space_.runtime(), "replica", leaves.size(),
+                [&](std::size_t s) {
+                  grids_[leaves[s]].save_owned(replicas_.data() + s * block);
+                });
 }
 
 // ---------------------------------------------------------------------------

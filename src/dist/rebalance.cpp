@@ -33,7 +33,7 @@
 #include <utility>
 #include <vector>
 
-#include "amt/future.hpp"
+#include "amt/task_graph.hpp"
 #include "apex/apex.hpp"
 #include "apex/trace.hpp"
 #include "common/log.hpp"
@@ -104,47 +104,42 @@ bool cluster::maybe_rebalance() {
   // may rebuild the leaf — the same proof obligation as the locality-kill
   // scrub), send it from the old owner to the new one, unpack on the
   // destination.  A send returns only once its unpack has run
-  // (transport::send), so after get_all every moved leaf is whole again.
-  auto& rt = space_.runtime();
-  std::vector<amt::future<void>> futs;
-  futs.reserve(moved.size());
-  for (const index_t l : moved) {
-    const int src = part_.owner(l);
-    const int dst = cand.owner(l);
-    futs.push_back(amt::async(
-        [this, l, src, dst] {
-          std::vector<real> block(grid::subgrid::owned_size);
-          grids_[l].save_owned(block.data());
-          oarchive ar;
-          ar.put(topo_->node(l).code);
-          ar.put_vector(block);
-          ar.seal();
-          std::vector<std::uint8_t> bytes = ar.take();
-          grids_[l].fill_all(std::numeric_limits<real>::quiet_NaN());
-          const auto unpack = [this, l](std::vector<std::uint8_t> payload) {
-            iarchive in(std::move(payload));
-            in.unseal("migrated leaf record");
-            const auto code = in.get<code_t>();
-            OCTO_CHECK_MSG(code == topo_->node(l).code,
-                           "migrated leaf record code mismatch");
-            const auto cells = in.get_vector<real>();
-            OCTO_CHECK_MSG(cells.size() == static_cast<std::size_t>(
-                                               grid::subgrid::owned_size),
-                           "migrated leaf record of leaf "
-                               << l << " holds " << cells.size()
-                               << " reals, expected "
-                               << grid::subgrid::owned_size);
-            grids_[l].load_owned(cells.data());
-          };
-          if (transport_)
-            transport_->send(static_cast<int>(leaf_slot_[l]), src, dst,
-                             std::move(bytes), unpack);
-          else
-            unpack(std::move(bytes));
-        },
-        rt));
-  }
-  amt::get_all(futs, rt);
+  // (transport::send), so once run_each returns every moved leaf is whole
+  // again.
+  amt::run_each(
+      space_.runtime(), "migrate", moved.size(), [&](std::size_t i) {
+        const index_t l = moved[i];
+        const int src = part_.owner(l);
+        const int dst = cand.owner(l);
+        std::vector<real> block(grid::subgrid::owned_size);
+        grids_[l].save_owned(block.data());
+        oarchive ar;
+        ar.put(topo_->node(l).code);
+        ar.put_vector(block);
+        ar.seal();
+        std::vector<std::uint8_t> bytes = ar.take();
+        grids_[l].fill_all(std::numeric_limits<real>::quiet_NaN());
+        const auto unpack = [this, l](std::vector<std::uint8_t> payload) {
+          iarchive in(std::move(payload));
+          in.unseal("migrated leaf record");
+          const auto code = in.get<code_t>();
+          OCTO_CHECK_MSG(code == topo_->node(l).code,
+                         "migrated leaf record code mismatch");
+          const auto cells = in.get_vector<real>();
+          OCTO_CHECK_MSG(cells.size() == static_cast<std::size_t>(
+                                             grid::subgrid::owned_size),
+                         "migrated leaf record of leaf "
+                             << l << " holds " << cells.size()
+                             << " reals, expected "
+                             << grid::subgrid::owned_size);
+          grids_[l].load_owned(cells.data());
+        };
+        if (transport_)
+          transport_->send(static_cast<int>(leaf_slot_[l]), src, dst,
+                           std::move(bytes), unpack);
+        else
+          unpack(std::move(bytes));
+      });
 
   part_ = std::move(cand);
 

@@ -2,7 +2,7 @@
 
 #include <sstream>
 
-#include "amt/future.hpp"
+#include "amt/task_graph.hpp"
 #include "apex/apex.hpp"
 #include "apex/trace.hpp"
 #include "common/log.hpp"
@@ -97,17 +97,13 @@ void cluster::recover_locality_failure(const std::vector<int>& dead,
     }
   }
   if (replicas_ok) {
-    auto& rt = space_.runtime();
-    std::vector<amt::future<void>> futs;
-    futs.reserve(lost.size());
-    for (const index_t l : lost)
-      futs.push_back(amt::async(
-          [this, l] {
-            grids_[l].load_owned(replicas_.data() +
-                                 leaf_slot_[l] * grid::subgrid::owned_size);
-          },
-          rt));
-    amt::get_all(futs, rt);
+    amt::run_each(space_.runtime(), "replica-restore", lost.size(),
+                  [&](std::size_t i) {
+                    const index_t l = lost[i];
+                    grids_[l].load_owned(replicas_.data() +
+                                         leaf_slot_[l] *
+                                             grid::subgrid::owned_size);
+                  });
     // Derived state over the shrunk partition from the restored owned
     // cells: ghosts, gravity, dt.
     rederive_state();

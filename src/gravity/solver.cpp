@@ -188,10 +188,6 @@ fmm_solver::fmm_solver(const tree::topology& topo, gravity_options opt)
           nd.mom[mc_cz * CP + cell] = c.z - half + (k + real(0.5)) * dx;
         }
   }
-  levels_.assign(static_cast<std::size_t>(topo.max_depth()) + 1, {});
-  for (index_t n = 0; n < topo.num_nodes(); ++n)
-    levels_[static_cast<std::size_t>(topo.node(n).level)].push_back(n);
-
   // Refinement-boundary pair relations (fixed per topology): every fine
   // leaf records its distinct coarser leaf hosts in direction-discovery
   // order; every host records its fine clients ascending by node index.
@@ -241,11 +237,12 @@ fmm_solver::fmm_solver(const tree::topology& topo, gravity_options opt)
 
   // Mono-case tables, one per level (every level holds a node).
   const auto offsets = mono_offsets();
-  mono_table_.resize(levels_.size());
-  for (std::size_t lvl = 0; lvl < levels_.size(); ++lvl) {
-    const real dx = topo.cell_width(levels_[lvl].front());
+  mono_table_.resize(static_cast<std::size_t>(topo.max_depth()) + 1);
+  for (int lvl = 0; lvl <= topo.max_depth(); ++lvl) {
+    const real dx = topo.cell_width(topo.nodes_at_level(lvl).front());
     for (const auto& o : offsets)
-      mono_table_[lvl].push_back(lattice_derivs(o, dx, units::G_code));
+      mono_table_[static_cast<std::size_t>(lvl)].push_back(
+          lattice_derivs(o, dx, units::G_code));
   }
 }
 
@@ -827,8 +824,8 @@ void fmm_solver::build_solve(amt::task_graph& g) {
   // M2M bottom-up: a leaf's moments are the caller's (set_leaf_density);
   // an interior node's M2M reads its children's (one join per level when
   // barriered).
-  for (int lvl = static_cast<int>(levels_.size()) - 1; lvl >= 0; --lvl) {
-    for (const index_t n : levels_[static_cast<std::size_t>(lvl)]) {
+  for (int lvl = topo_.max_depth(); lvl >= 0; --lvl) {
+    for (const index_t n : topo_.nodes_at_level(lvl)) {
       if (topo_.node(n).leaf) continue;
       auto fp = g.footprint();
       fp.w(apex::rgn::moment, n);
@@ -900,8 +897,8 @@ void fmm_solver::build_solve(amt::task_graph& g) {
 
   // L2L top-down: a child's shift reads its parent's complete expansions
   // (one join per level when barriered).
-  for (std::size_t lvl = 1; lvl < levels_.size(); ++lvl) {
-    for (const index_t n : levels_[lvl]) {
+  for (int lvl = 1; lvl <= topo_.max_depth(); ++lvl) {
+    for (const index_t n : topo_.nodes_at_level(lvl)) {
       const index_t par = topo_.node(n).parent;
       g.add("L2L",
             g.footprint()

@@ -205,7 +205,6 @@ class fmm_solver {
   /// a leaf's centre of mass is its cell centre (set_leaf_density), so every
   /// source of a mono target is a point mass on the lattice.
   std::vector<std::vector<lattice_deriv>> mono_table_;
-  std::vector<std::vector<index_t>> levels_;  ///< node indices per level
 };
 
 // ---------------------------------------------------------------------------

@@ -38,7 +38,10 @@ topology::topology(real domain_half_width, int max_level,
     if (nodes_[i].leaf) leaves_.push_back(i);
     max_depth_ = std::max(max_depth_, nodes_[i].level);
   }
-  // nodes_ is in Morton DFS order, so leaves_ is too.
+  levels_.assign(static_cast<std::size_t>(max_depth_) + 1, {});
+  for (index_t i = 0; i < num_nodes(); ++i)
+    levels_[static_cast<std::size_t>(nodes_[i].level)].push_back(i);
+  // nodes_ is in Morton DFS order, so leaves_ and each level are too.
 }
 
 index_t topology::add_node(code_t code, index_t parent) {
@@ -163,11 +166,10 @@ index_t topology::neighbor_or_coarser(index_t n, int d) const {
   return find_enclosing(*ncode);
 }
 
-std::vector<index_t> topology::nodes_at_level(int level) const {
-  std::vector<index_t> out;
-  for (index_t i = 0; i < num_nodes(); ++i)
-    if (nodes_[i].level == level) out.push_back(i);
-  return out;
+const std::vector<index_t>& topology::nodes_at_level(int level) const {
+  static const std::vector<index_t> none;
+  if (level < 0 || level > max_depth_) return none;
+  return levels_[static_cast<std::size_t>(level)];
 }
 
 rvec3 topology::center(index_t n) const {

@@ -59,8 +59,9 @@ class topology {
   /// Leaf node indices in Morton order (the SFC used for partitioning).
   const std::vector<index_t>& leaves() const { return leaves_; }
 
-  /// Node indices of every node at \p level, in Morton order.
-  std::vector<index_t> nodes_at_level(int level) const;
+  /// Node indices of every node at \p level, in Morton order (ascending
+  /// node index); empty for a level outside 0..max_depth().
+  const std::vector<index_t>& nodes_at_level(int level) const;
 
   int max_depth() const { return max_depth_; }
 
@@ -121,6 +122,7 @@ class topology {
   int max_depth_ = 0;
   std::vector<tnode> nodes_;
   std::vector<index_t> leaves_;
+  std::vector<std::vector<index_t>> levels_;  ///< nodes per level
   std::unordered_map<code_t, index_t> by_code_;
 };
 

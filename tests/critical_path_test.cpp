@@ -149,24 +149,20 @@ TEST(CriticalPath, LiveDataflowRecording) {
   amt::scoped_global_runtime guard(rt);
   using apex::rgn;
 
-  auto& rec = apex::dag_recorder::instance();
-  rec.begin_step();
-  ASSERT_TRUE(apex::dag_recorder::enabled());
-
   // A diamond with a serial tail: a -> {b, c} -> d, from footprints.
   std::atomic<int> ran{0};
+  apex::graph_profile g;
   {
-    amt::task_graph tg(rt, /*barrier=*/false);
+    amt::task_graph tg(rt, /*barrier=*/false, /*record=*/true);
     const auto count = [&] { ++ran; };
     tg.add("seed", tg.footprint().w(rgn::field, 0), count);
     tg.add("left", tg.footprint().r(rgn::field, 0).w(rgn::field, 1), count);
     tg.add("right", tg.footprint().r(rgn::field, 0).w(rgn::field, 2), count);
     tg.add("tail", tg.footprint().r(rgn::field, 1).r(rgn::field, 2), count);
     EXPECT_FALSE(tg.drain());
+    g = tg.take_record();
   }
 
-  const auto g = rec.end_step();
-  EXPECT_FALSE(apex::dag_recorder::enabled());
   ASSERT_EQ(g.nodes.size(), 4u);
   EXPECT_EQ(ran.load(), 4);
 
@@ -201,19 +197,18 @@ TEST(CriticalPath, FailedTaskRecordedAndFlagged) {
   amt::scoped_global_runtime guard(rt);
   using apex::rgn;
 
-  auto& rec = apex::dag_recorder::instance();
-  rec.begin_step();
+  apex::graph_profile g;
   {
-    amt::task_graph tg(rt, /*barrier=*/false);
+    amt::task_graph tg(rt, /*barrier=*/false, /*record=*/true);
     tg.add("ok", tg.footprint().w(rgn::field, 0), [] {});
     tg.add("throws", tg.footprint().r(rgn::field, 0).w(rgn::field, 1),
            [] { throw std::runtime_error("boom"); });
     tg.add("downstream", tg.footprint().r(rgn::field, 1), [] {});
     const std::exception_ptr e = tg.drain();
     EXPECT_THROW(std::rethrow_exception(e), std::runtime_error);
+    g = tg.take_record();
   }
 
-  const auto g = rec.end_step();
   ASSERT_EQ(g.nodes.size(), 3u);
   EXPECT_FALSE(g.nodes[0].failed);
   EXPECT_TRUE(g.nodes[1].failed);
@@ -228,15 +223,11 @@ TEST(CriticalPath, FailedTaskRecordedAndFlagged) {
 TEST(CriticalPath, RecorderOffIsInvisible) {
   amt::runtime rt(2);
   amt::scoped_global_runtime guard(rt);
-  EXPECT_FALSE(apex::dag_recorder::enabled());
-  {
-    amt::task_graph tg(rt, /*barrier=*/false);
-    tg.add("x", tg.footprint().w(apex::rgn::field, 0), [] {});
-    EXPECT_FALSE(tg.drain());
-  }
-  // A begin/end bracket with no tasks in between stays empty.
-  apex::dag_recorder::instance().begin_step();
-  const auto g = apex::dag_recorder::instance().end_step();
+  // A graph built without `record` runs its tasks and records none.
+  amt::task_graph tg(rt, /*barrier=*/false);
+  tg.add("x", tg.footprint().w(apex::rgn::field, 0), [] {});
+  EXPECT_FALSE(tg.drain());
+  const auto g = tg.take_record();
   EXPECT_TRUE(g.empty());
 }
 

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <memory>
 #include <stdexcept>
-#include <vector>
 
 #include "amt/future.hpp"
 
@@ -55,15 +54,6 @@ TEST_F(FutureTest, AsyncVoid) {
 TEST_F(FutureTest, ExceptionPropagates) {
   auto f = async([]() -> int { throw std::runtime_error("boom"); }, rt);
   EXPECT_THROW(f.get(rt), std::runtime_error);
-}
-
-TEST_F(FutureTest, WaitAllHelper) {
-  std::vector<future<void>> futs;
-  std::atomic<int> n{0};
-  for (int i = 0; i < 20; ++i)
-    futs.push_back(async([&] { n.fetch_add(1); }, rt));
-  get_all(futs, rt);
-  EXPECT_EQ(n.load(), 20);
 }
 
 TEST_F(FutureTest, DoubleSetValueThrows) {

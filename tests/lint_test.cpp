@@ -76,6 +76,18 @@ TEST(Lint, BlockingGetInTaskBodyFixtureIsDetected) {
             1);
 }
 
+TEST(Lint, BlockingGetInRunEachBodyFixtureIsDetected) {
+  std::vector<finding> fs;
+  lint_cpp_text("bad_blocking_get_each.cpp",
+                fixture("bad_blocking_get_each.cpp"), repo_registries(), false,
+                fs);
+  // Exactly one: the input.wait() *after* the run_each call is fine.
+  EXPECT_EQ(std::count_if(
+                fs.begin(), fs.end(),
+                [](const finding& f) { return f.rule == "blocking-get"; }),
+            1);
+}
+
 TEST(Lint, MissingCtestTimeoutFixtureIsDetected) {
   std::vector<finding> fs;
   lint_cmake_text("bad_cmake/CMakeLists.txt",

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <exception>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "amt/runtime.hpp"
@@ -24,17 +25,13 @@ struct TaskGraph : testing::Test {
   amt::runtime rt{2};
   amt::scoped_global_runtime guard{rt};
 
-  /// Record the graph \p build adds (drained before the recording ends).
+  /// The record of the graph \p build adds (drained before it is taken).
   template <typename Build>
   apex::graph_profile record(bool barrier, Build&& build) {
-    auto& rec = apex::dag_recorder::instance();
-    rec.begin_step();
-    {
-      amt::task_graph g(rt, barrier);
-      build(g);
-      EXPECT_FALSE(g.drain());
-    }
-    return rec.end_step();
+    amt::task_graph g(rt, barrier, /*record=*/true);
+    build(g);
+    EXPECT_FALSE(g.drain());
+    return g.take_record();
   }
 };
 
@@ -198,20 +195,19 @@ TEST_F(TaskGraph, EmptyFootprintInDataflowGraphThrowsNamingTheClass) {
 /// not run, and drain() returns the error of the task that raised it.
 TEST_F(TaskGraph, FailureFlowsAlongTheEdgesAndDrainNamesItsOrigin) {
   for (const bool barrier : {false, true}) {
-    auto& rec = apex::dag_recorder::instance();
-    rec.begin_step();
     bool ran = false;
     std::exception_ptr e;
+    apex::graph_profile p;
     {
-      amt::task_graph g(rt, barrier);
+      amt::task_graph g(rt, barrier, /*record=*/true);
       g.add("w", g.footprint().w(rgn::slot, 0),
             [] { throw octo::error("origin"); });
       g.join();
       g.add("r", g.footprint().r(rgn::slot, 0), [&ran] { ran = true; });
       g.join();
       e = g.drain();
+      p = g.take_record();
     }
-    const auto p = rec.end_step();
     ASSERT_TRUE(e) << "barrier=" << barrier;
     EXPECT_FALSE(ran) << "barrier=" << barrier;
     // The downstream task inherited the error: its recorded node failed.
@@ -272,10 +268,9 @@ TEST_F(TaskGraph, LatticeStress) {
     std::vector<std::atomic<bool>> done(width * layers);
     std::atomic<int> executed{0};
     std::atomic<int> early{0};  // ran before one of its producers finished
-    auto& rec = apex::dag_recorder::instance();
-    rec.begin_step();
+    apex::graph_profile p;
     {
-      amt::task_graph g(stress_rt, barrier);
+      amt::task_graph g(stress_rt, barrier, /*record=*/true);
       for (int layer = 0; layer < layers; ++layer) {
         for (int c = 0; c < width; ++c) {
           const int i = layer * width + c;
@@ -297,8 +292,8 @@ TEST_F(TaskGraph, LatticeStress) {
         g.join();
       }
       EXPECT_FALSE(g.drain());
+      p = g.take_record();
     }
-    const auto p = rec.end_step();
     EXPECT_EQ(executed.load(), width * layers) << "barrier=" << barrier;
     EXPECT_EQ(early.load(), 0) << "barrier=" << barrier;
     // Barrier mode adds one "join" node per layer.
@@ -313,4 +308,55 @@ TEST_F(TaskGraph, LatticeStress) {
       }
     EXPECT_GT(edges, 0u) << "barrier=" << barrier;
   }
+}
+
+/// Two graphs built and drained at the same time on two threads, one
+/// recording and one not: each record holds its own graph's tasks only.
+TEST_F(TaskGraph, EachGraphKeepsOnlyItsOwnRecord) {
+  constexpr int n = 200;
+  const auto build = [this](bool record, apex::graph_profile& out) {
+    amt::task_graph g(rt, /*barrier=*/false, record);
+    for (int i = 0; i < n; ++i) {
+      auto fp = g.footprint();
+      fp.w(rgn::field, i);
+      if (i > 0) fp.r(rgn::field, i - 1);
+      g.add(record ? "mine" : "other", std::move(fp), nop);
+    }
+    EXPECT_FALSE(g.drain());
+    out = g.take_record();
+  };
+  apex::graph_profile recorded, unrecorded;
+  std::thread a([&] { build(true, recorded); });
+  std::thread b([&] { build(false, unrecorded); });
+  a.join();
+  b.join();
+  ASSERT_EQ(recorded.nodes.size(), static_cast<std::size_t>(n));
+  for (std::uint32_t i = 0; i < n; ++i) {
+    EXPECT_STREQ(recorded.nodes[i].cls, "mine");
+    EXPECT_EQ(recorded.nodes[i].id, i);
+    EXPECT_EQ(recorded.nodes[i].deps, i == 0 ? ids{} : ids{i - 1});
+  }
+  EXPECT_TRUE(unrecorded.empty());
+}
+
+/// run_each runs every index, and rethrows the first failure in index
+/// order only once every other task has run.
+TEST_F(TaskGraph, RunEachRunsEveryIndexAndRethrowsTheFirstFailure) {
+  constexpr std::size_t n = 1000;
+  amt::runtime four{4};
+  std::vector<std::atomic<int>> runs(n);
+  std::atomic<int> ok{0};
+  try {
+    amt::run_each(four, "each", n, [&](std::size_t i) {
+      ++runs[i];
+      if (i == 17 || i == 400) throw octo::error(std::to_string(i));
+      ++ok;
+    });
+    FAIL() << "run_each must rethrow";
+  } catch (const octo::error& e) {
+    EXPECT_STREQ(e.what(), "17");
+    // Every other index had run by the time the error surfaced.
+    EXPECT_EQ(ok.load(), static_cast<int>(n - 2));
+  }
+  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(runs[i].load(), 1) << i;
 }

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -187,6 +188,30 @@ TEST_F(TraceTest, FullBufferDropsAndCounts) {
   EXPECT_TRUE(chk.document());
   EXPECT_NE(json.find("\"dropped\""), std::string::npos);
   tr.set_buffer_capacity(1 << 16);
+}
+
+/// Resident set size in bytes (/proc/self/statm, second field).
+long resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  long pages = 0, resident = 0;
+  statm >> pages >> resident;
+  return resident * ::sysconf(_SC_PAGESIZE);
+}
+
+/// A thread's buffer is built when its first span ends, inside the traced
+/// window: at 2^21 events (64 MiB) it must not be zero-filled there.
+TEST_F(TraceTest, FirstSpanDoesNotTouchTheWholeBuffer) {
+  auto& tr = trace::instance();
+  tr.set_buffer_capacity(std::size_t(1) << 21);
+  long grown = 0;
+  std::thread fresh([&] {
+    const long before = resident_bytes();
+    { scoped_trace_span s("unit.first_span"); }
+    grown = resident_bytes() - before;
+  });
+  fresh.join();
+  tr.set_buffer_capacity(trace::default_buffer_capacity());
+  EXPECT_LT(grown, 16l << 20) << "resident set grew by " << grown << " B";
 }
 
 TEST_F(TraceTest, ConcurrentRecordingKeepsEveryThreadsEvents) {

@@ -20,7 +20,7 @@
 
 #include <unistd.h>
 
-#include "amt/future.hpp"
+#include "amt/task_graph.hpp"
 #include "app/simulation.hpp"
 #include "common/fault.hpp"
 #include "dist/checkpoint.hpp"
@@ -207,21 +207,17 @@ TEST_F(TransportEnv, ConcurrentSendsOnOnePairDeliverExactlyOnce) {
   opt.ack_timeout_ms = 2;
   opt.max_retries = 30;
   transport tp(2, opt, four);
-  std::vector<amt::future<void>> futs;
-  for (int link = 0; link < senders; ++link)
-    futs.push_back(amt::async(
-        [&, link] {
-          for (int i = 0; i < per_sender; ++i) {
-            const int id = link * per_sender + i;
-            tp.send(link, 0, 1, {static_cast<std::uint8_t>(id)},
-                    [&delivered](std::vector<std::uint8_t> p) {
-                      ++delivered[p.at(0)];
-                    });
-            early += delivered[static_cast<std::size_t>(id)].load() == 0;
-          }
-        },
-        four));
-  amt::get_all(futs, four);
+  amt::run_each(four, "sender", senders, [&](std::size_t s) {
+    const int link = static_cast<int>(s);
+    for (int i = 0; i < per_sender; ++i) {
+      const int id = link * per_sender + i;
+      tp.send(link, 0, 1, {static_cast<std::uint8_t>(id)},
+              [&delivered](std::vector<std::uint8_t> p) {
+                ++delivered[p.at(0)];
+              });
+      early += delivered[static_cast<std::size_t>(id)].load() == 0;
+    }
+  });
 
   for (int id = 0; id < total; ++id)
     EXPECT_EQ(delivered[static_cast<std::size_t>(id)].load(), 1)

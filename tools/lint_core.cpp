@@ -8,6 +8,7 @@
 #include <initializer_list>
 #include <set>
 #include <sstream>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -238,14 +239,23 @@ void check_metric_names(const std::string& path, const std::string& text,
 
 void check_blocking_get(const std::string& path, const std::string& text,
                         const std::string& code, std::vector<finding>& out) {
-  // A task_graph::add call: `.add(` whose first argument is the class
-  // name literal (the blanked code keeps the quotes).
+  // Task bodies sit in the argument extent of a task_graph::add call
+  // (`.add(` whose first argument is the class name literal; the blanked
+  // code keeps the quotes) or of an amt::run_each call.
+  std::vector<std::pair<std::size_t, std::size_t>> extents;
   for (std::size_t p = code.find(".add(", 0); p != std::string::npos;
        p = code.find(".add(", p + 1)) {
     const std::size_t open = p + 4;
     const std::size_t name = code.find_first_not_of(" \t\n", open + 1);
     if (name == std::string::npos || code[name] != '"') continue;
-    const std::size_t close = paren_extent(code, open);
+    extents.emplace_back(open, paren_extent(code, open));
+  }
+  for (std::size_t p = find_call(code, "run_each(", 0);
+       p != std::string::npos; p = find_call(code, "run_each(", p + 1)) {
+    const std::size_t open = p + 8;
+    extents.emplace_back(open, paren_extent(code, open));
+  }
+  for (const auto& [open, close] : extents) {
     for (const char* blocker : {".get(", ".wait("}) {
       for (std::size_t b = code.find(blocker, open);
            b != std::string::npos && b < close;
@@ -253,9 +263,10 @@ void check_blocking_get(const std::string& path, const std::string& text,
         if (allowed(text, b, "blocking-get")) continue;
         out.push_back(finding{path, line_of(text, b), "blocking-get",
                               std::string("blocking '") + blocker +
-                                  ")' inside a task_graph::add task body — "
-                                  "declare what it reads in its footprint "
-                                  "instead of blocking a worker"});
+                                  ")' inside a task body (task_graph::add "
+                                  "or amt::run_each) — declare what it "
+                                  "reads in its footprint instead of "
+                                  "blocking a worker"});
       }
     }
   }

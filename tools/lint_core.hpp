@@ -13,9 +13,9 @@
 ///                   name is absent from apex::metric_registry()
 ///                   (src/apex/apex.cpp; '*' entries are prefixes)
 ///   blocking-get    .get( / .wait( inside the argument extent of a
-///                   `.add("name", ...)` call (task_graph::add) — a
-///                   blocking wait inside a task body can deadlock the
-///                   worker pool
+///                   `.add("name", ...)` call (task_graph::add) or of an
+///                   `amt::run_each(...)` call — a blocking wait inside a
+///                   task body can deadlock the worker pool
 ///   ctest-timeout   an add_test() without a TIMEOUT property, or a
 ///                   gtest_discover_tests() without PROPERTIES TIMEOUT —
 ///                   a hung test must fail the suite, not wedge it
