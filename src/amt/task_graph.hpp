@@ -29,12 +29,18 @@
 /// body threw stores an exception, and drain() returns the first in build
 /// order, which is therefore the cause.
 ///
+/// A task's class (add()'s name) is its only name.  While the trace is on
+/// (apex/trace.hpp), run() records one span under the class around each
+/// body it runs; a task that inherits a failure runs no body and records
+/// no span.  A body opens no span of its own.
+///
 /// A graph built with `record` keeps its own record (apex/dag.hpp): one
 /// node per task with its class, producer ids, footprint, ready/start/end
 /// times, worker and failed flag, and per barrier join a zero-duration
-/// "join" node that the next phase's tasks depend on.  take_record() moves
-/// the nodes out once the graph has drained.  A graph built without it
-/// records nothing, whatever other graphs in the process do.
+/// "join" node that the next phase's tasks depend on.  A task's start and
+/// end stamps are the clock reads that bound its span.  take_record()
+/// moves the nodes out once the graph has drained.  A graph built without
+/// it records nothing, whatever other graphs in the process do.
 ///
 /// Edge rules.  Per (region kind, node) the dataflow graph keeps the last
 /// whole-region writer, the last writer of each part since then, and the
@@ -57,7 +63,9 @@
 /// that path derives and stores no edges at all.
 ///
 /// run_each() is the fork-join over an index range: a barrier graph of n
-/// tasks of one class, drained, its first failure rethrown.
+/// tasks of one class, drained, its first failure rethrown.  Its class
+/// must not reuse the name of a span enclosing the call: the two would
+/// merge in the trace's per-name self times.
 
 #include <array>
 #include <atomic>
@@ -103,20 +111,21 @@ class task_graph {
     return apex::access_set(!barrier_ || record_);
   }
 
-  /// Add a task with its footprint \p fp (from footprint()).  It waits on
-  /// the edges derived from \p fp in dataflow mode, or runs at once in
+  /// Add a task of class \p cls (static-duration storage: its span and
+  /// record name) with its footprint \p fp (from footprint()).  It waits
+  /// on the edges derived from \p fp in dataflow mode, or runs at once in
   /// barrier mode.  Throws octo::error in dataflow mode when \p fp is
   /// empty: such a task would be ordered against nothing.
   template <typename F>
-  void add(const char* name, apex::access_set fp, F&& f) {
+  void add(const char* cls, apex::access_set fp, F&& f) {
     const auto id = static_cast<std::uint32_t>(tasks_.size());
     if (!barrier_) {
       if (fp.empty())
-        throw error(std::string("task_graph: task '") + name +
+        throw error(std::string("task_graph: task '") + cls +
                     "' declares no footprint in a dataflow graph");
       derive(fp.accesses(), id);
     }
-    task& t = tasks_.emplace_back(std::forward<F>(f));
+    task& t = tasks_.emplace_back(cls, std::forward<F>(f));
     unfinished_.fetch_add(1, std::memory_order_relaxed);
     if (barrier_) {
       if (phase_failed_) t.failed.store(true, std::memory_order_relaxed);
@@ -124,7 +133,7 @@ class task_graph {
       for (const std::uint32_t d : deps_) link(tasks_[d], t);
       publish(fp.accesses(), id);
     }
-    if (record_) record(name, fp.take(), t);
+    if (record_) record(fp.take(), t);
     release(t);  // the creation token
   }
 
@@ -187,7 +196,9 @@ class task_graph {
   /// token; workers reach it only through a post or a successor list, so
   /// tasks_ (a deque: elements never move) is the builder's alone.
   struct task {
-    explicit task(unique_function<void()> f) : body(std::move(f)) {}
+    task(const char* c, unique_function<void()> f)
+        : cls(c), body(std::move(f)) {}
+    const char* cls;  ///< span and record name
     unique_function<void()> body;
     /// Unfinished counted producers, plus the creation token add() holds.
     std::atomic<std::uint32_t> pending{1};
@@ -239,11 +250,10 @@ class task_graph {
   /// it done, release its successors and, last, leave the graph's count.
   void run(task& t) {
     apex::dag_node* const dag = t.dag;
-    if (dag != nullptr) {
-      dag->start_ns = apex::trace::now_ns();
-      dag->worker = rt_->worker_index();
-    }
     const bool inherited = t.failed.load(std::memory_order_relaxed);
+    const bool traced = !inherited && apex::trace::enabled();
+    const bool timed = traced || dag != nullptr;
+    const std::uint64_t start = timed ? apex::trace::now_ns() : 0;
     if (!inherited) {
       try {
         t.body();
@@ -253,9 +263,16 @@ class task_graph {
       }
     }
     const bool failed = inherited || t.error != nullptr;
-    if (dag != nullptr) {
-      dag->end_ns = inherited ? dag->start_ns : apex::trace::now_ns();
-      dag->failed = failed;
+    if (timed) {
+      const std::uint64_t end = inherited ? start : apex::trace::now_ns();
+      if (traced)
+        apex::trace::instance().record_span(t.cls, start, end - start);
+      if (dag != nullptr) {
+        dag->start_ns = start;
+        dag->end_ns = end;
+        dag->worker = rt_->worker_index();
+        dag->failed = failed;
+      }
     }
     std::vector<task*> successors;
     {
@@ -281,7 +298,7 @@ class task_graph {
     return n;
   }
 
-  void record(const char* name, std::vector<apex::mem_access> fp, task& t) {
+  void record(std::vector<apex::mem_access> fp, task& t) {
     rec_deps_.clear();
     if (barrier_) {
       if (join_dag_ != nullptr) rec_deps_.push_back(join_dag_->id);
@@ -289,7 +306,7 @@ class task_graph {
       for (const std::uint32_t d : deps_)
         if (tasks_[d].dag != nullptr) rec_deps_.push_back(tasks_[d].dag->id);
     }
-    t.dag = &new_node(name, std::move(fp));
+    t.dag = &new_node(t.cls, std::move(fp));
   }
 
   /// Wait, helping, until every task added so far has finished.

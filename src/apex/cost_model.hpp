@@ -6,7 +6,7 @@
 /// vector it balances.  A static estimate (cells x depth) is wrong the
 /// moment the binary's refined region concentrates hydro, gravity and
 /// serialization work around the two stars, so the cluster measures: every
-/// per-leaf task (hydro-RK, ghost send/unpack, gravity density refresh)
+/// per-leaf task (hydro, ghost send/unpack, gravity density refresh)
 /// adds its wall time here, and `end_step()` folds the step's totals into
 /// an exponentially-weighted moving average.  The EWMA smooths scheduler
 /// noise while tracking real drift (a leaf whose neighbors migrated away

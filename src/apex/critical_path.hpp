@@ -6,7 +6,8 @@
 ///
 /// The critical path answers the question the barrier-vs-dataflow idle
 /// numbers cannot: *which chain of tasks bounds the step*, and which kernel
-/// classes (M2L, hydro-RK, unpack, send, ...) that chain spends its time
+/// classes (gravity.m2l, app.hydro.leaf, dist.exchange.unpack, ...) that
+/// chain spends its time
 /// in.  Per-worker busy/slack quantifies the residual imbalance once the
 /// barriers are gone.
 ///

@@ -8,8 +8,9 @@
 /// critical path live, who stalls whom — need the *graph*.  A task graph
 /// built with `record` keeps exactly that, one node per task:
 ///
-///   * its kernel class (the static name given at the call site:
-///     "hydro-RK", "M2L", "unpack", "send", ...),
+///   * its kernel class (the static name given at the call site, which is
+///     also the task's trace span: "app.hydro.leaf", "gravity.m2l",
+///     "dist.exchange.unpack", ...),
 ///   * its producers' node ids, which the graph already knows,
 ///   * its declared footprint,
 ///   * ready (all inputs resolved) / start (body begins on a worker) /

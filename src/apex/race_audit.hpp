@@ -45,9 +45,9 @@ const char* rgn_name(rgn r);
 
 /// Fluent footprint builder attached at a task-graph call site:
 ///
-///   g.add("M2M", g.footprint()
-///                    .r(apex::rgn::moment, child)
-///                    .w(apex::rgn::moment, n),
+///   g.add("gravity.m2m", g.footprint()
+///                            .r(apex::rgn::moment, child)
+///                            .w(apex::rgn::moment, n),
 ///         fn);
 class access_set {
  public:

@@ -284,7 +284,7 @@ std::size_t write_checkpoint(const step_core& core, const std::string& path,
   const auto& leaves = core.topo().leaves();
   data.leaf_codes.resize(leaves.size());
   data.fields.resize(leaves.size());
-  amt::run_each(core.space().runtime(), "checkpoint-pack", leaves.size(),
+  amt::run_each(core.space().runtime(), "ckpt.pack.leaf", leaves.size(),
                 [&](std::size_t s) {
                   const index_t l = leaves[s];
                   data.leaf_codes[s] = core.topo().node(l).code;

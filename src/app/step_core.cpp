@@ -52,7 +52,7 @@ void step_core::initialize() {
 
   // Initial data (parallel over leaves; the scenario init may be costly).
   const auto& leaves = topo_->leaves();
-  amt::run_each(space_.runtime(), "init", leaves.size(),
+  amt::run_each(space_.runtime(), "app.init.leaf", leaves.size(),
                 [&](std::size_t i) { scenario_.init(grids_[leaves[i]]); });
 
   // Reset the integration clock: re-initialize() is the from-scratch
@@ -86,11 +86,6 @@ void step_core::build_layout() {
   stage0_.assign(leaves.size() *
                      static_cast<std::size_t>(grid::subgrid::owned_size),
                  0);
-  leaves_by_level_.assign(static_cast<std::size_t>(topo_->max_depth()) + 1,
-                          {});
-  for (const index_t l : leaves)
-    leaves_by_level_[static_cast<std::size_t>(topo_->node(l).level)]
-        .push_back(l);
   // Leaf slots changed identity: measured history no longer lines up.
   cost_model_.reset(measure_costs_ ? leaves.size() : 0);
 }
@@ -129,7 +124,6 @@ phase_timers& timers() {
 // ---------------------------------------------------------------------------
 
 void step_core::hydro_leaf(index_t l, real dt, real ca, real cb) {
-  const apex::scoped_trace_span span("app.hydro.leaf");
   const apex::cost_scope cost(cost_model_ptr(),
                               static_cast<std::size_t>(leaf_slot_[l]));
 #if OCTO_EOS_GUARDS
@@ -152,14 +146,12 @@ void step_core::hydro_leaf(index_t l, real dt, real ca, real cb) {
 }
 
 void step_core::restrict_node(index_t n) {
-  const apex::scoped_trace_span span("app.exchange.restrict");
   const auto& nd = topo_->node(n);
   for (int oct = 0; oct < NCHILD; ++oct)
     grid::restrict_to_coarse(grids_[nd.children[oct]], oct, grids_[n]);
 }
 
 void step_core::copy_faces(index_t n) {
-  const apex::scoped_trace_span span("app.exchange.copy");
   for (int d = 0; d < NFACE; ++d) {
     const index_t nb = topo_->neighbor(n, d);
     if (nb != tree::invalid_node) {
@@ -174,7 +166,6 @@ void step_core::copy_faces(index_t n) {
 }
 
 void step_core::prolong_leaf(index_t l) {
-  const apex::scoped_trace_span span("app.exchange.prolong");
   const auto& nd = topo_->node(l);
   for (int d = 0; d < NFACE; ++d) {
     if (nd.neighbors[d] != tree::invalid_node) continue;
@@ -193,7 +184,6 @@ void step_core::set_density(index_t l) {
 }
 
 real step_core::signal_speed(index_t l) const {
-  const apex::scoped_trace_span span("app.dt.leaf");
   return hydro::max_signal_speed(grids_[l], opt_.hydro) /
          topo_->cell_width(l);
 }
@@ -247,7 +237,7 @@ void step_core::step_graph(step_mode mode, real dt, bool advance,
           .r(apex::rgn::ghost, l)
           .r(apex::rgn::stage0, l);
       if (opt_.self_gravity) fp.r(apex::rgn::gout, l);
-      tg.add("hydro-RK", std::move(fp),
+      tg.add("app.hydro.leaf", std::move(fp),
              [this, l, dt, ca, cb] { hydro_leaf(l, dt, ca, cb); });
     }
     if (advance) {
@@ -264,7 +254,8 @@ void step_core::step_graph(step_mode mode, real dt, bool advance,
         fp.w(apex::rgn::field, n);
         for (int oct = 0; oct < NCHILD; ++oct)
           fp.r(apex::rgn::field, topo_->node(n).children[oct]);
-        tg.add("restrict", std::move(fp), [this, n] { restrict_node(n); });
+        tg.add("app.exchange.restrict", std::move(fp),
+               [this, n] { restrict_node(n); });
       }
       tg.join();
     }
@@ -294,7 +285,8 @@ void step_core::step_graph(step_mode mode, real dt, bool advance,
         }
       }
       if (work)
-        tg.add("copy", std::move(fp), [this, n] { copy_faces(n); });
+        tg.add("app.exchange.copy", std::move(fp),
+               [this, n] { copy_faces(n); });
     }
     tg.join();
     add_link_tasks(tg);
@@ -306,8 +298,9 @@ void step_core::step_graph(step_mode mode, real dt, bool advance,
     // owned range), copied, linked or prolonged (ascending level order, so
     // a host's own prolongation is built first; barriered, one join per
     // level, coarsest first).
-    for (const auto& level : leaves_by_level_) {
-      for (const index_t l : level) {
+    for (int lvl = 0; lvl <= topo_->max_depth(); ++lvl) {
+      for (const index_t l : topo_->nodes_at_level(lvl)) {
+        if (!topo_->node(l).leaf) continue;
         auto fp = tg.footprint();
         bool work = false;
         for (int d = 0; d < NFACE; ++d) {
@@ -320,7 +313,8 @@ void step_core::step_graph(step_mode mode, real dt, bool advance,
           work = true;
         }
         if (work)
-          tg.add("prolong", std::move(fp), [this, l] { prolong_leaf(l); });
+          tg.add("app.exchange.prolong", std::move(fp),
+                 [this, l] { prolong_leaf(l); });
       }
       tg.join();
     }
@@ -329,7 +323,7 @@ void step_core::step_graph(step_mode mode, real dt, bool advance,
     // Gravity: per-leaf density refresh feeding the solver's task graph.
     if (opt_.self_gravity) {
       for (const index_t l : leaves)
-        tg.add("set-density",
+        tg.add("app.set_density.leaf",
                tg.footprint()
                    .r(apex::rgn::field, l)
                    .w(apex::rgn::moment, l),
@@ -346,7 +340,7 @@ void step_core::step_graph(step_mode mode, real dt, bool advance,
   if (opt_.fixed_dt <= 0) {
     for (std::size_t i = 0; i < leaves.size(); ++i) {
       const index_t l = leaves[i];
-      tg.add("dt-reduce",
+      tg.add("app.dt.leaf",
              tg.footprint()
                  .r(apex::rgn::field, l)
                  .r(apex::rgn::ghost, l)
@@ -424,9 +418,8 @@ void step_core::step_attempt(real dt) {
     std::optional<apex::scoped_timer> audit_t;
     if (auditor_.enabled()) audit_t.emplace(sdc_metrics().audit_timer);
     amt::run_each(
-        space_.runtime(), "entry", leaves.size(), [&](std::size_t i) {
+        space_.runtime(), "app.entry.leaf", leaves.size(), [&](std::size_t i) {
           const index_t l = leaves[i];
-          const apex::scoped_trace_span span("app.entry.leaf");
           grids_[l].save_owned(stage0(l).data());
           if (l == flip_leaf)
             apply_state_bitflip(grids_[l], flip.field, flip.cell, flip.bit);
@@ -470,7 +463,7 @@ void step_core::sdc_retry(const sdc_snapshot& snap, real dt) {
     // pre-step seals (retaken only once every detector passed).  A flip
     // that landed before the copy is in them too — escalate.
     const auto& leaves = topo_->leaves();
-    amt::run_each(space_.runtime(), "u0-verify", leaves.size(),
+    amt::run_each(space_.runtime(), "app.u0_verify.leaf", leaves.size(),
                   [&](std::size_t i) {
                     auditor_.verify_leaf(leaves[i], stage0(leaves[i]));
                   });
@@ -601,9 +594,10 @@ ledger step_core::measure() const {
 
 void step_core::sdc_seal_all() {
   const auto& leaves = topo_->leaves();
-  amt::run_each(space_.runtime(), "seal", leaves.size(), [&](std::size_t i) {
-    auditor_.seal_leaf(leaves[i], grids_[leaves[i]]);
-  });
+  amt::run_each(space_.runtime(), "app.seal.leaf", leaves.size(),
+                [&](std::size_t i) {
+                  auditor_.seal_leaf(leaves[i], grids_[leaves[i]]);
+                });
   if (opt_.self_gravity) auditor_.seal_moments(grav_->moments_crc());
 }
 
@@ -651,7 +645,7 @@ void step_core::sdc_audit_and_seal(real dt_next, std::int64_t step) {
   // legitimately evolved state).
   if (auditor_.invariants_due(step)) {
     const auto& leaves = topo_->leaves();
-    amt::run_each(space_.runtime(), "invariants", leaves.size(),
+    amt::run_each(space_.runtime(), "app.invariants.leaf", leaves.size(),
                   [&](std::size_t i) {
                     auditor_.audit_leaf(leaves[i], grids_[leaves[i]]);
                   });

@@ -235,7 +235,6 @@ class step_core {
   /// leaf slot; also the SDC retry's restore source.
   std::vector<real> stage0_;
   std::vector<index_t> leaf_slot_;         ///< node -> stage0 slot
-  std::vector<std::vector<index_t>> leaves_by_level_;
 
   real time_ = 0;
   real dt_ = 0;

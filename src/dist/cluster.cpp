@@ -101,7 +101,7 @@ void cluster::update_replicas() {
   replica_holder_.assign(leaves.size(), 0);
   for (std::size_t s = 0; s < leaves.size(); ++s)
     replica_holder_[s] = buddy_of(part_.owner(leaves[s]));
-  amt::run_each(space_.runtime(), "replica", leaves.size(),
+  amt::run_each(space_.runtime(), "dist.replica.leaf", leaves.size(),
                 [&](std::size_t s) {
                   grids_[leaves[s]].save_owned(replicas_.data() + s * block);
                 });
@@ -145,7 +145,6 @@ bool cluster::linked(index_t n, index_t nb) const {
 
 void cluster::send_faces(std::size_t begin, std::size_t end,
                          const std::shared_ptr<link_step>& ls) {
-  const apex::scoped_trace_span span("dist.exchange.send");
   const index_t l = links_[begin].from;
   const apex::cost_scope cost(cost_model_ptr(),
                               static_cast<std::size_t>(leaf_slot_[l]));
@@ -181,7 +180,6 @@ void cluster::send_faces(std::size_t begin, std::size_t end,
 }
 
 void cluster::unpack_face(index_t l, int d, slab_bytes bytes) {
-  const apex::scoped_trace_span span("dist.exchange.unpack");
   const apex::cost_scope cost(cost_model_ptr(),
                               static_cast<std::size_t>(leaf_slot_[l]));
   iarchive ar(std::move(bytes));
@@ -232,7 +230,7 @@ void cluster::add_link_tasks(amt::task_graph& g) {
     fp.r(apex::rgn::field, l);
     for (e = b; e < links_.size() && links_[e].from == l; ++e)
       fp.w(apex::rgn::slot, static_cast<std::int64_t>(e));
-    g.add("send", std::move(fp),
+    g.add("dist.exchange.send", std::move(fp),
           [this, b, e, ls = link_step_] { send_faces(b, e, ls); });
   }
   g.join();
@@ -243,7 +241,7 @@ void cluster::add_link_tasks(amt::task_graph& g) {
   // through the same edge.
   for (const std::size_t k : inbound_) {
     const auto [l, d, from] = links_[k];
-    g.add("unpack",
+    g.add("dist.exchange.unpack",
           g.footprint()
               .r(apex::rgn::slot, static_cast<std::int64_t>(k))
               .w(apex::rgn::ghost, l, d),

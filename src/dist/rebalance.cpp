@@ -107,7 +107,7 @@ bool cluster::maybe_rebalance() {
   // (transport::send), so once run_each returns every moved leaf is whole
   // again.
   amt::run_each(
-      space_.runtime(), "migrate", moved.size(), [&](std::size_t i) {
+      space_.runtime(), "lb.migrate.leaf", moved.size(), [&](std::size_t i) {
         const index_t l = moved[i];
         const int src = part_.owner(l);
         const int dst = cand.owner(l);

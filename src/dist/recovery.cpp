@@ -97,7 +97,7 @@ void cluster::recover_locality_failure(const std::vector<int>& dead,
     }
   }
   if (replicas_ok) {
-    amt::run_each(space_.runtime(), "replica-restore", lost.size(),
+    amt::run_each(space_.runtime(), "recovery.restore.leaf", lost.size(),
                   [&](std::size_t i) {
                     const index_t l = lost[i];
                     grids_[l].load_owned(replicas_.data() +

@@ -6,7 +6,6 @@
 
 #include "amt/task_graph.hpp"
 #include "apex/race_audit.hpp"
-#include "apex/trace.hpp"
 #include "common/crc32.hpp"
 #include "common/error.hpp"
 
@@ -816,9 +815,10 @@ void fmm_solver::solve(const exec::amt_space& space) {
 void fmm_solver::build_solve(amt::task_graph& g) {
   // Zero pass: one task per node.
   for (index_t n = 0; n < topo_.num_nodes(); ++n)
-    g.add("zero", g.footprint().w(apex::rgn::expansion, n), [this, n] {
-      std::fill(nodes_[n].exp.begin(), nodes_[n].exp.end(), real(0));
-    });
+    g.add("gravity.zero", g.footprint().w(apex::rgn::expansion, n),
+          [this, n] {
+            std::fill(nodes_[n].exp.begin(), nodes_[n].exp.end(), real(0));
+          });
   g.join();
 
   // M2M bottom-up: a leaf's moments are the caller's (set_leaf_density);
@@ -831,10 +831,7 @@ void fmm_solver::build_solve(amt::task_graph& g) {
       fp.w(apex::rgn::moment, n);
       for (const index_t ch : topo_.node(n).children)
         fp.r(apex::rgn::moment, ch);
-      g.add("M2M", std::move(fp), [this, n] {
-        const apex::scoped_trace_span span("gravity.m2m");
-        compute_m2m(n);
-      });
+      g.add("gravity.m2m", std::move(fp), [this, n] { compute_m2m(n); });
     }
     g.join();
   }
@@ -857,10 +854,8 @@ void fmm_solver::build_solve(amt::task_graph& g) {
       // Chunked launches write disjoint expansion rows of n: part = chunk.
       auto fp = fp_moms;
       fp.w(apex::rgn::expansion, n, nc == 1 ? apex::any_part : c);
-      g.add("M2L", std::move(fp), [this, n, c, nc] {
-        const apex::scoped_trace_span span("gravity.m2l");
-        compute_m2l(n, c, nc);
-      });
+      g.add("gravity.m2l", std::move(fp),
+            [this, n, c, nc] { compute_m2l(n, c, nc); });
     }
   }
   g.join();
@@ -872,10 +867,8 @@ void fmm_solver::build_solve(amt::task_graph& g) {
     auto fp = g.footprint();
     fp.r(apex::rgn::moment, l).w(apex::rgn::fcbuf, l);
     for (const index_t h : fcd.hosts) fp.r(apex::rgn::moment, h);
-    g.add("fc-pair", std::move(fp), [this, l] {
-      const apex::scoped_trace_span span("gravity.fine_coarse");
-      compute_fine_coarse_pairs(l);
-    });
+    g.add("gravity.fine_coarse", std::move(fp),
+          [this, l] { compute_fine_coarse_pairs(l); });
   }
   g.join();
 
@@ -888,10 +881,8 @@ void fmm_solver::build_solve(amt::task_graph& g) {
     fp.w(apex::rgn::expansion, n);
     if (!fcd.hosts.empty()) fp.r(apex::rgn::fcbuf, n);
     for (const index_t f : fcd.clients) fp.r(apex::rgn::fcbuf, f);
-    g.add("fc-apply", std::move(fp), [this, n] {
-      const apex::scoped_trace_span span("gravity.fine_coarse_apply");
-      apply_fine_coarse(n);
-    });
+    g.add("gravity.fine_coarse_apply", std::move(fp),
+          [this, n] { apply_fine_coarse(n); });
   }
   g.join();
 
@@ -900,28 +891,22 @@ void fmm_solver::build_solve(amt::task_graph& g) {
   for (int lvl = 1; lvl <= topo_.max_depth(); ++lvl) {
     for (const index_t n : topo_.nodes_at_level(lvl)) {
       const index_t par = topo_.node(n).parent;
-      g.add("L2L",
+      g.add("gravity.l2l",
             g.footprint()
                 .r(apex::rgn::expansion, par)
                 .r(apex::rgn::moment, n)
                 .r(apex::rgn::moment, par)
                 .w(apex::rgn::expansion, n),
-            [this, n] {
-              const apex::scoped_trace_span span("gravity.l2l");
-              compute_l2l(n);
-            });
+            [this, n] { compute_l2l(n); });
     }
     g.join();
   }
 
   // Leaf evaluation: phi/g out the moment the leaf's expansions settle.
   for (const index_t l : topo_.leaves())
-    g.add("evaluate",
+    g.add("gravity.evaluate_leaf",
           g.footprint().r(apex::rgn::expansion, l).w(apex::rgn::gout, l),
-          [this, l] {
-            const apex::scoped_trace_span span("gravity.evaluate_leaf");
-            evaluate_leaf(l);
-          });
+          [this, l] { evaluate_leaf(l); });
   g.join();
 }
 

@@ -6,8 +6,8 @@
 /// refined interior nodes.  This class stores the *structure* (codes,
 /// parent/child links, same-level neighbor links, geometry) without cell
 /// data, so trees of the paper's production sizes (hundreds of thousands of
-/// sub-grids) fit in memory.  The solver attaches data to leaves via
-/// `grid::grid_tree`; the DES walks the bare topology.
+/// sub-grids) fit in memory.  `app::step_core` attaches one sub-grid to
+/// every node (leaf and interior); the DES walks the bare topology.
 ///
 /// The tree is built from a refinement predicate and then 2:1 balanced:
 /// adjacent leaves (across faces, edges and corners) differ by at most one

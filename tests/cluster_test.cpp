@@ -226,8 +226,8 @@ TEST_F(ClusterEnv, SingleLocalityStepGraphIsTheSimulations) {
   cluster cl(sc, o);
   cl.initialize();
   const auto got = step_task_classes(cl);
-  EXPECT_EQ(got.count("send"), 0u);
-  EXPECT_EQ(got.count("unpack"), 0u);
+  EXPECT_EQ(got.count("dist.exchange.send"), 0u);
+  EXPECT_EQ(got.count("dist.exchange.unpack"), 0u);
   EXPECT_EQ(got, want);
   EXPECT_GT(cl.stats().local_direct, 0u);
 }
@@ -264,9 +264,11 @@ TEST_F(ClusterEnv, LinkTasksMatchTheLinkedFaces) {
         cl.stats().remote_messages - before.remote_messages +
         cl.stats().local_serialized - before.local_serialized;
     ASSERT_GT(serialized, 0u) << "optim=" << optim;
-    EXPECT_EQ(static_cast<std::uint64_t>(classes.at("unpack")), serialized)
+    EXPECT_EQ(static_cast<std::uint64_t>(classes.at("dist.exchange.unpack")),
+              serialized)
         << "optim=" << optim;
-    EXPECT_EQ(classes.at("send"), 3 * senders) << "optim=" << optim;
+    EXPECT_EQ(classes.at("dist.exchange.send"), 3 * senders)
+        << "optim=" << optim;
   }
 }
 
@@ -286,7 +288,7 @@ TEST_F(ClusterEnv, LinkSlotsAreDenseOverTheLinkedFaces) {
     std::set<std::int64_t> slots;
     int unpacks = 0;
     for (const auto& n : recorded_step(cl).graph.nodes) {
-      unpacks += std::string(n.cls) == "unpack";
+      unpacks += std::string(n.cls) == "dist.exchange.unpack";
       for (const auto& a : n.footprint)
         if (a.region == apex::rgn::slot) slots.insert(a.node);
     }
@@ -326,12 +328,12 @@ TEST_F(ClusterEnv, EveryUnpackWaitsOnItsSendInTheRecordedGraph) {
     int unpacks = 0;
     for (const auto& n : nodes) {
       const std::string cls = n.cls;
-      if (cls == "send") {
+      if (cls == "dist.exchange.send") {
         for (const auto& a : n.footprint)
           if (a.region == apex::rgn::field && !a.write) send_of[a.node] = n.id;
         continue;
       }
-      if (cls != "unpack") continue;
+      if (cls != "dist.exchange.unpack") continue;
       ++unpacks;
       const apex::mem_access* face = nullptr;
       for (const auto& a : n.footprint)

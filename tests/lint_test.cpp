@@ -88,6 +88,16 @@ TEST(Lint, BlockingGetInRunEachBodyFixtureIsDetected) {
             1);
 }
 
+TEST(Lint, TraceSpanInTaskBodyFixtureIsDetected) {
+  std::vector<finding> fs;
+  lint_cpp_text("bad_task_span.cpp", fixture("bad_task_span.cpp"),
+                repo_registries(), false, fs);
+  // Exactly one: the span after the add call is the caller's.
+  ASSERT_EQ(fs.size(), 1u);
+  EXPECT_EQ(fs[0].rule, "task-span");
+  EXPECT_EQ(fs[0].line, 10);
+}
+
 TEST(Lint, MissingCtestTimeoutFixtureIsDetected) {
   std::vector<finding> fs;
   lint_cmake_text("bad_cmake/CMakeLists.txt",

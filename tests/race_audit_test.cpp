@@ -204,15 +204,16 @@ TEST_F(RaceAuditSim, DroppedEvaluateZeroEdgeRegressionIsCaught) {
   const owned_graph og = load_graph_json(text.str());
 
   race_audit_options opt;
-  opt.drop_edge_from = "evaluate";
-  opt.drop_edge_to = "zero";
+  opt.drop_edge_from = "gravity.evaluate_leaf";
+  opt.drop_edge_to = "gravity.zero";
   const auto res = audit_races(og.graph, opt);
   EXPECT_GT(res.edges_dropped, 0u);
   ASSERT_FALSE(res.clean())
       << "dropping the evaluate->zero edges must surface the expansion WAR";
   bool saw_expansion_pair = false;
   for (const auto& c : res.conflicts) {
-    if (c.first_cls == "evaluate" && c.second_cls == "zero" &&
+    if (c.first_cls == "gravity.evaluate_leaf" &&
+        c.second_cls == "gravity.zero" &&
         c.first_access.region == rgn::expansion)
       saw_expansion_pair = true;
   }

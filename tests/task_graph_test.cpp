@@ -4,16 +4,24 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <exception>
+#include <fstream>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "amt/runtime.hpp"
 #include "amt/sync.hpp"
 #include "amt/task_graph.hpp"
+#include "apex/analyze.hpp"
 #include "apex/dag.hpp"
+#include "apex/trace.hpp"
 #include "common/error.hpp"
 
 using namespace octo;
@@ -307,6 +315,81 @@ TEST_F(TaskGraph, LatticeStress) {
         ++edges;
       }
     EXPECT_GT(edges, 0u) << "barrier=" << barrier;
+  }
+}
+
+/// While the trace is on, each task whose body runs records one span named
+/// by its class, with its record node's start and end stamps; a task that
+/// inherits a failure runs no body and records no span.  Dataflow: only
+/// the failed producer's consumer inherits; barrier: every task after the
+/// failed phase does.
+TEST_F(TaskGraph, EachRunTaskIsOneSpanNamedByItsClass) {
+  constexpr int n = 4;
+  const std::string path = testing::TempDir() + "/octo_task_graph_trace_" +
+                           std::to_string(::getpid()) + ".json";
+  auto& tr = apex::trace::instance();
+  for (const bool barrier : {false, true}) {
+    std::vector<std::atomic<bool>> ran(3 * n);  // by build order
+    apex::graph_profile p;
+    tr.clear();
+    tr.enable("");
+    {
+      amt::task_graph g(rt, barrier, /*record=*/true);
+      for (int i = 0; i < n; ++i)
+        g.add("tg.write", g.footprint().w(rgn::field, i),
+              [&ran, i] { ran[i] = true; });
+      g.join();
+      for (int i = 0; i < n; ++i)
+        g.add("tg.derive", g.footprint().r(rgn::field, i).w(rgn::moment, i),
+              [&ran, i] {
+                ran[n + i] = true;
+                if (i == 0) throw octo::error("producer");
+              });
+      g.join();
+      for (int i = 0; i < n; ++i)
+        g.add("tg.consume", g.footprint().r(rgn::moment, i),
+              [&ran, i] { ran[2 * n + i] = true; });
+      g.join();
+      EXPECT_TRUE(g.drain());
+      p = g.take_record();
+    }
+    tr.disable();
+    {
+      std::ofstream out(path);
+      tr.write(out);
+    }
+    tr.clear();
+    const apex::loaded_trace t = apex::load_chrome_trace(path);
+    std::remove(path.c_str());
+
+    std::map<std::string, std::vector<const apex::trace_span*>> spans;
+    for (const auto& s : t.spans)
+      if (s.name.rfind("tg.", 0) == 0) spans[s.name].push_back(&s);
+    std::map<std::string, std::size_t> bodies;  // tasks that ran, by class
+    std::size_t k = 0;
+    for (const auto& node : p.nodes) {
+      if (std::string(node.cls) == "join") continue;
+      if (!ran[k++]) continue;
+      ++bodies[node.cls];
+      const auto& v = spans[node.cls];
+      const auto same = std::count_if(v.begin(), v.end(), [&](const auto* s) {
+        return static_cast<std::uint64_t>(std::llround(s->ts_us * 1e3)) ==
+                   node.start_ns &&
+               static_cast<std::uint64_t>(std::llround(s->dur_us * 1e3)) ==
+                   node.end_ns - node.start_ns;
+      });
+      EXPECT_EQ(same, 1) << node.cls << " #" << node.id
+                         << " barrier=" << barrier;
+    }
+    ASSERT_EQ(k, ran.size()) << "barrier=" << barrier;
+    for (const auto& [cls, v] : spans)
+      EXPECT_EQ(v.size(), bodies[cls]) << cls << " barrier=" << barrier;
+    // The failed producer ran and has its span; its consumers did not.
+    EXPECT_TRUE(ran[n]) << "barrier=" << barrier;
+    EXPECT_FALSE(ran[2 * n]) << "barrier=" << barrier;
+    EXPECT_EQ(bodies["tg.write"], std::size_t{n}) << "barrier=" << barrier;
+    EXPECT_EQ(bodies["tg.derive"], std::size_t{n}) << "barrier=" << barrier;
+    EXPECT_EQ(bodies["tg.consume"], barrier ? 0u : std::size_t{n - 1});
   }
 }
 

@@ -237,39 +237,57 @@ void check_metric_names(const std::string& path, const std::string& text,
   }
 }
 
-void check_blocking_get(const std::string& path, const std::string& text,
-                        const std::string& code, std::vector<finding>& out) {
-  // Task bodies sit in the argument extent of a task_graph::add call
-  // (`.add(` whose first argument is the class name literal; the blanked
-  // code keeps the quotes) or of an amt::run_each call.
-  std::vector<std::pair<std::size_t, std::size_t>> extents;
+/// Argument extents (open and close paren offsets) of the calls whose
+/// lambdas are task bodies: task_graph::add (`.add(` whose first argument
+/// is the class name literal; the blanked code keeps the quotes) and
+/// amt::run_each.
+using extents = std::vector<std::pair<std::size_t, std::size_t>>;
+extents task_body_extents(const std::string& code) {
+  extents out;
   for (std::size_t p = code.find(".add(", 0); p != std::string::npos;
        p = code.find(".add(", p + 1)) {
     const std::size_t open = p + 4;
     const std::size_t name = code.find_first_not_of(" \t\n", open + 1);
     if (name == std::string::npos || code[name] != '"') continue;
-    extents.emplace_back(open, paren_extent(code, open));
+    out.emplace_back(open, paren_extent(code, open));
   }
   for (std::size_t p = find_call(code, "run_each(", 0);
        p != std::string::npos; p = find_call(code, "run_each(", p + 1)) {
     const std::size_t open = p + 8;
-    extents.emplace_back(open, paren_extent(code, open));
+    out.emplace_back(open, paren_extent(code, open));
   }
-  for (const auto& [open, close] : extents) {
-    for (const char* blocker : {".get(", ".wait("}) {
-      for (std::size_t b = code.find(blocker, open);
-           b != std::string::npos && b < close;
-           b = code.find(blocker, b + 1)) {
-        if (allowed(text, b, "blocking-get")) continue;
-        out.push_back(finding{path, line_of(text, b), "blocking-get",
-                              std::string("blocking '") + blocker +
-                                  ")' inside a task body (task_graph::add "
-                                  "or amt::run_each) — declare what it "
-                                  "reads in its footprint instead of "
-                                  "blocking a worker"});
-      }
+  return out;
+}
+
+/// A finding of \p rule for every \p token inside one of \p bodies.
+void check_in_bodies(const std::string& path, const std::string& text,
+                     const std::string& code, const extents& bodies,
+                     const char* token, const char* rule,
+                     const std::string& message, std::vector<finding>& out) {
+  for (const auto& [open, close] : bodies) {
+    for (std::size_t b = code.find(token, open);
+         b != std::string::npos && b < close; b = code.find(token, b + 1)) {
+      if (allowed(text, b, rule)) continue;
+      out.push_back(finding{path, line_of(text, b), rule, message});
     }
   }
+}
+
+void check_task_bodies(const std::string& path, const std::string& text,
+                       const std::string& code, std::vector<finding>& out) {
+  const extents bodies = task_body_extents(code);
+  for (const char* blocker : {".get(", ".wait("})
+    check_in_bodies(path, text, code, bodies, blocker, "blocking-get",
+                    std::string("blocking '") + blocker +
+                        ")' inside a task body (task_graph::add or "
+                        "amt::run_each) — declare what it reads in its "
+                        "footprint instead of blocking a worker",
+                    out);
+  check_in_bodies(path, text, code, bodies, "scoped_trace_span", "task-span",
+                  "trace span inside a task body (task_graph::add or "
+                  "amt::run_each) — the graph already opens one under the "
+                  "task's class; name the task by its class instead",
+                  out);
 }
 
 /// Word-boundary search: "TIMEOUT" must not match inside
@@ -478,7 +496,7 @@ void lint_cpp_text(const std::string& path, const std::string& text,
   check_getenv(path, text, code, out);
   check_env_literals(path, text, lits, reg, out);
   if (in_src) check_metric_names(path, text, code, lits, reg, out);
-  check_blocking_get(path, text, code, out);
+  check_task_bodies(path, text, code, out);
 }
 
 void lint_cmake_text(const std::string& path, const std::string& text,

@@ -16,6 +16,9 @@
 ///                   `.add("name", ...)` call (task_graph::add) or of an
 ///                   `amt::run_each(...)` call — a blocking wait inside a
 ///                   task body can deadlock the worker pool
+///   task-span       a scoped_trace_span inside the same argument extents
+///                   — the task graph opens each task's span under its
+///                   class, so a span in the body names the task twice
 ///   ctest-timeout   an add_test() without a TIMEOUT property, or a
 ///                   gtest_discover_tests() without PROPERTIES TIMEOUT —
 ///                   a hung test must fail the suite, not wedge it
